@@ -35,7 +35,6 @@ from .motion import (
     MotionDelta,
     bbox_trajectory,
     integrate_ego_motion,
-    third_view_translation_from_deltas,
     trajectory_l1_loss,
 )
 from .simulator import (

@@ -27,6 +27,7 @@ __all__ = [
     "assign_label",
     "label_scores",
     "action_agreement",
+    "cross_entropies",
     "save_codebook",
     "load_codebook",
 ]
@@ -175,9 +176,15 @@ def label_scores(codebook: ActionCodebook, clip, tau=DEFAULT_TAU) -> np.ndarray:
     """softmax(-distance / tau) over the centroids; sums to 1."""
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    d = codebook.distances(pose_clip_vector(clip))
-    w = np.exp(-(d - d.min()) / tau)
-    return w / w.sum()
+    return _row_scores(codebook, pose_clip_vector(clip)[None, :], tau)[0]
+
+
+def _row_scores(codebook, vectors, tau):
+    # label scores of every row of an (m, CLIP_DIM) array from one distance
+    # product; a single row gives the same bits as a batch containing it
+    d = np.sqrt(_pairwise_sq_distances(vectors, codebook.centroids))
+    w = np.exp(-(d - d.min(axis=1, keepdims=True)) / tau)
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def _check_scores(scores, k, name):
@@ -210,6 +217,23 @@ def action_agreement(ego_label_scores, third_label_scores, codebook: ActionCodeb
         gap = float(np.linalg.norm(codebook.centroids[ego_label] - codebook.centroids[third_label]))
         agreement = math.exp(-gap / tau)
     return ActionAgreement(agreement, ego_ce, third_ce, ego_label, third_label)
+
+
+def cross_entropies(codebook: ActionCodebook, ego_vectors, third_vectors, tau=DEFAULT_TAU):
+    """The two cross-entropies of action_agreement for each row pair, batched.
+
+    ego_vectors and third_vectors are (n, CLIP_DIM) clip vectors; row i of
+    one is paired with row i of the other. All 2n rows are scored against
+    the centroids with one distance product. Returns (ego_ce, third_ce), two
+    length-n arrays.
+    """
+    n = len(ego_vectors)
+    scores = _row_scores(codebook, np.concatenate([ego_vectors, third_vectors]), tau)
+    labels = scores.argmax(axis=1)
+    rows = np.arange(n)
+    ego_ce = -np.log(np.maximum(scores[rows, labels[n:]], _EPS_LOG))
+    third_ce = -np.log(np.maximum(scores[n + rows, labels[:n]], _EPS_LOG))
+    return ego_ce, third_ce
 
 
 def save_codebook(codebook: ActionCodebook, path) -> None:

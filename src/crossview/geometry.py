@@ -125,7 +125,8 @@ class UnitQuaternion:
     def to_rotation_vector(self):
         """Quaternion log: rotation vector with angle in [0, pi].
 
-        The scalar part is clamped to [-1, 1] before acos to absorb rounding.
+        The angle is 2 atan2(|v|, w), which keeps full relative precision at
+        small angles, where w rounds to 1 and 2 acos(w) collapses to 0.
         """
         w, x, y, z = self._q
         if w < 0.0:  # q and -q are the same rotation; keep the short arc
@@ -133,7 +134,7 @@ class UnitQuaternion:
         s = math.sqrt(x * x + y * y + z * z)
         if s < 1e-12:
             return np.array([2.0 * x, 2.0 * y, 2.0 * z])
-        angle = 2.0 * math.acos(min(1.0, max(-1.0, w)))
+        angle = 2.0 * math.atan2(s, w)
         return (angle / s) * np.array([x, y, z])
 
     def __repr__(self):

@@ -26,8 +26,8 @@ __all__ = [
     "Trajectory2D",
     "bbox_trajectory",
     "integrate_ego_motion",
+    "ego_offsets",
     "trajectory_l1_loss",
-    "third_view_translation_from_deltas",
 ]
 
 
@@ -115,17 +115,23 @@ def integrate_ego_motion(clip: EgoMotionClip) -> Trajectory2D:
     return warp_to_third_2d(chain)
 
 
+def ego_offsets(deltas) -> np.ndarray:
+    """(8, 3) positions of the chained increments in the start frame.
+
+    Row k is the translation of D_1...D_k (row 0 is exactly zero), so the
+    track integrate_ego_motion gives from a start rotation R is the x-y part
+    of R u_k: the increments are integrated once for any number of starts.
+    """
+    offsets = np.zeros((CLIP_LEN, 3))
+    rotation = np.eye(3)
+    for k, d in enumerate(deltas):
+        offsets[k + 1] = offsets[k] + rotation @ d.translation
+        rotation = rotation @ error_quaternion(d.rotation).to_matrix()
+    return offsets
+
+
 def trajectory_l1_loss(predicted: Trajectory2D, reference: Trajectory2D) -> float:
     """Sum over frames of |dx| + |dy| between two equal-length tracks."""
     if len(predicted) != len(reference):
         raise ValueError(f"trajectory lengths differ: {len(predicted)} vs {len(reference)}")
     return float(np.abs(predicted.points - reference.points).sum())
-
-
-def third_view_translation_from_deltas(deltas) -> Trajectory2D:
-    """Cumulative sum of 7 per-frame (dx, dy) steps, prefixed with (0, 0)."""
-    d = np.asarray(list(deltas), dtype=float)
-    if d.shape != (CLIP_LEN - 1, 2):
-        raise ValueError(f"expected {CLIP_LEN - 1} (dx, dy) deltas, got shape {d.shape}")
-    points = np.vstack([np.zeros((1, 2)), np.cumsum(d, axis=0)])
-    return Trajectory2D(points)

@@ -111,8 +111,12 @@ class GaitParams:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.arm_amplitude < 0.0 or self.leg_amplitude < 0.0:
-            raise ValueError("gait amplitudes must be non-negative")
+        for name in ("arm_amplitude", "leg_amplitude", "stride_length", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("arm_amplitude", "leg_amplitude"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.stride_length <= 0.0:
             raise ValueError(f"stride_length must be positive, got {self.stride_length}")
 
@@ -132,9 +136,13 @@ class PersonSpec:
         wps = tuple((float(x), float(y)) for x, y in self.waypoints)
         if not wps:
             raise ValueError("waypoints must contain at least one point")
+        if not all(math.isfinite(v) for w in wps for v in w):
+            raise ValueError(f"waypoints must be finite, got {wps}")
         object.__setattr__(self, "waypoints", wps)
-        if self.speed < 0.0:
-            raise ValueError(f"speed must be non-negative, got {self.speed}")
+        if not (math.isfinite(self.speed) and self.speed >= 0.0):
+            raise ValueError(f"speed must be finite and non-negative, got {self.speed}")
+        if not math.isfinite(self.heading):
+            raise ValueError(f"heading must be finite, got {self.heading}")
         if self.speed > 0.0 and len(wps) > 1:
             for a, b in zip(wps, wps[1:]):
                 if a == b:
@@ -152,8 +160,9 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("sigma_pose", "sigma_odo_trans", "sigma_odo_rot", "sigma_bbox"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -261,6 +270,17 @@ def _path_state(spec: PersonSpec, frame):
     raise AssertionError("unreachable")
 
 
+def _ego_steps(frames):
+    """Joint-space deltas, body frames and rigid-motion increments of consecutive frames."""
+    pose_deltas = [PoseDelta.between(a, b) for a, b in zip(frames, frames[1:])]
+    transforms = [body_frame(f) for f in frames]
+    motion_deltas = []
+    for a, b in zip(transforms, transforms[1:]):
+        step = se3_compose(a.inverse(), b)
+        motion_deltas.append(MotionDelta(RotationDelta(step.rotation.to_rotation_vector()), step.translation))
+    return pose_deltas, transforms, motion_deltas
+
+
 def ego_deltas_from_truth(frames):
     """Derive the ego observables for an 8-frame window of one person.
 
@@ -271,13 +291,8 @@ def ego_deltas_from_truth(frames):
     frames = list(frames)
     if len(frames) != CLIP_LEN:
         raise ValueError(f"expected {CLIP_LEN} frames, got {len(frames)}")
-    pose_deltas = tuple(PoseDelta.between(frames[k], frames[k + 1]) for k in range(CLIP_LEN - 1))
-    transforms = [body_frame(f) for f in frames]
-    motion_deltas = []
-    for k in range(CLIP_LEN - 1):
-        step = se3_compose(transforms[k].inverse(), transforms[k + 1])
-        motion_deltas.append(MotionDelta(RotationDelta(step.rotation.to_rotation_vector()), step.translation))
-    return pose_deltas, EgoMotionClip(transforms[0], tuple(motion_deltas))
+    pose_deltas, transforms, motion_deltas = _ego_steps(frames)
+    return tuple(pose_deltas), EgoMotionClip(transforms[0], tuple(motion_deltas))
 
 
 def _noisy(array, sigma, rng):
@@ -325,21 +340,26 @@ def generate_scene(scenario: Scenario):
     offset = scenario.time_offset
     first = max(0, -offset)
     last = duration - CLIP_LEN - max(0, offset)  # inclusive
+    # the wearer's frames seen by any window, with every consecutive step
+    # computed once; window t0 starts at index t0 - first
+    wearer_frames = truth[wearer.person_id][0][first + offset : last + offset + CLIP_LEN]
+    wearer_pose_steps, _, wearer_motion_steps = _ego_steps(wearer_frames)
     clips = []
     for t0 in range(first, last + 1):
         rng = np.random.default_rng([scenario.seed, t0])
 
-        ego_window = [truth[wearer.person_id][0][t] for t in range(t0 + offset, t0 + offset + CLIP_LEN)]
-        gt_pose_deltas, gt_motion = ego_deltas_from_truth(ego_window)
-        pose_deltas = tuple(PoseDelta(_noisy(d.joint_deltas, noise.sigma_pose, rng)) for d in gt_pose_deltas)
+        window = slice(t0 - first, t0 - first + CLIP_LEN - 1)
+        pose_deltas = tuple(
+            PoseDelta(_noisy(d.joint_deltas, noise.sigma_pose, rng)) for d in wearer_pose_steps[window]
+        )
         motion_deltas = tuple(
             MotionDelta(
                 RotationDelta(_noisy(d.rotation.vector, noise.sigma_odo_rot, rng)),
                 _noisy(d.translation, noise.sigma_odo_trans, rng),
             )
-            for d in gt_motion.deltas
+            for d in wearer_motion_steps[window]
         )
-        handoff = Joint19Pose(_noisy(ego_window[0].joints, noise.sigma_pose, rng))
+        handoff = Joint19Pose(_noisy(wearer_frames[t0 - first].joints, noise.sigma_pose, rng))
         ego = EgoObservation(handoff, pose_deltas, EgoMotionClip(body_frame(handoff), motion_deltas))
 
         candidates = []
@@ -411,6 +431,9 @@ def scenario_to_json(s: Scenario) -> str:
 
 def scenario_from_json(text: str) -> Scenario:
     obj = json.loads(text)
+    version = obj.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     noise = obj.get("noise", {})
     return Scenario(
         seed=int(obj["seed"]),

@@ -30,6 +30,8 @@ __all__ = [
     "PoseSequence",
     "integrate_pose_deltas",
     "body_center",
+    "body_centers",
+    "body_axes",
     "body_frame",
     "pose_clip_vector",
     "pose_distance",
@@ -198,34 +200,53 @@ def integrate_pose_deltas(init: Joint19Pose, deltas) -> PoseSequence:
     return PoseSequence(poses)
 
 
+def body_centers(joints) -> np.ndarray:
+    """Centroid of right shoulder, left shoulder and neck for each pose in a (..., 19, 3) array."""
+    return (joints[..., RIGHT_SHOULDER, :] + joints[..., LEFT_SHOULDER, :] + joints[..., NECK, :]) / 3.0
+
+
 def body_center(pose: Joint19Pose) -> np.ndarray:
     """Centroid of right shoulder, left shoulder and neck."""
-    j = pose.joints
-    return (j[RIGHT_SHOULDER] + j[LEFT_SHOULDER] + j[NECK]) / 3.0
+    return body_centers(pose.joints)
+
+
+def _norms(v):
+    # one dot product per vector: the arithmetic np.linalg.norm uses for a
+    # single vector, so one pose gets bit-identical axes alone or in a batch
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+
+
+def body_axes(joints):
+    """Body-frame axes of each pose in a (..., 19, 3) joint array.
+
+    Returns (axes, defined): axes is (..., 3, 3) with columns x, y, z, and
+    defined is False where the torso triangle collapses (those axes are not
+    finite). x runs from left shoulder to right shoulder, z is the unit cross
+    product of (right - left shoulder) with (neck - left shoulder), flipped if
+    needed so its world-z component is non-negative, and y completes the
+    right-handed triad. For a person lying flat the z sign choice is
+    arbitrary but deterministic.
+    """
+    shoulder = joints[..., RIGHT_SHOULDER, :] - joints[..., LEFT_SHOULDER, :]
+    cross = np.cross(shoulder, joints[..., NECK, :] - joints[..., LEFT_SHOULDER, :])
+    cross_norm = _norms(cross)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_axis = shoulder / _norms(shoulder)
+        z_axis = cross / cross_norm
+    z_axis = np.where(z_axis[..., 2:] < 0.0, -z_axis, z_axis)
+    y_axis = np.cross(z_axis, x_axis)
+    return np.stack([x_axis, y_axis, z_axis], axis=-1), cross_norm[..., 0] >= 1e-9
 
 
 def body_frame(pose: Joint19Pose) -> SE3Transform:
-    """Person-attached frame from the shoulder line and neck.
+    """Person-attached frame from the shoulder line and neck (see body_axes).
 
-    x axis runs from left shoulder to right shoulder, z is the unit cross
-    product of (right - left shoulder) with (neck - left shoulder), flipped if
-    needed so its world-z component is non-negative, and y completes the
-    right-handed triad. Translation is the torso centroid. For a person lying
-    flat the z sign choice is arbitrary but deterministic.
+    Translation is the torso centroid.
     """
-    j = pose.joints
-    shoulder = j[RIGHT_SHOULDER] - j[LEFT_SHOULDER]
-    cross = np.cross(shoulder, j[NECK] - j[LEFT_SHOULDER])
-    cross_norm = float(np.linalg.norm(cross))
-    if cross_norm < 1e-9:
+    axes, defined = body_axes(pose.joints)
+    if not defined:
         raise DegeneratePoseError("shoulder and neck joints are collinear; body frame undefined")
-    x_axis = shoulder / np.linalg.norm(shoulder)
-    z_axis = cross / cross_norm
-    if z_axis[2] < 0.0:
-        z_axis = -z_axis
-    y_axis = np.cross(z_axis, x_axis)
-    rotation = UnitQuaternion.from_matrix(np.column_stack([x_axis, y_axis, z_axis]))
-    return SE3Transform(rotation, body_center(pose))
+    return SE3Transform(UnitQuaternion.from_matrix(axes), body_center(pose))
 
 
 def pose_clip_vector(seq: PoseSequence) -> np.ndarray:

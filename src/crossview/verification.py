@@ -13,7 +13,12 @@ own first observed pose (each hypothesis is tried in its own frame):
   track against the same boxes.
 
 The total is a weighted sum of the four terms and the match probability is
-exp(-total / sigma). Scoring is pure; candidates may be scored concurrently.
+exp(-total / sigma). localize scores all of a clip's candidates in one array
+pass: the ego pose deltas are summed and the ego increments integrated once
+per clip (as start-frame offsets, rotated into each candidate's body frame),
+and both action clips of every candidate go through one distance product
+against the centroids. verify_pair scores one pair at a time and is the
+per-pair reference the batched pass is tested against.
 """
 
 from __future__ import annotations
@@ -22,21 +27,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action_codebook import DEFAULT_TAU, ActionCodebook, action_agreement, label_scores
+from .action_codebook import DEFAULT_TAU, ActionCodebook, action_agreement, cross_entropies, label_scores
+from .geometry import Trajectory2D
 from .motion import (
     BoundingBox,
     EgoMotionClip,
     bbox_trajectory,
+    ego_offsets,
     integrate_ego_motion,
-    third_view_translation_from_deltas,
     trajectory_l1_loss,
 )
 from .skeleton import (
     CLIP_LEN,
+    N_JOINTS,
+    DegeneratePoseError,
     Joint19Pose,
     PoseDelta,
     PoseSequence,
+    body_axes,
     body_center,
+    body_centers,
     body_frame,
     integrate_pose_deltas,
 )
@@ -142,11 +152,6 @@ class VerificationScore:
     match_probability: float
 
 
-def _pose_track_deltas(poses: PoseSequence) -> np.ndarray:
-    centers = np.array([body_center(p)[:2] for p in poses])
-    return np.diff(centers, axis=0)
-
-
 def verify_pair(
     ego: EgoObservation,
     candidate: CandidateObservation,
@@ -159,10 +164,7 @@ def verify_pair(
     occluded, and DegeneratePoseError when its frame-0 pose cannot anchor a
     body frame.
     """
-    if not any(candidate.valid):
-        raise InsufficientObservationError(
-            f"candidate {candidate.person_id} has no valid frame in this clip"
-        )
+    _require_valid_frame(candidate)
     seed_pose = candidate.poses[0]
 
     ego_sequence = integrate_pose_deltas(seed_pose, ego.pose_deltas)
@@ -173,8 +175,8 @@ def verify_pair(
     box_track = bbox_trajectory(candidate.boxes)
     ego_track = integrate_ego_motion(ego.motion.with_t_init(body_frame(seed_pose)))
     motion_ego_l1 = trajectory_l1_loss(ego_track, box_track)
-    pose_track = third_view_translation_from_deltas(_pose_track_deltas(candidate.poses))
-    motion_third_l1 = trajectory_l1_loss(pose_track, box_track)
+    centres = np.array([body_center(p)[:2] for p in candidate.poses])
+    motion_third_l1 = trajectory_l1_loss(Trajectory2D(centres - centres[0]), box_track)
 
     total = config.action_weight * (agreement.ego_cross_entropy + agreement.third_cross_entropy) + config.motion_weight * (
         motion_ego_l1 + motion_third_l1
@@ -189,21 +191,57 @@ def verify_pair(
     )
 
 
+def _require_valid_frame(candidate: CandidateObservation):
+    if not any(candidate.valid):
+        raise InsufficientObservationError(
+            f"candidate {candidate.person_id} has no valid frame in this clip"
+        )
+
+
 def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig()):
     """Pick the wearer among candidates by maximum match probability.
 
+    Scores every candidate as verify_pair does, all in one array pass.
     Returns (person_id, scores) with scores ordered like the input candidate
-    list; ties go to the lowest person id.
+    list; ties go to the lowest person id. Raises like verify_pair on the
+    first candidate, in input order, that cannot be scored.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("localize requires at least one candidate")
-    scores = [verify_pair(ego, c, codebook, config) for c in candidates]
-    ranked = sorted(
-        range(len(candidates)),
-        key=lambda i: (-scores[i].match_probability, candidates[i].person_id),
-    )
-    return candidates[ranked[0]].person_id, scores
+    n = len(candidates)
+    observed = np.array([[p.joints for p in c.poses] for c in candidates])  # (n, 8, 19, 3)
+    axes, defined = body_axes(observed[:, 0])
+    for candidate, ok in zip(candidates, defined):
+        _require_valid_frame(candidate)
+        if not ok:
+            raise DegeneratePoseError(
+                f"candidate {candidate.person_id}: shoulder and neck joints are collinear; body frame undefined"
+            )
+
+    steps = np.array([d.joint_deltas for d in ego.pose_deltas])
+    offsets = np.concatenate([np.zeros((1, N_JOINTS, 3)), np.cumsum(steps, axis=0)])
+    ego_clips = observed[:, :1] + offsets
+    ego_ce, third_ce = cross_entropies(codebook, ego_clips.reshape(n, -1), observed.reshape(n, -1), config.tau)
+
+    corners = np.array([[b.corners() for b in c.boxes] for c in candidates])  # (n, 8, 4)
+    box_centres = (corners[..., :2] + corners[..., 2:]) / 2.0
+    box_track = box_centres - box_centres[:, :1]
+    # row 0 of the offsets is zero, so each rotated track starts at (0, 0)
+    ego_track = ego_offsets(ego.motion.deltas) @ axes[:, :2, :].transpose(0, 2, 1)
+    pose_centres = body_centers(observed)[..., :2]
+    pose_track = pose_centres - pose_centres[:, :1]
+    motion_ego_l1 = np.abs(ego_track - box_track).reshape(n, -1).sum(axis=1)
+    motion_third_l1 = np.abs(pose_track - box_track).reshape(n, -1).sum(axis=1)
+
+    total = config.action_weight * (ego_ce + third_ce) + config.motion_weight * (motion_ego_l1 + motion_third_l1)
+    probability = np.exp(-total / config.sigma)
+    scores = [
+        VerificationScore(*(float(v) for v in row))
+        for row in zip(total, ego_ce, third_ce, motion_ego_l1, motion_third_l1, probability)
+    ]
+    best = min(range(n), key=lambda i: (-scores[i].match_probability, candidates[i].person_id))
+    return candidates[best].person_id, scores
 
 
 def score_record(clip_id, person_id, score: VerificationScore) -> dict:

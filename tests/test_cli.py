@@ -249,6 +249,15 @@ class TestCommandLine:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_nan_scenario_field_exit_two(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24))
+        obj = json.loads(path.read_text())
+        obj["persons"][1]["speed"] = float("nan")
+        path.write_text(json.dumps(obj))
+        code = main(["evaluate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "speed" in capsys.readouterr().err
+
     def test_io_error_exit_three(self, tmp_path, capsys):
         code = main(
             ["evaluate", "--scenario", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from crossview.geometry import (
@@ -81,10 +81,16 @@ class TestErrorQuaternion:
             error_quaternion([np.inf, 0.0, 0.0])
 
     @given(rotation_vectors())
+    @example(np.array([1e-6, 0.0, 0.0]))
+    @example(np.array([0.0, 6e-10, -8e-10]))
     @settings(max_examples=200, deadline=None)
     def test_log_recovers_rotation_vector(self, delta):
         recovered = error_quaternion(RotationDelta(delta)).to_rotation_vector()
-        assert np.linalg.norm(recovered - delta) < 1e-8
+        error = np.linalg.norm(recovered - delta)
+        assert error < 1e-8
+        # small angles keep their relative precision too (|d|^2 underflows
+        # below about 1e-154 rad, hence the floor)
+        assert error <= 1e-10 * max(np.linalg.norm(delta), 1e-150)
 
 
 class TestQuatCompose:

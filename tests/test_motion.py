@@ -12,8 +12,8 @@ from crossview.motion import (
     EgoMotionClip,
     MotionDelta,
     bbox_trajectory,
+    ego_offsets,
     integrate_ego_motion,
-    third_view_translation_from_deltas,
     trajectory_l1_loss,
 )
 
@@ -163,25 +163,19 @@ class TestTrajectoryL1:
             trajectory_l1_loss(a, b)
 
 
-class TestThirdViewTranslation:
-    def test_zero_deltas(self):
-        traj = third_view_translation_from_deltas(np.zeros((7, 2)))
-        np.testing.assert_array_equal(traj.points, np.zeros((8, 2)))
-
-    def test_constant_steps(self):
-        traj = third_view_translation_from_deltas([[1.0, -1.0]] * 7)
-        expected = np.array([[float(k), -float(k)] for k in range(8)])
-        np.testing.assert_array_equal(traj.points, expected)
-
-    def test_matches_prefix_sum(self):
-        deltas = RNG.normal(size=(7, 2))
-        traj = third_view_translation_from_deltas(deltas)
-        expected = np.vstack([np.zeros((1, 2)), np.cumsum(deltas, axis=0)])
-        np.testing.assert_array_equal(traj.points, expected)
-
-    def test_wrong_count_rejected(self):
-        with pytest.raises(ValueError):
-            third_view_translation_from_deltas(np.zeros((6, 2)))
+class TestEgoOffsets:
+    def test_rotated_offsets_match_integration_from_any_start(self):
+        # one integration of the increments serves every start transform
+        rng = np.random.default_rng(19)
+        deltas = [MotionDelta(RotationDelta(rng.normal(size=3) * 0.2), rng.normal(size=3)) for _ in range(7)]
+        offsets = ego_offsets(deltas)
+        assert offsets.shape == (8, 3)
+        assert not offsets[0].any()
+        for _ in range(5):
+            t_init = SE3Transform(UnitQuaternion(*rng.normal(size=4)), rng.normal(size=3) * 10.0)
+            expected = integrate_ego_motion(EgoMotionClip(t_init, deltas)).points
+            got = offsets @ t_init.rotation.to_matrix()[:2].T
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 class TestZeroNoiseConsistency:

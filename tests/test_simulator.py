@@ -230,6 +230,28 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             GaitParams(arm_amplitude=-0.1)
 
+    @pytest.mark.parametrize("field", ["arm_amplitude", "leg_amplitude", "stride_length", "phase"])
+    def test_gait_rejects_nan_naming_field(self, field):
+        with pytest.raises(ValueError, match=field):
+            GaitParams(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["sigma_pose", "sigma_odo_trans", "sigma_odo_rot", "sigma_bbox"])
+    def test_noise_rejects_nan_naming_field(self, field):
+        with pytest.raises(ValueError, match=field):
+            NoiseParams(**{field: float("nan")})
+
+    @pytest.mark.parametrize(
+        "waypoints, speed, heading, field",
+        [
+            (((0.0, 0.0), (1.0, 0.0)), float("nan"), 0.0, "speed"),
+            (((0.0, 0.0),), 0.0, float("nan"), "heading"),
+            (((0.0, 0.0), (float("nan"), 0.0)), 0.1, 0.0, "waypoints"),
+        ],
+    )
+    def test_person_rejects_nan_naming_field(self, waypoints, speed, heading, field):
+        with pytest.raises(ValueError, match=field):
+            PersonSpec(0, waypoints, speed, heading=heading, is_wearer=True)
+
 
 class TestSerialization:
     def test_scenario_json_round_trip(self):
@@ -248,6 +270,14 @@ class TestSerialization:
     def test_load_scenario_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_scenario(tmp_path / "missing.json")
+
+    def test_load_scenario_rejects_other_schema_version(self, tmp_path):
+        obj = json.loads(scenario_to_json(cv.two_person_scenario(duration=20, seed=3)))
+        obj["schema_version"] = 99
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="schema_version"):
+            load_scenario(path)
 
     def test_load_scenario_malformed(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -15,7 +15,9 @@ from crossview.skeleton import (
     Joint19Pose,
     PoseDelta,
     PoseSequence,
+    body_axes,
     body_center,
+    body_centers,
     body_frame,
     integrate_pose_deltas,
     pose_clip_vector,
@@ -124,6 +126,17 @@ class TestBodyFrame:
         joints[NECK] = [0.5, 0.0, 0.0]
         with pytest.raises(DegeneratePoseError):
             body_frame(Joint19Pose(joints))
+
+    def test_batched_axes_match_body_frame_and_flag_degenerate(self):
+        joints = np.stack([upright_pose().joints for _ in range(6)])
+        joints[3, LEFT_SHOULDER] = joints[3, RIGHT_SHOULDER]
+        axes, defined = body_axes(joints.reshape(2, 3, 19, 3))
+        assert axes.shape == (2, 3, 3, 3)
+        np.testing.assert_array_equal(defined.ravel(), [True, True, True, False, True, True])
+        for i in (0, 1, 2, 4, 5):
+            frame = body_frame(Joint19Pose(joints[i]))
+            np.testing.assert_allclose(axes.reshape(6, 3, 3)[i], frame.rotation.to_matrix(), atol=1e-12)
+            np.testing.assert_array_equal(body_centers(joints)[i], frame.translation)
 
     def test_center_is_torso_centroid(self):
         pose = upright_pose()

@@ -238,6 +238,66 @@ class TestLocalize:
             assert len(picks) == 1
 
 
+class TestBatchedMatchesPerPair:
+    """localize scores a clip in one array pass; verify_pair is the reference."""
+
+    @pytest.fixture(scope="class")
+    def crossing_scene(self):
+        # noisy crossings: partly occluded candidates with frozen poses, and
+        # 120 centroids for 171 clips, so many are near-singletons
+        noise = cv.NoiseParams(sigma_pose=0.02, sigma_odo_trans=0.01, sigma_odo_rot=0.01, sigma_bbox=0.01)
+        scenario = cv.three_person_scenario(crossing=True, duration=64, seed=7, noise=noise)
+        clips = cv.generate_scene(scenario)
+        codebook = fit_codebook([c.poses for clip in clips for c in clip.candidates], k=120, seed=0)
+        return clips, codebook
+
+    def test_same_decisions_and_terms_as_per_pair_scoring(self, crossing_scene):
+        clips, codebook = crossing_scene
+        config = ScoringConfig(action_weight=0.7, motion_weight=1.3)
+        assert any(not c.fully_valid() for clip in clips for c in clip.candidates)
+        for clip in clips:
+            pid, scores = localize(clip.ego, clip.candidates, codebook, config)
+            reference = [verify_pair(clip.ego, c, codebook, config) for c in clip.candidates]
+            best = min(
+                range(len(reference)),
+                key=lambda i: (-reference[i].match_probability, clip.candidates[i].person_id),
+            )
+            assert pid == clip.candidates[best].person_id
+            for got, want in zip(scores, reference):
+                assert got.motion_ego_l1 == pytest.approx(want.motion_ego_l1, rel=0.0, abs=1e-12)
+                assert got.motion_third_l1 == pytest.approx(want.motion_third_l1, rel=0.0, abs=1e-12)
+                # both paths expand |a|^2 + |b|^2 - 2 a.b, whose rounding a
+                # near-singleton centroid amplifies by about 1 / (2 d tau)
+                assert got.action_ego_ce == pytest.approx(want.action_ego_ce, rel=0.0, abs=1e-4)
+                assert got.action_third_ce == pytest.approx(want.action_third_ce, rel=0.0, abs=1e-4)
+                expected = 0.7 * (got.action_ego_ce + got.action_third_ce) + 1.3 * (
+                    got.motion_ego_l1 + got.motion_third_l1
+                )
+                assert got.total == expected
+                assert got.match_probability == float(np.exp(-got.total))
+
+    def test_unscorable_candidates_raise_in_input_order(self, crossing_scene):
+        clips, codebook = crossing_scene
+        clip = clips[0]
+        good = clip.candidates[0]
+        joints = good.poses[0].joints.copy()
+        joints[LEFT_SHOULDER] = joints[RIGHT_SHOULDER]
+        degenerate = CandidateObservation(
+            5, PoseSequence([Joint19Pose(joints)] + list(good.poses)[1:]), good.boxes, good.valid
+        )
+        occluded = CandidateObservation(6, good.poses, good.boxes, [False] * 8)
+        for candidates, error in (
+            ([good, degenerate], DegeneratePoseError),
+            ([good, occluded], InsufficientObservationError),
+            ([degenerate, occluded], DegeneratePoseError),
+            ([occluded, degenerate], InsufficientObservationError),
+        ):
+            with pytest.raises(error):
+                [verify_pair(clip.ego, c, codebook) for c in candidates]
+            with pytest.raises(error):
+                localize(clip.ego, candidates, codebook)
+
+
 class TestRecordsAndConfig:
     def test_score_record_shape(self):
         s = VerificationScore(1.5, 0.25, 0.25, 0.5, 0.5, 0.22)
