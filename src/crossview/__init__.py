@@ -8,9 +8,7 @@ simulator, a Bayes identity filter, and an evaluation CLI.
 """
 
 from .action_codebook import (
-    ActionAgreement,
     ActionCodebook,
-    ActionLabel,
     action_agreement,
     assign_label,
     fit_codebook,
@@ -31,7 +29,6 @@ from .geometry import (
 )
 from .motion import (
     BoundingBox,
-    EgoMotionClip,
     MotionDelta,
     bbox_trajectory,
     integrate_ego_motion,

@@ -2,8 +2,8 @@
 
 A clip's discrete action label is the index of its nearest centroid. Soft
 label scores are softmax(-distance / tau) over the centroids, a geometric
-stand-in for a classifier's softmax output, and the agreement between two
-score vectors is judged by cross-entropy against each other's argmax.
+stand-in for a classifier's softmax output. Two score vectors are compared by
+the cross-entropy of each against the other's argmax as a one-hot indicator.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +19,7 @@ from .skeleton import CLIP_LEN, N_JOINTS, pose_clip_vector
 __all__ = [
     "CLIP_DIM",
     "DEFAULT_K",
-    "ActionLabel",
     "ActionCodebook",
-    "ActionAgreement",
     "fit_codebook",
     "assign_label",
     "label_scores",
@@ -40,17 +37,6 @@ DEFAULT_TAU = 0.1
 _EPS_LOG = 1e-12
 
 _SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ActionLabel:
-    """Discrete action id: index into the codebook centroids."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"action label index must be non-negative, got {self.index}")
 
 
 class ActionCodebook:
@@ -85,17 +71,6 @@ class ActionCodebook:
         if v.shape != (CLIP_DIM,):
             raise ValueError(f"clip vector must have {CLIP_DIM} components, got shape {v.shape}")
         return np.sqrt(_pairwise_sq_distances(v[None, :], self._centroids)[0])
-
-
-@dataclass(frozen=True)
-class ActionAgreement:
-    """Cross-entropy pair plus a [0, 1] agreement between two label score vectors."""
-
-    agreement: float
-    ego_cross_entropy: float
-    third_cross_entropy: float
-    ego_label: int
-    third_label: int
 
 
 def _pairwise_sq_distances(a, b):
@@ -166,10 +141,9 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
     return ActionCodebook(centroids, seed=seed, sse_history=history)
 
 
-def assign_label(codebook: ActionCodebook, clip) -> ActionLabel:
+def assign_label(codebook: ActionCodebook, clip) -> int:
     """Nearest centroid index; ties go to the lowest index."""
-    d = codebook.distances(pose_clip_vector(clip))
-    return ActionLabel(int(np.argmin(d)))
+    return int(np.argmin(codebook.distances(pose_clip_vector(clip))))
 
 
 def label_scores(codebook: ActionCodebook, clip, tau=DEFAULT_TAU) -> np.ndarray:
@@ -198,25 +172,18 @@ def _check_scores(scores, k, name):
     return s
 
 
-def action_agreement(ego_label_scores, third_label_scores, codebook: ActionCodebook, tau=DEFAULT_TAU) -> ActionAgreement:
-    """Score how well two label distributions name the same action.
+def action_agreement(ego_label_scores, third_label_scores, codebook: ActionCodebook):
+    """Cross-entropies of two label distributions against each other's argmax.
 
-    Each vector is scored by cross-entropy against the other's argmax taken
-    as a one-hot indicator. Agreement is 1 when the argmaxes coincide and
-    otherwise decays with the distance between the two named centroids.
+    Returns (ego_ce, third_ce): the ego scores' cross-entropy against the
+    third-view argmax as a one-hot indicator, and the reverse. Both are 0
+    when the two distributions are the same one-hot.
     """
     ego = _check_scores(ego_label_scores, codebook.k, "ego_label_scores")
     third = _check_scores(third_label_scores, codebook.k, "third_label_scores")
-    ego_label = int(np.argmax(ego))
-    third_label = int(np.argmax(third))
-    ego_ce = -math.log(max(float(ego[third_label]), _EPS_LOG))
-    third_ce = -math.log(max(float(third[ego_label]), _EPS_LOG))
-    if ego_label == third_label:
-        agreement = 1.0
-    else:
-        gap = float(np.linalg.norm(codebook.centroids[ego_label] - codebook.centroids[third_label]))
-        agreement = math.exp(-gap / tau)
-    return ActionAgreement(agreement, ego_ce, third_ce, ego_label, third_label)
+    ego_ce = -math.log(max(float(ego[int(np.argmax(third))]), _EPS_LOG))
+    third_ce = -math.log(max(float(third[int(np.argmax(ego))]), _EPS_LOG))
+    return ego_ce, third_ce
 
 
 def cross_entropies(codebook: ActionCodebook, ego_vectors, third_vectors, tau=DEFAULT_TAU):

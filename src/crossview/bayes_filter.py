@@ -22,6 +22,7 @@ tracks can be filtered concurrently.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -135,8 +136,8 @@ def update(
             raise ValueError("occluded mask must align with the candidates")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if sigma_p <= 0.0:
-        raise ValueError(f"sigma_p must be positive, got {sigma_p}")
+    if not (math.isfinite(sigma_p) and sigma_p > 0.0):
+        raise ValueError(f"sigma_p must be finite and positive, got {sigma_p}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -56,29 +57,30 @@ class RunConfig:
     enable_filter: bool = True
     seed: int | None = None
 
-    def validate(self):
+    def validate(self) -> ScoringConfig:
         if not self.scenario:
             raise ConfigError("field 'scenario' must be a path")
         if not self.out_dir:
             raise ConfigError("field 'out_dir' must be a path")
         if self.codebook_k < 1:
             raise ConfigError(f"field 'codebook_k' must be >= 1, got {self.codebook_k}")
-        if self.tau <= 0.0:
-            raise ConfigError(f"field 'tau' must be positive, got {self.tau}")
-        if self.action_weight < 0.0:
-            raise ConfigError(f"field 'action_weight' must be non-negative, got {self.action_weight}")
-        if self.motion_weight < 0.0:
-            raise ConfigError(f"field 'motion_weight' must be non-negative, got {self.motion_weight}")
-        if self.sigma <= 0.0:
-            raise ConfigError(f"field 'sigma' must be positive, got {self.sigma}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"field 'alpha' must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"field 'beta' must be in [0, 1], got {self.beta}")
-        if self.sigma_p <= 0.0:
-            raise ConfigError(f"field 'sigma_p' must be positive, got {self.sigma_p}")
+        if not (math.isfinite(self.sigma_p) and self.sigma_p > 0.0):
+            raise ConfigError(f"field 'sigma_p' must be finite and positive, got {self.sigma_p}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"field 'seed' must be non-negative, got {self.seed}")
+        try:
+            return ScoringConfig(
+                action_weight=self.action_weight,
+                motion_weight=self.motion_weight,
+                sigma=self.sigma,
+                tau=self.tau,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self):
         return {
@@ -140,7 +142,7 @@ def _ranking_metrics(is_wearer, scores):
 
 def run_evaluation(config: RunConfig) -> MetricsReport:
     """Score every clip of the scenario, optionally filter, and write reports."""
-    config.validate()
+    scoring = config.validate()
     started = time.perf_counter()
 
     scenario = load_scenario(config.scenario)
@@ -154,13 +156,6 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
         pose_clips = [cand.poses for clip in clips for cand in clip.candidates]
         fit_seed = scenario.seed if config.seed is None else config.seed
         codebook = fit_codebook(pose_clips, k=config.codebook_k, seed=fit_seed)
-
-    scoring = ScoringConfig(
-        action_weight=config.action_weight,
-        motion_weight=config.motion_weight,
-        sigma=config.sigma,
-        tau=config.tau,
-    )
 
     state = None
     if config.enable_filter:

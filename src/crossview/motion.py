@@ -22,7 +22,6 @@ from .skeleton import CLIP_LEN
 __all__ = [
     "BoundingBox",
     "MotionDelta",
-    "EgoMotionClip",
     "Trajectory2D",
     "bbox_trajectory",
     "integrate_ego_motion",
@@ -71,24 +70,6 @@ class MotionDelta:
         self.translation.setflags(write=False)
 
 
-class EgoMotionClip:
-    """Start transform in the third view plus 7 increments from the ego stream."""
-
-    __slots__ = ("t_init", "deltas")
-
-    def __init__(self, t_init: SE3Transform, deltas):
-        if not isinstance(t_init, SE3Transform):
-            raise ValueError("t_init must be an SE3Transform")
-        deltas = tuple(d if isinstance(d, MotionDelta) else MotionDelta(*d) for d in deltas)
-        if len(deltas) != CLIP_LEN - 1:
-            raise ValueError(f"expected {CLIP_LEN - 1} motion deltas, got {len(deltas)}")
-        self.t_init = t_init
-        self.deltas = deltas
-
-    def with_t_init(self, t_init: SE3Transform):
-        return EgoMotionClip(t_init, self.deltas)
-
-
 def bbox_trajectory(boxes) -> Trajectory2D:
     """Track of box centers re-based at the first frame."""
     boxes = list(boxes)
@@ -98,7 +79,7 @@ def bbox_trajectory(boxes) -> Trajectory2D:
     return Trajectory2D(centers - centers[0])
 
 
-def integrate_ego_motion(clip: EgoMotionClip) -> Trajectory2D:
+def integrate_ego_motion(t_init: SE3Transform, deltas) -> Trajectory2D:
     """Chain the ego increments onto the start transform and warp to 2D.
 
     Builds T_init, T_init D_1, ..., T_init D_1...D_7 and keeps the planar
@@ -106,9 +87,9 @@ def integrate_ego_motion(clip: EgoMotionClip) -> Trajectory2D:
     the start orientation: the same increments walked from a rotated start
     give a rotated track.
     """
-    chain = [clip.t_init]
-    current = clip.t_init
-    for d in clip.deltas:
+    chain = [t_init]
+    current = t_init
+    for d in deltas:
         step = SE3Transform(error_quaternion(d.rotation), d.translation)
         current = se3_compose(current, step)
         chain.append(current)

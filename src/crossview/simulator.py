@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RotationDelta, SE3Transform, UnitQuaternion, se3_compose
-from .motion import BoundingBox, EgoMotionClip, MotionDelta
-from .skeleton import CLIP_LEN, Joint19Pose, PoseDelta, PoseSequence, body_frame
+from .geometry import RotationDelta, se3_compose
+from .motion import BoundingBox, MotionDelta
+from .skeleton import CLIP_LEN, N_JOINTS, Joint19Pose, PoseDelta, PoseSequence, body_frame
 from .verification import CandidateObservation, EgoObservation
 
 __all__ = [
@@ -99,6 +99,8 @@ _BODY_LAYOUT = (
     (-0.09, 0.0, 1.66, None, 0.0),  # left ear
     (+0.09, 0.0, 1.66, None, 0.0),  # right ear
 )
+_LATERAL, _LEAN, _HEIGHT, _KIND, _MULT = (np.array(column) for column in zip(*_BODY_LAYOUT))
+_IS_ARM = _KIND == _ARM
 
 
 @dataclass(frozen=True)
@@ -235,12 +237,10 @@ def skeleton_at(center_xy, heading, gait: GaitParams, travelled) -> Joint19Pose:
     fx, fy = math.cos(heading), math.sin(heading)
     rx, ry = fy, -fx  # right-hand side of the walker
     center = _quantize([center_xy[0], center_xy[1], 0.0])
-    joints = np.empty((19, 3))
-    for i, (lateral, lean, height, kind, mult) in enumerate(_BODY_LAYOUT):
-        forward = lean + (mult * (arm if kind == _ARM else leg) if kind else 0.0)
-        offset = _quantize([lateral * rx + forward * fx, lateral * ry + forward * fy, height])
-        joints[i] = center + offset
-    return Joint19Pose(joints)
+    # joints without a swing have multiplier 0, so they keep their lean
+    forward = _LEAN + _MULT * np.where(_IS_ARM, arm, leg)
+    offsets = _quantize(np.column_stack([_LATERAL * rx + forward * fx, _LATERAL * ry + forward * fy, _HEIGHT]))
+    return Joint19Pose(center + offsets)
 
 
 def _bbox_of(pose: Joint19Pose) -> BoundingBox:
@@ -271,28 +271,28 @@ def _path_state(spec: PersonSpec, frame):
 
 
 def _ego_steps(frames):
-    """Joint-space deltas, body frames and rigid-motion increments of consecutive frames."""
+    """Joint-space deltas and rigid-motion increments of consecutive frames."""
     pose_deltas = [PoseDelta.between(a, b) for a, b in zip(frames, frames[1:])]
     transforms = [body_frame(f) for f in frames]
     motion_deltas = []
     for a, b in zip(transforms, transforms[1:]):
         step = se3_compose(a.inverse(), b)
         motion_deltas.append(MotionDelta(RotationDelta(step.rotation.to_rotation_vector()), step.translation))
-    return pose_deltas, transforms, motion_deltas
+    return pose_deltas, motion_deltas
 
 
 def ego_deltas_from_truth(frames):
     """Derive the ego observables for an 8-frame window of one person.
 
-    Pose deltas are plain frame differences; motion increments are the
-    relative transforms between consecutive body frames, with the start
-    transform taken from frame 0.
+    Returns (pose_deltas, motion_deltas): the pose deltas are plain frame
+    differences, the motion increments the relative transforms between
+    consecutive body frames.
     """
     frames = list(frames)
     if len(frames) != CLIP_LEN:
         raise ValueError(f"expected {CLIP_LEN} frames, got {len(frames)}")
-    pose_deltas, transforms, motion_deltas = _ego_steps(frames)
-    return tuple(pose_deltas), EgoMotionClip(transforms[0], tuple(motion_deltas))
+    pose_deltas, motion_deltas = _ego_steps(frames)
+    return tuple(pose_deltas), tuple(motion_deltas)
 
 
 def _noisy(array, sigma, rng):
@@ -343,7 +343,7 @@ def generate_scene(scenario: Scenario):
     # the wearer's frames seen by any window, with every consecutive step
     # computed once; window t0 starts at index t0 - first
     wearer_frames = truth[wearer.person_id][0][first + offset : last + offset + CLIP_LEN]
-    wearer_pose_steps, _, wearer_motion_steps = _ego_steps(wearer_frames)
+    wearer_pose_steps, wearer_motion_steps = _ego_steps(wearer_frames)
     clips = []
     for t0 in range(first, last + 1):
         rng = np.random.default_rng([scenario.seed, t0])
@@ -359,8 +359,9 @@ def generate_scene(scenario: Scenario):
             )
             for d in wearer_motion_steps[window]
         )
-        handoff = Joint19Pose(_noisy(wearer_frames[t0 - first].joints, noise.sigma_pose, rng))
-        ego = EgoObservation(handoff, pose_deltas, EgoMotionClip(body_frame(handoff), motion_deltas))
+        # a discarded pose-sized draw: the candidates' draws below keep their fixed stream positions
+        _noisy(np.zeros((N_JOINTS, 3)), noise.sigma_pose, rng)
+        ego = EgoObservation(pose_deltas, motion_deltas)
 
         candidates = []
         for spec in persons:
@@ -480,29 +481,17 @@ def load_scenario(path) -> Scenario:
         raise ValueError(f"malformed scenario file {path}: {exc}") from exc
 
 
-def _se3_obj(t: SE3Transform) -> dict:
-    q = t.rotation
-    return {"quaternion": [q.w, q.x, q.y, q.z], "translation": t.translation.tolist()}
-
-
-def _se3_from_obj(obj) -> SE3Transform:
-    w, x, y, z = obj["quaternion"]
-    return SE3Transform(UnitQuaternion(w, x, y, z), np.asarray(obj["translation"], dtype=float))
-
-
 def clip_to_obj(clip: ClipObservation) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "clip_id": clip.clip_id,
         "ground_truth_wearer": clip.ground_truth_wearer,
         "ego": {
-            "handoff_pose": clip.ego.handoff_pose.to_list(),
             "pose_deltas": [d.joint_deltas.tolist() for d in clip.ego.pose_deltas],
             "motion": {
-                "t_init": _se3_obj(clip.ego.motion.t_init),
                 "deltas": [
                     {"rotation": d.rotation.vector.tolist(), "translation": d.translation.tolist()}
-                    for d in clip.ego.motion.deltas
+                    for d in clip.ego.motion_deltas
                 ],
             },
         },
@@ -520,18 +509,14 @@ def clip_to_obj(clip: ClipObservation) -> dict:
 
 
 def clip_from_obj(obj) -> ClipObservation:
+    """Inverse of clip_to_obj; other keys, such as an older file's ego start pose, are ignored."""
     ego_obj = obj["ego"]
-    motion = EgoMotionClip(
-        _se3_from_obj(ego_obj["motion"]["t_init"]),
-        tuple(
+    ego = EgoObservation(
+        (PoseDelta(d) for d in ego_obj["pose_deltas"]),
+        (
             MotionDelta(RotationDelta(d["rotation"]), np.asarray(d["translation"], dtype=float))
             for d in ego_obj["motion"]["deltas"]
         ),
-    )
-    ego = EgoObservation(
-        Joint19Pose.from_list(ego_obj["handoff_pose"]),
-        tuple(PoseDelta(d) for d in ego_obj["pose_deltas"]),
-        motion,
     )
     candidates = tuple(
         CandidateObservation(

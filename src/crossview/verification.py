@@ -1,7 +1,9 @@
 """Cross-view verification: does an ego motion stream belong to a candidate?
 
-Scoring runs two channels per candidate, both seeded from that candidate's
-own first observed pose (each hypothesis is tried in its own frame):
+The ego-downward camera sees only the wearer's body, so an ego observation
+holds only pose deltas and rigid-motion increments. Scoring runs two channels
+per candidate, both anchored at that candidate's own first observed pose
+(each hypothesis is tried in its own frame):
 
 * action: the ego pose deltas are integrated from the candidate's frame-0
   pose and the resulting clip is compared, through codebook label scores,
@@ -23,6 +25,7 @@ per-pair reference the batched pass is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,7 @@ from .action_codebook import DEFAULT_TAU, ActionCodebook, action_agreement, cros
 from .geometry import Trajectory2D
 from .motion import (
     BoundingBox,
-    EgoMotionClip,
+    MotionDelta,
     bbox_trajectory,
     ego_offsets,
     integrate_ego_motion,
@@ -41,7 +44,6 @@ from .skeleton import (
     CLIP_LEN,
     N_JOINTS,
     DegeneratePoseError,
-    Joint19Pose,
     PoseDelta,
     PoseSequence,
     body_axes,
@@ -77,39 +79,35 @@ class ScoringConfig:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        if self.action_weight < 0.0 or self.motion_weight < 0.0:
-            raise ValueError("channel weights must be non-negative")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        for name in ("action_weight", "motion_weight", "sigma", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("action_weight", "motion_weight"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("sigma", "tau"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 class EgoObservation:
-    """What the ego stream contributes for one clip.
+    """One clip's ego stream: 7 pose deltas and 7 rigid-motion increments of the wearer's body."""
 
-    handoff_pose is the wearer's own frame-0 third-view pose estimate; the
-    per-candidate scoring re-seeds from each candidate's frame-0 pose instead,
-    so the handoff mainly matters for consumers that want a single default
-    initialization.
-    """
+    __slots__ = ("pose_deltas", "motion_deltas")
 
-    __slots__ = ("handoff_pose", "pose_deltas", "motion")
+    def __init__(self, pose_deltas, motion_deltas):
+        self.pose_deltas = _stream(pose_deltas, PoseDelta, "pose_deltas")
+        self.motion_deltas = _stream(motion_deltas, MotionDelta, "motion_deltas")
 
-    def __init__(self, handoff_pose: Joint19Pose, pose_deltas, motion: EgoMotionClip):
-        if not isinstance(handoff_pose, Joint19Pose):
-            raise ValueError("handoff_pose must be a Joint19Pose")
-        pose_deltas = tuple(pose_deltas)
-        if len(pose_deltas) != CLIP_LEN - 1:
-            raise ValueError(f"expected {CLIP_LEN - 1} pose deltas, got {len(pose_deltas)}")
-        for d in pose_deltas:
-            if not isinstance(d, PoseDelta):
-                raise ValueError("pose_deltas entries must be PoseDelta")
-        if not isinstance(motion, EgoMotionClip):
-            raise ValueError("motion must be an EgoMotionClip")
-        self.handoff_pose = handoff_pose
-        self.pose_deltas = pose_deltas
-        self.motion = motion
+
+def _stream(entries, kind, name):
+    entries = tuple(entries)
+    if len(entries) != CLIP_LEN - 1:
+        raise ValueError(f"expected {CLIP_LEN - 1} {name}, got {len(entries)}")
+    for d in entries:
+        if not isinstance(d, kind):
+            raise ValueError(f"{name} entries must be {kind.__name__}")
+    return entries
 
 
 class CandidateObservation:
@@ -170,21 +168,19 @@ def verify_pair(
     ego_sequence = integrate_pose_deltas(seed_pose, ego.pose_deltas)
     ego_scores = label_scores(codebook, ego_sequence, tau=config.tau)
     third_scores = label_scores(codebook, candidate.poses, tau=config.tau)
-    agreement = action_agreement(ego_scores, third_scores, codebook, tau=config.tau)
+    ego_ce, third_ce = action_agreement(ego_scores, third_scores, codebook)
 
     box_track = bbox_trajectory(candidate.boxes)
-    ego_track = integrate_ego_motion(ego.motion.with_t_init(body_frame(seed_pose)))
+    ego_track = integrate_ego_motion(body_frame(seed_pose), ego.motion_deltas)
     motion_ego_l1 = trajectory_l1_loss(ego_track, box_track)
     centres = np.array([body_center(p)[:2] for p in candidate.poses])
     motion_third_l1 = trajectory_l1_loss(Trajectory2D(centres - centres[0]), box_track)
 
-    total = config.action_weight * (agreement.ego_cross_entropy + agreement.third_cross_entropy) + config.motion_weight * (
-        motion_ego_l1 + motion_third_l1
-    )
+    total = config.action_weight * (ego_ce + third_ce) + config.motion_weight * (motion_ego_l1 + motion_third_l1)
     return VerificationScore(
         total=total,
-        action_ego_ce=agreement.ego_cross_entropy,
-        action_third_ce=agreement.third_cross_entropy,
+        action_ego_ce=ego_ce,
+        action_third_ce=third_ce,
         motion_ego_l1=motion_ego_l1,
         motion_third_l1=motion_third_l1,
         match_probability=float(np.exp(-total / config.sigma)),
@@ -228,7 +224,7 @@ def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig())
     box_centres = (corners[..., :2] + corners[..., 2:]) / 2.0
     box_track = box_centres - box_centres[:, :1]
     # row 0 of the offsets is zero, so each rotated track starts at (0, 0)
-    ego_track = ego_offsets(ego.motion.deltas) @ axes[:, :2, :].transpose(0, 2, 1)
+    ego_track = ego_offsets(ego.motion_deltas) @ axes[:, :2, :].transpose(0, 2, 1)
     pose_centres = body_centers(observed)[..., :2]
     pose_track = pose_centres - pose_centres[:, :1]
     motion_ego_l1 = np.abs(ego_track - box_track).reshape(n, -1).sum(axis=1)

@@ -109,6 +109,12 @@ class TestUpdate:
         with pytest.raises(ValueError):
             update(state, [1.0, 1.0], np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("sigma_p", [0.0, float("nan"), float("inf")])
+    def test_bad_sigma_p_rejected(self, sigma_p):
+        state = make_state([0.5, 0.5])
+        with pytest.raises(ValueError, match="sigma_p"):
+            update(state, [0.5, 0.5], np.zeros((2, 2)), sigma_p=sigma_p)
+
 
 class TestMapIdentity:
     def test_one_hot(self):

@@ -258,6 +258,23 @@ class TestCommandLine:
         assert code == 2
         assert "speed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--tau", "nan", "tau"),
+            ("--sigma", "nan", "sigma"),
+            ("--sigma", "inf", "sigma"),
+            ("--action-weight", "nan", "action_weight"),
+            ("--sigma-p", "nan", "sigma_p"),
+        ],
+    )
+    def test_non_finite_scoring_flag_exit_two(self, tmp_path, capsys, flag, value, field):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24))
+        code = main(["evaluate", "--scenario", str(path), "--out", str(tmp_path / "out"), flag, value])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_io_error_exit_three(self, tmp_path, capsys):
         code = main(
             ["evaluate", "--scenario", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")]

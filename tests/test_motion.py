@@ -9,7 +9,6 @@ from scipy.spatial.transform import Rotation
 from crossview.geometry import RotationDelta, SE3Transform, Trajectory2D, UnitQuaternion
 from crossview.motion import (
     BoundingBox,
-    EgoMotionClip,
     MotionDelta,
     bbox_trajectory,
     ego_offsets,
@@ -24,9 +23,8 @@ def box_at(cx, cy, half=0.4):
     return BoundingBox(cx - half, cy - half, cx + half, cy + half)
 
 
-def identity_clip(t_init=None, translation=(0.0, 0.0, 0.0)):
-    deltas = [MotionDelta(RotationDelta([0.0, 0.0, 0.0]), translation) for _ in range(7)]
-    return EgoMotionClip(t_init or SE3Transform.identity(), deltas)
+def constant_deltas(translation=(0.0, 0.0, 0.0)):
+    return [MotionDelta(RotationDelta([0.0, 0.0, 0.0]), translation) for _ in range(7)]
 
 
 class TestBoundingBox:
@@ -65,11 +63,11 @@ class TestBboxTrajectory:
 
 class TestIntegrateEgoMotion:
     def test_identity_deltas_stay_at_origin(self):
-        traj = integrate_ego_motion(identity_clip())
+        traj = integrate_ego_motion(SE3Transform.identity(), constant_deltas())
         np.testing.assert_array_equal(traj.points, np.zeros((8, 2)))
 
     def test_straight_walk(self):
-        traj = integrate_ego_motion(identity_clip(translation=(1.0, 0.0, 0.0)))
+        traj = integrate_ego_motion(SE3Transform.identity(), constant_deltas((1.0, 0.0, 0.0)))
         expected = np.array([[float(k), 0.0] for k in range(8)])
         np.testing.assert_allclose(traj.points, expected, atol=1e-12)
 
@@ -77,7 +75,7 @@ class TestIntegrateEgoMotion:
         # start frame rotated 90 degrees about world z turns +x steps into +y
         quarter = UnitQuaternion(math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4))
         t_init = SE3Transform(quarter, [5.0, -3.0, 1.0])
-        traj = integrate_ego_motion(identity_clip(t_init, translation=(1.0, 0.0, 0.0)))
+        traj = integrate_ego_motion(t_init, constant_deltas((1.0, 0.0, 0.0)))
         expected = np.array([[0.0, float(k)] for k in range(8)])
         np.testing.assert_allclose(traj.points, expected, atol=1e-9)
 
@@ -85,7 +83,7 @@ class TestIntegrateEgoMotion:
         rng = np.random.default_rng(7)
         t_init = SE3Transform(UnitQuaternion(*rng.normal(size=4)), rng.normal(size=3))
         deltas = [MotionDelta(RotationDelta(rng.normal(size=3) * 0.2), rng.normal(size=3)) for _ in range(7)]
-        traj = integrate_ego_motion(EgoMotionClip(t_init, deltas))
+        traj = integrate_ego_motion(t_init, deltas)
 
         m = t_init.to_matrix()
         chain = [m]
@@ -103,18 +101,22 @@ class TestIntegrateEgoMotion:
         rng = np.random.default_rng(11)
         t_init = SE3Transform(UnitQuaternion(*rng.normal(size=4)), rng.normal(size=3))
         deltas = [MotionDelta(RotationDelta(rng.normal(size=3) * 0.1), rng.normal(size=3)) for _ in range(7)]
-        base = integrate_ego_motion(EgoMotionClip(t_init, deltas)).points
+        base = integrate_ego_motion(t_init, deltas).points
         phi = 0.77
         rz = SE3Transform(UnitQuaternion(math.cos(phi / 2), 0.0, 0.0, math.sin(phi / 2)), [0.0, 0.0, 0.0])
         from crossview.geometry import se3_compose
 
-        rotated = integrate_ego_motion(EgoMotionClip(se3_compose(rz, t_init), deltas)).points
+        rotated = integrate_ego_motion(se3_compose(rz, t_init), deltas).points
         plane = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
         np.testing.assert_allclose(rotated, base @ plane.T, atol=1e-9)
 
     def test_wrong_delta_count_rejected(self):
-        with pytest.raises(ValueError):
-            EgoMotionClip(SE3Transform.identity(), [MotionDelta(RotationDelta([0, 0, 0]), [0, 0, 0])] * 6)
+        from crossview.skeleton import PoseDelta
+        from crossview.verification import EgoObservation
+
+        pose_deltas = [PoseDelta(np.zeros((19, 3)))] * 7
+        with pytest.raises(ValueError, match="motion_deltas"):
+            EgoObservation(pose_deltas, [MotionDelta(RotationDelta([0, 0, 0]), [0, 0, 0])] * 6)
 
 
 class TestTrajectoryL1:
@@ -173,7 +175,7 @@ class TestEgoOffsets:
         assert not offsets[0].any()
         for _ in range(5):
             t_init = SE3Transform(UnitQuaternion(*rng.normal(size=4)), rng.normal(size=3) * 10.0)
-            expected = integrate_ego_motion(EgoMotionClip(t_init, deltas)).points
+            expected = integrate_ego_motion(t_init, deltas).points
             got = offsets @ t_init.rotation.to_matrix()[:2].T
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
@@ -187,6 +189,6 @@ class TestZeroNoiseConsistency:
         scenario = cv.two_person_scenario(crossing=False, duration=24, seed=3)
         for clip in cv.generate_scene(scenario):
             wearer = next(c for c in clip.candidates if c.person_id == clip.ground_truth_wearer)
-            ego = integrate_ego_motion(clip.ego.motion.with_t_init(body_frame(wearer.poses[0])))
+            ego = integrate_ego_motion(body_frame(wearer.poses[0]), clip.ego.motion_deltas)
             boxes = bbox_trajectory(wearer.boxes)
             np.testing.assert_allclose(ego.points, boxes.points, atol=1e-9)

@@ -1,6 +1,7 @@
 """Simulator tests: determinism, exact round-trips, occlusion scheduling."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from crossview.skeleton import Joint19Pose, body_frame, integrate_pose_deltas
 
 RNG = np.random.default_rng(77)
 
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "metrics.json").read_text())
+
 
 def single_person_scenario(speed=0.0, duration=16, seed=0, noise=None):
     spec = PersonSpec(0, ((1.0, 2.0), (5.0, 2.0)), speed, GaitParams(), is_wearer=True)
@@ -59,10 +62,10 @@ class TestSkeletonAt:
 class TestEgoDeltasFromTruth:
     def test_identical_frames_give_identity(self):
         frame = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
-        pose_deltas, motion = ego_deltas_from_truth([frame] * 8)
+        pose_deltas, motion_deltas = ego_deltas_from_truth([frame] * 8)
         for d in pose_deltas:
             np.testing.assert_array_equal(d.joint_deltas, np.zeros((19, 3)))
-        for d in motion.deltas:
+        for d in motion_deltas:
             np.testing.assert_allclose(d.rotation.vector, np.zeros(3), atol=1e-12)
             np.testing.assert_allclose(d.translation, np.zeros(3), atol=1e-12)
 
@@ -70,10 +73,10 @@ class TestEgoDeltasFromTruth:
         base = skeleton_at((0.0, 0.0), 0.7, GaitParams(), 0.5)
         step = np.array([0.3, 0.0, 0.0])
         frames = [Joint19Pose(base.joints + k * step) for k in range(8)]
-        pose_deltas, motion = ego_deltas_from_truth(frames)
+        pose_deltas, motion_deltas = ego_deltas_from_truth(frames)
         r_init = body_frame(frames[0]).rotation.to_matrix()
         expected = r_init.T @ step
-        for d in motion.deltas:
+        for d in motion_deltas:
             np.testing.assert_allclose(d.rotation.vector, np.zeros(3), atol=1e-9)
             np.testing.assert_allclose(d.translation, expected, atol=1e-9)
         for d in pose_deltas:
@@ -91,11 +94,11 @@ class TestEgoDeltasFromTruth:
             spin = Rotation.from_rotvec([0.0, 0.0, 0.1 * k]).as_matrix()
             world = r0 @ spin @ r0.T
             frames.append(Joint19Pose((base.joints - c0) @ world.T + c0))
-        _, motion = ego_deltas_from_truth(frames)
+        _, motion_deltas = ego_deltas_from_truth(frames)
         from crossview.geometry import error_quaternion
 
         expected = error_quaternion([0.0, 0.0, 0.1])
-        for d in motion.deltas:
+        for d in motion_deltas:
             np.testing.assert_allclose(d.translation, np.zeros(3), atol=1e-9)
             np.testing.assert_allclose(
                 error_quaternion(d.rotation).to_matrix(), expected.to_matrix(), atol=1e-9
@@ -115,7 +118,7 @@ class TestGenerateScene:
             np.testing.assert_array_equal(traj.points, np.zeros((8, 2)))
             for d in clip.ego.pose_deltas:
                 np.testing.assert_array_equal(d.joint_deltas, np.zeros((19, 3)))
-            for d in clip.ego.motion.deltas:
+            for d in clip.ego.motion_deltas:
                 np.testing.assert_allclose(d.rotation.vector, np.zeros(3), atol=1e-12)
                 np.testing.assert_allclose(d.translation, np.zeros(3), atol=1e-12)
 
@@ -151,7 +154,7 @@ class TestGenerateScene:
         scenario = cv.three_person_scenario(duration=24, seed=2)
         for clip in generate_scene(scenario):
             wearer = next(c for c in clip.candidates if c.person_id == clip.ground_truth_wearer)
-            ego = integrate_ego_motion(clip.ego.motion.with_t_init(body_frame(wearer.poses[0])))
+            ego = integrate_ego_motion(body_frame(wearer.poses[0]), clip.ego.motion_deltas)
             np.testing.assert_allclose(ego.points, bbox_trajectory(wearer.boxes).points, atol=1e-9)
 
     def test_occlusion_flags_follow_schedule(self):
@@ -180,6 +183,22 @@ class TestGenerateScene:
         a = generate_scene(scenario)
         b = generate_scene(scenario)
         assert [clip_to_obj(x) for x in a] == [clip_to_obj(y) for y in b]
+
+    def test_noise_stream_matches_golden(self):
+        # every noise kind is on, so dropping or reordering any draw moves
+        # at least one of these sums of absolute values
+        noise = NoiseParams(sigma_pose=0.03, sigma_odo_trans=0.01, sigma_odo_rot=0.02, sigma_bbox=0.01)
+        clips = generate_scene(cv.three_person_scenario(crossing=True, duration=24, seed=11, noise=noise))
+        for name, clip in (("first", clips[0]), ("last", clips[-1])):
+            got = {
+                "candidate_joints": sum(np.abs(p.joints).sum() for c in clip.candidates for p in c.poses),
+                "box_corners": sum(np.abs(b.corners()).sum() for c in clip.candidates for b in c.boxes),
+                "pose_deltas": sum(np.abs(d.joint_deltas).sum() for d in clip.ego.pose_deltas),
+                "motion_rotations": sum(np.abs(d.rotation.vector).sum() for d in clip.ego.motion_deltas),
+                "motion_translations": sum(np.abs(d.translation).sum() for d in clip.ego.motion_deltas),
+            }
+            for key, want in GOLDEN["noise_stream"][name].items():
+                assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), (name, key)
 
     def test_different_seeds_differ(self):
         noise = NoiseParams(sigma_pose=0.03)
@@ -292,6 +311,18 @@ class TestSerialization:
         restored = clip_from_obj(json.loads(json.dumps(clip_to_obj(clip))))
         assert clip_to_obj(restored) == clip_to_obj(clip)
         assert any(not v for v in restored.candidates[0].valid)
+
+    def test_clip_with_ego_start_pose_and_transform_still_loads(self):
+        # clip files once also stored ego.handoff_pose and ego.motion.t_init
+        noise = NoiseParams(sigma_pose=0.02, sigma_odo_trans=0.01, sigma_odo_rot=0.01, sigma_bbox=0.01)
+        clip = generate_scene(cv.two_person_scenario(duration=16, seed=6, noise=noise))[3]
+        obj = json.loads(json.dumps(clip_to_obj(clip)))
+        older = json.loads(json.dumps(obj))
+        older["ego"]["handoff_pose"] = clip.candidates[0].poses[0].to_list()
+        older["ego"]["motion"]["t_init"] = {"quaternion": [1.0, 0.0, 0.0, 0.0], "translation": [0.0, 0.0, 0.0]}
+        assert clip_to_obj(clip_from_obj(older)) == obj == clip_to_obj(clip)
+        assert set(obj["ego"]) == {"pose_deltas", "motion"}
+        assert set(obj["ego"]["motion"]) == {"deltas"}
 
     def test_scene_directory_round_trip(self, tmp_path):
         scenario = cv.two_person_scenario(duration=16, seed=8)

@@ -6,7 +6,7 @@ import pytest
 import crossview as cv
 from crossview.action_codebook import fit_codebook
 from crossview.geometry import RotationDelta
-from crossview.motion import BoundingBox, EgoMotionClip, MotionDelta
+from crossview.motion import BoundingBox, MotionDelta
 from crossview.skeleton import (
     LEFT_SHOULDER,
     NECK,
@@ -45,11 +45,8 @@ def zero_pose_deltas():
     return tuple(PoseDelta(np.zeros((19, 3))) for _ in range(7))
 
 
-def motion_clip(pose, translation=(0.0, 0.0, 0.0)):
-    from crossview.skeleton import body_frame
-
-    deltas = tuple(MotionDelta(RotationDelta([0.0, 0.0, 0.0]), translation) for _ in range(7))
-    return EgoMotionClip(body_frame(pose), deltas)
+def constant_motion_deltas(translation=(0.0, 0.0, 0.0)):
+    return tuple(MotionDelta(RotationDelta([0.0, 0.0, 0.0]), translation) for _ in range(7))
 
 
 def static_candidate(pose, person_id=0, half=0.5, valid=None):
@@ -78,7 +75,7 @@ class TestVerifyPair:
     def test_self_match_is_exactly_zero(self):
         pose = facing_x_pose()
         candidate = static_candidate(pose)
-        ego = EgoObservation(pose, zero_pose_deltas(), motion_clip(pose))
+        ego = EgoObservation(zero_pose_deltas(), constant_motion_deltas())
         codebook = far_codebook_for(candidate.poses)
         score = verify_pair(ego, candidate, codebook)
         assert score.action_ego_ce == 0.0
@@ -93,7 +90,7 @@ class TestVerifyPair:
         # the motion channel accumulates sum(0.5 k) = 14 over the clip
         pose = facing_x_pose()
         candidate = static_candidate(pose)
-        ego = EgoObservation(pose, zero_pose_deltas(), motion_clip(pose, translation=(0.5, 0.0, 0.0)))
+        ego = EgoObservation(zero_pose_deltas(), constant_motion_deltas((0.5, 0.0, 0.0)))
         codebook = far_codebook_for(candidate.poses)
         score = verify_pair(ego, candidate, codebook)
         assert score.motion_ego_l1 == pytest.approx(14.0, abs=1e-9)
@@ -142,7 +139,7 @@ class TestVerifyPair:
     def test_all_frames_occluded_rejected(self):
         pose = facing_x_pose()
         candidate = static_candidate(pose, valid=[False] * 8)
-        ego = EgoObservation(pose, zero_pose_deltas(), motion_clip(pose))
+        ego = EgoObservation(zero_pose_deltas(), constant_motion_deltas())
         codebook = far_codebook_for(static_candidate(pose).poses)
         with pytest.raises(InsufficientObservationError):
             verify_pair(ego, candidate, codebook)
@@ -153,7 +150,7 @@ class TestVerifyPair:
         joints[LEFT_SHOULDER] = joints[RIGHT_SHOULDER]
         bad = Joint19Pose(joints)
         candidate = static_candidate(bad)
-        ego = EgoObservation(pose, zero_pose_deltas(), motion_clip(pose))
+        ego = EgoObservation(zero_pose_deltas(), constant_motion_deltas())
         codebook = far_codebook_for(static_candidate(pose).poses)
         with pytest.raises(DegeneratePoseError):
             verify_pair(ego, candidate, codebook)
@@ -162,7 +159,7 @@ class TestVerifyPair:
         # sliding the candidate's boxes further off the ego track can only
         # lower its match probability
         pose = facing_x_pose()
-        ego = EgoObservation(pose, zero_pose_deltas(), motion_clip(pose))
+        ego = EgoObservation(zero_pose_deltas(), constant_motion_deltas())
         codebook = far_codebook_for(static_candidate(pose).poses)
         previous = None
         for drift in (0.0, 0.1, 0.3, 0.8, 2.0):
@@ -318,6 +315,12 @@ class TestRecordsAndConfig:
             ScoringConfig(action_weight=-1.0)
         with pytest.raises(ValueError):
             ScoringConfig(tau=-0.1)
+
+    @pytest.mark.parametrize("field", ["action_weight", "motion_weight", "sigma", "tau"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ScoringConfig(**{field: value})
 
     def test_candidate_validation(self):
         pose = facing_x_pose()
