@@ -20,7 +20,6 @@ from .bayes_filter import FilterState, init_filter, map_identity, predict, updat
 from .geometry import (
     RotationDelta,
     SE3Transform,
-    Trajectory2D,
     UnitQuaternion,
     error_quaternion,
     quat_compose,
@@ -29,7 +28,6 @@ from .geometry import (
 )
 from .motion import (
     BoundingBox,
-    MotionDelta,
     bbox_trajectory,
     integrate_ego_motion,
     trajectory_l1_loss,
@@ -54,7 +52,6 @@ from .skeleton import (
     JOINT_NAMES,
     DegeneratePoseError,
     Joint19Pose,
-    PoseDelta,
     PoseSequence,
     body_center,
     body_frame,

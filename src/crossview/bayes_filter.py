@@ -83,18 +83,21 @@ def init_filter(ids, positions) -> FilterState:
     if len(set(ids)) != len(ids):
         raise ValueError("candidate ids must be unique")
     n = len(ids)
+    positions = np.asarray(positions, dtype=float).reshape(n, 2)
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
     return FilterState(
         ids=ids,
         weights=_freeze(np.full(n, 1.0 / n)),
-        positions=_freeze(np.asarray(positions, dtype=float).reshape(n, 2)),
+        positions=_freeze(positions),
         velocities=_freeze(np.zeros((n, 2))),
     )
 
 
 def predict(state: FilterState, dt=1.0, alpha=DEFAULT_ALPHA) -> FilterState:
     """Advance positions by velocity * dt and leak weights toward uniform."""
-    if dt < 0.0:
-        raise ValueError(f"dt must be non-negative, got {dt}")
+    if not (math.isfinite(dt) and dt >= 0.0):
+        raise ValueError(f"dt must be finite and non-negative, got {dt}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     n = len(state.ids)
@@ -126,8 +129,12 @@ def update(
     observed = np.asarray(observed_positions, dtype=float)
     if scores.shape != (n,):
         raise ValueError(f"clip_scores must align with the {n} candidates, got shape {scores.shape}")
+    if not np.isfinite(scores).all():
+        raise ValueError(f"clip_scores must be finite, got {scores}")
     if observed.shape != (n, 2):
         raise ValueError(f"observed_positions must be (n, 2), got shape {observed.shape}")
+    if not np.isfinite(observed).all():
+        raise ValueError("observed_positions must be finite")
     if occluded is None:
         occluded = np.zeros(n, dtype=bool)
     else:
@@ -138,8 +145,8 @@ def update(
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     if not (math.isfinite(sigma_p) and sigma_p > 0.0):
         raise ValueError(f"sigma_p must be finite and positive, got {sigma_p}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
 
     predicted = state.positions
     gap2 = ((observed - predicted) ** 2).sum(axis=1)

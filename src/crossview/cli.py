@@ -154,8 +154,7 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
         codebook = load_codebook(config.codebook)
     else:
         pose_clips = [cand.poses for clip in clips for cand in clip.candidates]
-        fit_seed = scenario.seed if config.seed is None else config.seed
-        codebook = fit_codebook(pose_clips, k=config.codebook_k, seed=fit_seed)
+        codebook = fit_codebook(pose_clips, k=config.codebook_k, seed=scenario.seed)
 
     state = None
     if config.enable_filter:
@@ -243,7 +242,6 @@ def report_to_dict(report: MetricsReport) -> dict:
             "average_recall": report.average_recall,
         },
         "decisions": report.decisions,
-        "sweep": report.sweep_rows,
     }
 
 
@@ -459,8 +457,6 @@ def _cmd_report(args):
         print(f"  filtered accuracy: {metrics['filtered_accuracy']:.4f}")
     print(f"  average precision: {metrics['average_precision']:.4f}")
     print(f"  average recall:    {metrics['average_recall']:.4f}")
-    for row in payload.get("sweep", []):
-        print(f"  sweep sigma_pose={row['sigma_pose']:g}: accuracy={row['accuracy']:.4f}")
     return 0
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "UnitQuaternion",
     "RotationDelta",
     "SE3Transform",
-    "Trajectory2D",
     "error_quaternion",
     "quat_compose",
     "se3_compose",
@@ -31,13 +30,17 @@ __all__ = [
 _SMALL_ANGLE = 1e-7
 
 
-def _vec3(value, name):
-    v = np.asarray(value, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite, got {v}")
-    out = v.copy()
+def frozen_array(value, name, shape):
+    """Read-only float copy of value, checked for shape and finiteness; errors name the field."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged nesting or non-numbers
+        raise ValueError(f"{name} must be a numeric array of shape {shape}") from exc
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    out = a.copy()
     out.setflags(write=False)
     return out
 
@@ -147,7 +150,7 @@ class RotationDelta:
     __slots__ = ("_v",)
 
     def __init__(self, delta_theta):
-        self._v = _vec3(delta_theta, "delta_theta")
+        self._v = frozen_array(delta_theta, "delta_theta", (3,))
 
     @property
     def vector(self):
@@ -170,7 +173,7 @@ class SE3Transform:
         if not isinstance(rotation, UnitQuaternion):
             raise ValueError("rotation must be a UnitQuaternion")
         self._rotation = rotation
-        self._translation = _vec3(translation, "translation")
+        self._translation = frozen_array(translation, "translation", (3,))
 
     @classmethod
     def identity(cls):
@@ -208,48 +211,21 @@ class SE3Transform:
         return f"SE3Transform({self._rotation!r}, t={self._translation.tolist()})"
 
 
-class Trajectory2D:
-    """Ordered planar track re-based at its first sample.
-
-    The first point is required to be exactly (0, 0); producers guarantee this
-    by subtracting the first sample, which is exact in floating point.
-    """
-
-    __slots__ = ("_points",)
-
-    def __init__(self, points):
-        p = np.asarray(points, dtype=float)
-        if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 1:
-            raise ValueError(f"trajectory must be an (n, 2) array with n >= 1, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("trajectory points must be finite")
-        if p[0, 0] != 0.0 or p[0, 1] != 0.0:
-            raise ValueError(f"trajectory must start at (0, 0), got {p[0].tolist()}")
-        self._points = p.copy()
-        self._points.setflags(write=False)
-
-    @property
-    def points(self):
-        return self._points
-
-    def __len__(self):
-        return self._points.shape[0]
-
-    def __repr__(self):
-        return f"Trajectory2D({self._points.tolist()})"
-
-
 def error_quaternion(delta) -> UnitQuaternion:
     """Quaternion exponential of a rotation vector.
 
     Returns [cos(|d|/2); sin(|d|/2) d/|d|], and exactly the identity when the
     rotation vector is zero. Near zero the sin(|d|/2)/|d| factor uses its
     series 1/2 - |d|^2/48 so the map is continuous through the zero branch.
+    A plain vector is checked here without a copy: the norm is finite only
+    if every component is.
     """
-    if not isinstance(delta, RotationDelta):
-        delta = RotationDelta(delta)
-    v = delta.vector
+    v = delta.vector if isinstance(delta, RotationDelta) else np.asarray(delta, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"rotation vector must have shape (3,), got {v.shape}")
     theta = float(np.linalg.norm(v))
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation vector must be finite, got {v}")
     if theta == 0.0:
         return UnitQuaternion.identity()
     if theta < _SMALL_ANGLE:
@@ -279,14 +255,14 @@ def se3_compose(a: SE3Transform, b: SE3Transform) -> SE3Transform:
     )
 
 
-def warp_to_third_2d(chain) -> Trajectory2D:
+def warp_to_third_2d(chain) -> np.ndarray:
     """Project a transform chain into the third-view plane.
 
-    Keeps the (x, y) translation components of every transform and subtracts
-    the first, so the output always starts at (0, 0).
+    Returns an (n, 2) array: the (x, y) translation components of every
+    transform minus the first, so row 0 is exactly (0, 0).
     """
     transforms = list(chain)
     if not transforms:
         raise ValueError("transform chain must be non-empty")
     xy = np.array([t.translation[:2] for t in transforms])
-    return Trajectory2D(xy - xy[0])
+    return xy - xy[0]

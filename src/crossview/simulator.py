@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RotationDelta, se3_compose
-from .motion import BoundingBox, MotionDelta
-from .skeleton import CLIP_LEN, N_JOINTS, Joint19Pose, PoseDelta, PoseSequence, body_frame
+from .geometry import se3_compose
+from .motion import BoundingBox
+from .skeleton import CLIP_LEN, N_JOINTS, Joint19Pose, PoseSequence, body_frame
 from .verification import CandidateObservation, EgoObservation
 
 __all__ = [
@@ -271,28 +271,25 @@ def _path_state(spec: PersonSpec, frame):
 
 
 def _ego_steps(frames):
-    """Joint-space deltas and rigid-motion increments of consecutive frames."""
-    pose_deltas = [PoseDelta.between(a, b) for a, b in zip(frames, frames[1:])]
+    """Joint-space deltas (n-1, 19, 3) and rigid-motion increments (n-1, 2, 3) of n frames."""
     transforms = [body_frame(f) for f in frames]
-    motion_deltas = []
-    for a, b in zip(transforms, transforms[1:]):
-        step = se3_compose(a.inverse(), b)
-        motion_deltas.append(MotionDelta(RotationDelta(step.rotation.to_rotation_vector()), step.translation))
-    return pose_deltas, motion_deltas
+    steps = [se3_compose(a.inverse(), b) for a, b in zip(transforms, transforms[1:])]
+    motion_deltas = np.array([(step.rotation.to_rotation_vector(), step.translation) for step in steps])
+    return np.diff([f.joints for f in frames], axis=0), motion_deltas
 
 
 def ego_deltas_from_truth(frames):
     """Derive the ego observables for an 8-frame window of one person.
 
-    Returns (pose_deltas, motion_deltas): the pose deltas are plain frame
-    differences, the motion increments the relative transforms between
-    consecutive body frames.
+    Returns (pose_deltas, motion_deltas) as (7, 19, 3) and (7, 2, 3) arrays:
+    the pose deltas are plain frame differences, the motion increments the
+    relative transforms between consecutive body frames (rotation vector,
+    then translation).
     """
     frames = list(frames)
     if len(frames) != CLIP_LEN:
         raise ValueError(f"expected {CLIP_LEN} frames, got {len(frames)}")
-    pose_deltas, motion_deltas = _ego_steps(frames)
-    return tuple(pose_deltas), tuple(motion_deltas)
+    return _ego_steps(frames)
 
 
 def _noisy(array, sigma, rng):
@@ -349,16 +346,14 @@ def generate_scene(scenario: Scenario):
         rng = np.random.default_rng([scenario.seed, t0])
 
         window = slice(t0 - first, t0 - first + CLIP_LEN - 1)
-        pose_deltas = tuple(
-            PoseDelta(_noisy(d.joint_deltas, noise.sigma_pose, rng)) for d in wearer_pose_steps[window]
-        )
-        motion_deltas = tuple(
-            MotionDelta(
-                RotationDelta(_noisy(d.rotation.vector, noise.sigma_odo_rot, rng)),
-                _noisy(d.translation, noise.sigma_odo_trans, rng),
-            )
-            for d in wearer_motion_steps[window]
-        )
+        # one (7, 19, 3) draw takes the same stream values as seven (19, 3) draws
+        pose_deltas = _noisy(wearer_pose_steps[window], noise.sigma_pose, rng)
+        # _noisy skips zero-sigma draws, so each increment keeps its own
+        # rotation-then-translation draws
+        motion_deltas = [
+            (_noisy(rotation, noise.sigma_odo_rot, rng), _noisy(translation, noise.sigma_odo_trans, rng))
+            for rotation, translation in wearer_motion_steps[window]
+        ]
         # a discarded pose-sized draw: the candidates' draws below keep their fixed stream positions
         _noisy(np.zeros((N_JOINTS, 3)), noise.sigma_pose, rng)
         ego = EgoObservation(pose_deltas, motion_deltas)
@@ -487,11 +482,11 @@ def clip_to_obj(clip: ClipObservation) -> dict:
         "clip_id": clip.clip_id,
         "ground_truth_wearer": clip.ground_truth_wearer,
         "ego": {
-            "pose_deltas": [d.joint_deltas.tolist() for d in clip.ego.pose_deltas],
+            "pose_deltas": clip.ego.pose_deltas.tolist(),
             "motion": {
                 "deltas": [
-                    {"rotation": d.rotation.vector.tolist(), "translation": d.translation.tolist()}
-                    for d in clip.ego.motion_deltas
+                    {"rotation": rotation.tolist(), "translation": translation.tolist()}
+                    for rotation, translation in clip.ego.motion_deltas
                 ],
             },
         },
@@ -512,11 +507,8 @@ def clip_from_obj(obj) -> ClipObservation:
     """Inverse of clip_to_obj; other keys, such as an older file's ego start pose, are ignored."""
     ego_obj = obj["ego"]
     ego = EgoObservation(
-        (PoseDelta(d) for d in ego_obj["pose_deltas"]),
-        (
-            MotionDelta(RotationDelta(d["rotation"]), np.asarray(d["translation"], dtype=float))
-            for d in ego_obj["motion"]["deltas"]
-        ),
+        ego_obj["pose_deltas"],
+        [(d["rotation"], d["translation"]) for d in ego_obj["motion"]["deltas"]],
     )
     candidates = tuple(
         CandidateObservation(

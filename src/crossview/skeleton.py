@@ -6,8 +6,9 @@ Joint order (1-based in docs, stored 0-based): 1 right ankle, 2 right knee,
 12 left wrist, 13 neck, 14 head top, 15 nose, 16 left eye, 17 right eye,
 18 left ear, 19 right ear. Coordinates are meters in world frame.
 
-Pose deltas live directly in joint space (19 x 3); an action is a clip of 8
-consecutive poses, reconstructable from a start pose plus 7 deltas.
+Pose deltas live directly in joint space; an action is a clip of 8
+consecutive poses, reconstructable from a start pose plus a (7, 19, 3) array
+of deltas.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 
 import numpy as np
 
-from .geometry import SE3Transform, UnitQuaternion
+from .geometry import SE3Transform, UnitQuaternion, frozen_array
 
 __all__ = [
     "JOINT_NAMES",
@@ -26,7 +27,6 @@ __all__ = [
     "NECK",
     "DegeneratePoseError",
     "Joint19Pose",
-    "PoseDelta",
     "PoseSequence",
     "integrate_pose_deltas",
     "body_center",
@@ -74,24 +74,13 @@ class DegeneratePoseError(ValueError):
     """Raised when a pose cannot support a body frame (collapsed torso triangle)."""
 
 
-def _joint_array(value, name):
-    a = np.asarray(value, dtype=float)
-    if a.shape != (N_JOINTS, 3):
-        raise ValueError(f"{name} must have shape (19, 3), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    out = a.copy()
-    out.setflags(write=False)
-    return out
-
-
 class Joint19Pose:
     """One body configuration: 19 ordered 3D joints."""
 
     __slots__ = ("_joints",)
 
     def __init__(self, joints):
-        self._joints = _joint_array(joints, "joints")
+        self._joints = frozen_array(joints, "joints", (N_JOINTS, 3))
 
     @property
     def joints(self):
@@ -99,8 +88,6 @@ class Joint19Pose:
 
     def shifted(self, delta):
         """Pose plus a joint-space delta."""
-        if isinstance(delta, PoseDelta):
-            delta = delta.joint_deltas
         return Joint19Pose(self._joints + np.asarray(delta, dtype=float))
 
     def to_list(self):
@@ -112,23 +99,6 @@ class Joint19Pose:
 
     def __repr__(self):
         return f"Joint19Pose(center~{np.round(self._joints.mean(axis=0), 3).tolist()})"
-
-
-class PoseDelta:
-    """Frame-to-frame joint displacement, same layout as Joint19Pose."""
-
-    __slots__ = ("_deltas",)
-
-    def __init__(self, joint_deltas):
-        self._deltas = _joint_array(joint_deltas, "joint_deltas")
-
-    @property
-    def joint_deltas(self):
-        return self._deltas
-
-    @classmethod
-    def between(cls, start: Joint19Pose, end: Joint19Pose):
-        return cls(end.joints - start.joints)
 
 
 class PoseSequence:
@@ -185,19 +155,14 @@ class PoseSequence:
 
 
 def integrate_pose_deltas(init: Joint19Pose, deltas) -> PoseSequence:
-    """Accumulate 7 joint-space deltas onto a start pose, giving an 8-pose clip.
+    """Accumulate (7, 19, 3) joint-space deltas onto a start pose, giving an 8-pose clip.
 
     Element k is init plus the sum of the first k deltas; two different start
     poses fed the same deltas therefore differ by a constant offset at every
     frame.
     """
-    deltas = tuple(deltas)
-    if len(deltas) != CLIP_LEN - 1:
-        raise ValueError(f"expected {CLIP_LEN - 1} pose deltas, got {len(deltas)}")
-    steps = np.stack([d.joint_deltas if isinstance(d, PoseDelta) else _joint_array(d, "delta") for d in deltas])
-    cumulative = np.cumsum(steps, axis=0)
-    poses = [init] + [Joint19Pose(init.joints + cumulative[k]) for k in range(CLIP_LEN - 1)]
-    return PoseSequence(poses)
+    cumulative = np.cumsum(frozen_array(deltas, "deltas", (CLIP_LEN - 1, N_JOINTS, 3)), axis=0)
+    return PoseSequence([init] + [Joint19Pose(init.joints + c) for c in cumulative])
 
 
 def body_centers(joints) -> np.ndarray:

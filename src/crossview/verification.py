@@ -1,9 +1,11 @@
 """Cross-view verification: does an ego motion stream belong to a candidate?
 
 The ego-downward camera sees only the wearer's body, so an ego observation
-holds only pose deltas and rigid-motion increments. Scoring runs two channels
-per candidate, both anchored at that candidate's own first observed pose
-(each hypothesis is tried in its own frame):
+holds only two relative streams, as read-only arrays: pose deltas (7, 19, 3)
+and rigid-motion increments (7, 2, 3), each step a rotation vector and then a
+translation. Scoring runs two channels per candidate, both anchored at that
+candidate's own first observed pose (each hypothesis is tried in its own
+frame):
 
 * action: the ego pose deltas are integrated from the candidate's frame-0
   pose and the resulting clip is compared, through codebook label scores,
@@ -12,15 +14,15 @@ per candidate, both anchored at that candidate's own first observed pose
 * motion: the ego rigid-motion increments are integrated from the body frame
   of the candidate's frame-0 pose and compared by L1 against the candidate's
   bounding-box track; a second L1 checks the candidate's own pose-derived
-  track against the same boxes.
+  track against the same boxes. Tracks are (8, 2) arrays re-based at frame 0.
 
 The total is a weighted sum of the four terms and the match probability is
 exp(-total / sigma). localize scores all of a clip's candidates in one array
-pass: the ego pose deltas are summed and the ego increments integrated once
-per clip (as start-frame offsets, rotated into each candidate's body frame),
-and both action clips of every candidate go through one distance product
-against the centroids. verify_pair scores one pair at a time and is the
-per-pair reference the batched pass is tested against.
+pass: the ego pose-delta array is summed and the ego increments integrated
+once per clip (as start-frame offsets, rotated into each candidate's body
+frame), and both action clips of every candidate go through one distance
+product against the centroids. verify_pair scores one pair at a time and is
+the per-pair reference the batched pass is tested against.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action_codebook import DEFAULT_TAU, ActionCodebook, action_agreement, cross_entropies, label_scores
-from .geometry import Trajectory2D
+from .geometry import frozen_array
 from .motion import (
     BoundingBox,
-    MotionDelta,
     bbox_trajectory,
     ego_offsets,
     integrate_ego_motion,
@@ -44,7 +45,6 @@ from .skeleton import (
     CLIP_LEN,
     N_JOINTS,
     DegeneratePoseError,
-    PoseDelta,
     PoseSequence,
     body_axes,
     body_center,
@@ -91,23 +91,18 @@ class ScoringConfig:
 
 
 class EgoObservation:
-    """One clip's ego stream: 7 pose deltas and 7 rigid-motion increments of the wearer's body."""
+    """One clip's ego stream of the wearer's body, as read-only arrays.
+
+    pose_deltas is (7, 19, 3), the joint-space steps between consecutive
+    frames; motion_deltas is (7, 2, 3), per step the rotation vector and then
+    the translation of the rigid-motion increment.
+    """
 
     __slots__ = ("pose_deltas", "motion_deltas")
 
     def __init__(self, pose_deltas, motion_deltas):
-        self.pose_deltas = _stream(pose_deltas, PoseDelta, "pose_deltas")
-        self.motion_deltas = _stream(motion_deltas, MotionDelta, "motion_deltas")
-
-
-def _stream(entries, kind, name):
-    entries = tuple(entries)
-    if len(entries) != CLIP_LEN - 1:
-        raise ValueError(f"expected {CLIP_LEN - 1} {name}, got {len(entries)}")
-    for d in entries:
-        if not isinstance(d, kind):
-            raise ValueError(f"{name} entries must be {kind.__name__}")
-    return entries
+        self.pose_deltas = frozen_array(pose_deltas, "pose_deltas", (CLIP_LEN - 1, N_JOINTS, 3))
+        self.motion_deltas = frozen_array(motion_deltas, "motion_deltas", (CLIP_LEN - 1, 2, 3))
 
 
 class CandidateObservation:
@@ -174,7 +169,7 @@ def verify_pair(
     ego_track = integrate_ego_motion(body_frame(seed_pose), ego.motion_deltas)
     motion_ego_l1 = trajectory_l1_loss(ego_track, box_track)
     centres = np.array([body_center(p)[:2] for p in candidate.poses])
-    motion_third_l1 = trajectory_l1_loss(Trajectory2D(centres - centres[0]), box_track)
+    motion_third_l1 = trajectory_l1_loss(centres - centres[0], box_track)
 
     total = config.action_weight * (ego_ce + third_ce) + config.motion_weight * (motion_ego_l1 + motion_third_l1)
     return VerificationScore(
@@ -215,8 +210,7 @@ def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig())
                 f"candidate {candidate.person_id}: shoulder and neck joints are collinear; body frame undefined"
             )
 
-    steps = np.array([d.joint_deltas for d in ego.pose_deltas])
-    offsets = np.concatenate([np.zeros((1, N_JOINTS, 3)), np.cumsum(steps, axis=0)])
+    offsets = np.concatenate([np.zeros((1, N_JOINTS, 3)), np.cumsum(ego.pose_deltas, axis=0)])
     ego_clips = observed[:, :1] + offsets
     ego_ce, third_ce = cross_entropies(codebook, ego_clips.reshape(n, -1), observed.reshape(n, -1), config.tau)
 

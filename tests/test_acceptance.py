@@ -35,7 +35,6 @@ from crossview.motion import bbox_trajectory, integrate_ego_motion
 from crossview.simulator import save_scenario
 from crossview.skeleton import (
     Joint19Pose,
-    PoseDelta,
     PoseSequence,
     body_frame,
     integrate_pose_deltas,
@@ -118,7 +117,7 @@ def test_criterion_2_zero_noise_cross_view_equality():
                 assert np.array_equal(got.joints, want.joints)  # bit-exact
 
             ego_track = integrate_ego_motion(body_frame(wearer.poses[0]), clip.ego.motion_deltas)
-            gap = np.abs(ego_track.points - bbox_trajectory(wearer.boxes).points).max()
+            gap = np.abs(ego_track - bbox_trajectory(wearer.boxes)).max()
             worst_track = max(worst_track, gap)
             assert gap < 1e-9
 
@@ -144,7 +143,7 @@ def test_criterion_3_initial_pose_dependence():
 
     def random_clip_near(base):
         init = Joint19Pose(base + grid((19, 3), 512))
-        deltas = [PoseDelta(grid((19, 3), 32)) for _ in range(7)]
+        deltas = [grid((19, 3), 32) for _ in range(7)]
         return integrate_pose_deltas(init, deltas)
 
     base_a = np.zeros((19, 3))
@@ -155,7 +154,7 @@ def test_criterion_3_initial_pose_dependence():
     for _ in range(100):
         p1 = Joint19Pose(base_a + grid((19, 3), 512))
         p2 = Joint19Pose(p1.joints + region_gap)
-        deltas = [PoseDelta(grid((19, 3), 32)) for _ in range(7)]
+        deltas = [grid((19, 3), 32) for _ in range(7)]
         seq1 = integrate_pose_deltas(p1, deltas)
         seq2 = integrate_pose_deltas(p2, deltas)
         offset = p1.joints - p2.joints

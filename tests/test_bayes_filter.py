@@ -51,6 +51,11 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(make_state([1.0]), alpha=1.5)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            predict(make_state([0.5, 0.5]), dt=dt)
+
 
 class TestUpdate:
     def test_one_hot_score_gives_one_hot_posterior(self):
@@ -114,6 +119,19 @@ class TestUpdate:
         state = make_state([0.5, 0.5])
         with pytest.raises(ValueError, match="sigma_p"):
             update(state, [0.5, 0.5], np.zeros((2, 2)), sigma_p=sigma_p)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            update(make_state([0.5, 0.5]), [0.5, 0.5], np.zeros((2, 2)), dt=dt)
+
+    def test_nan_clip_score_rejected(self):
+        with pytest.raises(ValueError, match="clip_scores must be finite"):
+            update(make_state([0.5, 0.5]), [float("nan"), 0.5], np.zeros((2, 2)))
+
+    def test_nan_observed_position_rejected(self):
+        with pytest.raises(ValueError, match="observed_positions must be finite"):
+            update(make_state([0.5, 0.5]), [0.5, 0.5], [[0.0, float("nan")], [0.0, 0.0]])
 
 
 class TestMapIdentity:
@@ -218,6 +236,10 @@ class TestInit:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             init_filter([1, 1], np.zeros((2, 2)))
+
+    def test_nan_position_rejected(self):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            init_filter([1, 2], [[0.0, 0.0], [float("nan"), 1.0]])
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError):

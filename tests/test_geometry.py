@@ -10,7 +10,6 @@ from scipy.spatial.transform import Rotation
 from crossview.geometry import (
     RotationDelta,
     SE3Transform,
-    Trajectory2D,
     UnitQuaternion,
     error_quaternion,
     quat_compose,
@@ -79,6 +78,19 @@ class TestErrorQuaternion:
             error_quaternion([np.nan, 0.0, 0.0])
         with pytest.raises(ValueError):
             error_quaternion([np.inf, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "vector, problem",
+        [
+            ([1.0, 0.0], "shape"),
+            ([0.0, 0.0, 0.0, 1.0], "shape"),
+            ([0.0, np.nan, 0.0], "finite"),
+            ([0.0, 0.0, -np.inf], "finite"),
+        ],
+    )
+    def test_bad_plain_vector_named(self, vector, problem):
+        with pytest.raises(ValueError, match=f"rotation vector must .*{problem}"):
+            error_quaternion(np.array(vector))
 
     @given(rotation_vectors())
     @example(np.array([1e-6, 0.0, 0.0]))
@@ -193,14 +205,14 @@ class TestSE3:
 class TestWarp:
     def test_identity_chain(self):
         traj = warp_to_third_2d([SE3Transform.identity()] * 8)
-        np.testing.assert_array_equal(traj.points, np.zeros((8, 2)))
+        np.testing.assert_array_equal(traj, np.zeros((8, 2)))
 
     def test_subtracts_first_translation(self):
         chain = [
             SE3Transform(UnitQuaternion.identity(), [1.0, 2.0, 9.0]),
             SE3Transform(UnitQuaternion.identity(), [3.0, 5.0, 7.0]),
         ]
-        np.testing.assert_array_equal(warp_to_third_2d(chain).points, [[0.0, 0.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(warp_to_third_2d(chain), [[0.0, 0.0], [2.0, 3.0]])
 
     def test_matches_matrix_chain_oracle(self):
         # accumulate 8 random steps two ways: library chain vs 4x4 products
@@ -214,33 +226,15 @@ class TestWarp:
             matrices.append(matrices[-1] @ s.to_matrix())
         expected = np.array([m[:2, 3] for m in matrices])
         expected -= expected[0]
-        np.testing.assert_allclose(warp_to_third_2d(chain).points, expected, atol=1e-9)
+        np.testing.assert_allclose(warp_to_third_2d(chain), expected, atol=1e-9)
 
     def test_always_starts_at_origin(self):
         for _ in range(20):
             chain = [random_se3(RNG) for _ in range(5)]
-            pts = warp_to_third_2d(chain).points
+            pts = warp_to_third_2d(chain)
             assert pts[0, 0] == 0.0 and pts[0, 1] == 0.0
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             warp_to_third_2d([])
 
-
-class TestTrajectory2D:
-    def test_requires_origin_start(self):
-        with pytest.raises(ValueError):
-            Trajectory2D([[0.1, 0.0], [1.0, 1.0]])
-
-    def test_requires_2d_points(self):
-        with pytest.raises(ValueError):
-            Trajectory2D([[0.0, 0.0, 0.0]])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Trajectory2D([[0.0, 0.0], [np.nan, 1.0]])
-
-    def test_points_read_only(self):
-        traj = Trajectory2D([[0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(ValueError):
-            traj.points[0, 0] = 5.0

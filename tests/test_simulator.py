@@ -1,5 +1,6 @@
 """Simulator tests: determinism, exact round-trips, occlusion scheduling."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -63,11 +64,8 @@ class TestEgoDeltasFromTruth:
     def test_identical_frames_give_identity(self):
         frame = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
         pose_deltas, motion_deltas = ego_deltas_from_truth([frame] * 8)
-        for d in pose_deltas:
-            np.testing.assert_array_equal(d.joint_deltas, np.zeros((19, 3)))
-        for d in motion_deltas:
-            np.testing.assert_allclose(d.rotation.vector, np.zeros(3), atol=1e-12)
-            np.testing.assert_allclose(d.translation, np.zeros(3), atol=1e-12)
+        np.testing.assert_array_equal(pose_deltas, np.zeros((7, 19, 3)))
+        np.testing.assert_allclose(motion_deltas, np.zeros((7, 2, 3)), atol=1e-12)
 
     def test_rigid_translation(self):
         base = skeleton_at((0.0, 0.0), 0.7, GaitParams(), 0.5)
@@ -76,11 +74,10 @@ class TestEgoDeltasFromTruth:
         pose_deltas, motion_deltas = ego_deltas_from_truth(frames)
         r_init = body_frame(frames[0]).rotation.to_matrix()
         expected = r_init.T @ step
-        for d in motion_deltas:
-            np.testing.assert_allclose(d.rotation.vector, np.zeros(3), atol=1e-9)
-            np.testing.assert_allclose(d.translation, expected, atol=1e-9)
-        for d in pose_deltas:
-            np.testing.assert_allclose(d.joint_deltas, np.tile(step, (19, 1)), atol=1e-12)
+        for rotation, translation in motion_deltas:
+            np.testing.assert_allclose(rotation, np.zeros(3), atol=1e-9)
+            np.testing.assert_allclose(translation, expected, atol=1e-9)
+        np.testing.assert_allclose(pose_deltas, np.tile(step, (7, 19, 1)), atol=1e-12)
 
     def test_pure_spin_about_body_axis(self):
         # frames built so consecutive body frames differ by a 0.1 rad turn
@@ -98,10 +95,10 @@ class TestEgoDeltasFromTruth:
         from crossview.geometry import error_quaternion
 
         expected = error_quaternion([0.0, 0.0, 0.1])
-        for d in motion_deltas:
-            np.testing.assert_allclose(d.translation, np.zeros(3), atol=1e-9)
+        for rotation, translation in motion_deltas:
+            np.testing.assert_allclose(translation, np.zeros(3), atol=1e-9)
             np.testing.assert_allclose(
-                error_quaternion(d.rotation).to_matrix(), expected.to_matrix(), atol=1e-9
+                error_quaternion(rotation).to_matrix(), expected.to_matrix(), atol=1e-9
             )
 
     def test_wrong_frame_count_rejected(self):
@@ -115,12 +112,9 @@ class TestGenerateScene:
         clips = generate_scene(single_person_scenario(speed=0.0))
         for clip in clips:
             traj = bbox_trajectory(clip.candidates[0].boxes)
-            np.testing.assert_array_equal(traj.points, np.zeros((8, 2)))
-            for d in clip.ego.pose_deltas:
-                np.testing.assert_array_equal(d.joint_deltas, np.zeros((19, 3)))
-            for d in clip.ego.motion_deltas:
-                np.testing.assert_allclose(d.rotation.vector, np.zeros(3), atol=1e-12)
-                np.testing.assert_allclose(d.translation, np.zeros(3), atol=1e-12)
+            np.testing.assert_array_equal(traj, np.zeros((8, 2)))
+            np.testing.assert_array_equal(clip.ego.pose_deltas, np.zeros((7, 19, 3)))
+            np.testing.assert_allclose(clip.ego.motion_deltas, np.zeros((7, 2, 3)), atol=1e-12)
 
     def test_clip_count_and_ids(self):
         scenario = cv.two_person_scenario(duration=30)
@@ -155,7 +149,7 @@ class TestGenerateScene:
         for clip in generate_scene(scenario):
             wearer = next(c for c in clip.candidates if c.person_id == clip.ground_truth_wearer)
             ego = integrate_ego_motion(body_frame(wearer.poses[0]), clip.ego.motion_deltas)
-            np.testing.assert_allclose(ego.points, bbox_trajectory(wearer.boxes).points, atol=1e-9)
+            np.testing.assert_allclose(ego, bbox_trajectory(wearer.boxes), atol=1e-9)
 
     def test_occlusion_flags_follow_schedule(self):
         scenario = cv.two_person_scenario(crossing=True, duration=88, seed=4)
@@ -193,12 +187,21 @@ class TestGenerateScene:
             got = {
                 "candidate_joints": sum(np.abs(p.joints).sum() for c in clip.candidates for p in c.poses),
                 "box_corners": sum(np.abs(b.corners()).sum() for c in clip.candidates for b in c.boxes),
-                "pose_deltas": sum(np.abs(d.joint_deltas).sum() for d in clip.ego.pose_deltas),
-                "motion_rotations": sum(np.abs(d.rotation.vector).sum() for d in clip.ego.motion_deltas),
-                "motion_translations": sum(np.abs(d.translation).sum() for d in clip.ego.motion_deltas),
+                "pose_deltas": sum(np.abs(d).sum() for d in clip.ego.pose_deltas),
+                "motion_rotations": sum(np.abs(r).sum() for r, _ in clip.ego.motion_deltas),
+                "motion_translations": sum(np.abs(t).sum() for _, t in clip.ego.motion_deltas),
             }
             for key, want in GOLDEN["noise_stream"][name].items():
                 assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), (name, key)
+
+    def test_clip_file_bytes_match_golden(self):
+        # the clip files of a noisy scene with occluded frames: any change
+        # to the file format or to the noise stream fails here
+        noise = NoiseParams(sigma_pose=0.03, sigma_odo_trans=0.01, sigma_odo_rot=0.02, sigma_bbox=0.01)
+        clips = generate_scene(cv.three_person_scenario(crossing=True, duration=60, seed=11, noise=noise))
+        assert any(not all(c.valid) for clip in clips for c in clip.candidates)
+        text = "\n".join(json.dumps(clip_to_obj(clip)) for clip in clips)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN["clip_files"]["sha256"]
 
     def test_different_seeds_differ(self):
         noise = NoiseParams(sigma_pose=0.03)
@@ -323,6 +326,14 @@ class TestSerialization:
         assert clip_to_obj(clip_from_obj(older)) == obj == clip_to_obj(clip)
         assert set(obj["ego"]) == {"pose_deltas", "motion"}
         assert set(obj["ego"]["motion"]) == {"deltas"}
+
+    @pytest.mark.parametrize("rotation", [[1.0, 2.0], ["x", 0.0, 0.0]])
+    def test_malformed_ego_increment_named(self, rotation):
+        clip = generate_scene(cv.two_person_scenario(duration=16, seed=6))[0]
+        obj = json.loads(json.dumps(clip_to_obj(clip)))
+        obj["ego"]["motion"]["deltas"][2]["rotation"] = rotation
+        with pytest.raises(ValueError, match="motion_deltas must be a numeric array of shape"):
+            clip_from_obj(obj)
 
     def test_scene_directory_round_trip(self, tmp_path):
         scenario = cv.two_person_scenario(duration=16, seed=8)

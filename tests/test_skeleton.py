@@ -13,7 +13,6 @@ from crossview.skeleton import (
     RIGHT_SHOULDER,
     DegeneratePoseError,
     Joint19Pose,
-    PoseDelta,
     PoseSequence,
     body_axes,
     body_center,
@@ -48,27 +47,27 @@ def upright_pose(rng=None):
 class TestIntegratePoseDeltas:
     def test_zero_deltas_repeat_init(self):
         init = Joint19Pose(RNG.normal(size=(19, 3)))
-        seq = integrate_pose_deltas(init, [PoseDelta(np.zeros((19, 3)))] * 7)
+        seq = integrate_pose_deltas(init, np.zeros((7, 19, 3)))
         assert len(seq) == CLIP_LEN
         for pose in seq:
             np.testing.assert_array_equal(pose.joints, init.joints)
 
     def test_unit_deltas_accumulate(self):
         init = Joint19Pose(np.zeros((19, 3)))
-        seq = integrate_pose_deltas(init, [PoseDelta(np.ones((19, 3)))] * 7)
+        seq = integrate_pose_deltas(init, np.ones((7, 19, 3)))
         for k, pose in enumerate(seq):
             np.testing.assert_array_equal(pose.joints, np.full((19, 3), float(k)))
 
     def test_wrong_delta_count_rejected(self):
         init = Joint19Pose(np.zeros((19, 3)))
         with pytest.raises(ValueError):
-            integrate_pose_deltas(init, [PoseDelta(np.zeros((19, 3)))] * 6)
+            integrate_pose_deltas(init, np.zeros((6, 19, 3)))
 
     def test_constant_offset_between_two_inits(self):
         # same deltas fed to two start poses differ by exactly the start gap;
         # binary-grid inputs make the cumulative sums exact, so this is bitwise
         for _ in range(20):
-            deltas = [PoseDelta(grid_array((19, 3), scale=1)) for _ in range(7)]
+            deltas = [grid_array((19, 3), scale=1) for _ in range(7)]
             p1 = Joint19Pose(grid_array((19, 3)))
             p2 = Joint19Pose(grid_array((19, 3)))
             seq1 = integrate_pose_deltas(p1, deltas)
@@ -79,11 +78,11 @@ class TestIntegratePoseDeltas:
 
     def test_matches_cumulative_sum_oracle(self):
         init = Joint19Pose(RNG.normal(size=(19, 3)))
-        deltas = [PoseDelta(RNG.normal(scale=0.05, size=(19, 3))) for _ in range(7)]
+        deltas = [RNG.normal(scale=0.05, size=(19, 3)) for _ in range(7)]
         seq = integrate_pose_deltas(init, deltas)
         running = init.joints.copy()
         for k in range(1, CLIP_LEN):
-            running = running + deltas[k - 1].joint_deltas
+            running = running + deltas[k - 1]
             np.testing.assert_allclose(seq[k].joints, running, atol=1e-12)
 
 

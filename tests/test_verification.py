@@ -5,15 +5,13 @@ import pytest
 
 import crossview as cv
 from crossview.action_codebook import fit_codebook
-from crossview.geometry import RotationDelta
-from crossview.motion import BoundingBox, MotionDelta
+from crossview.motion import BoundingBox
 from crossview.skeleton import (
     LEFT_SHOULDER,
     NECK,
     RIGHT_SHOULDER,
     DegeneratePoseError,
     Joint19Pose,
-    PoseDelta,
     PoseSequence,
 )
 from crossview.verification import (
@@ -42,11 +40,11 @@ def facing_x_pose(offset=(0.0, 0.0)):
 
 
 def zero_pose_deltas():
-    return tuple(PoseDelta(np.zeros((19, 3))) for _ in range(7))
+    return np.zeros((7, 19, 3))
 
 
 def constant_motion_deltas(translation=(0.0, 0.0, 0.0)):
-    return tuple(MotionDelta(RotationDelta([0.0, 0.0, 0.0]), translation) for _ in range(7))
+    return np.array([[(0.0, 0.0, 0.0), translation]] * 7)
 
 
 def static_candidate(pose, person_id=0, half=0.5, valid=None):
@@ -69,6 +67,46 @@ def far_codebook_for(*sequences):
         pose = facing_x_pose(offset=(50.0 + 40.0 * i, -60.0))
         fillers.append(PoseSequence([pose] * 8))
     return fit_codebook(list(sequences) + fillers, k=len(sequences) + 2, seed=0)
+
+
+class TestEgoObservation:
+    def test_stores_read_only_array_copies(self):
+        pose_deltas = [RNG.normal(size=(19, 3)) for _ in range(7)]
+        motion_deltas = [(RNG.normal(size=3), RNG.normal(size=3)) for _ in range(7)]
+        ego = EgoObservation(pose_deltas, motion_deltas)
+        assert ego.pose_deltas.shape == (7, 19, 3)
+        assert ego.motion_deltas.shape == (7, 2, 3)
+        np.testing.assert_array_equal(ego.pose_deltas[3], pose_deltas[3])
+        np.testing.assert_array_equal(ego.motion_deltas[3, 0], motion_deltas[3][0])
+        np.testing.assert_array_equal(ego.motion_deltas[3, 1], motion_deltas[3][1])
+        for stored in (ego.pose_deltas, ego.motion_deltas):
+            with pytest.raises(ValueError):
+                stored[0, 0, 0] = 1.0
+        pose_deltas[0][0, 0] = 99.0  # the caller's arrays are not shared
+        assert ego.pose_deltas[0, 0, 0] != 99.0
+
+    @pytest.mark.parametrize(
+        "field, shape",
+        [
+            ("pose_deltas", (6, 19, 3)),
+            ("pose_deltas", (7, 19, 2)),
+            ("motion_deltas", (7, 3)),
+            ("motion_deltas", (8, 2, 3)),
+        ],
+    )
+    def test_wrong_shape_rejected_naming_field(self, field, shape):
+        arrays = {"pose_deltas": zero_pose_deltas(), "motion_deltas": constant_motion_deltas()}
+        arrays[field] = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"{field} must have shape \(7, "):
+            EgoObservation(**arrays)
+
+    @pytest.mark.parametrize("field", ["pose_deltas", "motion_deltas"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected_naming_field(self, field, value):
+        arrays = {"pose_deltas": zero_pose_deltas(), "motion_deltas": constant_motion_deltas()}
+        arrays[field][-1, 1, 2] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EgoObservation(**arrays)
 
 
 class TestVerifyPair:
@@ -115,8 +153,8 @@ class TestVerifyPair:
             twin_score = verify_pair(clip.ego, clip.candidates[1], codebook)
             box_gap = abs(
                 np.abs(
-                    cv.bbox_trajectory(clip.candidates[0].boxes).points
-                    - cv.bbox_trajectory(clip.candidates[1].boxes).points
+                    cv.bbox_trajectory(clip.candidates[0].boxes)
+                    - cv.bbox_trajectory(clip.candidates[1].boxes)
                 )
             ).max()
             assert box_gap < 1e-9  # identical trajectories by construction
