@@ -42,7 +42,7 @@ _SCHEMA_VERSION = 1
 class ActionCodebook:
     """Immutable set of K centroids in clip-vector space."""
 
-    __slots__ = ("_centroids", "seed", "sse_history")
+    __slots__ = ("_centroids", "_centroid_sq", "seed", "sse_history")
 
     def __init__(self, centroids, seed=None, sse_history=()):
         c = np.asarray(centroids, dtype=float)
@@ -54,6 +54,8 @@ class ActionCodebook:
             raise ValueError("centroids must be pairwise distinct")
         self._centroids = c.copy()
         self._centroids.setflags(write=False)
+        # the centroids are read-only, so their norms are computed once
+        self._centroid_sq = _sq_norms(self._centroids)
         self.seed = seed
         self.sse_history = tuple(sse_history)
 
@@ -70,29 +72,50 @@ class ActionCodebook:
         v = np.asarray(vector, dtype=float)
         if v.shape != (CLIP_DIM,):
             raise ValueError(f"clip vector must have {CLIP_DIM} components, got shape {v.shape}")
-        return np.sqrt(_pairwise_sq_distances(v[None, :], self._centroids)[0])
+        return np.sqrt(self._sq_distances(v[None, :])[0])
+
+    def _sq_distances(self, vectors):
+        return _pairwise_sq_distances(vectors, _sq_norms(vectors), self._centroids, self._centroid_sq)
 
 
-def _pairwise_sq_distances(a, b):
-    # |a|^2 + |b|^2 - 2 a.b, clipped against tiny negatives from cancellation
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+def _sq_norms(x):
+    return (x * x).sum(axis=1)
 
 
-def _seed_centroids(vectors, k, rng):
+def _pairwise_sq_distances(a, a_sq, b, b_sq):
+    # |a|^2 + |b|^2 - 2 a.b from the rows' squared norms a_sq = _sq_norms(a)
+    # and b_sq = _sq_norms(b), which the caller computes once per array;
+    # clipped against tiny negatives from cancellation. Fitted codebooks and
+    # decisions depend on these bits: keep the expression, its operand order
+    # and the a @ b.T product shape.
+    return np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0)
+
+
+def _seed_centroids(vectors, sq, k, rng):
     # Distance-weighted seeding: each new seed is drawn with probability
-    # proportional to squared distance from the already chosen set.
+    # proportional to squared distance from the already chosen set. Each draw
+    # depends on the previous minimum, so the loop stays sequential; with the
+    # rows' squared norms sq given, a step costs one product.
     n = vectors.shape[0]
+
+    def distances_to(idx):
+        return _pairwise_sq_distances(vectors, sq, vectors[idx][None, :], sq[idx : idx + 1])[:, 0]
+
     chosen = [int(rng.integers(n))]
-    d2 = _pairwise_sq_distances(vectors, vectors[chosen[-1]][None, :])[:, 0]
+    d2 = distances_to(chosen[-1])
     for _ in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
             idx = int(rng.choice(n, p=d2 / total))
         else:
+            # every row coincides with a chosen seed: counted only here, so
+            # the normal path pays nothing for the check
+            distinct = np.unique(vectors, axis=0).shape[0]
+            if distinct < k:
+                raise ValueError(f"need at least {k} distinct clips to fit {k} clusters, got {distinct}")
             idx = int(rng.integers(n))
         chosen.append(idx)
-        d2 = np.minimum(d2, _pairwise_sq_distances(vectors, vectors[idx][None, :])[:, 0])
+        d2 = np.minimum(d2, distances_to(idx))
     return vectors[chosen].copy()
 
 
@@ -102,22 +125,27 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
     Stops when assignments stabilize or after max_iters. Empty clusters are
     re-seeded from the point currently farthest from its assigned centroid.
     The per-iteration sum of squared errors is recorded on the returned
-    codebook and is non-increasing.
+    codebook and is non-increasing. Raises ValueError, naming the cause, for
+    k < 1, max_iters < 1, or fewer than k clips or distinct clips.
     """
     if k < 1:
         raise ValueError(f"cluster count must be >= 1, got {k}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     clips = list(clips)
     if len(clips) < k:
         raise ValueError(f"need at least {k} clips to fit {k} clusters, got {len(clips)}")
     vectors = np.stack([pose_clip_vector(c) for c in clips])
+    sq = _sq_norms(vectors)
     rng = np.random.default_rng(seed)
-    centroids = _seed_centroids(vectors, k, rng)
+    centroids = _seed_centroids(vectors, sq, k, rng)
 
     n = vectors.shape[0]
     history = []
     previous = None
     for _ in range(max_iters):
-        d2 = _pairwise_sq_distances(vectors, centroids)
+        # the corpus norms are fixed; only the centroids move between passes
+        d2 = _pairwise_sq_distances(vectors, sq, centroids, _sq_norms(centroids))
         labels = np.argmin(d2, axis=1)
         # SSE from explicit differences; the norm-expansion shortcut used for
         # the argmin loses absolute accuracy through cancellation
@@ -156,7 +184,7 @@ def label_scores(codebook: ActionCodebook, clip, tau=DEFAULT_TAU) -> np.ndarray:
 def _row_scores(codebook, vectors, tau):
     # label scores of every row of an (m, CLIP_DIM) array from one distance
     # product; a single row gives the same bits as a batch containing it
-    d = np.sqrt(_pairwise_sq_distances(vectors, codebook.centroids))
+    d = np.sqrt(codebook._sq_distances(vectors))
     w = np.exp(-(d - d.min(axis=1, keepdims=True)) / tau)
     return w / w.sum(axis=1, keepdims=True)
 
@@ -215,7 +243,9 @@ def save_codebook(codebook: ActionCodebook, path) -> None:
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        # json.dumps without indent uses the C encoder; json.dump always
+        # takes the pure-Python path, for the same bytes
+        fh.write(json.dumps(payload))
     os.replace(tmp, path)
 
 

@@ -156,10 +156,6 @@ class RotationDelta:
     def vector(self):
         return self._v
 
-    @property
-    def angle(self):
-        return float(np.linalg.norm(self._v))
-
     def __repr__(self):
         return f"RotationDelta({self._v.tolist()})"
 

@@ -537,7 +537,8 @@ def save_scene(clips, directory, scenario: Scenario | None = None) -> None:
     for clip in clips:
         path = os.path.join(directory, f"clip_{clip.clip_id:05d}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(clip_to_obj(clip), fh)
+            # json.dumps takes the C encoder, json.dump the pure-Python one
+            fh.write(json.dumps(clip_to_obj(clip)))
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
 

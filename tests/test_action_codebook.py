@@ -6,16 +6,20 @@ import math
 import numpy as np
 import pytest
 
+import crossview as cv
 from crossview.action_codebook import (
     CLIP_DIM,
+    DEFAULT_TAU,
     ActionCodebook,
     action_agreement,
     assign_label,
+    cross_entropies,
     fit_codebook,
     label_scores,
     load_codebook,
     save_codebook,
 )
+from crossview.simulator import NoiseParams, generate_scene
 from crossview.skeleton import Joint19Pose, PoseSequence, pose_clip_vector
 
 RNG = np.random.default_rng(2024)
@@ -46,6 +50,68 @@ def exhaustive_two_cluster_sse(vectors):
         if sse < best[0]:
             best = (sse, np.array(centroids))
     return best
+
+
+def duplicate_heavy_vectors(seed):
+    """Two tight clumps of 8 and 2 near-duplicate rows, 50 apart per axis."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=CLIP_DIM)
+    vectors = [base + rng.normal(scale=1e-6, size=CLIP_DIM) for _ in range(8)]
+    vectors += [base + 50.0 + rng.normal(scale=1e-6, size=CLIP_DIM) for _ in range(2)]
+    return np.stack(vectors)
+
+
+def oracle_sq_distances(a, b):
+    # the expansion |a|^2 + |b|^2 - 2 a.b with both norms recomputed on every
+    # call, in the operand order the fit and the scorer must reproduce
+    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0)
+
+
+def oracle_fit(vectors, k, seed, max_iters=300):
+    """fit_codebook step by step on oracle_sq_distances.
+
+    Returns (centroids, sse_history, reseeds), reseeds being the number of
+    empty clusters refilled.
+    """
+    n = vectors.shape[0]
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(n))]
+    d2 = oracle_sq_distances(vectors, vectors[chosen[-1]][None, :])[:, 0]
+    for _ in range(1, k):
+        total = float(d2.sum())
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
+        chosen.append(idx)
+        d2 = np.minimum(d2, oracle_sq_distances(vectors, vectors[idx][None, :])[:, 0])
+    centroids = vectors[chosen].copy()
+
+    history = []
+    previous = None
+    reseeds = 0
+    for _ in range(max_iters):
+        d2 = oracle_sq_distances(vectors, centroids)
+        labels = np.argmin(d2, axis=1)
+        history.append(float(((vectors - centroids[labels]) ** 2).sum()))
+        if previous is not None and np.array_equal(labels, previous):
+            break
+        previous = labels
+        new_centroids = centroids.copy()
+        counts = np.bincount(labels, minlength=k)
+        for j in np.flatnonzero(counts > 0):
+            new_centroids[j] = vectors[labels == j].mean(axis=0)
+        empty = np.flatnonzero(counts == 0)
+        order = np.argsort(-d2[np.arange(n), labels], kind="stable")
+        for j, idx in zip(empty, order):
+            new_centroids[j] = vectors[idx]
+        reseeds += empty.size
+        centroids = new_centroids
+    return centroids, history, reseeds
+
+
+def oracle_scores(centroids, vectors, tau=DEFAULT_TAU):
+    d = np.sqrt(oracle_sq_distances(vectors, centroids))
+    w = np.exp(-(d - d.min(axis=1, keepdims=True)) / tau)
+    return w / w.sum(axis=1, keepdims=True)
 
 
 class TestFit:
@@ -97,12 +163,11 @@ class TestFit:
             assert all(later <= earlier for earlier, later in zip(history, history[1:]))
 
     def test_duplicate_heavy_data_keeps_invariants(self):
-        # clumped data exercises the empty-cluster reseed policy
+        # fewer clumps than clusters, so clusters split a clump of
+        # near-duplicates; no cluster empties on this data, the reseed path is
+        # covered by test_fit_with_empty_cluster_reseed_matches_oracle
         for seed in range(10):
-            rng = np.random.default_rng(seed)
-            base = rng.normal(size=CLIP_DIM)
-            vectors = [base + rng.normal(scale=1e-6, size=CLIP_DIM) for _ in range(8)]
-            vectors += [base + 50.0 + rng.normal(scale=1e-6, size=CLIP_DIM) for _ in range(2)]
+            vectors = duplicate_heavy_vectors(seed)
             cb = fit_codebook([clip_from_vector(v) for v in vectors], k=4, seed=seed)
             history = cb.sse_history
             assert all(later <= earlier for earlier, later in zip(history, history[1:]))
@@ -116,6 +181,83 @@ class TestFit:
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             fit_codebook([random_clip(RNG)], k=0, seed=0)
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        clips = [random_clip(np.random.default_rng(i)) for i in range(6)]
+        with pytest.raises(ValueError, match="max_iters"):
+            fit_codebook(clips, k=2, seed=0, max_iters=max_iters)
+
+    def test_fewer_distinct_clips_than_k_rejected(self):
+        # three copies each of two clips; small integers keep every distance
+        # exact, so seeding runs out of positive weight after two draws
+        clips = [clip_from_vector(np.full(CLIP_DIM, value)) for value in (1.0, 3.0) * 3]
+        with pytest.raises(ValueError, match="need at least 4 distinct clips to fit 4 clusters, got 2"):
+            fit_codebook(clips, k=4, seed=0)
+
+
+class TestNormCacheEquivalence:
+    """Norms computed once give the same bits as norms recomputed per call."""
+
+    def test_fit_on_noisy_scene_matches_oracle(self):
+        noise = NoiseParams(sigma_pose=0.03, sigma_odo_trans=0.01, sigma_odo_rot=0.02, sigma_bbox=0.01)
+        scene = generate_scene(cv.three_person_scenario(crossing=True, duration=60, seed=11, noise=noise))
+        clips = [cand.poses for clip in scene for cand in clip.candidates]
+        vectors = np.stack([pose_clip_vector(c) for c in clips])
+        cb = fit_codebook(clips, k=16, seed=11)
+        centroids, history, _ = oracle_fit(vectors, k=16, seed=11)
+        assert np.array_equal(cb.centroids, centroids)
+        assert cb.sse_history == tuple(history)
+
+    def test_fit_on_duplicate_heavy_data_matches_oracle(self):
+        for seed in range(10):
+            vectors = duplicate_heavy_vectors(seed)
+            cb = fit_codebook([clip_from_vector(v) for v in vectors], k=4, seed=seed)
+            centroids, history, _ = oracle_fit(vectors, k=4, seed=seed)
+            assert np.array_equal(cb.centroids, centroids), seed
+            assert cb.sse_history == tuple(history), seed
+
+    def test_fit_with_empty_cluster_reseed_matches_oracle(self):
+        # 14 rows in three Gaussian clumps; at k=4 and seed 170 a Lloyd
+        # update leaves one cluster empty, so the reseed path runs
+        rng = np.random.default_rng(170)
+        vectors = []
+        for _ in range(3):
+            centre = rng.normal(scale=3.0, size=CLIP_DIM)
+            vectors += [centre + rng.normal(size=CLIP_DIM) for _ in range(rng.integers(2, 8))]
+        vectors = np.stack(vectors)
+        cb = fit_codebook([clip_from_vector(v) for v in vectors], k=4, seed=170)
+        centroids, history, reseeds = oracle_fit(vectors, k=4, seed=170)
+        assert reseeds > 0
+        assert np.array_equal(cb.centroids, centroids)
+        assert cb.sse_history == tuple(history)
+
+    def assert_scores_match_oracle(self, cb, rows):
+        n = len(rows) // 2
+        scores = oracle_scores(cb.centroids, rows)
+        labels = scores.argmax(axis=1)
+        want_ego = -np.log(np.maximum(scores[np.arange(n), labels[n:]], 1e-12))
+        want_third = -np.log(np.maximum(scores[n + np.arange(n), labels[:n]], 1e-12))
+        ego_ce, third_ce = cross_entropies(cb, rows[:n], rows[n:])
+        assert np.array_equal(ego_ce, want_ego)
+        assert np.array_equal(third_ce, want_third)
+        for i, row in enumerate(rows):
+            want = oracle_scores(cb.centroids, row[None, :])[0]
+            assert np.array_equal(label_scores(cb, clip_from_vector(row)), want)
+            assert np.array_equal(cb.distances(row), np.sqrt(oracle_sq_distances(row[None, :], cb.centroids)[0]))
+
+    def test_scores_match_oracle(self):
+        rng = np.random.default_rng(31)
+        cb = ActionCodebook(rng.normal(size=(24, CLIP_DIM)))
+        self.assert_scores_match_oracle(cb, rng.normal(size=(10, CLIP_DIM)))
+
+    def test_scores_after_round_trip_match_oracle(self, tmp_path):
+        rng = np.random.default_rng(37)
+        cb = fit_codebook([random_clip(rng) for _ in range(40)], k=12, seed=37)
+        path = tmp_path / "codebook.json"
+        save_codebook(cb, path)
+        restored = load_codebook(path)
+        self.assert_scores_match_oracle(restored, rng.normal(size=(10, CLIP_DIM)))
 
 
 class TestAssign:

@@ -309,6 +309,15 @@ class TestCommandLine:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["metrics"]["accuracy"] == 1.0
 
+    def test_fit_codebook_too_few_distinct_clips_exit_two(self, tmp_path, capsys):
+        # three people standing still: 27 clips, but only 3 distinct ones
+        persons = tuple(cv.PersonSpec(pid, ((3.0 * pid, 0.0),), 0.0, is_wearer=(pid == 0)) for pid in range(3))
+        path = write_scenario(tmp_path, cv.Scenario(0, 16, persons))
+        code = main(["fit-codebook", "--scenario", str(path), "--k", "4", "--out", str(tmp_path / "cb.json")])
+        assert code == 2
+        assert "need at least 4 distinct clips to fit 4 clusters, got 3" in capsys.readouterr().err
+        assert not (tmp_path / "cb.json").exists()
+
     def test_report_command_prints_table(self, tmp_path, capsys):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))
         main(["evaluate", "--scenario", str(path), "--out", str(tmp_path / "out"), "--codebook-k", "8"])

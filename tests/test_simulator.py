@@ -194,14 +194,17 @@ class TestGenerateScene:
             for key, want in GOLDEN["noise_stream"][name].items():
                 assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), (name, key)
 
-    def test_clip_file_bytes_match_golden(self):
+    def test_clip_file_bytes_match_golden(self, tmp_path):
         # the clip files of a noisy scene with occluded frames: any change
-        # to the file format or to the noise stream fails here
+        # to the file format, to the noise stream or to the writer fails here
         noise = NoiseParams(sigma_pose=0.03, sigma_odo_trans=0.01, sigma_odo_rot=0.02, sigma_bbox=0.01)
         clips = generate_scene(cv.three_person_scenario(crossing=True, duration=60, seed=11, noise=noise))
         assert any(not all(c.valid) for clip in clips for c in clip.candidates)
         text = "\n".join(json.dumps(clip_to_obj(clip)) for clip in clips)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN["clip_files"]["sha256"]
+        save_scene(clips, tmp_path)
+        written = "\n".join((tmp_path / f"clip_{clip.clip_id:05d}.json").read_text("utf-8") for clip in clips)
+        assert hashlib.sha256(written.encode("utf-8")).hexdigest() == GOLDEN["clip_files"]["sha256"]
 
     def test_different_seeds_differ(self):
         noise = NoiseParams(sigma_pose=0.03)
