@@ -57,7 +57,6 @@ from .skeleton import (
     body_frame,
     integrate_pose_deltas,
     pose_clip_vector,
-    pose_distance,
 )
 from .verification import (
     CandidateObservation,

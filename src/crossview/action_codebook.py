@@ -105,15 +105,9 @@ def _seed_centroids(vectors, sq, k, rng):
     d2 = distances_to(chosen[-1])
     for _ in range(1, k):
         total = float(d2.sum())
-        if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            # every row coincides with a chosen seed: counted only here, so
-            # the normal path pays nothing for the check
-            distinct = np.unique(vectors, axis=0).shape[0]
-            if distinct < k:
-                raise ValueError(f"need at least {k} distinct clips to fit {k} clusters, got {distinct}")
-            idx = int(rng.integers(n))
+        # every weight can still round to 0 on near-duplicate rows, though
+        # fit_codebook has checked that k distinct rows exist
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
         chosen.append(idx)
         d2 = np.minimum(d2, distances_to(idx))
     return vectors[chosen].copy()
@@ -136,6 +130,12 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
     if len(clips) < k:
         raise ValueError(f"need at least {k} clips to fit {k} clusters, got {len(clips)}")
     vectors = np.stack([pose_clip_vector(c) for c in clips])
+    # an exact count: the seeding weights of repeated rows come out of the
+    # norm expansion as rounding residue, not as 0. Adding 0.0 turns -0.0
+    # into 0.0, so rows equal as numbers have equal bytes.
+    distinct = len({row.tobytes() for row in vectors + 0.0})
+    if distinct < k:
+        raise ValueError(f"need at least {k} distinct clips to fit {k} clusters, got {distinct}")
     sq = _sq_norms(vectors)
     rng = np.random.default_rng(seed)
     centroids = _seed_centroids(vectors, sq, k, rng)

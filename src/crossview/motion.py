@@ -9,6 +9,8 @@ rigid-motion increments are a (7, 2, 3) array: per step, the rotation vector
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import (
@@ -34,8 +36,8 @@ class BoundingBox:
     __slots__ = ("lx", "ly", "rx", "ry")
 
     def __init__(self, lx, ly, rx, ry):
-        lx, ly, rx, ry = (float(v) for v in (lx, ly, rx, ry))
-        if not all(np.isfinite([lx, ly, rx, ry])):
+        lx, ly, rx, ry = float(lx), float(ly), float(rx), float(ry)
+        if not (math.isfinite(lx) and math.isfinite(ly) and math.isfinite(rx) and math.isfinite(ry)):
             raise ValueError("bounding box corners must be finite")
         if lx > rx or ly > ry:
             raise ValueError(f"bounding box corners out of order: ({lx}, {ly}), ({rx}, {ry})")

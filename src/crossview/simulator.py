@@ -4,7 +4,16 @@ Synthesizes ground-truth third-view observations (pose clips, bounding boxes,
 occlusion flags) and the matching ego observables (pose deltas, rigid-motion
 increments) with configurable Gaussian noise. Scenes are reproducible: all
 randomness comes from per-clip substreams derived from (seed, clip_id), so
-generation order cannot change the output.
+generation order cannot change the output. Each clip draws its standard
+normals in this order, and the clip-file goldens hold it as a contract:
+
+1. the ego pose-delta block, (7, 19, 3);
+2. per motion increment, its rotation (3) and then its translation (3);
+3. one discarded pose-sized draw, (19, 3);
+4. the candidate block, (persons, 8, 57 + 2): per person (sorted by id) and
+   frame, the 57 pose columns and then the 2 box-shift columns.
+
+A group whose sigma is 0 is skipped, not drawn.
 
 People walk piecewise-linear waypoint paths at constant speed with a
 procedural gait: arm and leg pairs swing sinusoidally along the facing
@@ -228,46 +237,49 @@ def _quantize(values):
     return np.round(np.asarray(values, dtype=float) / GRID) * GRID
 
 
-def skeleton_at(center_xy, heading, gait: GaitParams, travelled) -> Joint19Pose:
-    """Grid-snapped 19-joint pose at a planar position, heading, and gait phase."""
+def _skeletons(centers_xy, headings, gait: GaitParams, travelled):
+    """(T, 19, 3) grid-snapped joints at T planar positions, headings and distances travelled.
+
+    The sines and cosines are taken per frame with math, the rest is one
+    array expression over the frames: the same IEEE operations, element by
+    element, as for a single frame.
+    """
     phi = gait.phase + 2.0 * math.pi * travelled / gait.stride_length
-    swing = math.sin(phi)
+    swing = np.array([math.sin(p) for p in phi])
     arm = gait.arm_amplitude * swing
     leg = gait.leg_amplitude * swing
-    fx, fy = math.cos(heading), math.sin(heading)
+    fx = np.array([math.cos(h) for h in headings])[:, None]
+    fy = np.array([math.sin(h) for h in headings])[:, None]
     rx, ry = fy, -fx  # right-hand side of the walker
-    center = _quantize([center_xy[0], center_xy[1], 0.0])
+    center = _quantize(np.column_stack([centers_xy, np.zeros(len(centers_xy))]))
     # joints without a swing have multiplier 0, so they keep their lean
-    forward = _LEAN + _MULT * np.where(_IS_ARM, arm, leg)
-    offsets = _quantize(np.column_stack([_LATERAL * rx + forward * fx, _LATERAL * ry + forward * fy, _HEIGHT]))
-    return Joint19Pose(center + offsets)
+    forward = _LEAN + _MULT * np.where(_IS_ARM, arm[:, None], leg[:, None])
+    height = np.broadcast_to(_HEIGHT, forward.shape)
+    offsets = _quantize(np.stack([_LATERAL * rx + forward * fx, _LATERAL * ry + forward * fy, height], axis=-1))
+    return center[:, None, :] + offsets
 
 
-def _bbox_of(pose: Joint19Pose) -> BoundingBox:
-    xy = pose.joints[:, :2]
-    lo = xy.min(axis=0)
-    hi = xy.max(axis=0)
-    return BoundingBox(lo[0] - BOX_PAD, lo[1] - BOX_PAD, hi[0] + BOX_PAD, hi[1] + BOX_PAD)
+def skeleton_at(center_xy, heading, gait: GaitParams, travelled) -> Joint19Pose:
+    """Grid-snapped 19-joint pose at a planar position, heading, and gait phase."""
+    joints = _skeletons(np.array([center_xy], dtype=float), [heading], gait, np.array([float(travelled)]))
+    return Joint19Pose(joints[0])
 
 
-def _path_state(spec: PersonSpec, frame):
-    """(position, heading, distance travelled) after `frame` frames."""
+def _path_states(spec: PersonSpec, duration):
+    """Positions (T, 2), headings (T,) and distances travelled (T,) over the first T frames."""
     pts = np.asarray(spec.waypoints, dtype=float)
     if len(pts) == 1 or spec.speed == 0.0:
-        return pts[0], spec.heading, 0.0
+        return np.tile(pts[0], (duration, 1)), [spec.heading] * duration, np.zeros(duration)
     segments = np.diff(pts, axis=0)
     lengths = np.linalg.norm(segments, axis=1)
-    total = float(lengths.sum())
-    travelled = min(spec.speed * frame, total)
-    acc = 0.0
-    for i, seg_len in enumerate(lengths):
-        last = i == len(lengths) - 1
-        if travelled <= acc + seg_len or last:
-            u = (travelled - acc) / seg_len
-            pos = pts[i] + u * segments[i]
-            return pos, math.atan2(segments[i, 1], segments[i, 0]), travelled
-        acc += seg_len
-    raise AssertionError("unreachable")
+    headings = [math.atan2(dy, dx) for dx, dy in segments]
+    ends = np.cumsum(lengths)  # a running sum, added in path order
+    starts = np.concatenate([[0.0], ends[:-1]])
+    travelled = np.minimum(spec.speed * np.arange(duration), float(lengths.sum()))
+    # the first segment whose end the walker has not passed; the last one past the path's end
+    seg = np.minimum(np.searchsorted(ends, travelled), len(lengths) - 1)
+    u = (travelled - starts[seg]) / lengths[seg]
+    return pts[seg] + u[:, None] * segments[seg], [headings[i] for i in seg], travelled
 
 
 def _ego_steps(frames):
@@ -292,12 +304,6 @@ def ego_deltas_from_truth(frames):
     return _ego_steps(frames)
 
 
-def _noisy(array, sigma, rng):
-    if sigma == 0.0:
-        return np.asarray(array, dtype=float)
-    return np.asarray(array, dtype=float) + rng.normal(0.0, sigma, np.shape(array))
-
-
 def _freeze_sources(occluded):
     """For each frame, the frame whose pose the tracker reports (stale during occlusion)."""
     sources = np.arange(len(occluded))
@@ -314,72 +320,86 @@ def _freeze_sources(occluded):
 
 
 def generate_scene(scenario: Scenario):
-    """Materialize every sliding-window clip of a scenario, noise included."""
+    """Materialize every sliding-window clip of a scenario, noise included.
+
+    Each zero-sigma column group is skipped in the draws (see the module
+    docstring for their order), and a group's noise is added as
+    0.0 + sigma * z, which is what rng.normal(0.0, sigma) returns bit for bit.
+    """
     persons = sorted(scenario.persons, key=lambda p: p.person_id)
-    wearer = next(p for p in persons if p.is_wearer)
+    wearer_row = next(i for i, p in enumerate(persons) if p.is_wearer)
     duration = scenario.duration
     noise = scenario.noise
 
-    truth = {}
+    # ground truth, once per person: joints (N, T, 19, 3), box corners
+    # (N, T, 4) and, per frame, the frame whose pose the tracker reports
+    joints = []
     for spec in persons:
-        poses, boxes = [], []
-        for t in range(duration):
-            pos, heading, travelled = _path_state(spec, t)
-            pose = skeleton_at(pos, heading, spec.gait, travelled)
-            poses.append(pose)
-            boxes.append(_bbox_of(pose))
-        occluded = np.zeros(duration, dtype=bool)
+        positions, headings, travelled = _path_states(spec, duration)
+        joints.append(_skeletons(positions, headings, spec.gait, travelled))
+    joints = np.stack(joints)
+    xy = joints[..., :2]
+    corners = np.concatenate([xy.min(axis=2) - BOX_PAD, xy.max(axis=2) + BOX_PAD], axis=-1)
+    occluded = np.zeros((len(persons), duration), dtype=bool)
+    for row, spec in enumerate(persons):
         for c in scenario.crossings:
             if spec.person_id in (c.person_a, c.person_b):
-                occluded[c.start : c.end] = True
-        truth[spec.person_id] = (poses, boxes, occluded, _freeze_sources(occluded))
+                occluded[row, c.start : c.end] = True
+    sources = np.array([_freeze_sources(o) for o in occluded])
+    rows = np.arange(len(persons))[:, None]
 
     offset = scenario.time_offset
     first = max(0, -offset)
     last = duration - CLIP_LEN - max(0, offset)  # inclusive
     # the wearer's frames seen by any window, with every consecutive step
     # computed once; window t0 starts at index t0 - first
-    wearer_frames = truth[wearer.person_id][0][first + offset : last + offset + CLIP_LEN]
+    wearer_frames = [Joint19Pose(j) for j in joints[wearer_row, first + offset : last + offset + CLIP_LEN]]
     wearer_pose_steps, wearer_motion_steps = _ego_steps(wearer_frames)
+    motion_sigmas = np.array([noise.sigma_odo_rot, noise.sigma_odo_trans])
+    motion_groups = np.flatnonzero(motion_sigmas > 0.0)
+    candidate_width = N_JOINTS * 3 * (noise.sigma_pose > 0.0) + 2 * (noise.sigma_bbox > 0.0)
     clips = []
     for t0 in range(first, last + 1):
         rng = np.random.default_rng([scenario.seed, t0])
 
         window = slice(t0 - first, t0 - first + CLIP_LEN - 1)
-        # one (7, 19, 3) draw takes the same stream values as seven (19, 3) draws
-        pose_deltas = _noisy(wearer_pose_steps[window], noise.sigma_pose, rng)
-        # _noisy skips zero-sigma draws, so each increment keeps its own
-        # rotation-then-translation draws
-        motion_deltas = [
-            (_noisy(rotation, noise.sigma_odo_rot, rng), _noisy(translation, noise.sigma_odo_trans, rng))
-            for rotation, translation in wearer_motion_steps[window]
-        ]
-        # a discarded pose-sized draw: the candidates' draws below keep their fixed stream positions
-        _noisy(np.zeros((N_JOINTS, 3)), noise.sigma_pose, rng)
+        pose_deltas = wearer_pose_steps[window]
+        motion_deltas = wearer_motion_steps[window]
+        if noise.sigma_pose > 0.0:
+            pose_deltas = pose_deltas + (0.0 + noise.sigma_pose * rng.standard_normal(pose_deltas.shape))
+        if motion_groups.size:
+            # per increment, the rotation draw and then the translation draw;
+            # a skipped group is left alone, since adding 0.0 would turn -0.0 into 0.0
+            z = rng.standard_normal((CLIP_LEN - 1, motion_groups.size, 3))
+            motion_deltas = motion_deltas.copy()
+            motion_deltas[:, motion_groups] += 0.0 + motion_sigmas[motion_groups, None] * z
+        if noise.sigma_pose > 0.0:
+            # a discarded pose-sized draw keeps the candidate block at its stream position
+            rng.standard_normal((N_JOINTS, 3))
         ego = EgoObservation(pose_deltas, motion_deltas)
 
-        candidates = []
-        for spec in persons:
-            poses, boxes, occluded, sources = truth[spec.person_id]
-            observed_poses, observed_boxes, valid = [], [], []
-            for t in range(t0, t0 + CLIP_LEN):
-                base = poses[sources[t]]
-                observed_poses.append(Joint19Pose(_noisy(base.joints, noise.sigma_pose, rng)))
-                box = boxes[t]
-                if noise.sigma_bbox > 0.0:
-                    shift = rng.normal(0.0, noise.sigma_bbox, 2)
-                    box = BoundingBox(box.lx + shift[0], box.ly + shift[1], box.rx + shift[0], box.ry + shift[1])
-                observed_boxes.append(box)
-                valid.append(not occluded[t])
-            candidates.append(
-                CandidateObservation(
-                    spec.person_id,
-                    PoseSequence(observed_poses, timestamps=range(t0, t0 + CLIP_LEN)),
-                    observed_boxes,
-                    valid,
-                )
+        frames = slice(t0, t0 + CLIP_LEN)
+        observed = joints[rows, sources[:, frames]]  # (N, 8, 19, 3), stale during occlusion
+        boxes = corners[:, frames]
+        if candidate_width:
+            # per person and frame: 57 pose columns, then the 2 box-shift columns
+            z = rng.standard_normal((len(persons), CLIP_LEN, candidate_width))
+            if noise.sigma_pose > 0.0:
+                observed = observed + (0.0 + noise.sigma_pose * z[..., : N_JOINTS * 3].reshape(observed.shape))
+            if noise.sigma_bbox > 0.0:
+                shift = 0.0 + noise.sigma_bbox * z[..., -2:]
+                boxes = boxes + np.concatenate([shift, shift], axis=-1)
+        valid = ~occluded[:, frames]
+        candidates = tuple(
+            CandidateObservation(
+                spec.person_id,
+                PoseSequence([Joint19Pose(j) for j in observed[row]], timestamps=range(t0, t0 + CLIP_LEN)),
+                [BoundingBox(*b) for b in boxes[row].tolist()],
+                valid[row],
             )
-        clips.append(ClipObservation(t0, ego, tuple(candidates), wearer.person_id))
+            for row, spec in enumerate(persons)
+        )
+        clips.append(ClipObservation(t0, ego, candidates, persons[wearer_row].person_id))
     return clips
 
 

@@ -13,8 +13,6 @@ of deltas.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .geometry import SE3Transform, UnitQuaternion, frozen_array
@@ -34,9 +32,6 @@ __all__ = [
     "body_axes",
     "body_frame",
     "pose_clip_vector",
-    "pose_distance",
-    "sequence_to_json",
-    "sequence_from_json",
 ]
 
 JOINT_NAMES = (
@@ -86,10 +81,6 @@ class Joint19Pose:
     def joints(self):
         return self._joints
 
-    def shifted(self, delta):
-        """Pose plus a joint-space delta."""
-        return Joint19Pose(self._joints + np.asarray(delta, dtype=float))
-
     def to_list(self):
         return self._joints.tolist()
 
@@ -102,22 +93,17 @@ class Joint19Pose:
 
 
 class PoseSequence:
-    """Ordered poses over consecutive frames; a full clip has 8 of them.
-
-    Partial sequences must be constructed explicitly via ``partial``.
-    """
+    """One clip: 8 ordered poses over consecutive frames."""
 
     __slots__ = ("_poses", "_timestamps")
 
-    def __init__(self, poses, timestamps=None, *, allow_partial=False):
+    def __init__(self, poses, timestamps=None):
         poses = tuple(poses)
-        if not poses:
-            raise ValueError("pose sequence must contain at least one pose")
         for p in poses:
             if not isinstance(p, Joint19Pose):
                 raise ValueError("pose sequence entries must be Joint19Pose")
-        if len(poses) != CLIP_LEN and not allow_partial:
-            raise ValueError(f"pose sequence must have {CLIP_LEN} poses, got {len(poses)} (use partial())")
+        if len(poses) != CLIP_LEN:
+            raise ValueError(f"pose sequence must have {CLIP_LEN} poses, got {len(poses)}")
         if timestamps is None:
             timestamps = tuple(range(len(poses)))
         else:
@@ -129,10 +115,6 @@ class PoseSequence:
         self._poses = poses
         self._timestamps = timestamps
 
-    @classmethod
-    def partial(cls, poses, timestamps=None):
-        return cls(poses, timestamps, allow_partial=True)
-
     @property
     def poses(self):
         return self._poses
@@ -140,9 +122,6 @@ class PoseSequence:
     @property
     def timestamps(self):
         return self._timestamps
-
-    def is_clip(self):
-        return len(self._poses) == CLIP_LEN
 
     def __len__(self):
         return len(self._poses)
@@ -216,21 +195,6 @@ def body_frame(pose: Joint19Pose) -> SE3Transform:
 
 def pose_clip_vector(seq: PoseSequence) -> np.ndarray:
     """Flatten an 8-pose clip to a 456-vector (frame, then joint, then x/y/z)."""
-    if not isinstance(seq, PoseSequence) or not seq.is_clip():
+    if not isinstance(seq, PoseSequence):
         raise ValueError(f"clip vector requires a full {CLIP_LEN}-pose sequence")
     return np.concatenate([p.joints.ravel() for p in seq.poses])
-
-
-def pose_distance(a: Joint19Pose, b: Joint19Pose) -> float:
-    """Mean Euclidean distance over the 19 joints."""
-    return float(np.linalg.norm(a.joints - b.joints, axis=1).mean())
-
-
-def sequence_to_json(seq: PoseSequence) -> str:
-    """Serialize as an array of frames, each 19 [x, y, z] triples (meters)."""
-    return json.dumps([p.to_list() for p in seq.poses])
-
-
-def sequence_from_json(text: str) -> PoseSequence:
-    frames = json.loads(text)
-    return PoseSequence.partial([Joint19Pose.from_list(f) for f in frames])

@@ -112,7 +112,7 @@ class CandidateObservation:
 
     def __init__(self, person_id, poses: PoseSequence, boxes, valid=None):
         self.person_id = int(person_id)
-        if not isinstance(poses, PoseSequence) or not poses.is_clip():
+        if not isinstance(poses, PoseSequence):
             raise ValueError("candidate poses must be a full 8-pose sequence")
         boxes = tuple(boxes)
         if len(boxes) != CLIP_LEN:

@@ -195,6 +195,16 @@ class TestFit:
         with pytest.raises(ValueError, match="need at least 4 distinct clips to fit 4 clusters, got 2"):
             fit_codebook(clips, k=4, seed=0)
 
+    def test_repeated_random_clips_fewer_than_k_rejected(self):
+        # three copies each of five random clips: the norm expansion leaves
+        # rounding residue for a row's own copies, so the seeding weight need
+        # not sum to exactly 0 and only a count of the distinct rows catches this
+        rng = np.random.default_rng(5)
+        clips = [random_clip(rng) for _ in range(5)] * 3
+        for seed in range(20):
+            with pytest.raises(ValueError, match="need at least 6 distinct clips to fit 6 clusters, got 5"):
+                fit_codebook(clips, k=6, seed=seed)
+
 
 class TestNormCacheEquivalence:
     """Norms computed once give the same bits as norms recomputed per call."""

@@ -39,9 +39,12 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(1.0, 0.0, 0.0, 1.0)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingBox(0.0, 0.0, np.nan, 1.0)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("corner", ["lx", "ly", "rx", "ry"])
+    def test_non_finite_rejected(self, corner, value):
+        corners = {"lx": 0.0, "ly": 0.0, "rx": 1.0, "ry": 1.0, corner: value}
+        with pytest.raises(ValueError, match="finite"):
+            BoundingBox(**corners)
 
 
 class TestBboxTrajectory:

@@ -194,17 +194,31 @@ class TestGenerateScene:
             for key, want in GOLDEN["noise_stream"][name].items():
                 assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), (name, key)
 
-    def test_clip_file_bytes_match_golden(self, tmp_path):
+    @pytest.mark.parametrize("variant", [None, *GOLDEN["clip_files"]["variants"]], ids=lambda v: v or "all_noise")
+    def test_clip_file_bytes_match_golden(self, variant, tmp_path):
         # the clip files of a noisy scene with occluded frames: any change
-        # to the file format, to the noise stream or to the writer fails here
-        noise = NoiseParams(sigma_pose=0.03, sigma_odo_trans=0.01, sigma_odo_rot=0.02, sigma_bbox=0.01)
-        clips = generate_scene(cv.three_person_scenario(crossing=True, duration=60, seed=11, noise=noise))
+        # to the file format, to the noise stream or to the writer fails here.
+        # Each variant turns one noise kind off (or all of them), some with a
+        # time offset, so every column group of the per-clip draw is dropped
+        # in turn and the skipping is pinned too.
+        noise = {"sigma_pose": 0.03, "sigma_odo_trans": 0.01, "sigma_odo_rot": 0.02, "sigma_bbox": 0.01}
+        time_offset = 0
+        want = GOLDEN["clip_files"]["sha256"]
+        if variant is not None:
+            spec = GOLDEN["clip_files"]["variants"][variant]
+            noise.update(spec["noise"])
+            time_offset = spec["time_offset"]
+            want = spec["sha256"]
+        scenario = cv.three_person_scenario(
+            crossing=True, duration=60, seed=11, noise=NoiseParams(**noise), time_offset=time_offset
+        )
+        clips = generate_scene(scenario)
         assert any(not all(c.valid) for clip in clips for c in clip.candidates)
         text = "\n".join(json.dumps(clip_to_obj(clip)) for clip in clips)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN["clip_files"]["sha256"]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
         save_scene(clips, tmp_path)
         written = "\n".join((tmp_path / f"clip_{clip.clip_id:05d}.json").read_text("utf-8") for clip in clips)
-        assert hashlib.sha256(written.encode("utf-8")).hexdigest() == GOLDEN["clip_files"]["sha256"]
+        assert hashlib.sha256(written.encode("utf-8")).hexdigest() == want
 
     def test_different_seeds_differ(self):
         noise = NoiseParams(sigma_pose=0.03)
