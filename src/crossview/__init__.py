@@ -51,9 +51,6 @@ from .skeleton import (
     CLIP_LEN,
     JOINT_NAMES,
     DegeneratePoseError,
-    Joint19Pose,
-    PoseSequence,
-    body_center,
     body_frame,
     integrate_pose_deltas,
     pose_clip_vector,

@@ -266,7 +266,7 @@ def write_report(report: MetricsReport, out_dir) -> None:
 
 
 def emit_plots(report: MetricsReport, out_dir) -> list:
-    """Plot-ready CSVs: per-clip score traces, filter posteriors, noise sweep."""
+    """Plot-ready CSVs: per-clip score traces and filter posteriors."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -307,33 +307,20 @@ def emit_plots(report: MetricsReport, out_dir) -> list:
     steps = report.filter_clip_ids if report.filter_clip_ids else None
     bayes_filter.write_filter_trace(posterior_path, report.filter_states, steps=steps)
     written.append(posterior_path)
-
-    sweep_path = os.path.join(out_dir, "sweep.csv")
-    with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma_pose", "accuracy", "filtered_accuracy", "n_clips"])
-        for row in report.sweep_rows:
-            writer.writerow(
-                [
-                    repr(row["sigma_pose"]),
-                    repr(row["accuracy"]),
-                    "" if row["filtered_accuracy"] is None else repr(row["filtered_accuracy"]),
-                    row["n_clips"],
-                ]
-            )
-    written.append(sweep_path)
     return written
 
 
 def run_sweep(config: RunConfig, sigma_pose_values) -> MetricsReport:
     """Re-run the evaluation at several pose-noise levels and collect accuracy."""
     config.validate()
+    sigma_pose_values = list(sigma_pose_values)
+    for sigma_pose in sigma_pose_values:
+        if not (math.isfinite(sigma_pose) and sigma_pose >= 0.0):
+            raise ConfigError(f"field 'sigma_pose' must be finite and non-negative, got {sigma_pose}")
     scenario = load_scenario(config.scenario)
     rows = []
     last = None
     for sigma_pose in sigma_pose_values:
-        if sigma_pose < 0.0:
-            raise ConfigError(f"field 'sigma_pose' must be non-negative, got {sigma_pose}")
         point_dir = os.path.join(config.out_dir, f"sigma_pose_{sigma_pose:g}")
         point_scenario = replace(scenario, noise=replace(scenario.noise, sigma_pose=sigma_pose))
         point_path = os.path.join(point_dir, "scenario.json")
@@ -353,6 +340,18 @@ def run_sweep(config: RunConfig, sigma_pose_values) -> MetricsReport:
     report = last if last is not None else MetricsReport(0, 0.0, None, 0.0, 0.0, [])
     report.sweep_rows = rows
     emit_plots(report, config.out_dir)
+    with open(os.path.join(config.out_dir, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sigma_pose", "accuracy", "filtered_accuracy", "n_clips"])
+        for row in rows:
+            writer.writerow(
+                [
+                    repr(row["sigma_pose"]),
+                    repr(row["accuracy"]),
+                    "" if row["filtered_accuracy"] is None else repr(row["filtered_accuracy"]),
+                    row["n_clips"],
+                ]
+            )
     return report
 
 
@@ -449,14 +448,22 @@ def _cmd_report(args):
             payload = json.load(fh)
     except OSError as exc:
         raise OSError(f"cannot read report {args.report}: {exc}") from exc
-    metrics = payload["metrics"]
-    print(f"report: {args.report}")
-    print(f"  clips:             {metrics['n_clips']}")
-    print(f"  accuracy:          {metrics['accuracy']:.4f}")
-    if metrics.get("filtered_accuracy") is not None:
-        print(f"  filtered accuracy: {metrics['filtered_accuracy']:.4f}")
-    print(f"  average precision: {metrics['average_precision']:.4f}")
-    print(f"  average recall:    {metrics['average_recall']:.4f}")
+    try:
+        metrics = payload["metrics"]
+        lines = [
+            f"report: {args.report}",
+            f"  clips:             {metrics['n_clips']}",
+            f"  accuracy:          {metrics['accuracy']:.4f}",
+        ]
+        if metrics.get("filtered_accuracy") is not None:
+            lines.append(f"  filtered accuracy: {metrics['filtered_accuracy']:.4f}")
+        lines.append(f"  average precision: {metrics['average_precision']:.4f}")
+        lines.append(f"  average recall:    {metrics['average_recall']:.4f}")
+    except KeyError as exc:
+        raise ValueError(f"report {args.report} lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"report {args.report} is not a metrics report: {exc}") from exc
+    print("\n".join(lines))
     return 0
 
 

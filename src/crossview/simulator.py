@@ -1,11 +1,13 @@
 """Deterministic multi-person scene generator.
 
-Synthesizes ground-truth third-view observations (pose clips, bounding boxes,
-occlusion flags) and the matching ego observables (pose deltas, rigid-motion
-increments) with configurable Gaussian noise. Scenes are reproducible: all
-randomness comes from per-clip substreams derived from (seed, clip_id), so
-generation order cannot change the output. Each clip draws its standard
-normals in this order, and the clip-file goldens hold it as a contract:
+Synthesizes ground-truth third-view observations (pose clips as (8, 19, 3)
+arrays, bounding boxes, occlusion flags) and the matching ego observables
+(pose deltas, rigid-motion increments) with configurable Gaussian noise. The
+clip starting at frame t has clip_id t, and a clip file lists its frames as
+clip_id ... clip_id + 7. Scenes are reproducible: all randomness comes from
+per-clip substreams derived from (seed, clip_id), so generation order cannot
+change the output. Each clip draws its standard normals in this order, and
+the clip-file goldens hold it as a contract:
 
 1. the ego pose-delta block, (7, 19, 3);
 2. per motion increment, its rotation (3) and then its translation (3);
@@ -45,7 +47,7 @@ import numpy as np
 
 from .geometry import se3_compose
 from .motion import BoundingBox
-from .skeleton import CLIP_LEN, N_JOINTS, Joint19Pose, PoseSequence, body_frame
+from .skeleton import CLIP_LEN, N_JOINTS, body_frame
 from .verification import CandidateObservation, EgoObservation
 
 __all__ = [
@@ -259,10 +261,9 @@ def _skeletons(centers_xy, headings, gait: GaitParams, travelled):
     return center[:, None, :] + offsets
 
 
-def skeleton_at(center_xy, heading, gait: GaitParams, travelled) -> Joint19Pose:
-    """Grid-snapped 19-joint pose at a planar position, heading, and gait phase."""
-    joints = _skeletons(np.array([center_xy], dtype=float), [heading], gait, np.array([float(travelled)]))
-    return Joint19Pose(joints[0])
+def skeleton_at(center_xy, heading, gait: GaitParams, travelled) -> np.ndarray:
+    """Grid-snapped (19, 3) pose at a planar position, heading, and gait phase."""
+    return _skeletons(np.array([center_xy], dtype=float), [heading], gait, np.array([float(travelled)]))[0]
 
 
 def _path_states(spec: PersonSpec, duration):
@@ -283,24 +284,24 @@ def _path_states(spec: PersonSpec, duration):
 
 
 def _ego_steps(frames):
-    """Joint-space deltas (n-1, 19, 3) and rigid-motion increments (n-1, 2, 3) of n frames."""
+    """Joint-space deltas (n-1, 19, 3) and rigid-motion increments (n-1, 2, 3) of an (n, 19, 3) array."""
     transforms = [body_frame(f) for f in frames]
     steps = [se3_compose(a.inverse(), b) for a, b in zip(transforms, transforms[1:])]
     motion_deltas = np.array([(step.rotation.to_rotation_vector(), step.translation) for step in steps])
-    return np.diff([f.joints for f in frames], axis=0), motion_deltas
+    return np.diff(frames, axis=0), motion_deltas
 
 
 def ego_deltas_from_truth(frames):
-    """Derive the ego observables for an 8-frame window of one person.
+    """Derive the ego observables for an (8, 19, 3) window of one person's joints.
 
     Returns (pose_deltas, motion_deltas) as (7, 19, 3) and (7, 2, 3) arrays:
     the pose deltas are plain frame differences, the motion increments the
     relative transforms between consecutive body frames (rotation vector,
     then translation).
     """
-    frames = list(frames)
-    if len(frames) != CLIP_LEN:
-        raise ValueError(f"expected {CLIP_LEN} frames, got {len(frames)}")
+    frames = np.asarray(frames, dtype=float)
+    if frames.shape != (CLIP_LEN, N_JOINTS, 3):
+        raise ValueError(f"frames must have shape {(CLIP_LEN, N_JOINTS, 3)}, got {frames.shape}")
     return _ego_steps(frames)
 
 
@@ -353,7 +354,7 @@ def generate_scene(scenario: Scenario):
     last = duration - CLIP_LEN - max(0, offset)  # inclusive
     # the wearer's frames seen by any window, with every consecutive step
     # computed once; window t0 starts at index t0 - first
-    wearer_frames = [Joint19Pose(j) for j in joints[wearer_row, first + offset : last + offset + CLIP_LEN]]
+    wearer_frames = joints[wearer_row, first + offset : last + offset + CLIP_LEN]
     wearer_pose_steps, wearer_motion_steps = _ego_steps(wearer_frames)
     motion_sigmas = np.array([noise.sigma_odo_rot, noise.sigma_odo_trans])
     motion_groups = np.flatnonzero(motion_sigmas > 0.0)
@@ -392,10 +393,7 @@ def generate_scene(scenario: Scenario):
         valid = ~occluded[:, frames]
         candidates = tuple(
             CandidateObservation(
-                spec.person_id,
-                PoseSequence([Joint19Pose(j) for j in observed[row]], timestamps=range(t0, t0 + CLIP_LEN)),
-                [BoundingBox(*b) for b in boxes[row].tolist()],
-                valid[row],
+                spec.person_id, observed[row], [BoundingBox(*b) for b in boxes[row].tolist()], valid[row]
             )
             for row, spec in enumerate(persons)
         )
@@ -513,8 +511,8 @@ def clip_to_obj(clip: ClipObservation) -> dict:
         "candidates": [
             {
                 "person_id": c.person_id,
-                "frames": [int(t) for t in c.poses.timestamps],
-                "poses": [p.to_list() for p in c.poses],
+                "frames": list(range(clip.clip_id, clip.clip_id + CLIP_LEN)),
+                "poses": c.poses.tolist(),
                 "boxes": [list(b.corners()) for b in c.boxes],
                 "valid": list(c.valid),
             }
@@ -524,22 +522,25 @@ def clip_to_obj(clip: ClipObservation) -> dict:
 
 
 def clip_from_obj(obj) -> ClipObservation:
-    """Inverse of clip_to_obj; other keys, such as an older file's ego start pose, are ignored."""
+    """Inverse of clip_to_obj; other keys, such as an older file's ego start pose, are ignored.
+
+    Each candidate's frames must be clip_id ... clip_id + 7.
+    """
+    clip_id = int(obj["clip_id"])
+    frames = list(range(clip_id, clip_id + CLIP_LEN))
+    for c in obj["candidates"]:
+        if c["frames"] != frames:
+            raise ValueError(f"candidate {c['person_id']} frames must be {frames}, got {c['frames']}")
     ego_obj = obj["ego"]
     ego = EgoObservation(
         ego_obj["pose_deltas"],
         [(d["rotation"], d["translation"]) for d in ego_obj["motion"]["deltas"]],
     )
     candidates = tuple(
-        CandidateObservation(
-            c["person_id"],
-            PoseSequence([Joint19Pose.from_list(p) for p in c["poses"]], timestamps=c["frames"]),
-            [BoundingBox(*b) for b in c["boxes"]],
-            c["valid"],
-        )
+        CandidateObservation(c["person_id"], c["poses"], [BoundingBox(*b) for b in c["boxes"]], c["valid"])
         for c in obj["candidates"]
     )
-    return ClipObservation(int(obj["clip_id"]), ego, candidates, int(obj["ground_truth_wearer"]))
+    return ClipObservation(clip_id, ego, candidates, int(obj["ground_truth_wearer"]))
 
 
 def save_scene(clips, directory, scenario: Scenario | None = None) -> None:

@@ -6,9 +6,10 @@ Joint order (1-based in docs, stored 0-based): 1 right ankle, 2 right knee,
 12 left wrist, 13 neck, 14 head top, 15 nose, 16 left eye, 17 right eye,
 18 left ear, 19 right ear. Coordinates are meters in world frame.
 
-Pose deltas live directly in joint space; an action is a clip of 8
-consecutive poses, reconstructable from a start pose plus a (7, 19, 3) array
-of deltas.
+A pose is a (19, 3) joint array and an action is a clip of 8 consecutive
+poses, an (8, 19, 3) array. Pose deltas live directly in joint space, so a
+clip is reconstructable from its start pose plus a (7, 19, 3) array of
+deltas.
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ __all__ = [
     "LEFT_SHOULDER",
     "NECK",
     "DegeneratePoseError",
-    "Joint19Pose",
-    "PoseSequence",
     "integrate_pose_deltas",
-    "body_center",
     "body_centers",
     "body_axes",
     "body_frame",
@@ -69,89 +67,28 @@ class DegeneratePoseError(ValueError):
     """Raised when a pose cannot support a body frame (collapsed torso triangle)."""
 
 
-class Joint19Pose:
-    """One body configuration: 19 ordered 3D joints."""
-
-    __slots__ = ("_joints",)
-
-    def __init__(self, joints):
-        self._joints = frozen_array(joints, "joints", (N_JOINTS, 3))
-
-    @property
-    def joints(self):
-        return self._joints
-
-    def to_list(self):
-        return self._joints.tolist()
-
-    @classmethod
-    def from_list(cls, data):
-        return cls(np.asarray(data, dtype=float))
-
-    def __repr__(self):
-        return f"Joint19Pose(center~{np.round(self._joints.mean(axis=0), 3).tolist()})"
+def _pose(value, name):
+    pose = np.asarray(value, dtype=float)
+    if pose.shape != (N_JOINTS, 3):
+        raise ValueError(f"{name} must have shape {(N_JOINTS, 3)}, got {pose.shape}")
+    return pose
 
 
-class PoseSequence:
-    """One clip: 8 ordered poses over consecutive frames."""
+def integrate_pose_deltas(init, deltas) -> np.ndarray:
+    """Accumulate (7, 19, 3) joint-space deltas onto a (19, 3) start pose, giving an (8, 19, 3) clip.
 
-    __slots__ = ("_poses", "_timestamps")
-
-    def __init__(self, poses, timestamps=None):
-        poses = tuple(poses)
-        for p in poses:
-            if not isinstance(p, Joint19Pose):
-                raise ValueError("pose sequence entries must be Joint19Pose")
-        if len(poses) != CLIP_LEN:
-            raise ValueError(f"pose sequence must have {CLIP_LEN} poses, got {len(poses)}")
-        if timestamps is None:
-            timestamps = tuple(range(len(poses)))
-        else:
-            timestamps = tuple(float(t) for t in timestamps)
-            if len(timestamps) != len(poses):
-                raise ValueError("timestamps must align with poses")
-            if any(b <= a for a, b in zip(timestamps, timestamps[1:])):
-                raise ValueError("timestamps must be strictly increasing")
-        self._poses = poses
-        self._timestamps = timestamps
-
-    @property
-    def poses(self):
-        return self._poses
-
-    @property
-    def timestamps(self):
-        return self._timestamps
-
-    def __len__(self):
-        return len(self._poses)
-
-    def __getitem__(self, index):
-        return self._poses[index]
-
-    def __iter__(self):
-        return iter(self._poses)
-
-
-def integrate_pose_deltas(init: Joint19Pose, deltas) -> PoseSequence:
-    """Accumulate (7, 19, 3) joint-space deltas onto a start pose, giving an 8-pose clip.
-
-    Element k is init plus the sum of the first k deltas; two different start
+    Frame k is init plus the sum of the first k deltas; two different start
     poses fed the same deltas therefore differ by a constant offset at every
     frame.
     """
+    init = _pose(init, "init")
     cumulative = np.cumsum(frozen_array(deltas, "deltas", (CLIP_LEN - 1, N_JOINTS, 3)), axis=0)
-    return PoseSequence([init] + [Joint19Pose(init.joints + c) for c in cumulative])
+    return np.concatenate([init[None], init + cumulative])
 
 
 def body_centers(joints) -> np.ndarray:
     """Centroid of right shoulder, left shoulder and neck for each pose in a (..., 19, 3) array."""
     return (joints[..., RIGHT_SHOULDER, :] + joints[..., LEFT_SHOULDER, :] + joints[..., NECK, :]) / 3.0
-
-
-def body_center(pose: Joint19Pose) -> np.ndarray:
-    """Centroid of right shoulder, left shoulder and neck."""
-    return body_centers(pose.joints)
 
 
 def _norms(v):
@@ -182,19 +119,21 @@ def body_axes(joints):
     return np.stack([x_axis, y_axis, z_axis], axis=-1), cross_norm[..., 0] >= 1e-9
 
 
-def body_frame(pose: Joint19Pose) -> SE3Transform:
-    """Person-attached frame from the shoulder line and neck (see body_axes).
+def body_frame(joints) -> SE3Transform:
+    """Person-attached frame of one (19, 3) pose from the shoulder line and neck (see body_axes).
 
     Translation is the torso centroid.
     """
-    axes, defined = body_axes(pose.joints)
+    joints = _pose(joints, "joints")
+    axes, defined = body_axes(joints)
     if not defined:
         raise DegeneratePoseError("shoulder and neck joints are collinear; body frame undefined")
-    return SE3Transform(UnitQuaternion.from_matrix(axes), body_center(pose))
+    return SE3Transform(UnitQuaternion.from_matrix(axes), body_centers(joints))
 
 
-def pose_clip_vector(seq: PoseSequence) -> np.ndarray:
-    """Flatten an 8-pose clip to a 456-vector (frame, then joint, then x/y/z)."""
-    if not isinstance(seq, PoseSequence):
-        raise ValueError(f"clip vector requires a full {CLIP_LEN}-pose sequence")
-    return np.concatenate([p.joints.ravel() for p in seq.poses])
+def pose_clip_vector(clip) -> np.ndarray:
+    """Flatten an (8, 19, 3) clip to a 456-vector (frame, then joint, then x/y/z)."""
+    clip = np.asarray(clip, dtype=float)
+    if clip.shape != (CLIP_LEN, N_JOINTS, 3):
+        raise ValueError(f"clip must have shape {(CLIP_LEN, N_JOINTS, 3)}, got {clip.shape}")
+    return clip.reshape(-1)

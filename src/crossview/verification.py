@@ -3,9 +3,10 @@
 The ego-downward camera sees only the wearer's body, so an ego observation
 holds only two relative streams, as read-only arrays: pose deltas (7, 19, 3)
 and rigid-motion increments (7, 2, 3), each step a rotation vector and then a
-translation. Scoring runs two channels per candidate, both anchored at that
-candidate's own first observed pose (each hypothesis is tried in its own
-frame):
+translation. A third-view candidate holds its observed pose clip as one
+read-only (8, 19, 3) array, next to its 8 boxes and validity flags. Scoring
+runs two channels per candidate, both anchored at that candidate's own first
+observed pose (each hypothesis is tried in its own frame):
 
 * action: the ego pose deltas are integrated from the candidate's frame-0
   pose and the resulting clip is compared, through codebook label scores,
@@ -45,9 +46,7 @@ from .skeleton import (
     CLIP_LEN,
     N_JOINTS,
     DegeneratePoseError,
-    PoseSequence,
     body_axes,
-    body_center,
     body_centers,
     body_frame,
     integrate_pose_deltas,
@@ -106,14 +105,16 @@ class EgoObservation:
 
 
 class CandidateObservation:
-    """One tracked person in the third view over a clip window."""
+    """One tracked person in the third view over a clip window.
+
+    poses is the observed clip as a read-only (8, 19, 3) array.
+    """
 
     __slots__ = ("person_id", "poses", "boxes", "valid")
 
-    def __init__(self, person_id, poses: PoseSequence, boxes, valid=None):
+    def __init__(self, person_id, poses, boxes, valid=None):
         self.person_id = int(person_id)
-        if not isinstance(poses, PoseSequence):
-            raise ValueError("candidate poses must be a full 8-pose sequence")
+        poses = frozen_array(poses, "poses", (CLIP_LEN, N_JOINTS, 3))
         boxes = tuple(boxes)
         if len(boxes) != CLIP_LEN:
             raise ValueError(f"expected {CLIP_LEN} bounding boxes, got {len(boxes)}")
@@ -168,7 +169,7 @@ def verify_pair(
     box_track = bbox_trajectory(candidate.boxes)
     ego_track = integrate_ego_motion(body_frame(seed_pose), ego.motion_deltas)
     motion_ego_l1 = trajectory_l1_loss(ego_track, box_track)
-    centres = np.array([body_center(p)[:2] for p in candidate.poses])
+    centres = body_centers(candidate.poses)[:, :2]
     motion_third_l1 = trajectory_l1_loss(centres - centres[0], box_track)
 
     total = config.action_weight * (ego_ce + third_ce) + config.motion_weight * (motion_ego_l1 + motion_third_l1)
@@ -201,7 +202,7 @@ def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig())
     if not candidates:
         raise ValueError("localize requires at least one candidate")
     n = len(candidates)
-    observed = np.array([[p.joints for p in c.poses] for c in candidates])  # (n, 8, 19, 3)
+    observed = np.stack([c.poses for c in candidates])  # (n, 8, 19, 3)
     axes, defined = body_axes(observed[:, 0])
     for candidate, ok in zip(candidates, defined):
         _require_valid_frame(candidate)

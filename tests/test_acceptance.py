@@ -33,12 +33,7 @@ from crossview.geometry import (
 )
 from crossview.motion import bbox_trajectory, integrate_ego_motion
 from crossview.simulator import save_scenario
-from crossview.skeleton import (
-    Joint19Pose,
-    PoseSequence,
-    body_frame,
-    integrate_pose_deltas,
-)
+from crossview.skeleton import body_frame, integrate_pose_deltas
 from crossview.verification import ScoringConfig, localize, verify_pair
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "metrics.json").read_text())
@@ -113,8 +108,7 @@ def test_criterion_2_zero_noise_cross_view_equality():
             wearer = next(c for c in clip.candidates if c.person_id == clip.ground_truth_wearer)
 
             rebuilt = integrate_pose_deltas(wearer.poses[0], clip.ego.pose_deltas)
-            for got, want in zip(rebuilt, wearer.poses):
-                assert np.array_equal(got.joints, want.joints)  # bit-exact
+            assert np.array_equal(rebuilt, wearer.poses)  # bit-exact
 
             ego_track = integrate_ego_motion(body_frame(wearer.poses[0]), clip.ego.motion_deltas)
             gap = np.abs(ego_track - bbox_trajectory(wearer.boxes)).max()
@@ -142,7 +136,7 @@ def test_criterion_3_initial_pose_dependence():
         return rng.integers(-scale, scale, size=shape) * GRID
 
     def random_clip_near(base):
-        init = Joint19Pose(base + grid((19, 3), 512))
+        init = base + grid((19, 3), 512)
         deltas = [grid((19, 3), 32) for _ in range(7)]
         return integrate_pose_deltas(init, deltas)
 
@@ -152,14 +146,14 @@ def test_criterion_3_initial_pose_dependence():
     codebook = fit_codebook(corpus, k=2, seed=0)
 
     for _ in range(100):
-        p1 = Joint19Pose(base_a + grid((19, 3), 512))
-        p2 = Joint19Pose(p1.joints + region_gap)
+        p1 = base_a + grid((19, 3), 512)
+        p2 = p1 + region_gap
         deltas = [grid((19, 3), 32) for _ in range(7)]
         seq1 = integrate_pose_deltas(p1, deltas)
         seq2 = integrate_pose_deltas(p2, deltas)
-        offset = p1.joints - p2.joints
+        offset = p1 - p2
         for a, b in zip(seq1, seq2):
-            assert np.array_equal(a.joints - b.joints, offset)  # exact at every frame
+            assert np.array_equal(a - b, offset)  # exact at every frame
         assert assign_label(codebook, seq1) != assign_label(codebook, seq2)
 
     print("PASS criterion 3: 100 start-pose pairs, constant offset exact, labels differ across cells")
@@ -170,7 +164,7 @@ def test_criterion_4_kmeans_behaviour():
     rng = np.random.default_rng(4)
 
     def clip_from_vector(vector):
-        return PoseSequence([Joint19Pose(f) for f in np.asarray(vector).reshape(8, 19, 3)])
+        return np.asarray(vector).reshape(8, 19, 3)
 
     monotone_checked = 0
     for seed in range(100):

@@ -20,13 +20,13 @@ from crossview.action_codebook import (
     save_codebook,
 )
 from crossview.simulator import NoiseParams, generate_scene
-from crossview.skeleton import Joint19Pose, PoseSequence, pose_clip_vector
+from crossview.skeleton import pose_clip_vector
 
 RNG = np.random.default_rng(2024)
 
 
 def clip_from_vector(vector):
-    return PoseSequence([Joint19Pose(f) for f in np.asarray(vector).reshape(8, 19, 3)])
+    return np.asarray(vector).reshape(8, 19, 3)
 
 
 def random_clip(rng, center=0.0, spread=1.0):

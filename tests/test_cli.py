@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -163,7 +164,7 @@ class TestEmitPlots:
 
     def test_empty_report_gives_header_only_csvs(self, tmp_path):
         written = emit_plots(self.empty_report(), tmp_path)
-        assert len(written) == 3
+        assert [os.path.basename(p) for p in written] == ["scores.csv", "posteriors.csv"]
         for path in written:
             with open(path) as fh:
                 rows = list(csv.reader(fh))
@@ -196,7 +197,6 @@ class TestEmitPlots:
                 }
             ],
             filter_states=[state],
-            sweep_rows=[{"sigma_pose": 0.0, "accuracy": 1.0, "filtered_accuracy": 1.0, "n_clips": 1}],
         )
         for path in emit_plots(report, tmp_path):
             with open(path) as fh:
@@ -232,6 +232,9 @@ class TestCommandLine:
         )
         assert code == 0
         assert "accuracy=1.0000" in capsys.readouterr().out
+        # sweep.csv is written by sweep only
+        written = sorted(os.listdir(tmp_path / "out"))
+        assert written == ["decisions.csv", "posteriors.csv", "report.json", "scores.csv"]
 
     def test_validation_error_exit_two(self, tmp_path, capsys):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24))
@@ -326,6 +329,34 @@ class TestCommandLine:
         assert code == 0
         out = capsys.readouterr().out
         assert "accuracy" in out and "average precision" in out
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"schema_version": 1, "kind": "action_codebook", "k": 1, "centroids": [[0.0] * 456]}, "'metrics'"),
+            ({"schema_version": 1}, "'metrics'"),
+            ({"metrics": {"n_clips": 3, "accuracy": 0.5}}, "'average_precision'"),
+            ([], "is not a metrics report"),
+        ],
+    )
+    def test_report_lacking_a_key_exit_two(self, tmp_path, capsys, payload, key):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", "--report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("values", ["0,0.05,-1", "0,nan"])
+    def test_sweep_bad_sigma_pose_exit_two_before_any_point(self, tmp_path, capsys, values):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0, noise=NOISE))
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--scenario", str(path), "--out", str(out), "--codebook-k", "8", "--sigma-pose", values]
+        )
+        assert code == 2
+        assert "sigma_pose" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_command(self, tmp_path, capsys):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0, noise=NOISE))

@@ -29,7 +29,7 @@ from crossview.simulator import (
     scenario_to_json,
     skeleton_at,
 )
-from crossview.skeleton import Joint19Pose, body_frame, integrate_pose_deltas
+from crossview.skeleton import body_centers, body_frame, integrate_pose_deltas
 
 RNG = np.random.default_rng(77)
 
@@ -44,20 +44,20 @@ def single_person_scenario(speed=0.0, duration=16, seed=0, noise=None):
 class TestSkeletonAt:
     def test_joints_on_binary_grid(self):
         pose = skeleton_at((1.234, -0.567), 0.8, GaitParams(), 3.21)
-        scaled = pose.joints / GRID
+        scaled = pose / GRID
         np.testing.assert_array_equal(scaled, np.round(scaled))
 
     def test_planar_extent_centered_on_path_position(self):
         for heading in (0.0, 0.4, 2.0, -1.3):
             pose = skeleton_at((2.5, -1.5), heading, GaitParams(), 1.7)
-            xy = pose.joints[:, :2]
+            xy = pose[:, :2]
             center = (xy.min(axis=0) + xy.max(axis=0)) / 2.0
             np.testing.assert_allclose(center, [2.5, -1.5], atol=1e-9)
 
     def test_standing_person_is_static(self):
         a = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
         b = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
-        np.testing.assert_array_equal(a.joints, b.joints)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestEgoDeltasFromTruth:
@@ -70,7 +70,7 @@ class TestEgoDeltasFromTruth:
     def test_rigid_translation(self):
         base = skeleton_at((0.0, 0.0), 0.7, GaitParams(), 0.5)
         step = np.array([0.3, 0.0, 0.0])
-        frames = [Joint19Pose(base.joints + k * step) for k in range(8)]
+        frames = [base + k * step for k in range(8)]
         pose_deltas, motion_deltas = ego_deltas_from_truth(frames)
         r_init = body_frame(frames[0]).rotation.to_matrix()
         expected = r_init.T @ step
@@ -90,7 +90,7 @@ class TestEgoDeltasFromTruth:
         for k in range(1, 8):
             spin = Rotation.from_rotvec([0.0, 0.0, 0.1 * k]).as_matrix()
             world = r0 @ spin @ r0.T
-            frames.append(Joint19Pose((base.joints - c0) @ world.T + c0))
+            frames.append((base - c0) @ world.T + c0)
         _, motion_deltas = ego_deltas_from_truth(frames)
         from crossview.geometry import error_quaternion
 
@@ -141,8 +141,7 @@ class TestGenerateScene:
         for clip in generate_scene(scenario):
             wearer = next(c for c in clip.candidates if c.person_id == clip.ground_truth_wearer)
             rebuilt = integrate_pose_deltas(wearer.poses[0], clip.ego.pose_deltas)
-            for got, want in zip(rebuilt, wearer.poses):
-                np.testing.assert_array_equal(got.joints, want.joints)
+            np.testing.assert_array_equal(rebuilt, wearer.poses)
 
     def test_track_equality_zero_noise(self):
         scenario = cv.three_person_scenario(duration=24, seed=2)
@@ -168,7 +167,7 @@ class TestGenerateScene:
         clean = cv.two_person_scenario(duration=16, seed=1)
         noisy_clip = generate_scene(noisy)[0]
         clean_clip = generate_scene(clean)[0]
-        delta = np.abs(noisy_clip.candidates[0].poses[0].joints - clean_clip.candidates[0].poses[0].joints)
+        delta = np.abs(noisy_clip.candidates[0].poses[0] - clean_clip.candidates[0].poses[0])
         assert delta.max() > 1e-4
 
     def test_same_seed_reproduces_scene_exactly(self):
@@ -185,7 +184,7 @@ class TestGenerateScene:
         clips = generate_scene(cv.three_person_scenario(crossing=True, duration=24, seed=11, noise=noise))
         for name, clip in (("first", clips[0]), ("last", clips[-1])):
             got = {
-                "candidate_joints": sum(np.abs(p.joints).sum() for c in clip.candidates for p in c.poses),
+                "candidate_joints": sum(np.abs(p).sum() for c in clip.candidates for p in c.poses),
                 "box_corners": sum(np.abs(b.corners()).sum() for c in clip.candidates for b in c.boxes),
                 "pose_deltas": sum(np.abs(d).sum() for d in clip.ego.pose_deltas),
                 "motion_rotations": sum(np.abs(r).sum() for r, _ in clip.ego.motion_deltas),
@@ -338,7 +337,7 @@ class TestSerialization:
         clip = generate_scene(cv.two_person_scenario(duration=16, seed=6, noise=noise))[3]
         obj = json.loads(json.dumps(clip_to_obj(clip)))
         older = json.loads(json.dumps(obj))
-        older["ego"]["handoff_pose"] = clip.candidates[0].poses[0].to_list()
+        older["ego"]["handoff_pose"] = clip.candidates[0].poses[0].tolist()
         older["ego"]["motion"]["t_init"] = {"quaternion": [1.0, 0.0, 0.0, 0.0], "translation": [0.0, 0.0, 0.0]}
         assert clip_to_obj(clip_from_obj(older)) == obj == clip_to_obj(clip)
         assert set(obj["ego"]) == {"pose_deltas", "motion"}
@@ -350,6 +349,15 @@ class TestSerialization:
         obj = json.loads(json.dumps(clip_to_obj(clip)))
         obj["ego"]["motion"]["deltas"][2]["rotation"] = rotation
         with pytest.raises(ValueError, match="motion_deltas must be a numeric array of shape"):
+            clip_from_obj(obj)
+
+    @pytest.mark.parametrize("frames", [list(range(3, 11)), [2, 3, 4, 5, 5, 7, 8, 9], list(range(2, 9))])
+    def test_mismatched_frames_rejected_naming_field(self, frames):
+        clip = generate_scene(cv.two_person_scenario(duration=16, seed=6))[2]
+        obj = json.loads(json.dumps(clip_to_obj(clip)))
+        assert obj["candidates"][1]["frames"] == list(range(2, 10))
+        obj["candidates"][1]["frames"] = frames
+        with pytest.raises(ValueError, match=r"candidate 1 frames must be \[2, 3, 4, 5, 6, 7, 8, 9\]"):
             clip_from_obj(obj)
 
     def test_scene_directory_round_trip(self, tmp_path):
@@ -370,16 +378,12 @@ class TestPathWalking:
         scenario = Scenario(0, 12, (spec,))
         clips = generate_scene(scenario)
         final_pose = clips[-1].candidates[0].poses[-1]
-        from crossview.skeleton import body_center
-
-        assert abs(body_center(final_pose)[0] - 1.0) < 0.2
+        assert abs(body_centers(final_pose)[0] - 1.0) < 0.2
 
     def test_multi_segment_path_turns(self):
         spec = PersonSpec(0, ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0)), 0.25, GaitParams(), is_wearer=True)
         scenario = Scenario(0, 17, (spec,))
         clips = generate_scene(scenario)
         last = clips[-1].candidates[0]
-        from crossview.skeleton import body_center
-
-        c = body_center(last.poses[-1])
+        c = body_centers(last.poses[-1])
         assert c[0] > 1.5 and c[1] > 1.0

@@ -10,10 +10,7 @@ from crossview.skeleton import (
     NECK,
     RIGHT_SHOULDER,
     DegeneratePoseError,
-    Joint19Pose,
-    PoseSequence,
     body_axes,
-    body_center,
     body_centers,
     body_frame,
     integrate_pose_deltas,
@@ -36,25 +33,25 @@ def upright_pose(rng=None):
     joints[RIGHT_SHOULDER] = [0.25, 0.0, 1.5]
     joints[LEFT_SHOULDER] = [-0.25, 0.0, 1.5]
     joints[NECK] = [0.0, 0.1, 1.6]
-    return Joint19Pose(joints + rng.normal(scale=0.01, size=(19, 3)))
+    return joints + rng.normal(scale=0.01, size=(19, 3))
 
 
 class TestIntegratePoseDeltas:
     def test_zero_deltas_repeat_init(self):
-        init = Joint19Pose(RNG.normal(size=(19, 3)))
+        init = RNG.normal(size=(19, 3))
         seq = integrate_pose_deltas(init, np.zeros((7, 19, 3)))
-        assert len(seq) == CLIP_LEN
+        assert seq.shape == (CLIP_LEN, 19, 3)
         for pose in seq:
-            np.testing.assert_array_equal(pose.joints, init.joints)
+            np.testing.assert_array_equal(pose, init)
 
     def test_unit_deltas_accumulate(self):
-        init = Joint19Pose(np.zeros((19, 3)))
+        init = np.zeros((19, 3))
         seq = integrate_pose_deltas(init, np.ones((7, 19, 3)))
         for k, pose in enumerate(seq):
-            np.testing.assert_array_equal(pose.joints, np.full((19, 3), float(k)))
+            np.testing.assert_array_equal(pose, np.full((19, 3), float(k)))
 
     def test_wrong_delta_count_rejected(self):
-        init = Joint19Pose(np.zeros((19, 3)))
+        init = np.zeros((19, 3))
         with pytest.raises(ValueError):
             integrate_pose_deltas(init, np.zeros((6, 19, 3)))
 
@@ -63,22 +60,21 @@ class TestIntegratePoseDeltas:
         # binary-grid inputs make the cumulative sums exact, so this is bitwise
         for _ in range(20):
             deltas = [grid_array((19, 3), scale=1) for _ in range(7)]
-            p1 = Joint19Pose(grid_array((19, 3)))
-            p2 = Joint19Pose(grid_array((19, 3)))
+            p1 = grid_array((19, 3))
+            p2 = grid_array((19, 3))
             seq1 = integrate_pose_deltas(p1, deltas)
             seq2 = integrate_pose_deltas(p2, deltas)
-            offset = p1.joints - p2.joints
             for a, b in zip(seq1, seq2):
-                np.testing.assert_array_equal(a.joints - b.joints, offset)
+                np.testing.assert_array_equal(a - b, p1 - p2)
 
     def test_matches_cumulative_sum_oracle(self):
-        init = Joint19Pose(RNG.normal(size=(19, 3)))
+        init = RNG.normal(size=(19, 3))
         deltas = [RNG.normal(scale=0.05, size=(19, 3)) for _ in range(7)]
         seq = integrate_pose_deltas(init, deltas)
-        running = init.joints.copy()
+        running = init.copy()
         for k in range(1, CLIP_LEN):
             running = running + deltas[k - 1]
-            np.testing.assert_allclose(seq[k].joints, running, atol=1e-12)
+            np.testing.assert_allclose(seq[k], running, atol=1e-12)
 
 
 class TestBodyFrame:
@@ -87,7 +83,7 @@ class TestBodyFrame:
         joints[RIGHT_SHOULDER] = [1.0, 0.0, 0.0]
         joints[LEFT_SHOULDER] = [-1.0, 0.0, 0.0]
         joints[NECK] = [0.0, 0.0, 1.0]
-        frame = body_frame(Joint19Pose(joints))
+        frame = body_frame(joints)
         np.testing.assert_allclose(frame.translation, [0.0, 0.0, 1.0 / 3.0], atol=1e-15)
         np.testing.assert_allclose(frame.rotation.to_matrix()[:, 0], [1.0, 0.0, 0.0], atol=1e-12)
 
@@ -102,7 +98,7 @@ class TestBodyFrame:
         base = body_frame(pose)
         rot = Rotation.from_rotvec([0.3, -0.7, 0.4]).as_matrix()
         shift = np.array([1.0, -2.0, 0.5])
-        moved = Joint19Pose(pose.joints @ rot.T + shift)
+        moved = pose @ rot.T + shift
         frame = body_frame(moved)
         np.testing.assert_allclose(frame.rotation.to_matrix(), rot @ base.rotation.to_matrix(), atol=1e-9)
         np.testing.assert_allclose(frame.translation, rot @ base.translation + shift, atol=1e-9)
@@ -111,7 +107,7 @@ class TestBodyFrame:
         joints = RNG.normal(size=(19, 3))
         joints[LEFT_SHOULDER] = joints[RIGHT_SHOULDER]
         with pytest.raises(DegeneratePoseError):
-            body_frame(Joint19Pose(joints))
+            body_frame(joints)
 
     def test_collinear_neck_degenerate(self):
         joints = RNG.normal(size=(19, 3))
@@ -119,61 +115,43 @@ class TestBodyFrame:
         joints[LEFT_SHOULDER] = [-1.0, 0.0, 0.0]
         joints[NECK] = [0.5, 0.0, 0.0]
         with pytest.raises(DegeneratePoseError):
-            body_frame(Joint19Pose(joints))
+            body_frame(joints)
 
     def test_batched_axes_match_body_frame_and_flag_degenerate(self):
-        joints = np.stack([upright_pose().joints for _ in range(6)])
+        joints = np.stack([upright_pose() for _ in range(6)])
         joints[3, LEFT_SHOULDER] = joints[3, RIGHT_SHOULDER]
         axes, defined = body_axes(joints.reshape(2, 3, 19, 3))
         assert axes.shape == (2, 3, 3, 3)
         np.testing.assert_array_equal(defined.ravel(), [True, True, True, False, True, True])
         for i in (0, 1, 2, 4, 5):
-            frame = body_frame(Joint19Pose(joints[i]))
+            frame = body_frame(joints[i])
             np.testing.assert_allclose(axes.reshape(6, 3, 3)[i], frame.rotation.to_matrix(), atol=1e-12)
             np.testing.assert_array_equal(body_centers(joints)[i], frame.translation)
 
     def test_center_is_torso_centroid(self):
-        pose = upright_pose()
-        j = pose.joints
+        j = upright_pose()
         expected = (j[RIGHT_SHOULDER] + j[LEFT_SHOULDER] + j[NECK]) / 3.0
-        np.testing.assert_array_equal(body_center(pose), expected)
+        np.testing.assert_array_equal(body_centers(j), expected)
+
+    @pytest.mark.parametrize("shape", [(18, 3), (19, 2), (57,), (2, 19, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"joints must have shape \(19, 3\)"):
+            body_frame(np.zeros(shape))
 
 
 class TestPoseClipVector:
     def test_zero_sequence(self):
-        seq = PoseSequence([Joint19Pose(np.zeros((19, 3)))] * 8)
-        np.testing.assert_array_equal(pose_clip_vector(seq), np.zeros(456))
+        np.testing.assert_array_equal(pose_clip_vector(np.zeros((8, 19, 3))), np.zeros(456))
 
     def test_frame_blocks_in_order(self):
-        seq = PoseSequence([Joint19Pose(np.full((19, 3), float(k))) for k in range(8)])
-        vec = pose_clip_vector(seq)
+        vec = pose_clip_vector([np.full((19, 3), float(k)) for k in range(8)])
         for k in range(8):
             np.testing.assert_array_equal(vec[57 * k : 57 * (k + 1)], np.full(57, float(k)))
 
     def test_reshape_round_trip(self):
         frames = RNG.normal(size=(8, 19, 3))
-        seq = PoseSequence([Joint19Pose(f) for f in frames])
-        np.testing.assert_array_equal(pose_clip_vector(seq).reshape(8, 19, 3), frames)
+        np.testing.assert_array_equal(pose_clip_vector(frames).reshape(8, 19, 3), frames)
 
     def test_partial_sequence_rejected(self):
-        # a PoseSequence always holds a full clip, so fewer poses can reach
-        # the clip vector only as a plain sequence
-        with pytest.raises(ValueError):
-            pose_clip_vector([Joint19Pose(np.zeros((19, 3)))] * 5)
-
-
-class TestSequences:
-    def test_requires_eight_poses_by_default(self):
-        with pytest.raises(ValueError):
-            PoseSequence([Joint19Pose(np.zeros((19, 3)))] * 3)
-
-    def test_timestamps_must_increase(self):
-        poses = [Joint19Pose(np.zeros((19, 3)))] * 8
-        with pytest.raises(ValueError):
-            PoseSequence(poses, timestamps=[0, 1, 2, 3, 3, 5, 6, 7])
-
-    def test_wrong_joint_count_rejected(self):
-        with pytest.raises(ValueError):
-            Joint19Pose(np.zeros((18, 3)))
-        with pytest.raises(ValueError):
-            Joint19Pose(np.full((19, 3), np.nan))
+        with pytest.raises(ValueError, match=r"clip must have shape \(8, 19, 3\)"):
+            pose_clip_vector(np.zeros((5, 19, 3)))

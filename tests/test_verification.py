@@ -11,8 +11,7 @@ from crossview.skeleton import (
     NECK,
     RIGHT_SHOULDER,
     DegeneratePoseError,
-    Joint19Pose,
-    PoseSequence,
+    body_centers,
 )
 from crossview.verification import (
     CandidateObservation,
@@ -36,7 +35,7 @@ def facing_x_pose(offset=(0.0, 0.0)):
     joints[RIGHT_SHOULDER] = [0.2 + offset[0], offset[1], 1.5]
     joints[LEFT_SHOULDER] = [-0.2 + offset[0], offset[1], 1.5]
     joints[NECK] = [offset[0], 0.1 + offset[1], 1.6]
-    return Joint19Pose(joints)
+    return joints
 
 
 def zero_pose_deltas():
@@ -48,12 +47,9 @@ def constant_motion_deltas(translation=(0.0, 0.0, 0.0)):
 
 
 def static_candidate(pose, person_id=0, half=0.5, valid=None):
-    from crossview.skeleton import body_center
-
-    cx, cy = body_center(pose)[:2]
+    cx, cy = body_centers(pose)[:2]
     boxes = [BoundingBox(cx - half, cy - half, cx + half, cy + half)] * 8
-    poses = PoseSequence([pose] * 8)
-    return CandidateObservation(person_id, poses, boxes, valid)
+    return CandidateObservation(person_id, [pose] * 8, boxes, valid)
 
 
 def far_codebook_for(*sequences):
@@ -65,7 +61,7 @@ def far_codebook_for(*sequences):
     fillers = []
     for i in range(2):
         pose = facing_x_pose(offset=(50.0 + 40.0 * i, -60.0))
-        fillers.append(PoseSequence([pose] * 8))
+        fillers.append(np.stack([pose] * 8))
     return fit_codebook(list(sequences) + fillers, k=len(sequences) + 2, seed=0)
 
 
@@ -107,6 +103,37 @@ class TestEgoObservation:
         arrays[field][-1, 1, 2] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             EgoObservation(**arrays)
+
+
+class TestCandidateObservation:
+    def boxes(self):
+        return [BoundingBox(0.0, 0.0, 1.0, 1.0)] * 8
+
+    def test_stores_read_only_array_copy(self):
+        poses = np.stack([facing_x_pose() for _ in range(8)])
+        candidate = CandidateObservation(0, poses, self.boxes())
+        np.testing.assert_array_equal(candidate.poses, poses)
+        with pytest.raises(ValueError):
+            candidate.poses[0, 0, 0] = 1.0
+        poses[0, 0, 0] = 99.0  # the caller's array is not shared
+        assert candidate.poses[0, 0, 0] != 99.0
+
+    @pytest.mark.parametrize("shape", [(7, 19, 3), (8, 18, 3), (8, 19, 2), (8, 57)])
+    def test_wrong_shape_rejected_naming_field(self, shape):
+        with pytest.raises(ValueError, match=r"poses must have shape \(8, 19, 3\)"):
+            CandidateObservation(0, np.zeros(shape), self.boxes())
+
+    def test_ragged_nesting_rejected_naming_field(self):
+        ragged = [np.zeros((19, 3))] * 7 + [np.zeros((18, 3))]
+        with pytest.raises(ValueError, match="poses must be a numeric array"):
+            CandidateObservation(0, ragged, self.boxes())
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected_naming_field(self, value):
+        poses = np.zeros((8, 19, 3))
+        poses[-1, 4, 2] = value
+        with pytest.raises(ValueError, match="poses must be finite"):
+            CandidateObservation(0, poses, self.boxes())
 
 
 class TestVerifyPair:
@@ -184,9 +211,8 @@ class TestVerifyPair:
 
     def test_degenerate_seed_pose_rejected(self):
         pose = facing_x_pose()
-        joints = pose.joints.copy()
-        joints[LEFT_SHOULDER] = joints[RIGHT_SHOULDER]
-        bad = Joint19Pose(joints)
+        bad = pose.copy()
+        bad[LEFT_SHOULDER] = bad[RIGHT_SHOULDER]
         candidate = static_candidate(bad)
         ego = EgoObservation(zero_pose_deltas(), constant_motion_deltas())
         codebook = far_codebook_for(static_candidate(pose).poses)
@@ -315,11 +341,9 @@ class TestBatchedMatchesPerPair:
         clips, codebook = crossing_scene
         clip = clips[0]
         good = clip.candidates[0]
-        joints = good.poses[0].joints.copy()
-        joints[LEFT_SHOULDER] = joints[RIGHT_SHOULDER]
-        degenerate = CandidateObservation(
-            5, PoseSequence([Joint19Pose(joints)] + list(good.poses)[1:]), good.boxes, good.valid
-        )
+        poses = good.poses.copy()
+        poses[0, LEFT_SHOULDER] = poses[0, RIGHT_SHOULDER]
+        degenerate = CandidateObservation(5, poses, good.boxes, good.valid)
         occluded = CandidateObservation(6, good.poses, good.boxes, [False] * 8)
         for candidates, error in (
             ([good, degenerate], DegeneratePoseError),
@@ -363,6 +387,6 @@ class TestRecordsAndConfig:
     def test_candidate_validation(self):
         pose = facing_x_pose()
         with pytest.raises(ValueError):
-            CandidateObservation(0, PoseSequence([pose] * 8), [])
+            CandidateObservation(0, [pose] * 8, [])
         with pytest.raises(ValueError):
             static_candidate(pose, valid=[True] * 5)
