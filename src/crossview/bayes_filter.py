@@ -46,7 +46,8 @@ class FilterState:
     """Per-candidate posterior weights plus position/velocity estimates.
 
     The last_* fields are diagnostics captured by the most recent update (or
-    None before any update) and feed the CSV trace writer.
+    None before any update). With the positions, which update sets to the
+    observed ones, they feed the CSV trace writer.
     """
 
     ids: tuple
@@ -57,7 +58,6 @@ class FilterState:
     last_prior: np.ndarray | None = None
     last_likelihood: np.ndarray | None = None
     last_predicted: np.ndarray | None = None
-    last_observed: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.ids)
@@ -176,7 +176,6 @@ def update(
         last_prior=_freeze(state.weights),
         last_likelihood=_freeze(likelihood),
         last_predicted=_freeze(predicted),
-        last_observed=_freeze(observed),
     )
 
 
@@ -190,8 +189,9 @@ def map_identity(state: FilterState):
 def write_filter_trace(path, states, steps=None) -> None:
     """CSV trace of the update history: one row per (step, candidate).
 
-    steps optionally labels each state (e.g. with clip ids); defaults to the
-    positional index.
+    states are those update returned, so their positions are the observed
+    ones. steps optionally labels each state (e.g. with clip ids); defaults
+    to the positional index.
     """
     states = list(states)
     if steps is None:
@@ -224,7 +224,7 @@ def write_filter_trace(path, states, steps=None) -> None:
                         repr(float(state.weights[i])),
                         repr(float(state.last_predicted[i, 0])),
                         repr(float(state.last_predicted[i, 1])),
-                        repr(float(state.last_observed[i, 0])),
-                        repr(float(state.last_observed[i, 1])),
+                        repr(float(state.positions[i, 0])),
+                        repr(float(state.positions[i, 1])),
                     ]
                 )

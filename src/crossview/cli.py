@@ -1,8 +1,12 @@
 """Command-line harness: simulate scenes, fit codebooks, evaluate, sweep.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error. Reports are
-deterministic: the same config and seed produce byte-identical report files
-(wall-clock timing is kept on the in-memory report only).
+evaluate writes report.json, decisions.csv, scores.csv and posteriors.csv.
+sweep writes the same four files and the scenario.json they were run from
+into one sigma_pose_<value> directory per pose-noise level, and sweep.csv
+beside those directories. Exit codes: 0 success, 2 validation error, 3 I/O
+error. Reports are deterministic: the same config and seed produce
+byte-identical report files (wall-clock timing is kept on the in-memory
+report only).
 """
 
 from __future__ import annotations
@@ -14,15 +18,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import bayes_filter
-from .action_codebook import DEFAULT_K, DEFAULT_TAU, fit_codebook, load_codebook, save_codebook
-from .bayes_filter import DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_SIGMA_P
+from .action_codebook import DEFAULT_K, fit_codebook, load_codebook, save_codebook
 from .simulator import generate_scene, load_scenario, save_scene, scenario_to_json
-from .verification import ScoringConfig, localize, score_record
+from .verification import ScoringConfig, localize
 
 __all__ = [
     "ConfigError",
@@ -35,6 +38,11 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# the scores.csv header; each score row is a flat dict with these keys
+SCORE_COLUMNS = (
+    "clip_id", "person_id", "is_wearer", "action_ego_ce", "action_third_ce",
+    "motion_ego_l1", "motion_third_l1", "total", "match_probability",
+)
 
 
 class ConfigError(ValueError):
@@ -43,17 +51,19 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """Every evaluate/sweep option; the command line takes its defaults from here."""
+
     scenario: str
     out_dir: str
     codebook: str | None = None
     codebook_k: int = DEFAULT_K
-    tau: float = DEFAULT_TAU
-    action_weight: float = 1.0
-    motion_weight: float = 1.0
-    sigma: float = 1.0
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    sigma_p: float = DEFAULT_SIGMA_P
+    tau: float = ScoringConfig.tau
+    action_weight: float = ScoringConfig.action_weight
+    motion_weight: float = ScoringConfig.motion_weight
+    sigma: float = ScoringConfig.sigma
+    alpha: float = bayes_filter.DEFAULT_ALPHA
+    beta: float = bayes_filter.DEFAULT_BETA
+    sigma_p: float = bayes_filter.DEFAULT_SIGMA_P
     enable_filter: bool = True
     seed: int | None = None
 
@@ -82,23 +92,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def to_dict(self):
-        return {
-            "scenario": str(self.scenario),
-            "out_dir": str(self.out_dir),
-            "codebook": None if self.codebook is None else str(self.codebook),
-            "codebook_k": self.codebook_k,
-            "tau": self.tau,
-            "action_weight": self.action_weight,
-            "motion_weight": self.motion_weight,
-            "sigma": self.sigma,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "sigma_p": self.sigma_p,
-            "enable_filter": self.enable_filter,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class MetricsReport:
@@ -110,7 +103,6 @@ class MetricsReport:
     decisions: list
     score_rows: list = field(default_factory=list)
     filter_states: list = field(default_factory=list)
-    filter_clip_ids: list = field(default_factory=list)
     sweep_rows: list = field(default_factory=list)
     runtime_seconds: float = 0.0
     config: dict = field(default_factory=dict)
@@ -140,42 +132,57 @@ def _ranking_metrics(is_wearer, scores):
     return ap, ar
 
 
+def _scene(path, seed):
+    """Load a scenario, override its seed when one is given, and generate its clips."""
+    scenario = load_scenario(path)
+    if seed is not None:
+        scenario = replace(scenario, seed=seed)
+    return scenario, generate_scene(scenario)
+
+
+def _fit(clips, k, seed):
+    """Fit the action codebook on the pose clip of every (clip, candidate) pair."""
+    return fit_codebook([cand.poses for clip in clips for cand in clip.candidates], k=k, seed=seed)
+
+
 def run_evaluation(config: RunConfig) -> MetricsReport:
-    """Score every clip of the scenario, optionally filter, and write reports."""
+    """Score every clip of the scenario, optionally filter, and write the four report files."""
     scoring = config.validate()
     started = time.perf_counter()
 
-    scenario = load_scenario(config.scenario)
-    if config.seed is not None:
-        scenario = replace(scenario, seed=config.seed)
-    clips = generate_scene(scenario)
-
+    scenario, clips = _scene(config.scenario, config.seed)
     if config.codebook is not None:
         codebook = load_codebook(config.codebook)
     else:
-        pose_clips = [cand.poses for clip in clips for cand in clip.candidates]
-        codebook = fit_codebook(pose_clips, k=config.codebook_k, seed=scenario.seed)
+        codebook = _fit(clips, config.codebook_k, scenario.seed)
 
     state = None
     if config.enable_filter:
-        ids = [c.person_id for c in clips[0].candidates]
-        positions = [c.boxes[-1].center for c in clips[0].candidates]
-        state = bayes_filter.init_filter(ids, positions)
+        first = clips[0].candidates
+        state = bayes_filter.init_filter([c.person_id for c in first], [c.boxes[-1].center for c in first])
 
     decisions = []
     score_rows = []
     filter_states = []
-    filter_clip_ids = []
-    raw_correct = 0
-    filtered_correct = 0
+    raw_correct = filtered_correct = 0
     for clip in clips:
         predicted, scores = localize(clip.ego, clip.candidates, codebook, scoring)
         raw_correct += int(predicted == clip.ground_truth_wearer)
         probabilities = [s.match_probability for s in scores]
         for cand, score in zip(clip.candidates, scores):
-            row = score_record(clip.clip_id, cand.person_id, score)
-            row["is_wearer"] = cand.person_id == clip.ground_truth_wearer
-            score_rows.append(row)
+            score_rows.append(
+                {
+                    "clip_id": clip.clip_id,
+                    "person_id": cand.person_id,
+                    "is_wearer": int(cand.person_id == clip.ground_truth_wearer),
+                    "action_ego_ce": score.action_ego_ce,
+                    "action_third_ce": score.action_third_ce,
+                    "motion_ego_l1": score.motion_ego_l1,
+                    "motion_third_l1": score.motion_third_l1,
+                    "total": score.total,
+                    "match_probability": score.match_probability,
+                }
+            )
 
         filtered = None
         if state is not None:
@@ -183,17 +190,11 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
             observed = np.array([c.boxes[-1].center for c in clip.candidates])
             occluded = [not c.fully_valid() for c in clip.candidates]
             state = bayes_filter.update(
-                state,
-                probabilities,
-                observed,
-                occluded=occluded,
-                beta=config.beta,
-                sigma_p=config.sigma_p,
+                state, probabilities, observed, occluded=occluded, beta=config.beta, sigma_p=config.sigma_p
             )
             filtered = bayes_filter.map_identity(state)
             filtered_correct += int(filtered == clip.ground_truth_wearer)
             filter_states.append(state)
-            filter_clip_ids.append(clip.clip_id)
 
         decisions.append(
             {
@@ -201,17 +202,12 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
                 "truth": clip.ground_truth_wearer,
                 "raw": predicted,
                 "filtered": filtered,
-                "probabilities": [
-                    [c.person_id, p] for c, p in zip(clip.candidates, probabilities)
-                ],
+                "probabilities": [[c.person_id, p] for c, p in zip(clip.candidates, probabilities)],
             }
         )
 
     n = len(clips)
-    ap, ar = _ranking_metrics(
-        [row["is_wearer"] for row in score_rows],
-        [row["match_probability"] for row in score_rows],
-    )
+    ap, ar = _ranking_metrics([r["is_wearer"] for r in score_rows], [r["match_probability"] for r in score_rows])
     report = MetricsReport(
         n_clips=n,
         accuracy=raw_correct / n,
@@ -221,11 +217,12 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
         decisions=decisions,
         score_rows=score_rows,
         filter_states=filter_states,
-        filter_clip_ids=filter_clip_ids,
-        config=config.to_dict(),
+        # report.json writes a pathlib.Path as its string
+        config={k: os.fspath(v) if isinstance(v, os.PathLike) else v for k, v in asdict(config).items()},
         runtime_seconds=time.perf_counter() - started,
     )
     write_report(report, config.out_dir)
+    emit_plots(report, config.out_dir)
     return report
 
 
@@ -250,76 +247,46 @@ def write_report(report: MetricsReport, out_dir) -> None:
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report_to_dict(report), fh, sort_keys=True, indent=2)
     with open(os.path.join(out_dir, "decisions.csv"), "w", newline="", encoding="utf-8") as fh:
+        # csv writes None, the filtered decision of an unfiltered run, as an empty field
         writer = csv.writer(fh)
         writer.writerow(["clip_id", "truth", "raw", "filtered", "raw_correct", "filtered_correct"])
         for d in report.decisions:
-            writer.writerow(
-                [
-                    d["clip_id"],
-                    d["truth"],
-                    d["raw"],
-                    "" if d["filtered"] is None else d["filtered"],
-                    int(d["raw"] == d["truth"]),
-                    "" if d["filtered"] is None else int(d["filtered"] == d["truth"]),
-                ]
-            )
+            filtered_correct = None if d["filtered"] is None else int(d["filtered"] == d["truth"])
+            row = [d["clip_id"], d["truth"], d["raw"], d["filtered"], int(d["raw"] == d["truth"]), filtered_correct]
+            writer.writerow(row)
 
 
 def emit_plots(report: MetricsReport, out_dir) -> list:
-    """Plot-ready CSVs: per-clip score traces and filter posteriors."""
+    """Plot-ready CSVs: the flat score rows and the filter posteriors per clip."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
     scores_path = os.path.join(out_dir, "scores.csv")
     with open(scores_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "clip_id",
-                "person_id",
-                "is_wearer",
-                "action_ego_ce",
-                "action_third_ce",
-                "motion_ego_l1",
-                "motion_third_l1",
-                "total",
-                "match_probability",
-            ]
-        )
-        for row in report.score_rows:
-            c = row["components"]
-            writer.writerow(
-                [
-                    row["clip_id"],
-                    row["person_id"],
-                    int(row.get("is_wearer", False)),
-                    repr(c["action_ego_ce"]),
-                    repr(c["action_third_ce"]),
-                    repr(c["motion_ego_l1"]),
-                    repr(c["motion_third_l1"]),
-                    repr(row["total"]),
-                    repr(row["match_probability"]),
-                ]
-            )
-    written.append(scores_path)
-
+        # csv writes a float as its str, which is its repr
+        writer = csv.DictWriter(fh, SCORE_COLUMNS)
+        writer.writeheader()
+        writer.writerows(report.score_rows)
     posterior_path = os.path.join(out_dir, "posteriors.csv")
-    steps = report.filter_clip_ids if report.filter_clip_ids else None
+    steps = [d["clip_id"] for d in report.decisions]
     bayes_filter.write_filter_trace(posterior_path, report.filter_states, steps=steps)
-    written.append(posterior_path)
-    return written
+    return [scores_path, posterior_path]
 
 
 def run_sweep(config: RunConfig, sigma_pose_values) -> MetricsReport:
-    """Re-run the evaluation at several pose-noise levels and collect accuracy."""
+    """Re-run the evaluation at several pose-noise levels and collect accuracy.
+
+    Each level gets a sigma_pose_<value>/ directory holding its scenario.json
+    and everything evaluate writes; the sweep directory adds sweep.csv. The
+    returned report is the last level's, with one sweep row per level.
+    """
     config.validate()
     sigma_pose_values = list(sigma_pose_values)
+    if not sigma_pose_values:
+        raise ConfigError("field 'sigma_pose' must list at least one value")
     for sigma_pose in sigma_pose_values:
         if not (math.isfinite(sigma_pose) and sigma_pose >= 0.0):
             raise ConfigError(f"field 'sigma_pose' must be finite and non-negative, got {sigma_pose}")
     scenario = load_scenario(config.scenario)
     rows = []
-    last = None
     for sigma_pose in sigma_pose_values:
         point_dir = os.path.join(config.out_dir, f"sigma_pose_{sigma_pose:g}")
         point_scenario = replace(scenario, noise=replace(scenario.noise, sigma_pose=sigma_pose))
@@ -327,31 +294,20 @@ def run_sweep(config: RunConfig, sigma_pose_values) -> MetricsReport:
         os.makedirs(point_dir, exist_ok=True)
         with open(point_path, "w", encoding="utf-8") as fh:
             fh.write(scenario_to_json(point_scenario))
-        point_config = replace(config, scenario=point_path, out_dir=point_dir)
-        last = run_evaluation(point_config)
+        report = run_evaluation(replace(config, scenario=point_path, out_dir=point_dir))
         rows.append(
             {
                 "sigma_pose": sigma_pose,
-                "accuracy": last.accuracy,
-                "filtered_accuracy": last.filtered_accuracy,
-                "n_clips": last.n_clips,
+                "accuracy": report.accuracy,
+                "filtered_accuracy": report.filtered_accuracy,
+                "n_clips": report.n_clips,
             }
         )
-    report = last if last is not None else MetricsReport(0, 0.0, None, 0.0, 0.0, [])
     report.sweep_rows = rows
-    emit_plots(report, config.out_dir)
     with open(os.path.join(config.out_dir, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma_pose", "accuracy", "filtered_accuracy", "n_clips"])
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(row["sigma_pose"]),
-                    repr(row["accuracy"]),
-                    "" if row["filtered_accuracy"] is None else repr(row["filtered_accuracy"]),
-                    row["n_clips"],
-                ]
-            )
+        writer = csv.DictWriter(fh, ["sigma_pose", "accuracy", "filtered_accuracy", "n_clips"])
+        writer.writeheader()
+        writer.writerows(rows)
     return report
 
 
@@ -361,66 +317,49 @@ def run_sweep(config: RunConfig, sigma_pose_values) -> MetricsReport:
 
 def _add_common(parser):
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    parser.add_argument("--seed", type=int, help="override the scenario seed")
 
 
-def _add_scoring(parser):
-    parser.add_argument("--codebook", default=None, help="load a fitted codebook instead of fitting")
-    parser.add_argument("--codebook-k", type=int, default=DEFAULT_K)
-    parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    parser.add_argument("--action-weight", type=float, default=1.0)
-    parser.add_argument("--motion-weight", type=float, default=1.0)
-    parser.add_argument("--sigma", type=float, default=1.0)
-    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    parser.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    parser.add_argument("--sigma-p", type=float, default=DEFAULT_SIGMA_P)
-    parser.add_argument("--no-filter", action="store_true", help="disable the Bayes identity filter")
+def _add_run_options(parser, out_help):
+    """RunConfig's options; their defaults are RunConfig's, so none is set here."""
+    parser.add_argument("--codebook", help="load a fitted codebook instead of fitting")
+    parser.add_argument("--codebook-k", type=int)
+    parser.add_argument("--tau", type=float)
+    parser.add_argument("--action-weight", type=float)
+    parser.add_argument("--motion-weight", type=float)
+    parser.add_argument("--sigma", type=float)
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--beta", type=float)
+    parser.add_argument("--sigma-p", type=float)
+    parser.add_argument(
+        "--no-filter", dest="enable_filter", action="store_false", help="disable the Bayes identity filter"
+    )
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", required=True, help=out_help)
 
 
 def _config_from_args(args):
-    return RunConfig(
-        scenario=args.scenario,
-        out_dir=args.out,
-        codebook=args.codebook,
-        codebook_k=args.codebook_k,
-        tau=args.tau,
-        action_weight=args.action_weight,
-        motion_weight=args.motion_weight,
-        sigma=args.sigma,
-        alpha=args.alpha,
-        beta=args.beta,
-        sigma_p=args.sigma_p,
-        enable_filter=not args.no_filter,
-        seed=args.seed,
-    )
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def _cmd_simulate(args):
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    clips = generate_scene(scenario)
+    scenario, clips = _scene(args.scenario, args.seed)
     save_scene(clips, args.out, scenario)
     print(f"wrote {len(clips)} clips to {args.out}")
     return 0
 
 
 def _cmd_fit_codebook(args):
-    scenario = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.seed
-    scenario = replace(scenario, seed=seed)
-    clips = generate_scene(scenario)
-    pose_clips = [cand.poses for clip in clips for cand in clip.candidates]
-    codebook = fit_codebook(pose_clips, k=args.k, seed=seed)
+    scenario, clips = _scene(args.scenario, args.seed)
+    codebook = _fit(clips, args.k, scenario.seed)
     save_codebook(codebook, args.out)
-    print(f"fitted k={codebook.k} codebook on {len(pose_clips)} clips -> {args.out}")
+    pairs = sum(len(clip.candidates) for clip in clips)
+    print(f"fitted k={codebook.k} codebook on {pairs} clips -> {args.out}")
     return 0
 
 
 def _cmd_evaluate(args):
-    config = _config_from_args(args)
-    report = run_evaluation(config)
-    emit_plots(report, config.out_dir)
+    report = run_evaluation(_config_from_args(args))
     filtered = "-" if report.filtered_accuracy is None else f"{report.filtered_accuracy:.4f}"
     print(
         f"clips={report.n_clips} accuracy={report.accuracy:.4f} filtered={filtered} "
@@ -431,15 +370,25 @@ def _cmd_evaluate(args):
 
 
 def _cmd_sweep(args):
-    config = _config_from_args(args)
-    values = [float(v) for v in args.sigma_pose.split(",") if v != ""]
-    if not values:
-        raise ConfigError("field 'sigma_pose' must list at least one value")
-    report = run_sweep(config, values)
+    try:
+        values = [float(v) for v in args.sigma_pose.split(",") if v != ""]
+    except ValueError as exc:
+        raise ConfigError(f"field 'sigma_pose' must list numbers: {exc}") from exc
+    report = run_sweep(_config_from_args(args), values)
     for row in report.sweep_rows:
         filtered = "-" if row["filtered_accuracy"] is None else f"{row['filtered_accuracy']:.4f}"
         print(f"sigma_pose={row['sigma_pose']:g} accuracy={row['accuracy']:.4f} filtered={filtered}")
     return 0
+
+
+# metric key -> (label, format spec) of the lines `report` prints
+REPORT_LINES = {
+    "n_clips": ("clips:", ""),
+    "accuracy": ("accuracy:", ".4f"),
+    "filtered_accuracy": ("filtered accuracy:", ".4f"),
+    "average_precision": ("average precision:", ".4f"),
+    "average_recall": ("average recall:", ".4f"),
+}
 
 
 def _cmd_report(args):
@@ -448,17 +397,16 @@ def _cmd_report(args):
             payload = json.load(fh)
     except OSError as exc:
         raise OSError(f"cannot read report {args.report}: {exc}") from exc
+    lines = [f"report: {args.report}"]
     try:
         metrics = payload["metrics"]
-        lines = [
-            f"report: {args.report}",
-            f"  clips:             {metrics['n_clips']}",
-            f"  accuracy:          {metrics['accuracy']:.4f}",
-        ]
-        if metrics.get("filtered_accuracy") is not None:
-            lines.append(f"  filtered accuracy: {metrics['filtered_accuracy']:.4f}")
-        lines.append(f"  average precision: {metrics['average_precision']:.4f}")
-        lines.append(f"  average recall:    {metrics['average_recall']:.4f}")
+        for key, (label, spec) in REPORT_LINES.items():
+            if key == "filtered_accuracy" and metrics.get(key) is None:
+                continue
+            value = metrics[key]
+            if not isinstance(value, (int, float)):
+                raise ValueError(f"report {args.report}: key '{key}' must be a number, got {value!r}")
+            lines.append(f"  {label:<19}{value:{spec}}")
     except KeyError as exc:
         raise ValueError(f"report {args.report} lacks the key {exc}") from exc
     except TypeError as exc:
@@ -482,16 +430,18 @@ def build_parser():
     p.add_argument("--out", required=True, help="output codebook JSON path")
     p.set_defaults(func=_cmd_fit_codebook)
 
-    p = sub.add_parser("evaluate", help="run localization over a scenario and write reports")
+    # evaluate and sweep leave every option they are not given unset, so
+    # RunConfig's default applies
+    p = sub.add_parser(
+        "evaluate", help="run localization over a scenario and write reports", argument_default=argparse.SUPPRESS
+    )
     _add_common(p)
-    _add_scoring(p)
-    p.add_argument("--out", required=True, help="output report directory")
+    _add_run_options(p, "output report directory")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="accuracy versus pose-noise sweep")
+    p = sub.add_parser("sweep", help="accuracy versus pose-noise sweep", argument_default=argparse.SUPPRESS)
     _add_common(p)
-    _add_scoring(p)
-    p.add_argument("--out", required=True, help="output directory")
+    _add_run_options(p, "output directory")
     p.add_argument("--sigma-pose", required=True, help="comma-separated noise levels, e.g. 0,0.02,0.05")
     p.set_defaults(func=_cmd_sweep)
 

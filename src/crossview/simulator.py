@@ -524,23 +524,27 @@ def clip_to_obj(clip: ClipObservation) -> dict:
 def clip_from_obj(obj) -> ClipObservation:
     """Inverse of clip_to_obj; other keys, such as an older file's ego start pose, are ignored.
 
-    Each candidate's frames must be clip_id ... clip_id + 7.
+    Each candidate's frames must be clip_id ... clip_id + 7. A missing key
+    raises ValueError naming it.
     """
-    clip_id = int(obj["clip_id"])
-    frames = list(range(clip_id, clip_id + CLIP_LEN))
-    for c in obj["candidates"]:
-        if c["frames"] != frames:
-            raise ValueError(f"candidate {c['person_id']} frames must be {frames}, got {c['frames']}")
-    ego_obj = obj["ego"]
-    ego = EgoObservation(
-        ego_obj["pose_deltas"],
-        [(d["rotation"], d["translation"]) for d in ego_obj["motion"]["deltas"]],
-    )
-    candidates = tuple(
-        CandidateObservation(c["person_id"], c["poses"], [BoundingBox(*b) for b in c["boxes"]], c["valid"])
-        for c in obj["candidates"]
-    )
-    return ClipObservation(clip_id, ego, candidates, int(obj["ground_truth_wearer"]))
+    try:
+        clip_id = int(obj["clip_id"])
+        frames = list(range(clip_id, clip_id + CLIP_LEN))
+        for c in obj["candidates"]:
+            if c["frames"] != frames:
+                raise ValueError(f"candidate {c['person_id']} frames must be {frames}, got {c['frames']}")
+        ego_obj = obj["ego"]
+        ego = EgoObservation(
+            ego_obj["pose_deltas"],
+            [(d["rotation"], d["translation"]) for d in ego_obj["motion"]["deltas"]],
+        )
+        candidates = tuple(
+            CandidateObservation(c["person_id"], c["poses"], [BoundingBox(*b) for b in c["boxes"]], c["valid"])
+            for c in obj["candidates"]
+        )
+        return ClipObservation(clip_id, ego, candidates, int(obj["ground_truth_wearer"]))
+    except KeyError as exc:
+        raise ValueError(f"clip file lacks the key {exc}") from exc
 
 
 def save_scene(clips, directory, scenario: Scenario | None = None) -> None:

@@ -60,7 +60,6 @@ __all__ = [
     "VerificationScore",
     "verify_pair",
     "localize",
-    "score_record",
 ]
 
 
@@ -234,18 +233,3 @@ def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig())
     best = min(range(n), key=lambda i: (-scores[i].match_probability, candidates[i].person_id))
     return candidates[best].person_id, scores
 
-
-def score_record(clip_id, person_id, score: VerificationScore) -> dict:
-    """JSON-ready record for one scored (clip, candidate) pair."""
-    return {
-        "clip_id": clip_id,
-        "person_id": person_id,
-        "components": {
-            "action_ego_ce": score.action_ego_ce,
-            "action_third_ce": score.action_third_ce,
-            "motion_ego_l1": score.motion_ego_l1,
-            "motion_third_l1": score.motion_third_l1,
-        },
-        "total": score.total,
-        "match_probability": score.match_probability,
-    }

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from crossview.cli import (
     ConfigError,
     MetricsReport,
     RunConfig,
+    _config_from_args,
+    build_parser,
     emit_plots,
     main,
     run_evaluation,
@@ -130,6 +133,41 @@ class TestRunEvaluation:
         assert 0.0 <= report.average_precision <= 1.0
         assert 0.0 <= report.average_recall <= 1.0
 
+    def test_scores_csv_has_one_full_row_per_pair(self, tmp_path):
+        path = write_scenario(tmp_path, cv.three_person_scenario(duration=24, seed=5, noise=NOISE))
+        report = run_evaluation(RunConfig(scenario=str(path), out_dir=str(tmp_path / "out"), codebook_k=8))
+        with open(tmp_path / "out" / "scores.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "clip_id",
+            "person_id",
+            "is_wearer",
+            "action_ego_ce",
+            "action_third_ce",
+            "motion_ego_l1",
+            "motion_third_l1",
+            "total",
+            "match_probability",
+        ]
+        expected = [
+            (str(d["clip_id"]), str(pid), str(int(pid == d["truth"])), repr(p))
+            for d in report.decisions
+            for pid, p in d["probabilities"]
+        ]
+        assert [(r["clip_id"], r["person_id"], r["is_wearer"], r["match_probability"]) for r in rows] == expected
+        for r in rows:
+            parts = [float(r[k]) for k in ("action_ego_ce", "action_third_ce", "motion_ego_l1", "motion_third_l1")]
+            assert float(r["total"]) == pytest.approx(sum(parts))
+
+    def test_path_fields_written_as_strings(self, tmp_path):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))
+        run_evaluation(RunConfig(scenario=path, out_dir=tmp_path / "out", codebook_k=8))
+        config = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+        assert config["scenario"] == str(path)
+        assert config["out_dir"] == str(tmp_path / "out")
+        assert config["codebook"] is None
+
     def test_config_validation_names_field(self, tmp_path):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24))
         bad = RunConfig(scenario=str(path), out_dir=str(tmp_path / "o"), alpha=2.0)
@@ -185,13 +223,11 @@ class TestEmitPlots:
                 {
                     "clip_id": 0,
                     "person_id": 0,
-                    "is_wearer": True,
-                    "components": {
-                        "action_ego_ce": 0.0,
-                        "action_third_ce": 0.0,
-                        "motion_ego_l1": 0.1,
-                        "motion_third_l1": 0.0,
-                    },
+                    "is_wearer": 1,
+                    "action_ego_ce": 0.0,
+                    "action_third_ce": 0.0,
+                    "motion_ego_l1": 0.1,
+                    "motion_third_l1": 0.0,
                     "total": 0.1,
                     "match_probability": 0.9,
                 }
@@ -214,6 +250,65 @@ class TestSweep:
             rows = list(csv.reader(fh))
         assert len(rows) == 3
         assert rows[0][0] == "sigma_pose"
+
+    def test_each_point_directory_holds_what_evaluate_writes(self, tmp_path):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=3, noise=NOISE))
+        out = tmp_path / "sweep"
+        run_sweep(RunConfig(scenario=str(path), out_dir=str(out), codebook_k=8), [0.0, 0.05])
+        assert sorted(os.listdir(out)) == ["sigma_pose_0", "sigma_pose_0.05", "sweep.csv"]
+        for point in ("sigma_pose_0", "sigma_pose_0.05"):
+            assert sorted(os.listdir(out / point)) == [
+                "decisions.csv",
+                "posteriors.csv",
+                "report.json",
+                "scenario.json",
+                "scores.csv",
+            ]
+            report = json.loads((out / point / "report.json").read_text())
+            assert report["config"]["scenario"] == str(out / point / "scenario.json")
+
+    def test_empty_list_rejected(self, tmp_path):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=3))
+        with pytest.raises(ConfigError, match="sigma_pose"):
+            run_sweep(RunConfig(scenario=str(path), out_dir=str(tmp_path / "sweep")), [])
+        assert not (tmp_path / "sweep").exists()
+
+
+# every RunConfig field but scenario and out_dir: (flag, its argument, field, value)
+RUN_FLAGS = [
+    ("--seed", "3", "seed", 3),
+    ("--codebook", "cb.json", "codebook", "cb.json"),
+    ("--codebook-k", "8", "codebook_k", 8),
+    ("--tau", "0.2", "tau", 0.2),
+    ("--action-weight", "0.5", "action_weight", 0.5),
+    ("--motion-weight", "0.25", "motion_weight", 0.25),
+    ("--sigma", "2", "sigma", 2.0),
+    ("--alpha", "0.1", "alpha", 0.1),
+    ("--beta", "0.6", "beta", 0.6),
+    ("--sigma-p", "0.3", "sigma_p", 0.3),
+    ("--no-filter", None, "enable_filter", False),
+]
+
+
+class TestParseRunConfig:
+    def parse(self, command, *extra):
+        argv = [command, "--scenario", "s", "--out", "o", *extra]
+        if command == "sweep":
+            argv += ["--sigma-pose", "0"]
+        return _config_from_args(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_unset_flags_take_run_config_defaults(self, command):
+        assert self.parse(command) == RunConfig("s", "o")
+
+    def test_every_field_has_a_flag(self):
+        assert {f.name for f in fields(RunConfig)} == {"scenario", "out_dir"} | {row[2] for row in RUN_FLAGS}
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("flag, arg, name, value", RUN_FLAGS)
+    def test_flag_lands_in_its_field(self, command, flag, arg, name, value):
+        extra = [flag] if arg is None else [flag, arg]
+        assert self.parse(command, *extra) == replace(RunConfig("s", "o"), **{name: value})
 
 
 class TestCommandLine:
@@ -337,6 +432,10 @@ class TestCommandLine:
             ({"schema_version": 1}, "'metrics'"),
             ({"metrics": {"n_clips": 3, "accuracy": 0.5}}, "'average_precision'"),
             ([], "is not a metrics report"),
+            (
+                {"metrics": {"n_clips": 3, "accuracy": "x", "average_precision": 0.5, "average_recall": 0.5}},
+                "key 'accuracy' must be a number, got 'x'",
+            ),
         ],
     )
     def test_report_lacking_a_key_exit_two(self, tmp_path, capsys, payload, key):
@@ -347,7 +446,7 @@ class TestCommandLine:
         assert key in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("values", ["0,0.05,-1", "0,nan"])
+    @pytest.mark.parametrize("values", ["0,0.05,-1", "0,nan", "0,abc"])
     def test_sweep_bad_sigma_pose_exit_two_before_any_point(self, tmp_path, capsys, values):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0, noise=NOISE))
         out = tmp_path / "sw"

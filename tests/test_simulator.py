@@ -360,6 +360,30 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"candidate 1 frames must be \[2, 3, 4, 5, 6, 7, 8, 9\]"):
             clip_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "part, key",
+        [
+            ("candidate", "boxes"),
+            ("candidate", "poses"),
+            ("candidate", "valid"),
+            ("candidate", "frames"),
+            ("ego", "pose_deltas"),
+            ("ego", "motion"),
+        ],
+    )
+    def test_missing_key_rejected_naming_it(self, tmp_path, part, key):
+        scenario = cv.two_person_scenario(duration=16, seed=6)
+        clips = generate_scene(scenario)
+        obj = json.loads(json.dumps(clip_to_obj(clips[2])))
+        del (obj["candidates"][1] if part == "candidate" else obj["ego"])[key]
+        with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
+            clip_from_obj(obj)
+        # load_scene reads every clip file through clip_from_obj
+        save_scene(clips, tmp_path / "scene", scenario)
+        (tmp_path / "scene" / "clip_00002.json").write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
+            load_scene(tmp_path / "scene")
+
     def test_scene_directory_round_trip(self, tmp_path):
         scenario = cv.two_person_scenario(duration=16, seed=8)
         clips = generate_scene(scenario)

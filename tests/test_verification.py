@@ -18,9 +18,7 @@ from crossview.verification import (
     EgoObservation,
     InsufficientObservationError,
     ScoringConfig,
-    VerificationScore,
     localize,
-    score_record,
     verify_pair,
 )
 
@@ -358,18 +356,6 @@ class TestBatchedMatchesPerPair:
 
 
 class TestRecordsAndConfig:
-    def test_score_record_shape(self):
-        s = VerificationScore(1.5, 0.25, 0.25, 0.5, 0.5, 0.22)
-        record = score_record(3, 7, s)
-        assert record["clip_id"] == 3 and record["person_id"] == 7
-        assert record["total"] == 1.5 and record["match_probability"] == 0.22
-        assert set(record["components"]) == {
-            "action_ego_ce",
-            "action_third_ce",
-            "motion_ego_l1",
-            "motion_third_l1",
-        }
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScoringConfig(sigma=0.0)
