@@ -143,6 +143,7 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
     n = vectors.shape[0]
     history = []
     previous = None
+    reseeded = False
     for _ in range(max_iters):
         # the corpus norms are fixed; only the centroids move between passes
         d2 = _pairwise_sq_distances(vectors, sq, centroids, _sq_norms(centroids))
@@ -152,14 +153,23 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
         history.append(float(((vectors - centroids[labels]) ** 2).sum()))
         if previous is not None and np.array_equal(labels, previous):
             break
+        # a cluster that kept its members would get the same rows in the same
+        # order, so the same bits: recompute only the means of clusters a row
+        # left or joined, and every mean on the first pass and after a reseed
+        if previous is None or reseeded:
+            stale = np.arange(k)
+        else:
+            moved = labels != previous
+            stale = np.union1d(labels[moved], previous[moved])
         previous = labels
 
         new_centroids = centroids.copy()
         counts = np.bincount(labels, minlength=k)
-        for j in np.flatnonzero(counts > 0):
+        for j in stale[counts[stale] > 0]:
             new_centroids[j] = vectors[labels == j].mean(axis=0)
         empty = np.flatnonzero(counts == 0)
-        if empty.size:
+        reseeded = empty.size > 0
+        if reseeded:
             # farthest points first, each used at most once
             order = np.argsort(-d2[np.arange(n), labels], kind="stable")
             for j, idx in zip(empty, order):

@@ -198,33 +198,11 @@ def write_filter_trace(path, states, steps=None) -> None:
         steps = range(len(states))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "step",
-                "candidate_id",
-                "prior",
-                "likelihood",
-                "posterior",
-                "predicted_x",
-                "predicted_y",
-                "observed_x",
-                "observed_y",
-            ]
-        )
-        for step, state in zip(steps, states):
-            if state.last_prior is None:
+        header = "step candidate_id prior likelihood posterior predicted_x predicted_y observed_x observed_y"
+        writer.writerow(header.split())
+        for step, s in zip(steps, states):
+            if s.last_prior is None:
                 continue
-            for i, cid in enumerate(state.ids):
-                writer.writerow(
-                    [
-                        step,
-                        cid,
-                        repr(float(state.last_prior[i])),
-                        repr(float(state.last_likelihood[i])),
-                        repr(float(state.weights[i])),
-                        repr(float(state.last_predicted[i, 0])),
-                        repr(float(state.last_predicted[i, 1])),
-                        repr(float(state.positions[i, 0])),
-                        repr(float(state.positions[i, 1])),
-                    ]
-                )
+            columns = (s.last_prior, s.last_likelihood, s.weights, *s.last_predicted.T, *s.positions.T)
+            for i, cid in enumerate(s.ids):
+                writer.writerow([step, cid] + [repr(float(column[i])) for column in columns])

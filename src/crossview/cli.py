@@ -170,19 +170,8 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
         raw_correct += int(predicted == clip.ground_truth_wearer)
         probabilities = [s.match_probability for s in scores]
         for cand, score in zip(clip.candidates, scores):
-            score_rows.append(
-                {
-                    "clip_id": clip.clip_id,
-                    "person_id": cand.person_id,
-                    "is_wearer": int(cand.person_id == clip.ground_truth_wearer),
-                    "action_ego_ce": score.action_ego_ce,
-                    "action_third_ce": score.action_third_ce,
-                    "motion_ego_l1": score.motion_ego_l1,
-                    "motion_third_l1": score.motion_third_l1,
-                    "total": score.total,
-                    "match_probability": score.match_probability,
-                }
-            )
+            is_wearer = int(cand.person_id == clip.ground_truth_wearer)
+            score_rows.append(dict(clip_id=clip.clip_id, person_id=cand.person_id, is_wearer=is_wearer, **vars(score)))
 
         filtered = None
         if state is not None:
@@ -282,13 +271,18 @@ def run_sweep(config: RunConfig, sigma_pose_values) -> MetricsReport:
     sigma_pose_values = list(sigma_pose_values)
     if not sigma_pose_values:
         raise ConfigError("field 'sigma_pose' must list at least one value")
+    points = {}  # directory name -> level
     for sigma_pose in sigma_pose_values:
         if not (math.isfinite(sigma_pose) and sigma_pose >= 0.0):
             raise ConfigError(f"field 'sigma_pose' must be finite and non-negative, got {sigma_pose}")
+        name = f"sigma_pose_{sigma_pose:g}"
+        if name in points:
+            raise ConfigError(f"field 'sigma_pose' values {points[name]} and {sigma_pose} share the directory {name}")
+        points[name] = sigma_pose
     scenario = load_scenario(config.scenario)
     rows = []
-    for sigma_pose in sigma_pose_values:
-        point_dir = os.path.join(config.out_dir, f"sigma_pose_{sigma_pose:g}")
+    for name, sigma_pose in points.items():
+        point_dir = os.path.join(config.out_dir, name)
         point_scenario = replace(scenario, noise=replace(scenario.noise, sigma_pose=sigma_pose))
         point_path = os.path.join(point_dir, "scenario.json")
         os.makedirs(point_dir, exist_ok=True)
@@ -324,13 +318,8 @@ def _add_run_options(parser, out_help):
     """RunConfig's options; their defaults are RunConfig's, so none is set here."""
     parser.add_argument("--codebook", help="load a fitted codebook instead of fitting")
     parser.add_argument("--codebook-k", type=int)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--action-weight", type=float)
-    parser.add_argument("--motion-weight", type=float)
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--sigma-p", type=float)
+    for name in ("tau", "action-weight", "motion-weight", "sigma", "alpha", "beta", "sigma-p"):
+        parser.add_argument(f"--{name}", type=float)
     parser.add_argument(
         "--no-filter", dest="enable_filter", action="store_false", help="disable the Bayes identity filter"
     )

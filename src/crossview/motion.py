@@ -16,6 +16,8 @@ import numpy as np
 from .geometry import (
     SE3Transform,
     error_quaternion,
+    exp_rotations,
+    rotation_matrices,
     se3_compose,
     warp_to_third_2d,
 )
@@ -87,12 +89,15 @@ def ego_offsets(deltas) -> np.ndarray:
     translation of D_1...D_k (row 0 is exactly zero), so the track
     integrate_ego_motion gives from a start rotation R is the x-y part of
     R u_k: the increments are integrated once for any number of starts.
+    The step rotations come from one array pass; the chain is a loop of 3x3 products.
     """
+    deltas = np.asarray(deltas, dtype=float)
+    rotations = rotation_matrices(exp_rotations(deltas[:, 0]))
     offsets = np.zeros((CLIP_LEN, 3))
     frame = np.eye(3)
-    for k, (rotation, translation) in enumerate(deltas):
+    for k, (translation, rotation) in enumerate(zip(deltas[:, 1], rotations)):
         offsets[k + 1] = offsets[k] + frame @ translation
-        frame = frame @ error_quaternion(rotation).to_matrix()
+        frame = frame @ rotation
     return offsets
 
 

@@ -45,9 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import se3_compose
+# se3_compose and body_frame are not called here; perfbench/tracer.py wraps
+# them under these names to count calls, which now read 0
+from .geometry import relative_motions, se3_compose  # noqa: F401
 from .motion import BoundingBox
-from .skeleton import CLIP_LEN, N_JOINTS, body_frame
+from .skeleton import CLIP_LEN, N_JOINTS, body_frame, body_poses  # noqa: F401
 from .verification import CandidateObservation, EgoObservation
 
 __all__ = [
@@ -284,11 +286,12 @@ def _path_states(spec: PersonSpec, duration):
 
 
 def _ego_steps(frames):
-    """Joint-space deltas (n-1, 19, 3) and rigid-motion increments (n-1, 2, 3) of an (n, 19, 3) array."""
-    transforms = [body_frame(f) for f in frames]
-    steps = [se3_compose(a.inverse(), b) for a, b in zip(transforms, transforms[1:])]
-    motion_deltas = np.array([(step.rotation.to_rotation_vector(), step.translation) for step in steps])
-    return np.diff(frames, axis=0), motion_deltas
+    """Joint-space deltas (n-1, 19, 3) and rigid-motion increments (n-1, 2, 3) of an (n, 19, 3) array.
+
+    Both are array passes over all frames; the increments are the relative
+    transforms between consecutive body frames (see relative_motions).
+    """
+    return np.diff(frames, axis=0), relative_motions(*body_poses(frames))
 
 
 def ego_deltas_from_truth(frames):

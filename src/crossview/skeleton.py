@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import SE3Transform, UnitQuaternion, frozen_array
+from .geometry import SE3Transform, UnitQuaternion, frozen_array, norms, quaternions_from_matrices
 
 __all__ = [
     "JOINT_NAMES",
@@ -28,6 +28,7 @@ __all__ = [
     "integrate_pose_deltas",
     "body_centers",
     "body_axes",
+    "body_poses",
     "body_frame",
     "pose_clip_vector",
 ]
@@ -91,12 +92,6 @@ def body_centers(joints) -> np.ndarray:
     return (joints[..., RIGHT_SHOULDER, :] + joints[..., LEFT_SHOULDER, :] + joints[..., NECK, :]) / 3.0
 
 
-def _norms(v):
-    # one dot product per vector: the arithmetic np.linalg.norm uses for a
-    # single vector, so one pose gets bit-identical axes alone or in a batch
-    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
-
-
 def body_axes(joints):
     """Body-frame axes of each pose in a (..., 19, 3) joint array.
 
@@ -110,25 +105,32 @@ def body_axes(joints):
     """
     shoulder = joints[..., RIGHT_SHOULDER, :] - joints[..., LEFT_SHOULDER, :]
     cross = np.cross(shoulder, joints[..., NECK, :] - joints[..., LEFT_SHOULDER, :])
-    cross_norm = _norms(cross)
+    # norms() gives one pose bit-identical axes alone or in a batch
+    cross_norm = norms(cross)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_axis = shoulder / _norms(shoulder)
+        x_axis = shoulder / norms(shoulder)
         z_axis = cross / cross_norm
     z_axis = np.where(z_axis[..., 2:] < 0.0, -z_axis, z_axis)
     y_axis = np.cross(z_axis, x_axis)
     return np.stack([x_axis, y_axis, z_axis], axis=-1), cross_norm[..., 0] >= 1e-9
 
 
-def body_frame(joints) -> SE3Transform:
-    """Person-attached frame of one (19, 3) pose from the shoulder line and neck (see body_axes).
+def body_poses(frames):
+    """Body-frame rotations (n, 4) and translations (n, 3) of an (n, 19, 3) joint array (see body_axes).
 
-    Translation is the torso centroid.
+    Rotations are unit quaternions; translations are torso centroids. Raises
+    DegeneratePoseError naming the first frame whose torso triangle collapses.
     """
-    joints = _pose(joints, "joints")
-    axes, defined = body_axes(joints)
-    if not defined:
-        raise DegeneratePoseError("shoulder and neck joints are collinear; body frame undefined")
-    return SE3Transform(UnitQuaternion.from_matrix(axes), body_centers(joints))
+    axes, defined = body_axes(frames)
+    if not defined.all():
+        raise DegeneratePoseError(f"frame {int(np.argmin(defined))}: shoulder and neck joints are collinear")
+    return quaternions_from_matrices(axes), body_centers(frames)
+
+
+def body_frame(joints) -> SE3Transform:
+    """Person-attached frame of one (19, 3) pose: body_poses of a batch of one."""
+    rotations, centres = body_poses(_pose(joints, "joints")[None])
+    return SE3Transform(UnitQuaternion._of(rotations[0]), centres[0])
 
 
 def pose_clip_vector(clip) -> np.ndarray:

@@ -71,8 +71,10 @@ def oracle_sq_distances(a, b):
 def oracle_fit(vectors, k, seed, max_iters=300):
     """fit_codebook step by step on oracle_sq_distances.
 
-    Returns (centroids, sse_history, reseeds), reseeds being the number of
-    empty clusters refilled.
+    Returns (centroids, sse_history, reseeds, moved): reseeds is the number
+    of empty clusters refilled, moved the number of clusters that a row left
+    or joined in each pass after the first. Every mean is recomputed on
+    every pass.
     """
     n = vectors.shape[0]
     rng = np.random.default_rng(seed)
@@ -88,12 +90,16 @@ def oracle_fit(vectors, k, seed, max_iters=300):
     history = []
     previous = None
     reseeds = 0
+    moved = []
     for _ in range(max_iters):
         d2 = oracle_sq_distances(vectors, centroids)
         labels = np.argmin(d2, axis=1)
         history.append(float(((vectors - centroids[labels]) ** 2).sum()))
         if previous is not None and np.array_equal(labels, previous):
             break
+        if previous is not None:
+            changed = labels != previous
+            moved.append(len(set(labels[changed]) | set(previous[changed])))
         previous = labels
         new_centroids = centroids.copy()
         counts = np.bincount(labels, minlength=k)
@@ -105,7 +111,7 @@ def oracle_fit(vectors, k, seed, max_iters=300):
             new_centroids[j] = vectors[idx]
         reseeds += empty.size
         centroids = new_centroids
-    return centroids, history, reseeds
+    return centroids, history, reseeds, moved
 
 
 def oracle_scores(centroids, vectors, tau=DEFAULT_TAU):
@@ -215,7 +221,7 @@ class TestNormCacheEquivalence:
         clips = [cand.poses for clip in scene for cand in clip.candidates]
         vectors = np.stack([pose_clip_vector(c) for c in clips])
         cb = fit_codebook(clips, k=16, seed=11)
-        centroids, history, _ = oracle_fit(vectors, k=16, seed=11)
+        centroids, history, _, _ = oracle_fit(vectors, k=16, seed=11)
         assert np.array_equal(cb.centroids, centroids)
         assert cb.sse_history == tuple(history)
 
@@ -223,7 +229,7 @@ class TestNormCacheEquivalence:
         for seed in range(10):
             vectors = duplicate_heavy_vectors(seed)
             cb = fit_codebook([clip_from_vector(v) for v in vectors], k=4, seed=seed)
-            centroids, history, _ = oracle_fit(vectors, k=4, seed=seed)
+            centroids, history, _, _ = oracle_fit(vectors, k=4, seed=seed)
             assert np.array_equal(cb.centroids, centroids), seed
             assert cb.sse_history == tuple(history), seed
 
@@ -237,8 +243,21 @@ class TestNormCacheEquivalence:
             vectors += [centre + rng.normal(size=CLIP_DIM) for _ in range(rng.integers(2, 8))]
         vectors = np.stack(vectors)
         cb = fit_codebook([clip_from_vector(v) for v in vectors], k=4, seed=170)
-        centroids, history, reseeds = oracle_fit(vectors, k=4, seed=170)
+        centroids, history, reseeds, _ = oracle_fit(vectors, k=4, seed=170)
         assert reseeds > 0
+        assert np.array_equal(cb.centroids, centroids)
+        assert cb.sse_history == tuple(history)
+
+    def test_fit_recomputing_only_moved_means_matches_oracle(self):
+        # rows spread mostly along three directions: rows keep changing
+        # clusters for several passes while most clusters keep their members,
+        # so most means are reused
+        rng = np.random.default_rng(41)
+        vectors = rng.normal(size=(240, 3)) @ rng.normal(size=(3, CLIP_DIM)) + 0.3 * rng.normal(size=(240, CLIP_DIM))
+        cb = fit_codebook([clip_from_vector(v) for v in vectors], k=30, seed=41)
+        centroids, history, reseeds, moved = oracle_fit(vectors, k=30, seed=41)
+        assert reseeds == 0 and len(moved) >= 3
+        assert any(0 < m < 30 for m in moved)
         assert np.array_equal(cb.centroids, centroids)
         assert cb.sse_history == tuple(history)
 

@@ -446,7 +446,8 @@ class TestCommandLine:
         assert key in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("values", ["0,0.05,-1", "0,nan", "0,abc"])
+    # the last two lists name one point directory twice (sigma_pose_0, sigma_pose_0.01)
+    @pytest.mark.parametrize("values", ["0,0.05,-1", "0,nan", "0,abc", "0,0", "0.0100001,0.01000012"])
     def test_sweep_bad_sigma_pose_exit_two_before_any_point(self, tmp_path, capsys, values):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0, noise=NOISE))
         out = tmp_path / "sw"
@@ -456,6 +457,13 @@ class TestCommandLine:
         assert code == 2
         assert "sigma_pose" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_colliding_point_directories_name_both_values(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0, noise=NOISE))
+        argv = ["sweep", "--scenario", str(path), "--out", str(tmp_path / "sw"), "--codebook-k", "8"]
+        assert main(argv + ["--sigma-pose", "0.02,0.0100001,0.01000012"]) == 2
+        err = capsys.readouterr().err
+        assert "0.0100001" in err and "0.01000012" in err and "sigma_pose_0.01" in err
 
     def test_sweep_command(self, tmp_path, capsys):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0, noise=NOISE))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from crossview.geometry import SE3Transform, UnitQuaternion
+from crossview.geometry import SE3Transform, UnitQuaternion, error_quaternion
 from crossview.motion import (
     BoundingBox,
     bbox_trajectory,
@@ -183,6 +183,37 @@ class TestEgoOffsets:
             expected = integrate_ego_motion(t_init, deltas)
             got = offsets @ t_init.rotation.to_matrix()[:2].T
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+    @staticmethod
+    def chained_offsets(deltas):
+        # one error quaternion and one rotation matrix per step
+        offsets = np.zeros((8, 3))
+        frame = np.eye(3)
+        for k, (rotation, translation) in enumerate(deltas):
+            offsets[k + 1] = offsets[k] + frame @ translation
+            frame = frame @ error_quaternion(rotation).to_matrix()
+        return offsets
+
+    @pytest.mark.parametrize("rotation_scale", [0.0, 1e-9, 3e-8, 0.2, 2.5])
+    def test_bits_match_per_step_exponentials(self, rotation_scale):
+        # zero, below the 1e-7 series cut, and large rotations; one step of
+        # each kind mixed into every clip as well
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            deltas = random_deltas(rng, rotation_scale)
+            deltas[2, 0] = 0.0
+            deltas[4, 0] *= 1e-9
+            deltas[5, 0] = (math.pi, 0.0, -0.0)
+            got = ego_offsets(deltas)
+            assert got.tobytes() == self.chained_offsets(deltas).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rotation_rejected(self, bad):
+        deltas = random_deltas(np.random.default_rng(29), 0.2)
+        deltas[3, 0, 1] = bad
+        with pytest.raises(ValueError, match="rotation vector must be finite"):
+            ego_offsets(deltas)
 
 
 class TestZeroNoiseConsistency:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,16 @@ from crossview.simulator import (
     scenario_to_json,
     skeleton_at,
 )
-from crossview.skeleton import body_centers, body_frame, integrate_pose_deltas
+from crossview.geometry import se3_compose
+from crossview.skeleton import (
+    LEFT_SHOULDER,
+    RIGHT_SHOULDER,
+    DegeneratePoseError,
+    body_axes,
+    body_centers,
+    body_frame,
+    integrate_pose_deltas,
+)
 
 RNG = np.random.default_rng(77)
 
@@ -105,6 +115,79 @@ class TestEgoDeltasFromTruth:
         frame = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
         with pytest.raises(ValueError):
             ego_deltas_from_truth([frame] * 7)
+
+
+def per_frame_chain(frames):
+    """The ego increments one frame at a time, through the transform objects."""
+    transforms = [body_frame(f) for f in frames]
+    steps = [se3_compose(a.inverse(), b) for a, b in zip(transforms, transforms[1:])]
+    return np.array([(step.rotation.to_rotation_vector(), step.translation) for step in steps])
+
+
+def from_matrix_branch(m):
+    if m[0, 0] + m[1, 1] + m[2, 2] > 0.0:
+        return 0
+    if m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
+        return 1
+    return 2 if m[1, 1] >= m[2, 2] else 3
+
+
+def posed_frames(body_rotations, shifts):
+    """One walker pose turned so that its body axes are each given rotation, then shifted."""
+    base = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.3)
+    axes, centre = body_axes(base)[0], body_centers(base)
+    return np.stack([(base - centre) @ (r @ axes.T).T + shift for r, shift in zip(body_rotations, shifts)])
+
+
+class TestEgoStepsMatchPerFrameChain:
+    """The array pass over all frames gives the per-frame transform chain's bits."""
+
+    def assert_same_bits(self, got, want):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_poses_turned_through_every_from_matrix_branch(self):
+        # negative traces with the largest diagonal term at m00, m11 and m22,
+        # each body z axis kept upward so the z flip leaves the target alone
+        turn = math.acos(-0.6)
+        targets = [np.eye(3), Rotation.from_rotvec([0.0, 0.0, 3.0]).as_matrix()]
+        targets += [Rotation.from_rotvec(np.array(a) * turn).as_matrix() for a in ([0.76, 0, 0.65], [0, 0.76, 0.65])]
+        targets += [r for r in Rotation.random(60, rng=np.random.default_rng(2)).as_matrix() if r[2, 2] > 0.1][:12]
+        frames = posed_frames(targets, np.random.default_rng(3).normal(size=(len(targets), 3)))
+        assert {from_matrix_branch(m) for m in body_axes(frames)[0]} == {0, 1, 2, 3}
+        for start in range(0, len(frames) - 7, 4):
+            window = frames[start : start + 8]
+            pose_deltas, motion_deltas = ego_deltas_from_truth(window)
+            self.assert_same_bits(motion_deltas, per_frame_chain(window))
+            self.assert_same_bits(pose_deltas, np.diff(window, axis=0))
+
+    def test_scene_increments_match_chain_on_every_window(self):
+        # no crossings, so at zero noise each wearer candidate holds the truth
+        for scenario in (cv.two_person_scenario(duration=40, seed=1), cv.group_scenario(4, duration=30, seed=2)):
+            scenario = Scenario(scenario.seed, scenario.duration, scenario.persons, NoiseParams(), (), 0)
+            for clip in generate_scene(scenario):
+                wearer = next(c for c in clip.candidates if c.person_id == clip.ground_truth_wearer)
+                self.assert_same_bits(clip.ego.motion_deltas, per_frame_chain(wearer.poses))
+
+    def test_standing_person_takes_the_first_order_log(self):
+        # identical body frames compose to a quaternion whose vector part is
+        # exactly zero, below the log's 1e-12 cut
+        for clip in generate_scene(single_person_scenario(speed=0.0)):
+            poses = clip.candidates[0].poses
+            self.assert_same_bits(clip.ego.motion_deltas, per_frame_chain(poses))
+            assert not clip.ego.motion_deltas.any()
+
+    def test_degenerate_torso_names_first_frame(self):
+        frames = posed_frames([np.eye(3)] * 8, np.zeros((8, 3)))
+        for k in (5, 6):
+            frames[k, LEFT_SHOULDER] = frames[k, RIGHT_SHOULDER]
+        with pytest.raises(DegeneratePoseError, match="frame 5"):
+            ego_deltas_from_truth(frames)
+
+    @pytest.mark.parametrize("shape", [(7, 19, 3), (8, 18, 3), (9, 19, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="frames must have shape"):
+            ego_deltas_from_truth(np.zeros(shape))
 
 
 class TestGenerateScene:
