@@ -21,7 +21,6 @@ tracks can be filtered concurrently.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -33,7 +32,6 @@ __all__ = [
     "predict",
     "update",
     "map_identity",
-    "write_filter_trace",
 ]
 
 DEFAULT_ALPHA = 0.05
@@ -45,9 +43,9 @@ DEFAULT_SIGMA_P = 0.5
 class FilterState:
     """Per-candidate posterior weights plus position/velocity estimates.
 
-    The last_* fields are diagnostics captured by the most recent update (or
-    None before any update). With the positions, which update sets to the
-    observed ones, they feed the CSV trace writer.
+    last_likelihood is the likelihood the most recent update applied (None
+    before any update); the posterior cannot give it back when every
+    likelihood underflowed.
     """
 
     ids: tuple
@@ -55,9 +53,7 @@ class FilterState:
     positions: np.ndarray
     velocities: np.ndarray
     low_confidence: bool = False
-    last_prior: np.ndarray | None = None
     last_likelihood: np.ndarray | None = None
-    last_predicted: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.ids)
@@ -122,7 +118,9 @@ def update(
 
     clip_scores are the per-candidate match probabilities, aligned with the
     state's candidate ids, and observed_positions the matching (x, y) plane
-    coordinates at the clip's last frame.
+    coordinates at the clip's last frame. dt must be the dt given to predict:
+    the finite difference is recovered from the predicted positions, and
+    another dt puts it off by v (1 - dt_predict / dt_update).
     """
     n = len(state.ids)
     scores = np.asarray(clip_scores, dtype=float)
@@ -173,9 +171,7 @@ def update(
         positions=_freeze(observed),
         velocities=_freeze(velocities),
         low_confidence=low_confidence,
-        last_prior=_freeze(state.weights),
         last_likelihood=_freeze(likelihood),
-        last_predicted=_freeze(predicted),
     )
 
 
@@ -185,24 +181,3 @@ def map_identity(state: FilterState):
     tied = [state.ids[i] for i in range(len(state.ids)) if state.weights[i] == best]
     return min(tied)
 
-
-def write_filter_trace(path, states, steps=None) -> None:
-    """CSV trace of the update history: one row per (step, candidate).
-
-    states are those update returned, so their positions are the observed
-    ones. steps optionally labels each state (e.g. with clip ids); defaults
-    to the positional index.
-    """
-    states = list(states)
-    if steps is None:
-        steps = range(len(states))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = "step candidate_id prior likelihood posterior predicted_x predicted_y observed_x observed_y"
-        writer.writerow(header.split())
-        for step, s in zip(steps, states):
-            if s.last_prior is None:
-                continue
-            columns = (s.last_prior, s.last_likelihood, s.weights, *s.last_predicted.T, *s.positions.T)
-            for i, cid in enumerate(s.ids):
-                writer.writerow([step, cid] + [repr(float(column[i])) for column in columns])

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bayes_filter
 from .action_codebook import DEFAULT_K, fit_codebook, load_codebook, save_codebook
-from .simulator import generate_scene, load_scenario, save_scene, scenario_to_json
+from .simulator import generate_scene, load_scenario, save_scenario, save_scene
 from .verification import ScoringConfig, localize
 
 __all__ = [
@@ -43,6 +43,12 @@ SCORE_COLUMNS = (
     "clip_id", "person_id", "is_wearer", "action_ego_ce", "action_third_ce",
     "motion_ego_l1", "motion_third_l1", "total", "match_probability",
 )
+# the posteriors.csv header: one row per (clip, candidate) of a filtered run
+POSTERIOR_COLUMNS = (
+    "step", "candidate_id", "prior", "likelihood", "posterior",
+    "predicted_x", "predicted_y", "observed_x", "observed_y",
+)
+SWEEP_COLUMNS = ("sigma_pose", "accuracy", "filtered_accuracy", "n_clips")
 
 
 class ConfigError(ValueError):
@@ -102,8 +108,7 @@ class MetricsReport:
     average_recall: float
     decisions: list
     score_rows: list = field(default_factory=list)
-    filter_states: list = field(default_factory=list)
-    sweep_rows: list = field(default_factory=list)
+    posterior_rows: list = field(default_factory=list)
     runtime_seconds: float = 0.0
     config: dict = field(default_factory=dict)
 
@@ -163,7 +168,7 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
 
     decisions = []
     score_rows = []
-    filter_states = []
+    posterior_rows = []
     raw_correct = filtered_correct = 0
     for clip in clips:
         predicted, scores = localize(clip.ego, clip.candidates, codebook, scoring)
@@ -175,15 +180,18 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
 
         filtered = None
         if state is not None:
-            state = bayes_filter.predict(state, dt=1.0, alpha=config.alpha)
+            prior = bayes_filter.predict(state, dt=1.0, alpha=config.alpha)
             observed = np.array([c.boxes[-1].center for c in clip.candidates])
             occluded = [not c.fully_valid() for c in clip.candidates]
             state = bayes_filter.update(
-                state, probabilities, observed, occluded=occluded, beta=config.beta, sigma_p=config.sigma_p
+                prior, probabilities, observed, occluded=occluded, beta=config.beta, sigma_p=config.sigma_p
             )
             filtered = bayes_filter.map_identity(state)
             filtered_correct += int(filtered == clip.ground_truth_wearer)
-            filter_states.append(state)
+            columns = (prior.weights, state.last_likelihood, state.weights, *prior.positions.T, *state.positions.T)
+            # tolist gives Python floats, which csv writes as their repr
+            for cid, *values in zip(state.ids, *(column.tolist() for column in columns)):
+                posterior_rows.append(dict(zip(POSTERIOR_COLUMNS, (clip.clip_id, cid, *values))))
 
         decisions.append(
             {
@@ -205,7 +213,7 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
         average_recall=ar,
         decisions=decisions,
         score_rows=score_rows,
-        filter_states=filter_states,
+        posterior_rows=posterior_rows,
         # report.json writes a pathlib.Path as its string
         config={k: os.fspath(v) if isinstance(v, os.PathLike) else v for k, v in asdict(config).items()},
         runtime_seconds=time.perf_counter() - started,
@@ -245,27 +253,29 @@ def write_report(report: MetricsReport, out_dir) -> None:
             writer.writerow(row)
 
 
+def _write_csv(path, columns, rows) -> None:
+    """Write a header of columns, then each row, a dict keyed by them; csv writes a float as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, columns)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def emit_plots(report: MetricsReport, out_dir) -> list:
     """Plot-ready CSVs: the flat score rows and the filter posteriors per clip."""
     os.makedirs(out_dir, exist_ok=True)
-    scores_path = os.path.join(out_dir, "scores.csv")
-    with open(scores_path, "w", newline="", encoding="utf-8") as fh:
-        # csv writes a float as its str, which is its repr
-        writer = csv.DictWriter(fh, SCORE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(report.score_rows)
-    posterior_path = os.path.join(out_dir, "posteriors.csv")
-    steps = [d["clip_id"] for d in report.decisions]
-    bayes_filter.write_filter_trace(posterior_path, report.filter_states, steps=steps)
-    return [scores_path, posterior_path]
+    paths = [os.path.join(out_dir, "scores.csv"), os.path.join(out_dir, "posteriors.csv")]
+    _write_csv(paths[0], SCORE_COLUMNS, report.score_rows)
+    _write_csv(paths[1], POSTERIOR_COLUMNS, report.posterior_rows)
+    return paths
 
 
-def run_sweep(config: RunConfig, sigma_pose_values) -> MetricsReport:
+def run_sweep(config: RunConfig, sigma_pose_values) -> list:
     """Re-run the evaluation at several pose-noise levels and collect accuracy.
 
     Each level gets a sigma_pose_<value>/ directory holding its scenario.json
-    and everything evaluate writes; the sweep directory adds sweep.csv. The
-    returned report is the last level's, with one sweep row per level.
+    and everything evaluate writes; the sweep directory adds sweep.csv.
+    Returns the sweep.csv rows, one per level.
     """
     config.validate()
     sigma_pose_values = list(sigma_pose_values)
@@ -286,23 +296,11 @@ def run_sweep(config: RunConfig, sigma_pose_values) -> MetricsReport:
         point_scenario = replace(scenario, noise=replace(scenario.noise, sigma_pose=sigma_pose))
         point_path = os.path.join(point_dir, "scenario.json")
         os.makedirs(point_dir, exist_ok=True)
-        with open(point_path, "w", encoding="utf-8") as fh:
-            fh.write(scenario_to_json(point_scenario))
+        save_scenario(point_scenario, point_path)
         report = run_evaluation(replace(config, scenario=point_path, out_dir=point_dir))
-        rows.append(
-            {
-                "sigma_pose": sigma_pose,
-                "accuracy": report.accuracy,
-                "filtered_accuracy": report.filtered_accuracy,
-                "n_clips": report.n_clips,
-            }
-        )
-    report.sweep_rows = rows
-    with open(os.path.join(config.out_dir, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, ["sigma_pose", "accuracy", "filtered_accuracy", "n_clips"])
-        writer.writeheader()
-        writer.writerows(rows)
-    return report
+        rows.append(dict(zip(SWEEP_COLUMNS, (sigma_pose, report.accuracy, report.filtered_accuracy, report.n_clips))))
+    _write_csv(os.path.join(config.out_dir, "sweep.csv"), SWEEP_COLUMNS, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +361,7 @@ def _cmd_sweep(args):
         values = [float(v) for v in args.sigma_pose.split(",") if v != ""]
     except ValueError as exc:
         raise ConfigError(f"field 'sigma_pose' must list numbers: {exc}") from exc
-    report = run_sweep(_config_from_args(args), values)
-    for row in report.sweep_rows:
+    for row in run_sweep(_config_from_args(args), values):
         filtered = "-" if row["filtered_accuracy"] is None else f"{row['filtered_accuracy']:.4f}"
         print(f"sigma_pose={row['sigma_pose']:g} accuracy={row['accuracy']:.4f} filtered={filtered}")
     return 0

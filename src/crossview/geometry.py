@@ -205,8 +205,18 @@ _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def norms(v):
-    """(..., 1) norms of a (..., d) array: one dot product per vector, as np.linalg.norm and q @ q take."""
-    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    """(..., 1) norms of (..., d) vectors, one dot product each as np.linalg.norm takes.
+
+    A finite vector whose dot product overflows is scaled by its largest component first.
+    """
+    if not np.abs(v).max(initial=0.0) > 1e150:  # no dot product can overflow
+        return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    with np.errstate(over="ignore"):
+        n = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    big = np.isinf(n[..., 0]) & np.isfinite(v).all(axis=-1)
+    scale = np.abs(v[big]).max(axis=-1, keepdims=True)
+    n[big] = scale * norms(v[big] / scale)
+    return n
 
 
 def unit_quaternions(q):
@@ -303,7 +313,8 @@ def exp_rotations(v):
     half = (0.5 * theta).tolist()
     small = theta < _SMALL_ANGLE
     sines = np.array([math.sin(h) for h in half])
-    scale = np.where(small, 0.5 - theta * theta / 48.0, sines / np.where(small, 1.0, theta))
+    series = 0.5 - np.square(np.minimum(theta, _SMALL_ANGLE)) / 48.0  # capped: unused rows must not overflow
+    scale = np.where(small, series, sines / np.where(small, 1.0, theta))
     q = unit_quaternions(np.column_stack([[math.cos(h) for h in half], scale[:, None] * v]))
     q[theta == 0.0] = (1.0, 0.0, 0.0, 0.0)
     return q

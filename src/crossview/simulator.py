@@ -41,7 +41,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -414,12 +414,7 @@ def _scenario_obj(s: Scenario) -> dict:
         "seed": s.seed,
         "duration": s.duration,
         "time_offset": s.time_offset,
-        "noise": {
-            "sigma_pose": s.noise.sigma_pose,
-            "sigma_odo_trans": s.noise.sigma_odo_trans,
-            "sigma_odo_rot": s.noise.sigma_odo_rot,
-            "sigma_bbox": s.noise.sigma_bbox,
-        },
+        "noise": asdict(s.noise),
         "persons": [
             {
                 "id": p.person_id,
@@ -427,12 +422,7 @@ def _scenario_obj(s: Scenario) -> dict:
                 "speed": p.speed,
                 "heading": p.heading,
                 "is_wearer": p.is_wearer,
-                "gait": {
-                    "arm_amplitude": p.gait.arm_amplitude,
-                    "leg_amplitude": p.gait.leg_amplitude,
-                    "stride_length": p.gait.stride_length,
-                    "phase": p.gait.phase,
-                },
+                "gait": asdict(p.gait),
             }
             for p in s.persons
         ],
@@ -446,35 +436,61 @@ def scenario_to_json(s: Scenario) -> str:
     return json.dumps(_scenario_obj(s), sort_keys=True, indent=2)
 
 
+def _number(value, name, integer=False):
+    """A JSON number, as an int for an integer field; errors name the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if integer and not (isinstance(value, int) or value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value) if integer else value
+
+
+def _pair(value, name, integer=False):
+    """A JSON pair of numbers, as a tuple."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{name} must be a list of 2 numbers, got {value!r}")
+    return tuple(_number(v, name, integer) for v in value)
+
+
+def _numbers_by_key(value, name):
+    """A JSON object of numbers, as a dict; an unknown key fails where the dict is passed as keywords."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    return {key: _number(v, f"{name}.{key}") for key, v in value.items()}
+
+
+def _person(p) -> PersonSpec:
+    if not isinstance(p, dict):
+        raise ValueError(f"persons must hold objects, got {p!r}")
+    if not isinstance(p.get("is_wearer", False), bool):
+        raise ValueError(f"is_wearer must be true or false, got {p['is_wearer']!r}")
+    return PersonSpec(
+        person_id=_number(p["id"], "id", integer=True),
+        waypoints=tuple(_pair(w, "waypoints") for w in p["waypoints"]),
+        speed=float(_number(p["speed"], "speed")),
+        heading=float(_number(p.get("heading", 0.0), "heading")),
+        is_wearer=p.get("is_wearer", False),
+        gait=GaitParams(**_numbers_by_key(p.get("gait", {}), "gait")),
+    )
+
+
 def scenario_from_json(text: str) -> Scenario:
+    """The Scenario of a scenario_to_json text; a misread field raises a ValueError naming it."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {type(obj).__name__}")
     version = obj.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    noise = obj.get("noise", {})
+    noise = _numbers_by_key(obj.get("noise", {}), "noise")
     return Scenario(
-        seed=int(obj["seed"]),
-        duration=int(obj["duration"]),
-        time_offset=int(obj.get("time_offset", 0)),
-        noise=NoiseParams(
-            sigma_pose=float(noise.get("sigma_pose", 0.0)),
-            sigma_odo_trans=float(noise.get("sigma_odo_trans", 0.0)),
-            sigma_odo_rot=float(noise.get("sigma_odo_rot", 0.0)),
-            sigma_bbox=float(noise.get("sigma_bbox", 0.0)),
-        ),
-        persons=tuple(
-            PersonSpec(
-                person_id=int(p["id"]),
-                waypoints=tuple((w[0], w[1]) for w in p["waypoints"]),
-                speed=float(p["speed"]),
-                heading=float(p.get("heading", 0.0)),
-                is_wearer=bool(p.get("is_wearer", False)),
-                gait=GaitParams(**p.get("gait", {})),
-            )
-            for p in obj["persons"]
-        ),
+        seed=_number(obj["seed"], "seed", integer=True),
+        duration=_number(obj["duration"], "duration", integer=True),
+        time_offset=_number(obj.get("time_offset", 0), "time_offset", integer=True),
+        noise=NoiseParams(**{key: float(v) for key, v in noise.items()}),
+        persons=tuple(_person(p) for p in obj["persons"]),
         crossings=tuple(
-            Crossing(int(c["pair"][0]), int(c["pair"][1]), int(c["start"]), int(c["end"]))
+            Crossing(*_pair(c["pair"], "pair", True), *(_number(c[k], k, True) for k in ("start", "end")))
             for c in obj.get("crossings", ())
         ),
     )

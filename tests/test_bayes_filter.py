@@ -1,6 +1,5 @@
 """Bayes filter tests: the recursion against a hand-rolled reference."""
 
-import csv
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from crossview.bayes_filter import (
     map_identity,
     predict,
     update,
-    write_filter_trace,
 )
 
 
@@ -199,32 +197,6 @@ class TestReferenceRecursion:
             if step >= 2:
                 assert map_identity(state) == 0
                 assert state.weights[0] > 0.9
-
-
-class TestTrace:
-    def test_trace_csv_structure(self, tmp_path):
-        state = init_filter([0, 1], np.zeros((2, 2)))
-        states = []
-        for _ in range(3):
-            state = predict(state)
-            state = update(state, [0.9, 0.1], np.zeros((2, 2)))
-            states.append(state)
-        path = tmp_path / "trace.csv"
-        write_filter_trace(path, states)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == [
-            "step",
-            "candidate_id",
-            "prior",
-            "likelihood",
-            "posterior",
-            "predicted_x",
-            "predicted_y",
-            "observed_x",
-            "observed_y",
-        ]
-        assert len(rows) == 1 + 3 * 2
 
 
 class TestInit:

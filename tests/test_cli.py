@@ -6,10 +6,12 @@ import os
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crossview as cv
 from crossview.cli import (
+    POSTERIOR_COLUMNS,
     ConfigError,
     MetricsReport,
     RunConfig,
@@ -209,9 +211,6 @@ class TestEmitPlots:
             assert len(rows) == 1  # header only
 
     def test_single_clip_report_gives_one_row_per_file(self, tmp_path):
-        from crossview.bayes_filter import init_filter, predict, update
-
-        state = update(predict(init_filter([0], [[0.0, 0.0]])), [0.9], [[0.1, 0.0]])
         report = MetricsReport(
             n_clips=1,
             accuracy=1.0,
@@ -232,7 +231,7 @@ class TestEmitPlots:
                     "match_probability": 0.9,
                 }
             ],
-            filter_states=[state],
+            posterior_rows=[dict(zip(POSTERIOR_COLUMNS, (0, 0, 1.0, 0.9, 1.0, 0.0, 0.0, 0.1, 0.0)))],
         )
         for path in emit_plots(report, tmp_path):
             with open(path) as fh:
@@ -240,12 +239,48 @@ class TestEmitPlots:
             assert len(rows) == 2  # header + one data row
 
 
+class TestPosteriorTrace:
+    def test_rows_replay_the_filter(self, tmp_path):
+        # the negative offset starts the clip ids at 2; the crossings occlude 22 (clip, candidate) pairs
+        scenario = cv.three_person_scenario(crossing=True, duration=64, seed=7, noise=NOISE, time_offset=-2)
+        path = write_scenario(tmp_path, scenario)
+        alpha = 0.2
+        run_evaluation(RunConfig(scenario=str(path), out_dir=str(tmp_path / "out"), codebook_k=16, alpha=alpha))
+        clips = cv.generate_scene(scenario)
+        with open(tmp_path / "out" / "posteriors.csv") as fh:
+            reader = csv.DictReader(fh)
+            header = "step candidate_id prior likelihood posterior predicted_x predicted_y observed_x observed_y"
+            assert reader.fieldnames == header.split()
+            rows = list(reader)
+        ids = [c.person_id for c in clips[0].candidates]
+        n = len(ids)
+        assert len(rows) == len(clips) * n
+        previous = np.full(n, 1.0 / n)
+        for clip, start in zip(clips, range(0, len(rows), n)):
+            step = rows[start : start + n]
+            assert [int(r["step"]) for r in step] == [clip.clip_id] * n
+            assert [int(r["candidate_id"]) for r in step] == ids == [c.person_id for c in clip.candidates]
+            observed = [[float(r["observed_x"]), float(r["observed_y"])] for r in step]
+            np.testing.assert_array_equal(observed, [c.boxes[-1].center for c in clip.candidates])
+            prior, likelihood, posterior = (np.array([float(r[key]) for r in step]) for key in POSTERIOR_COLUMNS[2:5])
+            product = prior * likelihood
+            expected = product / product.sum() if product.sum() > 0.0 else prior
+            np.testing.assert_allclose(posterior, expected, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(prior, (1.0 - alpha) * previous + alpha / n, rtol=0.0, atol=1e-12)
+            previous = posterior
+
+    def test_unfiltered_run_writes_header_only(self, tmp_path):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))
+        run_evaluation(RunConfig(scenario=str(path), out_dir=str(tmp_path / "out"), codebook_k=8, enable_filter=False))
+        with open(tmp_path / "out" / "posteriors.csv") as fh:
+            assert list(csv.reader(fh)) == [list(POSTERIOR_COLUMNS)]
+
+
 class TestSweep:
     def test_sweep_collects_rows(self, tmp_path):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=3, noise=NOISE))
         config = RunConfig(scenario=str(path), out_dir=str(tmp_path / "sweep"), codebook_k=8)
-        report = run_sweep(config, [0.0, 0.05])
-        assert [row["sigma_pose"] for row in report.sweep_rows] == [0.0, 0.05]
+        assert [row["sigma_pose"] for row in run_sweep(config, [0.0, 0.05])] == [0.0, 0.05]
         with open(tmp_path / "sweep" / "sweep.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 3
@@ -311,7 +346,37 @@ class TestParseRunConfig:
         assert self.parse(command, *extra) == replace(RunConfig("s", "o"), **{name: value})
 
 
+# an edit of a saved two_person_scenario(duration=24) file: the key path, the
+# value put there, and the text the error must show
+BAD_SCENARIO_FIELDS = [
+    pytest.param(("persons", 0, "waypoints", 0), [0], "waypoints", id="one_coordinate_waypoint"),
+    pytest.param(("persons", 0, "waypoints", 0), [0.0, 0.0, 1.0], "waypoints", id="three_coordinate_waypoint"),
+    pytest.param(("crossings",), [{"pair": [0], "start": 2, "end": 6}], "pair", id="one_person_crossing"),
+    pytest.param(("noise",), None, "noise", id="null_noise"),
+    pytest.param(("noise", "sigma_pse"), 0.1, "sigma_pse", id="misspelt_noise_key"),
+    pytest.param(("persons", 1, "is_wearer"), "false", "is_wearer", id="string_is_wearer"),
+    pytest.param(("duration",), 7.9, "duration must be an integer", id="fractional_duration"),
+    pytest.param(("time_offset",), 1.5, "time_offset must be an integer", id="fractional_time_offset"),
+    pytest.param(("persons", 1, "speed"), "fast", "speed", id="string_speed"),
+]
+
+
 class TestCommandLine:
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    @pytest.mark.parametrize("keys, value, text", BAD_SCENARIO_FIELDS)
+    def test_misread_scenario_field_exit_two_naming_it(self, tmp_path, capsys, command, keys, value, text):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24))
+        obj = json.loads(path.read_text())
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(obj))
+        code = main([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert text in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_evaluate_exit_zero(self, tmp_path, capsys):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))
         code = main(

@@ -74,6 +74,11 @@ class TestErrorQuaternion:
             q = error_quaternion(RNG.normal(size=3))
             assert abs(np.linalg.norm(q.as_array()) - 1.0) < 1e-12
 
+    def test_huge_finite_angle_gives_its_unit_quaternion(self):
+        # |d|^2 overflows; the angle itself is finite and so is its exponential
+        q = error_quaternion([1e160, 0.0, 0.0]).as_array()
+        np.testing.assert_allclose(q, [math.cos(5e159), math.sin(5e159), 0.0, 0.0], rtol=0.0, atol=1e-15)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             error_quaternion([np.nan, 0.0, 0.0])
@@ -162,6 +167,18 @@ class TestUnitQuaternion:
     def test_from_matrix_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             UnitQuaternion.from_matrix(np.eye(3) * 2.0)
+
+    @pytest.mark.parametrize(
+        "components, expected",
+        [((1e200, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)), ((1e154, 1e154, 0.0, 0.0), (0.5**0.5, 0.5**0.5, 0.0, 0.0))],
+    )
+    def test_components_whose_squares_overflow_normalize(self, components, expected):
+        # the squared norm is above the float range; the scaled norm is not
+        np.testing.assert_allclose(UnitQuaternion(*components).as_array(), expected, rtol=0.0, atol=1e-15)
+
+    def test_components_whose_squares_underflow_are_a_zero_quaternion(self):
+        with pytest.raises(ValueError, match="zero quaternion"):
+            UnitQuaternion(1e-170, 0.0, 0.0, 0.0)
 
 
 class TestSE3:
