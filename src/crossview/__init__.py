@@ -17,15 +17,7 @@ from .action_codebook import (
     save_codebook,
 )
 from .bayes_filter import FilterState, init_filter, map_identity, predict, update
-from .geometry import (
-    RotationDelta,
-    SE3Transform,
-    UnitQuaternion,
-    error_quaternion,
-    quat_compose,
-    se3_compose,
-    warp_to_third_2d,
-)
+from .geometry import RotationDelta, error_quaternion, se3_compose, warp_to_third_2d
 from .motion import (
     BoundingBox,
     bbox_trajectory,

@@ -127,8 +127,8 @@ def update(
     observed = np.asarray(observed_positions, dtype=float)
     if scores.shape != (n,):
         raise ValueError(f"clip_scores must align with the {n} candidates, got shape {scores.shape}")
-    if not np.isfinite(scores).all():
-        raise ValueError(f"clip_scores must be finite, got {scores}")
+    if not (np.isfinite(scores) & (scores >= 0.0)).all():
+        raise ValueError(f"clip_scores must be finite and non-negative, got {scores}")
     if observed.shape != (n, 2):
         raise ValueError(f"observed_positions must be (n, 2), got shape {observed.shape}")
     if not np.isfinite(observed).all():

@@ -145,9 +145,12 @@ def _scene(path, seed):
     return scenario, generate_scene(scenario)
 
 
-def _fit(clips, k, seed):
-    """Fit the action codebook on the pose clip of every (clip, candidate) pair."""
-    return fit_codebook([cand.poses for clip in clips for cand in clip.candidates], k=k, seed=seed)
+def _fit(clips, k, seed, option):
+    """Fit the action codebook on the pose clip of every (clip, candidate) pair; errors name the k option."""
+    try:
+        return fit_codebook([cand.poses for clip in clips for cand in clip.candidates], k=k, seed=seed)
+    except ValueError as exc:  # k < 1, or fewer clips or distinct clips than k
+        raise ValueError(f"{option} {k}: {exc}") from exc
 
 
 def run_evaluation(config: RunConfig) -> MetricsReport:
@@ -159,7 +162,7 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
     if config.codebook is not None:
         codebook = load_codebook(config.codebook)
     else:
-        codebook = _fit(clips, config.codebook_k, scenario.seed)
+        codebook = _fit(clips, config.codebook_k, scenario.seed, "--codebook-k")
 
     state = None
     if config.enable_filter:
@@ -338,7 +341,7 @@ def _cmd_simulate(args):
 
 def _cmd_fit_codebook(args):
     scenario, clips = _scene(args.scenario, args.seed)
-    codebook = _fit(clips, args.k, scenario.seed)
+    codebook = _fit(clips, args.k, scenario.seed, "--k")
     save_codebook(codebook, args.out)
     pairs = sum(len(clip.candidates) for clip in clips)
     print(f"fitted k={codebook.k} codebook on {pairs} clips -> {args.out}")

@@ -5,8 +5,11 @@ right-handed axes. The "third view" image plane is the world x-y plane, so
 warping a 3D transform chain into the third view keeps the x and y translation
 components and re-bases the track at its first sample.
 
-All types are immutable values and every operation is a pure function, so
-everything here is safe to share across threads.
+A rigid transform is a pair of arrays, a unit quaternion rotation (4,) and
+a translation (3,) in meters. The kernels at the bottom take n rows at once
+and are the API; error_quaternion, se3_compose and warp_to_third_2d are their
+one-transform forms. Every function is pure, so everything here is safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -16,11 +19,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "UnitQuaternion",
     "RotationDelta",
-    "SE3Transform",
     "error_quaternion",
-    "quat_compose",
     "se3_compose",
     "warp_to_third_2d",
 ]
@@ -45,63 +45,6 @@ def frozen_array(value, name, shape):
     return out
 
 
-class UnitQuaternion:
-    """Unit quaternion, scalar first. Normalized on construction.
-
-    Every method is a batch of one of the array kernels below, so a single
-    rotation gets the same bits as the same row in a batch.
-    """
-
-    __slots__ = ("_q",)
-
-    def __init__(self, w, x, y, z):
-        q = unit_quaternions(np.array([[w, x, y, z]], dtype=float))[0]
-        q.setflags(write=False)
-        self._q = q
-
-    @classmethod
-    def _of(cls, q):
-        """Wrap a (4,) row that a kernel has already normalized, without renormalizing it."""
-        out = object.__new__(cls)
-        out._q = q.copy()
-        out._q.setflags(write=False)
-        return out
-
-    @classmethod
-    def identity(cls):
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    w = property(lambda self: float(self._q[0]))
-    x = property(lambda self: float(self._q[1]))
-    y = property(lambda self: float(self._q[2]))
-    z = property(lambda self: float(self._q[3]))
-
-    def as_array(self):
-        return self._q
-
-    def conjugate(self):
-        return UnitQuaternion._of(unit_quaternions(self._q[None] * _CONJUGATE)[0])
-
-    def rotate(self, point):
-        return rotate_points(self._q[None], np.asarray(point, dtype=float)[None])[0]
-
-    def to_matrix(self):
-        return rotation_matrices(self._q[None])[0]
-
-    @classmethod
-    def from_matrix(cls, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"rotation matrix must be 3x3, got shape {m.shape}")
-        return cls._of(quaternions_from_matrices(m[None])[0])
-
-    def to_rotation_vector(self):
-        return rotation_vectors(self._q[None])[0]
-
-    def __repr__(self):
-        return f"UnitQuaternion(w={self.w:.9g}, x={self.x:.9g}, y={self.y:.9g}, z={self.z:.9g})"
-
-
 class RotationDelta:
     """Frame-to-frame rotation as a 3-parameter rotation vector (radians)."""
 
@@ -118,48 +61,8 @@ class RotationDelta:
         return f"RotationDelta({self._v.tolist()})"
 
 
-class SE3Transform:
-    """Rigid transform: rotation (unit quaternion) plus translation in meters."""
-
-    __slots__ = ("_rotation", "_translation")
-
-    def __init__(self, rotation: UnitQuaternion, translation):
-        if not isinstance(rotation, UnitQuaternion):
-            raise ValueError("rotation must be a UnitQuaternion")
-        self._rotation = rotation
-        self._translation = frozen_array(translation, "translation", (3,))
-
-    @classmethod
-    def identity(cls):
-        return cls(UnitQuaternion.identity(), np.zeros(3))
-
-    @property
-    def rotation(self):
-        return self._rotation
-
-    @property
-    def translation(self):
-        return self._translation
-
-    def apply(self, point):
-        return self._rotation.rotate(point) + self._translation
-
-    def inverse(self):
-        rot_inv = self._rotation.conjugate()
-        return SE3Transform(rot_inv, -rot_inv.rotate(self._translation))
-
-    def to_matrix(self):
-        m = np.eye(4)
-        m[:3, :3] = self._rotation.to_matrix()
-        m[:3, 3] = self._translation
-        return m
-
-    def __repr__(self):
-        return f"SE3Transform({self._rotation!r}, t={self._translation.tolist()})"
-
-
-def error_quaternion(delta) -> UnitQuaternion:
-    """Quaternion exponential of a rotation vector (see exp_rotations).
+def error_quaternion(delta) -> np.ndarray:
+    """Quaternion exponential (4,) of a rotation vector or RotationDelta (see exp_rotations).
 
     A plain vector is checked here without a copy: the norm is finite only
     if every component is.
@@ -167,32 +70,41 @@ def error_quaternion(delta) -> UnitQuaternion:
     v = delta.vector if isinstance(delta, RotationDelta) else np.asarray(delta, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"rotation vector must have shape (3,), got {v.shape}")
-    return UnitQuaternion._of(exp_rotations(v[None])[0])
+    return exp_rotations(v[None])[0]
 
 
-def quat_compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
-    """Hamilton product a (x) b, renormalized."""
-    return UnitQuaternion._of(quaternion_products(a.as_array()[None], b.as_array()[None])[0])
+def _rigid(pair, name):
+    """The rotation and translation of a rigid transform pair, checked; errors name the argument and the part."""
+    try:
+        rotation, translation = pair
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a (rotation, translation) pair") from exc
+    rotation = frozen_array(rotation, f"rotation of {name}", (4,))
+    norm = norms(rotation[None])[0, 0]
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"rotation of {name} must be a unit quaternion, got norm {norm!r}")
+    return rotation, frozen_array(translation, f"translation of {name}", (3,))
 
 
-def se3_compose(a: SE3Transform, b: SE3Transform) -> SE3Transform:
-    """Compose rigid transforms: rotation a.R b.R, translation a.R b.t + a.t."""
-    return SE3Transform(
-        quat_compose(a.rotation, b.rotation),
-        a.rotation.rotate(b.translation) + a.translation,
-    )
+def se3_compose(a, b):
+    """Compose rigid transforms given as (rotation (4,), translation (3,)) pairs.
+
+    Returns the pair (R_a R_b, R_a t_b + t_a). Each rotation must be a unit
+    quaternion within 1e-9; it is used as given, not renormalized.
+    """
+    (qa, ta), (qb, tb) = _rigid(a, "a"), _rigid(b, "b")
+    return quaternion_products(qa[None], qb[None])[0], rotate_points(qa[None], tb[None])[0] + ta
 
 
 def warp_to_third_2d(chain) -> np.ndarray:
-    """Project a transform chain into the third-view plane.
+    """Project a chain of (rotation, translation) pairs into the third-view plane.
 
     Returns an (n, 2) array: the (x, y) translation components of every
     transform minus the first, so row 0 is exactly (0, 0).
     """
-    transforms = list(chain)
-    if not transforms:
+    xy = np.array([translation[:2] for _, translation in chain])
+    if not len(xy):
         raise ValueError("transform chain must be non-empty")
-    xy = np.array([t.translation[:2] for t in transforms])
     return xy - xy[0]
 
 
@@ -323,8 +235,8 @@ def exp_rotations(v):
 def relative_motions(rotations, translations):
     """Increments T_i^-1 T_(i+1) of rigid poses given as (n, 4) rotations and (n, 3) translations.
 
-    Row i of the (n - 1, 2, 3) result is se3_compose(T_i.inverse(), T_(i+1)):
-    its rotation vector, then its translation.
+    Row i of the (n - 1, 2, 3) result is the rotation vector, then the
+    translation, of the composition of T_i's inverse with T_(i+1).
     """
     inverse = unit_quaternions(rotations[:-1] * _CONJUGATE)
     # T_i^-1 translates by -(R_i^-1 t_i); adding a negated value is subtracting it, bit for bit

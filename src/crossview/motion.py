@@ -13,14 +13,7 @@ import math
 
 import numpy as np
 
-from .geometry import (
-    SE3Transform,
-    error_quaternion,
-    exp_rotations,
-    rotation_matrices,
-    se3_compose,
-    warp_to_third_2d,
-)
+from .geometry import error_quaternion, exp_rotations, rotation_matrices, se3_compose, warp_to_third_2d
 from .skeleton import CLIP_LEN
 
 __all__ = [
@@ -65,20 +58,19 @@ def bbox_trajectory(boxes) -> np.ndarray:
     return centers - centers[0]
 
 
-def integrate_ego_motion(t_init: SE3Transform, deltas) -> np.ndarray:
+def integrate_ego_motion(t_init, deltas) -> np.ndarray:
     """Chain the ego increments onto the start transform and warp to 2D.
 
-    deltas holds (rotation vector, translation) rows. Builds T_init,
-    T_init D_1, ..., T_init D_1...D_7 and returns the planar translation
-    components re-based at the first frame, an (8, 2) array for 7
-    increments. The result depends on the start orientation: the same
+    t_init is a (rotation (4,), translation (3,)) pair, such as body_frame
+    returns; deltas holds (rotation vector, translation) rows. Builds T_init,
+    T_init D_1, ..., T_init D_1...D_7 with se3_compose and returns the planar
+    translation components re-based at the first frame, an (8, 2) array for
+    7 increments. The result depends on the start orientation: the same
     increments walked from a rotated start give a rotated track.
     """
     chain = [t_init]
-    current = t_init
     for rotation, translation in deltas:
-        current = se3_compose(current, SE3Transform(error_quaternion(rotation), translation))
-        chain.append(current)
+        chain.append(se3_compose(chain[-1], (error_quaternion(rotation), translation)))
     return warp_to_third_2d(chain)
 
 

@@ -459,9 +459,17 @@ def _numbers_by_key(value, name):
     return {key: _number(v, f"{name}.{key}") for key, v in value.items()}
 
 
+def _known_keys(obj, keys, name):
+    """Check that obj is a JSON object with no key beyond keys: a misspelt optional key would take its default."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"{name} has unknown keys {', '.join(map(repr, unknown))}")
+
+
 def _person(p) -> PersonSpec:
-    if not isinstance(p, dict):
-        raise ValueError(f"persons must hold objects, got {p!r}")
+    _known_keys(p, ("id", "waypoints", "speed", "heading", "is_wearer", "gait"), "a person")
     if not isinstance(p.get("is_wearer", False), bool):
         raise ValueError(f"is_wearer must be true or false, got {p['is_wearer']!r}")
     return PersonSpec(
@@ -479,6 +487,8 @@ def scenario_from_json(text: str) -> Scenario:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError(f"a scenario must be a JSON object, got {type(obj).__name__}")
+    keys = ("schema_version", "seed", "duration", "time_offset", "noise", "persons", "crossings")
+    _known_keys(obj, keys, "a scenario")
     version = obj.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
@@ -489,11 +499,13 @@ def scenario_from_json(text: str) -> Scenario:
         time_offset=_number(obj.get("time_offset", 0), "time_offset", integer=True),
         noise=NoiseParams(**{key: float(v) for key, v in noise.items()}),
         persons=tuple(_person(p) for p in obj["persons"]),
-        crossings=tuple(
-            Crossing(*_pair(c["pair"], "pair", True), *(_number(c[k], k, True) for k in ("start", "end")))
-            for c in obj.get("crossings", ())
-        ),
+        crossings=tuple(_crossing(c) for c in obj.get("crossings", ())),
     )
+
+
+def _crossing(c) -> Crossing:
+    _known_keys(c, ("pair", "start", "end"), "a crossing")
+    return Crossing(*_pair(c["pair"], "pair", True), *(_number(c[k], k, True) for k in ("start", "end")))
 
 
 def save_scenario(s: Scenario, path) -> None:

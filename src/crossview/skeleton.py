@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import SE3Transform, UnitQuaternion, frozen_array, norms, quaternions_from_matrices
+from .geometry import frozen_array, norms, quaternions_from_matrices
 
 __all__ = [
     "JOINT_NAMES",
@@ -127,10 +127,10 @@ def body_poses(frames):
     return quaternions_from_matrices(axes), body_centers(frames)
 
 
-def body_frame(joints) -> SE3Transform:
-    """Person-attached frame of one (19, 3) pose: body_poses of a batch of one."""
+def body_frame(joints):
+    """Person-attached frame (rotation (4,), translation (3,)) of one (19, 3) pose: body_poses of one."""
     rotations, centres = body_poses(_pose(joints, "joints")[None])
-    return SE3Transform(UnitQuaternion._of(rotations[0]), centres[0])
+    return rotations[0], centres[0]
 
 
 def pose_clip_vector(clip) -> np.ndarray:

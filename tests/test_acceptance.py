@@ -25,11 +25,11 @@ from crossview.action_codebook import (
 from crossview.cli import RunConfig, run_evaluation
 from crossview.geometry import (
     RotationDelta,
-    SE3Transform,
-    UnitQuaternion,
     error_quaternion,
-    quat_compose,
+    quaternion_products,
+    rotation_matrices,
     se3_compose,
+    unit_quaternions,
 )
 from crossview.motion import bbox_trajectory, integrate_ego_motion
 from crossview.simulator import save_scenario
@@ -46,6 +46,14 @@ NOISE = cv.NoiseParams(sigma_pose=0.02, sigma_odo_trans=0.01, sigma_odo_rot=0.01
 GRID = 2.0 ** -10  # binary grid for exact-arithmetic test inputs
 
 
+def homogeneous(transform):
+    """The 4x4 matrix of a (rotation, translation) pair."""
+    m = np.eye(4)
+    m[:3, :3] = rotation_matrices(transform[0][None])[0]
+    m[:3, 3] = transform[1]
+    return m
+
+
 def test_criterion_1_geometry_oracles():
     """Quaternion/SE(3) ops match matrix oracles on 10,000 random inputs."""
     started = time.perf_counter()
@@ -54,28 +62,28 @@ def test_criterion_1_geometry_oracles():
 
     # quaternion exponential vs rotation-vector matrix exponential
     rotvecs = rng.normal(size=(n, 3)) * rng.uniform(0.0, math.pi - 1e-3, size=(n, 1))
-    mine = np.array([error_quaternion(RotationDelta(v)).to_matrix() for v in rotvecs])
+    mine = rotation_matrices(np.array([error_quaternion(RotationDelta(v)) for v in rotvecs]))
     oracle = Rotation.from_rotvec(rotvecs).as_matrix()
     err_exp = np.abs(mine - oracle).max()
     assert err_exp < 1e-9
 
     # zero branch is exactly the identity quaternion
     q0 = error_quaternion(RotationDelta([0.0, 0.0, 0.0]))
-    assert (q0.w, q0.x, q0.y, q0.z) == (1.0, 0.0, 0.0, 0.0)
+    assert tuple(q0) == (1.0, 0.0, 0.0, 0.0)
 
     # quaternion composition vs rotation-matrix product
     raw = rng.normal(size=(2 * n, 4))
-    quats = [UnitQuaternion(*row) for row in raw]
-    mats = np.array([q.to_matrix() for q in quats])
-    composed = np.array([quat_compose(quats[2 * i], quats[2 * i + 1]).to_matrix() for i in range(n)])
+    quats = unit_quaternions(raw)
+    mats = rotation_matrices(quats)
+    composed = rotation_matrices(quaternion_products(quats[0::2], quats[1::2]))
     oracle = np.einsum("nij,njk->nik", mats[0::2], mats[1::2])
     err_quat = np.abs(composed - oracle).max()
     assert err_quat < 1e-9
 
     # rigid-transform composition vs homogeneous 4x4 product
-    transforms = [SE3Transform(UnitQuaternion(*rng.normal(size=4)), rng.normal(size=3)) for _ in range(2 * n)]
-    hom = np.array([t.to_matrix() for t in transforms])
-    composed = np.array([se3_compose(transforms[2 * i], transforms[2 * i + 1]).to_matrix() for i in range(n)])
+    transforms = [(unit_quaternions(rng.normal(size=(1, 4)))[0], rng.normal(size=3)) for _ in range(2 * n)]
+    hom = np.array([homogeneous(t) for t in transforms])
+    composed = np.array([homogeneous(se3_compose(transforms[2 * i], transforms[2 * i + 1])) for i in range(n)])
     oracle = np.einsum("nij,njk->nik", hom[0::2], hom[1::2])
     err_se3 = np.abs(composed - oracle).max()
     assert err_se3 < 1e-9

@@ -127,6 +127,12 @@ class TestUpdate:
         with pytest.raises(ValueError, match="clip_scores must be finite"):
             update(make_state([0.5, 0.5]), [float("nan"), 0.5], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("scores", [[-0.5, 0.2], [-0.5, 0.9]], ids=["mass_negative", "weights_negative"])
+    def test_negative_clip_score_rejected(self, scores):
+        # a negative probability is a caller's error, not an underflowed likelihood
+        with pytest.raises(ValueError, match="clip_scores must be finite and non-negative"):
+            update(predict(init_filter([0, 1], np.zeros((2, 2)))), scores, np.zeros((2, 2)))
+
     def test_nan_observed_position_rejected(self):
         with pytest.raises(ValueError, match="observed_positions must be finite"):
             update(make_state([0.5, 0.5]), [0.5, 0.5], [[0.0, float("nan")], [0.0, 0.0]])

@@ -358,6 +358,12 @@ BAD_SCENARIO_FIELDS = [
     pytest.param(("duration",), 7.9, "duration must be an integer", id="fractional_duration"),
     pytest.param(("time_offset",), 1.5, "time_offset must be an integer", id="fractional_time_offset"),
     pytest.param(("persons", 1, "speed"), "fast", "speed", id="string_speed"),
+    pytest.param(("crosings",), [], "unknown keys 'crosings'", id="misspelt_top_level_key"),
+    pytest.param(("time_ofset",), 3, "unknown keys 'time_ofset'", id="misspelt_time_offset"),
+    pytest.param(("persons", 1, "heding"), 0.5, "unknown keys 'heding'", id="misspelt_person_key"),
+    pytest.param(
+        ("crossings",), [{"pair": [0, 1], "start": 2, "end": 6, "stop": 9}], "unknown keys 'stop'", id="crossing_key"
+    ),
 ]
 
 
@@ -373,9 +379,28 @@ class TestCommandLine:
         target[keys[-1]] = value
         path.write_text(json.dumps(obj))
         code = main([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
         assert code == 2
-        assert text in capsys.readouterr().err
+        assert text in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, option, extra",
+        [
+            ("evaluate", "--codebook-k", []),
+            ("sweep", "--codebook-k", ["--sigma-pose", "0"]),
+            ("fit-codebook", "--k", []),
+        ],
+    )
+    def test_default_k_above_the_clip_count_names_the_option(self, tmp_path, capsys, command, option, extra):
+        # the default preset gives 162 fit rows, fewer than the default k of 400
+        path = write_scenario(tmp_path, cv.two_person_scenario())
+        code = main([command, "--scenario", str(path), "--out", str(tmp_path / "out"), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{option} 400: need at least 400 clips to fit 400 clusters, got 162" in err
+        assert "Traceback" not in err
 
     def test_evaluate_exit_zero(self, tmp_path, capsys):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))

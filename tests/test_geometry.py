@@ -8,26 +8,50 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from crossview import geometry
-from crossview.geometry import (
-    RotationDelta,
-    SE3Transform,
-    UnitQuaternion,
-    error_quaternion,
-    quat_compose,
-    se3_compose,
-    warp_to_third_2d,
-)
+from crossview.geometry import RotationDelta, error_quaternion, se3_compose, warp_to_third_2d
 
 RNG = np.random.default_rng(12345)
 
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+IDENTITY_SE3 = (IDENTITY, np.zeros(3))
+
+
+def unit(q):
+    return geometry.unit_quaternions(np.array([q], dtype=float))[0]
+
+
+def matrix(q):
+    return geometry.rotation_matrices(q[None])[0]
+
+
+def product(a, b):
+    return geometry.quaternion_products(a[None], b[None])[0]
+
+
+def rotate(q, v):
+    return geometry.rotate_points(q[None], np.asarray(v, dtype=float)[None])[0]
+
+
+def homogeneous(transform):
+    rotation, translation = transform
+    m = np.eye(4)
+    m[:3, :3] = matrix(rotation)
+    m[:3, 3] = translation
+    return m
+
+
+def inverse(transform):
+    rotation, translation = transform
+    conjugate = unit(rotation * [1.0, -1.0, -1.0, -1.0])
+    return conjugate, -rotate(conjugate, translation)
+
 
 def random_unit_quaternion(rng):
-    q = rng.normal(size=4)
-    return UnitQuaternion(*q)
+    return unit(rng.normal(size=4))
 
 
 def random_se3(rng):
-    return SE3Transform(random_unit_quaternion(rng), rng.normal(size=3))
+    return random_unit_quaternion(rng), rng.normal(size=3)
 
 
 @st.composite
@@ -50,33 +74,33 @@ def rotation_vectors(draw, max_angle=math.pi - 1e-3):
 class TestErrorQuaternion:
     def test_zero_branch_is_exact_identity(self):
         q = error_quaternion(RotationDelta([0.0, 0.0, 0.0]))
-        assert (q.w, q.x, q.y, q.z) == (1.0, 0.0, 0.0, 0.0)
+        assert tuple(q) == (1.0, 0.0, 0.0, 0.0)
 
     def test_half_turn_about_x(self):
         q = error_quaternion([math.pi, 0.0, 0.0])
-        np.testing.assert_allclose(q.as_array(), [0.0, 1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(q, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
 
     def test_matches_matrix_exponential_oracle(self):
         # independent oracle: rotation-vector exponential via scipy
         delta = np.array([0.1, -0.2, 0.05])
         q = error_quaternion(RotationDelta(delta))
         expected = Rotation.from_rotvec(delta).as_matrix()
-        np.testing.assert_allclose(q.to_matrix(), expected, atol=1e-9)
+        np.testing.assert_allclose(matrix(q), expected, atol=1e-9)
 
     def test_small_angle_branch_continuous(self):
         for theta in (1e-10, 1e-8, 9.9e-8, 1.01e-7, 1e-6):
             q = error_quaternion([theta, 0.0, 0.0])
             expected = Rotation.from_rotvec([theta, 0.0, 0.0]).as_matrix()
-            np.testing.assert_allclose(q.to_matrix(), expected, atol=1e-12)
+            np.testing.assert_allclose(matrix(q), expected, atol=1e-12)
 
     def test_result_is_unit_norm(self):
         for _ in range(100):
             q = error_quaternion(RNG.normal(size=3))
-            assert abs(np.linalg.norm(q.as_array()) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(q) - 1.0) < 1e-12
 
     def test_huge_finite_angle_gives_its_unit_quaternion(self):
         # |d|^2 overflows; the angle itself is finite and so is its exponential
-        q = error_quaternion([1e160, 0.0, 0.0]).as_array()
+        q = error_quaternion([1e160, 0.0, 0.0])
         np.testing.assert_allclose(q, [math.cos(5e159), math.sin(5e159), 0.0, 0.0], rtol=0.0, atol=1e-15)
 
     def test_non_finite_rejected(self):
@@ -103,7 +127,7 @@ class TestErrorQuaternion:
     @example(np.array([0.0, 6e-10, -8e-10]))
     @settings(max_examples=200, deadline=None)
     def test_log_recovers_rotation_vector(self, delta):
-        recovered = error_quaternion(RotationDelta(delta)).to_rotation_vector()
+        recovered = geometry.rotation_vectors(error_quaternion(RotationDelta(delta))[None])[0]
         error = np.linalg.norm(recovered - delta)
         assert error < 1e-8
         # small angles keep their relative precision too (|d|^2 underflows
@@ -114,27 +138,25 @@ class TestErrorQuaternion:
 class TestQuatCompose:
     def test_identity_neutral(self):
         q = random_unit_quaternion(RNG)
-        out = quat_compose(UnitQuaternion.identity(), q)
-        np.testing.assert_allclose(out.as_array(), q.as_array(), atol=1e-12)
+        out = product(IDENTITY, q)
+        np.testing.assert_allclose(out, q, atol=1e-12)
 
     def test_conjugate_gives_identity(self):
         q = random_unit_quaternion(RNG)
-        out = quat_compose(q, q.conjugate())
-        np.testing.assert_allclose(out.as_array(), [1.0, 0.0, 0.0, 0.0], atol=1e-9)
+        out = product(q, inverse((q, np.zeros(3)))[0])
+        np.testing.assert_allclose(out, [1.0, 0.0, 0.0, 0.0], atol=1e-9)
 
     def test_matches_rotation_matrix_product(self):
         for _ in range(200):
             a, b = random_unit_quaternion(RNG), random_unit_quaternion(RNG)
-            np.testing.assert_allclose(
-                quat_compose(a, b).to_matrix(), a.to_matrix() @ b.to_matrix(), atol=1e-9
-            )
+            np.testing.assert_allclose(matrix(product(a, b)), matrix(a) @ matrix(b), atol=1e-9)
 
     def test_associative(self):
         for _ in range(100):
             a, b, c = (random_unit_quaternion(RNG) for _ in range(3))
-            lhs = quat_compose(quat_compose(a, b), c)
-            rhs = quat_compose(a, quat_compose(b, c))
-            assert np.abs(lhs.to_matrix() - rhs.to_matrix()).max() < 1e-9
+            lhs = product(product(a, b), c)
+            rhs = product(a, product(b, c))
+            assert np.abs(matrix(lhs) - matrix(rhs)).max() < 1e-9
 
     def test_error_quaternion_left_increment(self):
         # composing the increment on the left equals rotating by q then exp(delta)
@@ -142,31 +164,31 @@ class TestQuatCompose:
             delta = RNG.normal(size=3) * 0.5
             q = random_unit_quaternion(RNG)
             v = RNG.normal(size=3)
-            composed = quat_compose(error_quaternion(delta), q)
-            oracle = Rotation.from_rotvec(delta).as_matrix() @ (q.to_matrix() @ v)
-            np.testing.assert_allclose(composed.rotate(v), oracle, atol=1e-8)
+            composed = product(error_quaternion(delta), q)
+            oracle = Rotation.from_rotvec(delta).as_matrix() @ (matrix(q) @ v)
+            np.testing.assert_allclose(rotate(composed, v), oracle, atol=1e-8)
 
 
 class TestUnitQuaternion:
     def test_constructor_normalizes(self):
-        q = UnitQuaternion(2.0, 0.0, 0.0, 0.0)
-        assert q.w == 1.0
+        q = unit([2.0, 0.0, 0.0, 0.0])
+        assert q[0] == 1.0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            UnitQuaternion(0.0, 0.0, 0.0, 0.0)
+            unit([0.0, 0.0, 0.0, 0.0])
 
     def test_matrix_round_trip_covers_branches(self):
         # large-angle rotations about each axis hit all from_matrix branches
         cases = [Rotation.from_rotvec(v).as_matrix() for v in ([3.1, 0, 0], [0, 3.1, 0], [0, 0, 3.1])]
         cases += [Rotation.random(20, rng=np.random.default_rng(0)).as_matrix()[i] for i in range(20)]
         for m in cases:
-            q = UnitQuaternion.from_matrix(m)
-            np.testing.assert_allclose(q.to_matrix(), m, atol=1e-9)
+            q = geometry.quaternions_from_matrices(m[None])[0]
+            np.testing.assert_allclose(matrix(q), m, atol=1e-9)
 
     def test_from_matrix_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
-            UnitQuaternion.from_matrix(np.eye(3) * 2.0)
+            geometry.quaternions_from_matrices(np.eye(3)[None] * 2.0)
 
     @pytest.mark.parametrize(
         "components, expected",
@@ -174,62 +196,103 @@ class TestUnitQuaternion:
     )
     def test_components_whose_squares_overflow_normalize(self, components, expected):
         # the squared norm is above the float range; the scaled norm is not
-        np.testing.assert_allclose(UnitQuaternion(*components).as_array(), expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(unit(components), expected, rtol=0.0, atol=1e-15)
 
     def test_components_whose_squares_underflow_are_a_zero_quaternion(self):
         with pytest.raises(ValueError, match="zero quaternion"):
-            UnitQuaternion(1e-170, 0.0, 0.0, 0.0)
+            unit([1e-170, 0.0, 0.0, 0.0])
 
 
 class TestSE3:
     def test_identity_composition_noop(self):
         t = random_se3(RNG)
-        for out in (se3_compose(SE3Transform.identity(), t), se3_compose(t, SE3Transform.identity())):
-            np.testing.assert_allclose(out.translation, t.translation, atol=1e-12)
-            np.testing.assert_allclose(out.rotation.to_matrix(), t.rotation.to_matrix(), atol=1e-12)
+        for out in (se3_compose(IDENTITY_SE3, t), se3_compose(t, IDENTITY_SE3)):
+            np.testing.assert_allclose(out[1], t[1], atol=1e-12)
+            np.testing.assert_allclose(matrix(out[0]), matrix(t[0]), atol=1e-12)
 
     def test_pure_translations_add(self):
-        a = SE3Transform(UnitQuaternion.identity(), [1.0, 2.0, 3.0])
-        b = SE3Transform(UnitQuaternion.identity(), [10.0, 20.0, 30.0])
-        np.testing.assert_array_equal(se3_compose(a, b).translation, [11.0, 22.0, 33.0])
+        a = (IDENTITY, [1.0, 2.0, 3.0])
+        b = (IDENTITY, [10.0, 20.0, 30.0])
+        np.testing.assert_array_equal(se3_compose(a, b)[1], [11.0, 22.0, 33.0])
 
     def test_matches_homogeneous_matrix_product(self):
         for _ in range(200):
             a, b = random_se3(RNG), random_se3(RNG)
             np.testing.assert_allclose(
-                se3_compose(a, b).to_matrix(), a.to_matrix() @ b.to_matrix(), atol=1e-9
+                homogeneous(se3_compose(a, b)), homogeneous(a) @ homogeneous(b), atol=1e-9
             )
 
     def test_inverse_gives_identity(self):
         for _ in range(50):
             t = random_se3(RNG)
-            out = se3_compose(t, t.inverse())
-            np.testing.assert_allclose(out.to_matrix(), np.eye(4), atol=1e-9)
+            out = se3_compose(t, inverse(t))
+            np.testing.assert_allclose(homogeneous(out), np.eye(4), atol=1e-9)
 
     def test_associative(self):
         for _ in range(100):
             a, b, c = (random_se3(RNG) for _ in range(3))
-            lhs = se3_compose(se3_compose(a, b), c).to_matrix()
-            rhs = se3_compose(a, se3_compose(b, c)).to_matrix()
+            lhs = homogeneous(se3_compose(se3_compose(a, b), c))
+            rhs = homogeneous(se3_compose(a, se3_compose(b, c)))
             assert np.abs(lhs - rhs).max() < 1e-9
 
-    def test_apply_matches_matrix(self):
-        t = random_se3(RNG)
-        p = RNG.normal(size=3)
-        expected = (t.to_matrix() @ np.append(p, 1.0))[:3]
-        np.testing.assert_allclose(t.apply(p), expected, atol=1e-12)
+    def test_rotation_used_as_given(self):
+        # a rotation off unit norm by less than 1e-9 is not renormalized
+        a = (unit([0.3, -0.1, 0.8, 0.5]) * (1.0 + 1e-12), np.array([0.5, -1.0, 2.0]))
+        b = random_se3(RNG)
+        out = se3_compose(a, b)
+        assert out[1].tobytes() == (rotate(a[0], b[1]) + a[1]).tobytes()
+        assert out[0].tobytes() == product(a[0], b[0]).tobytes()
+
+
+def bad_pair(part, problem):
+    """A transform pair whose rotation or translation has the given problem."""
+    rotation, translation = IDENTITY.copy(), np.zeros(3)
+    value = {
+        "shape": {"rotation": IDENTITY[:3], "translation": np.zeros(4)},
+        "nan": {"rotation": np.array([np.nan, 0.0, 0.0, 1.0]), "translation": np.array([0.0, np.nan, 0.0])},
+        "inf": {"rotation": np.array([np.inf, 0.0, 0.0, 0.0]), "translation": np.array([0.0, 0.0, -np.inf])},
+    }[problem][part]
+    return (value, translation) if part == "rotation" else (rotation, value)
+
+
+class TestSE3Boundary:
+    """se3_compose checks each pair and names the argument and the part at fault."""
+
+    @pytest.mark.parametrize("argument", ["a", "b"])
+    @pytest.mark.parametrize("norm", [2.0, 1.0 + 2e-9, 1.0 - 2e-9])
+    def test_non_unit_rotation_rejected(self, argument, norm):
+        bad = (IDENTITY * norm, np.zeros(3))
+        pairs = {"a": IDENTITY_SE3, "b": IDENTITY_SE3, argument: bad}
+        with pytest.raises(ValueError, match=f"rotation of {argument} must be a unit quaternion"):
+            se3_compose(pairs["a"], pairs["b"])
+
+    @pytest.mark.parametrize("argument", ["a", "b"])
+    @pytest.mark.parametrize("part", ["rotation", "translation"])
+    @pytest.mark.parametrize(
+        "problem, message", [("shape", "must have shape"), ("nan", "must be finite"), ("inf", "must be finite")]
+    )
+    def test_bad_part_named(self, argument, part, problem, message):
+        pairs = {"a": IDENTITY_SE3, "b": IDENTITY_SE3, argument: bad_pair(part, problem)}
+        with pytest.raises(ValueError, match=f"{part} of {argument} {message}"):
+            se3_compose(pairs["a"], pairs["b"])
+
+    @pytest.mark.parametrize("argument", ["a", "b"])
+    @pytest.mark.parametrize(
+        "value", [np.zeros(7), (IDENTITY, np.zeros(3), np.zeros(3)), None], ids=["array", "triple", "none"]
+    )
+    def test_not_a_pair_rejected(self, argument, value):
+        pairs = {"a": IDENTITY_SE3, "b": IDENTITY_SE3, argument: value}
+        with pytest.raises(ValueError, match=f"{argument} must be a \\(rotation, translation\\) pair"):
+            se3_compose(pairs["a"], pairs["b"])
 
 
 class TestWarp:
     def test_identity_chain(self):
-        traj = warp_to_third_2d([SE3Transform.identity()] * 8)
+        traj = warp_to_third_2d([IDENTITY_SE3] * 8)
         np.testing.assert_array_equal(traj, np.zeros((8, 2)))
 
     def test_subtracts_first_translation(self):
-        chain = [
-            SE3Transform(UnitQuaternion.identity(), [1.0, 2.0, 9.0]),
-            SE3Transform(UnitQuaternion.identity(), [3.0, 5.0, 7.0]),
-        ]
+        chain = [(IDENTITY, np.array([1.0, 2.0, 9.0])), (IDENTITY, np.array([3.0, 5.0, 7.0]))]
         np.testing.assert_array_equal(warp_to_third_2d(chain), [[0.0, 0.0], [2.0, 3.0]])
 
     def test_matches_matrix_chain_oracle(self):
@@ -239,9 +302,9 @@ class TestWarp:
         chain = [start]
         for s in steps:
             chain.append(se3_compose(chain[-1], s))
-        matrices = [start.to_matrix()]
+        matrices = [homogeneous(start)]
         for s in steps:
-            matrices.append(matrices[-1] @ s.to_matrix())
+            matrices.append(matrices[-1] @ homogeneous(s))
         expected = np.array([m[:2, 3] for m in matrices])
         expected -= expected[0]
         np.testing.assert_allclose(warp_to_third_2d(chain), expected, atol=1e-9)
@@ -390,7 +453,7 @@ class TestKernelsMatchScalarCode:
         batch = geometry.quaternions_from_matrices(matrices)
         for m, row in zip(matrices, batch):
             assert_same_bits(row, scalar_from_matrix(m))
-            assert_same_bits(UnitQuaternion.from_matrix(m).as_array(), scalar_from_matrix(m))
+            assert_same_bits(geometry.quaternions_from_matrices(m[None])[0], scalar_from_matrix(m))
 
     def test_from_matrix_rejects_non_orthonormal_row(self):
         matrices = branch_matrices()
@@ -403,14 +466,14 @@ class TestKernelsMatchScalarCode:
         batch = geometry.rotation_vectors(q)
         for row, out in zip(q, batch):
             assert_same_bits(out, scalar_log(row))
-            assert_same_bits(UnitQuaternion._of(row).to_rotation_vector(), scalar_log(row))
+            assert_same_bits(geometry.rotation_vectors(row[None])[0], scalar_log(row))
 
     def test_exp(self):
         v = exp_cases(np.random.default_rng(6))
         batch = geometry.exp_rotations(v)
         for row, out in zip(v, batch):
             assert_same_bits(out, scalar_exp(row))
-            assert_same_bits(error_quaternion(row).as_array(), scalar_exp(row))
+            assert_same_bits(error_quaternion(row), scalar_exp(row))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_exp_rejects_non_finite_row(self, bad):
@@ -441,8 +504,9 @@ class TestKernelsMatchScalarCode:
             assert_same_bits(products[i], scalar_product(a[i], b[i]))
             assert_same_bits(rotated[i], scalar_rotate(a[i], points[i]))
             assert_same_bits(norms[i, 0], np.linalg.norm(points[i]))
-            qa, qb = UnitQuaternion._of(a[i]), UnitQuaternion._of(b[i])
-            assert_same_bits(qa.to_matrix(), scalar_matrix(a[i]))
-            assert_same_bits(quat_compose(qa, qb).as_array(), scalar_product(a[i], b[i]))
-            assert_same_bits(qa.rotate(points[i]), scalar_rotate(a[i], points[i]))
-            assert_same_bits(UnitQuaternion(*b[i] * 3.0).as_array(), scalar_unit(*b[i] * 3.0))
+            assert_same_bits(matrix(a[i]), scalar_matrix(a[i]))
+            rotation, translation = se3_compose((a[i], points[i]), (b[i], points[i]))
+            assert_same_bits(rotation, scalar_product(a[i], b[i]))
+            assert_same_bits(translation, scalar_rotate(a[i], points[i]) + points[i])
+            assert_same_bits(rotate(a[i], points[i]), scalar_rotate(a[i], points[i]))
+            assert_same_bits(unit(b[i] * 3.0), scalar_unit(*b[i] * 3.0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from crossview.geometry import SE3Transform, UnitQuaternion, error_quaternion
+from crossview.geometry import error_quaternion, rotation_matrices, se3_compose, unit_quaternions
 from crossview.motion import (
     BoundingBox,
     bbox_trajectory,
@@ -16,6 +16,17 @@ from crossview.motion import (
 )
 
 RNG = np.random.default_rng(4321)
+
+IDENTITY_SE3 = (np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+
+
+def random_se3(rng, translation_scale=1.0):
+    """A (rotation, translation) pair: a normalized Gaussian quaternion and a Gaussian translation."""
+    return unit_quaternions(rng.normal(size=(1, 4)))[0], rng.normal(size=3) * translation_scale
+
+
+def matrix(q):
+    return rotation_matrices(q[None])[0]
 
 
 def box_at(cx, cy, half=0.4):
@@ -70,29 +81,30 @@ class TestBboxTrajectory:
 
 class TestIntegrateEgoMotion:
     def test_identity_deltas_stay_at_origin(self):
-        traj = integrate_ego_motion(SE3Transform.identity(), constant_deltas())
+        traj = integrate_ego_motion(IDENTITY_SE3, constant_deltas())
         np.testing.assert_array_equal(traj, np.zeros((8, 2)))
 
     def test_straight_walk(self):
-        traj = integrate_ego_motion(SE3Transform.identity(), constant_deltas((1.0, 0.0, 0.0)))
+        traj = integrate_ego_motion(IDENTITY_SE3, constant_deltas((1.0, 0.0, 0.0)))
         expected = np.array([[float(k), 0.0] for k in range(8)])
         np.testing.assert_allclose(traj, expected, atol=1e-12)
 
     def test_rotated_start_walks_rotated(self):
         # start frame rotated 90 degrees about world z turns +x steps into +y
-        quarter = UnitQuaternion(math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4))
-        t_init = SE3Transform(quarter, [5.0, -3.0, 1.0])
+        quarter = np.array([math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4)])
+        t_init = (quarter, np.array([5.0, -3.0, 1.0]))
         traj = integrate_ego_motion(t_init, constant_deltas((1.0, 0.0, 0.0)))
         expected = np.array([[0.0, float(k)] for k in range(8)])
         np.testing.assert_allclose(traj, expected, atol=1e-9)
 
     def test_matches_homogeneous_chain_oracle(self):
         rng = np.random.default_rng(7)
-        t_init = SE3Transform(UnitQuaternion(*rng.normal(size=4)), rng.normal(size=3))
+        t_init = random_se3(rng)
         deltas = random_deltas(rng, 0.2)
         traj = integrate_ego_motion(t_init, deltas)
 
-        m = t_init.to_matrix()
+        m = np.eye(4)
+        m[:3, :3], m[:3, 3] = matrix(t_init[0]), t_init[1]
         chain = [m]
         for rotation, translation in deltas:
             step = np.eye(4)
@@ -106,13 +118,11 @@ class TestIntegrateEgoMotion:
 
     def test_equivariant_under_plane_rotation(self):
         rng = np.random.default_rng(11)
-        t_init = SE3Transform(UnitQuaternion(*rng.normal(size=4)), rng.normal(size=3))
+        t_init = random_se3(rng)
         deltas = random_deltas(rng, 0.1)
         base = integrate_ego_motion(t_init, deltas)
         phi = 0.77
-        rz = SE3Transform(UnitQuaternion(math.cos(phi / 2), 0.0, 0.0, math.sin(phi / 2)), [0.0, 0.0, 0.0])
-        from crossview.geometry import se3_compose
-
+        rz = (np.array([math.cos(phi / 2), 0.0, 0.0, math.sin(phi / 2)]), np.zeros(3))
         rotated = integrate_ego_motion(se3_compose(rz, t_init), deltas)
         plane = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
         np.testing.assert_allclose(rotated, base @ plane.T, atol=1e-9)
@@ -179,9 +189,9 @@ class TestEgoOffsets:
         assert offsets.shape == (8, 3)
         assert not offsets[0].any()
         for _ in range(5):
-            t_init = SE3Transform(UnitQuaternion(*rng.normal(size=4)), rng.normal(size=3) * 10.0)
+            t_init = random_se3(rng, 10.0)
             expected = integrate_ego_motion(t_init, deltas)
-            got = offsets @ t_init.rotation.to_matrix()[:2].T
+            got = offsets @ matrix(t_init[0])[:2].T
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
@@ -192,7 +202,7 @@ class TestEgoOffsets:
         frame = np.eye(3)
         for k, (rotation, translation) in enumerate(deltas):
             offsets[k + 1] = offsets[k] + frame @ translation
-            frame = frame @ error_quaternion(rotation).to_matrix()
+            frame = frame @ matrix(error_quaternion(rotation))
         return offsets
 
     @pytest.mark.parametrize("rotation_scale", [0.0, 1e-9, 3e-8, 0.2, 2.5])

@@ -30,7 +30,14 @@ from crossview.simulator import (
     scenario_to_json,
     skeleton_at,
 )
-from crossview.geometry import se3_compose
+from crossview.geometry import (
+    error_quaternion,
+    rotate_points,
+    rotation_matrices,
+    rotation_vectors,
+    se3_compose,
+    unit_quaternions,
+)
 from crossview.skeleton import (
     LEFT_SHOULDER,
     RIGHT_SHOULDER,
@@ -82,7 +89,7 @@ class TestEgoDeltasFromTruth:
         step = np.array([0.3, 0.0, 0.0])
         frames = [base + k * step for k in range(8)]
         pose_deltas, motion_deltas = ego_deltas_from_truth(frames)
-        r_init = body_frame(frames[0]).rotation.to_matrix()
+        r_init = rotation_matrices(body_frame(frames[0])[0][None])[0]
         expected = r_init.T @ step
         for rotation, translation in motion_deltas:
             np.testing.assert_allclose(rotation, np.zeros(3), atol=1e-9)
@@ -93,23 +100,18 @@ class TestEgoDeltasFromTruth:
         # frames built so consecutive body frames differ by a 0.1 rad turn
         # about the body frame's third axis
         base = skeleton_at((0.0, 0.0), 0.3, GaitParams(), 0.2)
-        t0 = body_frame(base)
-        r0 = t0.rotation.to_matrix()
-        c0 = t0.translation
+        q0, c0 = body_frame(base)
+        r0 = rotation_matrices(q0[None])[0]
         frames = [base]
         for k in range(1, 8):
             spin = Rotation.from_rotvec([0.0, 0.0, 0.1 * k]).as_matrix()
             world = r0 @ spin @ r0.T
             frames.append((base - c0) @ world.T + c0)
         _, motion_deltas = ego_deltas_from_truth(frames)
-        from crossview.geometry import error_quaternion
-
-        expected = error_quaternion([0.0, 0.0, 0.1])
+        expected = rotation_matrices(error_quaternion([0.0, 0.0, 0.1])[None])[0]
         for rotation, translation in motion_deltas:
             np.testing.assert_allclose(translation, np.zeros(3), atol=1e-9)
-            np.testing.assert_allclose(
-                error_quaternion(rotation).to_matrix(), expected.to_matrix(), atol=1e-9
-            )
+            np.testing.assert_allclose(rotation_matrices(error_quaternion(rotation)[None])[0], expected, atol=1e-9)
 
     def test_wrong_frame_count_rejected(self):
         frame = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
@@ -117,11 +119,18 @@ class TestEgoDeltasFromTruth:
             ego_deltas_from_truth([frame] * 7)
 
 
+def inverse(transform):
+    """The inverse of a (rotation, translation) pair: the renormalized conjugate, and minus its turn of t."""
+    rotation, translation = transform
+    conjugate = unit_quaternions(rotation[None] * [1.0, -1.0, -1.0, -1.0])
+    return conjugate[0], -rotate_points(conjugate, translation[None])[0]
+
+
 def per_frame_chain(frames):
-    """The ego increments one frame at a time, through the transform objects."""
+    """The ego increments one frame at a time, through se3_compose."""
     transforms = [body_frame(f) for f in frames]
-    steps = [se3_compose(a.inverse(), b) for a, b in zip(transforms, transforms[1:])]
-    return np.array([(step.rotation.to_rotation_vector(), step.translation) for step in steps])
+    steps = [se3_compose(inverse(a), b) for a, b in zip(transforms, transforms[1:])]
+    return np.array([(rotation_vectors(rotation[None])[0], translation) for rotation, translation in steps])
 
 
 def from_matrix_branch(m):
@@ -381,6 +390,32 @@ class TestSerialization:
         )
         restored = scenario_from_json(scenario_to_json(scenario))
         assert restored == scenario
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            cv.two_person_scenario(),
+            cv.two_person_scenario(crossing=True, duration=88, seed=4),
+            cv.three_person_scenario(crossing=True, duration=88),
+            cv.group_scenario(8, duration=120, seed=19),
+        ],
+        ids=["two", "two_crossing", "three_crossing", "group8"],
+    )
+    def test_preset_text_loads_equal_and_writes_same_bytes(self, scenario):
+        text = scenario_to_json(scenario)
+        restored = scenario_from_json(text)
+        assert restored == scenario
+        assert scenario_to_json(restored) == text
+
+    @pytest.mark.parametrize("keys", [(), ("persons", 0), ("crossings", 0)], ids=["scenario", "person", "crossing"])
+    def test_unknown_key_rejected_naming_it(self, keys):
+        obj = json.loads(scenario_to_json(cv.three_person_scenario(crossing=True, duration=88)))
+        target = obj
+        for key in keys:
+            target = target[key]
+        target["extra"] = 1
+        with pytest.raises(ValueError, match="unknown keys 'extra'"):
+            scenario_from_json(json.dumps(obj))
 
     def test_scenario_file_round_trip(self, tmp_path):
         scenario = cv.two_person_scenario(duration=20, seed=3)

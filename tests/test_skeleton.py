@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from crossview.geometry import rotation_matrices
 from crossview.skeleton import (
     CLIP_LEN,
     LEFT_SHOULDER,
@@ -18,6 +19,10 @@ from crossview.skeleton import (
 )
 
 RNG = np.random.default_rng(999)
+
+
+def matrix(q):
+    return rotation_matrices(q[None])[0]
 
 GRID = 2.0 ** -10  # test inputs on a coarse binary grid make sums exact
 
@@ -83,25 +88,25 @@ class TestBodyFrame:
         joints[RIGHT_SHOULDER] = [1.0, 0.0, 0.0]
         joints[LEFT_SHOULDER] = [-1.0, 0.0, 0.0]
         joints[NECK] = [0.0, 0.0, 1.0]
-        frame = body_frame(joints)
-        np.testing.assert_allclose(frame.translation, [0.0, 0.0, 1.0 / 3.0], atol=1e-15)
-        np.testing.assert_allclose(frame.rotation.to_matrix()[:, 0], [1.0, 0.0, 0.0], atol=1e-12)
+        rotation, translation = body_frame(joints)
+        np.testing.assert_allclose(translation, [0.0, 0.0, 1.0 / 3.0], atol=1e-15)
+        np.testing.assert_allclose(matrix(rotation)[:, 0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_rotation_orthonormal_and_proper(self):
         for _ in range(50):
-            r = body_frame(upright_pose()).rotation.to_matrix()
+            r = matrix(body_frame(upright_pose())[0])
             np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
             assert abs(np.linalg.det(r) - 1.0) < 1e-9
 
     def test_equivariant_under_rigid_rotation(self):
         pose = upright_pose()
-        base = body_frame(pose)
+        base_rotation, base_translation = body_frame(pose)
         rot = Rotation.from_rotvec([0.3, -0.7, 0.4]).as_matrix()
         shift = np.array([1.0, -2.0, 0.5])
         moved = pose @ rot.T + shift
-        frame = body_frame(moved)
-        np.testing.assert_allclose(frame.rotation.to_matrix(), rot @ base.rotation.to_matrix(), atol=1e-9)
-        np.testing.assert_allclose(frame.translation, rot @ base.translation + shift, atol=1e-9)
+        rotation, translation = body_frame(moved)
+        np.testing.assert_allclose(matrix(rotation), rot @ matrix(base_rotation), atol=1e-9)
+        np.testing.assert_allclose(translation, rot @ base_translation + shift, atol=1e-9)
 
     def test_coincident_shoulders_degenerate(self):
         joints = RNG.normal(size=(19, 3))
@@ -124,9 +129,9 @@ class TestBodyFrame:
         assert axes.shape == (2, 3, 3, 3)
         np.testing.assert_array_equal(defined.ravel(), [True, True, True, False, True, True])
         for i in (0, 1, 2, 4, 5):
-            frame = body_frame(joints[i])
-            np.testing.assert_allclose(axes.reshape(6, 3, 3)[i], frame.rotation.to_matrix(), atol=1e-12)
-            np.testing.assert_array_equal(body_centers(joints)[i], frame.translation)
+            rotation, translation = body_frame(joints[i])
+            np.testing.assert_allclose(axes.reshape(6, 3, 3)[i], matrix(rotation), atol=1e-12)
+            np.testing.assert_array_equal(body_centers(joints)[i], translation)
 
     def test_center_is_torso_centroid(self):
         j = upright_pose()
