@@ -54,6 +54,7 @@ from .verification import (
     ScoringConfig,
     VerificationScore,
     localize,
+    score_scene,
     verify_pair,
 )
 

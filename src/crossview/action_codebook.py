@@ -79,7 +79,7 @@ class ActionCodebook:
 
 
 def _sq_norms(x):
-    return (x * x).sum(axis=1)
+    return (x * x).sum(axis=-1)
 
 
 def _pairwise_sq_distances(a, a_sq, b, b_sq):
@@ -87,8 +87,9 @@ def _pairwise_sq_distances(a, a_sq, b, b_sq):
     # and b_sq = _sq_norms(b), which the caller computes once per array;
     # clipped against tiny negatives from cancellation. Fitted codebooks and
     # decisions depend on these bits: keep the expression, its operand order
-    # and the a @ b.T product shape.
-    return np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0)
+    # and the a @ b.T product shape. a may be a stack of (m, d) arrays, each
+    # multiplied on its own.
+    return np.maximum(a_sq[..., None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0)
 
 
 def _seed_centroids(vectors, sq, k, rng):
@@ -192,11 +193,15 @@ def label_scores(codebook: ActionCodebook, clip, tau=DEFAULT_TAU) -> np.ndarray:
 
 
 def _row_scores(codebook, vectors, tau):
-    # label scores of every row of an (m, CLIP_DIM) array from one distance
-    # product; a single row gives the same bits as a batch containing it
+    # label scores of every row of an (..., m, CLIP_DIM) array, one distance
+    # product per (m, CLIP_DIM) array. A row's bits depend on the product's
+    # shape: OpenBLAS 0.3.31 takes a small-matrix kernel up to m * k = 1200,
+    # so at k=400 every 1-, 2- and 3-row block of 600 crossing3 rows differed
+    # from the same rows in the full product and no 4- or 6-row block did; at
+    # some k (300, 404, 500) larger products differ with m too.
     d = np.sqrt(codebook._sq_distances(vectors))
-    w = np.exp(-(d - d.min(axis=1, keepdims=True)) / tau)
-    return w / w.sum(axis=1, keepdims=True)
+    w = np.exp(-(d - d.min(axis=-1, keepdims=True)) / tau)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _check_scores(scores, k, name):
@@ -227,18 +232,20 @@ def action_agreement(ego_label_scores, third_label_scores, codebook: ActionCodeb
 def cross_entropies(codebook: ActionCodebook, ego_vectors, third_vectors, tau=DEFAULT_TAU):
     """The two cross-entropies of action_agreement for each row pair, batched.
 
-    ego_vectors and third_vectors are (n, CLIP_DIM) clip vectors; row i of
-    one is paired with row i of the other. All 2n rows are scored against
-    the centroids with one distance product. Returns (ego_ce, third_ce), two
-    length-n arrays.
+    ego_vectors and third_vectors are (..., n, CLIP_DIM) clip vectors; row i
+    of one is paired with row i of the other. The 2n rows of each (n,
+    CLIP_DIM) pair of arrays are scored against the centroids with one
+    distance product, the ego rows first, so a stack of them gets the bits
+    each gets alone. Returns (ego_ce, third_ce), two (..., n) arrays.
     """
-    n = len(ego_vectors)
-    scores = _row_scores(codebook, np.concatenate([ego_vectors, third_vectors]), tau)
-    labels = scores.argmax(axis=1)
-    rows = np.arange(n)
-    ego_ce = -np.log(np.maximum(scores[rows, labels[n:]], _EPS_LOG))
-    third_ce = -np.log(np.maximum(scores[n + rows, labels[:n]], _EPS_LOG))
-    return ego_ce, third_ce
+    n = ego_vectors.shape[-2]
+    scores = _row_scores(codebook, np.concatenate([ego_vectors, third_vectors], axis=-2), tau)
+    labels = scores.argmax(axis=-1)
+    # each row's score at the label of its partner row in the other half
+    partner = labels.reshape(-1, 2, n)[:, ::-1].reshape(-1)
+    picked = scores.reshape(partner.size, -1)[np.arange(partner.size), partner]
+    ce = -np.log(np.maximum(picked, _EPS_LOG)).reshape(labels.shape)
+    return ce[..., :n], ce[..., n:]
 
 
 def save_codebook(codebook: ActionCodebook, path) -> None:

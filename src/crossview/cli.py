@@ -1,6 +1,7 @@
 """Command-line harness: simulate scenes, fit codebooks, evaluate, sweep.
 
-evaluate writes report.json, decisions.csv, scores.csv and posteriors.csv.
+evaluate scores the scene in one score_scene call, filters it clip by clip
+and writes report.json, decisions.csv, scores.csv and posteriors.csv.
 sweep writes the same four files and the scenario.json they were run from
 into one sigma_pose_<value> directory per pose-noise level, and sweep.csv
 beside those directories. Exit codes: 0 success, 2 validation error, 3 I/O
@@ -25,7 +26,8 @@ import numpy as np
 from . import bayes_filter
 from .action_codebook import DEFAULT_K, fit_codebook, load_codebook, save_codebook
 from .simulator import generate_scene, load_scenario, save_scenario, save_scene
-from .verification import ScoringConfig, localize
+# localize is bound here, uncalled, because perfbench/tracer.py wraps crossview.cli.localize
+from .verification import ScoringConfig, localize, score_scene  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -169,17 +171,21 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
         first = clips[0].candidates
         state = bayes_filter.init_filter([c.person_id for c in first], [c.boxes[-1].center for c in first])
 
+    raw, scores = score_scene(clips, codebook, scoring)
+    pairs = [(clip, c.person_id) for clip in clips for c in clip.candidates]
+    # tolist gives Python floats, which csv writes as their repr
+    score_rows = [
+        dict(zip(scores, values), clip_id=clip.clip_id, person_id=pid, is_wearer=int(pid == clip.ground_truth_wearer))
+        for (clip, pid), values in zip(pairs, zip(*(column.tolist() for column in scores.values())))
+    ]
+    pair_probabilities = iter(scores["match_probability"].tolist())
+
     decisions = []
-    score_rows = []
     posterior_rows = []
     raw_correct = filtered_correct = 0
-    for clip in clips:
-        predicted, scores = localize(clip.ego, clip.candidates, codebook, scoring)
+    for clip, predicted in zip(clips, raw):
         raw_correct += int(predicted == clip.ground_truth_wearer)
-        probabilities = [s.match_probability for s in scores]
-        for cand, score in zip(clip.candidates, scores):
-            is_wearer = int(cand.person_id == clip.ground_truth_wearer)
-            score_rows.append(dict(clip_id=clip.clip_id, person_id=cand.person_id, is_wearer=is_wearer, **vars(score)))
+        probabilities = [next(pair_probabilities) for _ in clip.candidates]
 
         filtered = None
         if state is not None:

@@ -75,21 +75,22 @@ def integrate_ego_motion(t_init, deltas) -> np.ndarray:
 
 
 def ego_offsets(deltas) -> np.ndarray:
-    """(8, 3) positions of the chained increments in the start frame.
+    """(..., 8, 3) positions of the chained increments in the start frame.
 
-    deltas holds (rotation vector, translation) rows. Row k is the
-    translation of D_1...D_k (row 0 is exactly zero), so the track
+    deltas holds (..., 7, 2, 3) (rotation vector, translation) rows. Row k is
+    the translation of D_1...D_k (row 0 is exactly zero), so the track
     integrate_ego_motion gives from a start rotation R is the x-y part of
     R u_k: the increments are integrated once for any number of starts.
-    The step rotations come from one array pass; the chain is a loop of 3x3 products.
+    The step rotations come from one array pass; the chain is a loop of
+    batched 3x3 products, and each leading index gets the bits it gets alone.
     """
     deltas = np.asarray(deltas, dtype=float)
-    rotations = rotation_matrices(exp_rotations(deltas[:, 0]))
-    offsets = np.zeros((CLIP_LEN, 3))
+    rotations = rotation_matrices(exp_rotations(deltas[..., 0, :].reshape(-1, 3))).reshape(deltas.shape[:-2] + (3, 3))
+    offsets = np.zeros(deltas.shape[:-3] + (CLIP_LEN, 3))
     frame = np.eye(3)
-    for k, (translation, rotation) in enumerate(zip(deltas[:, 1], rotations)):
-        offsets[k + 1] = offsets[k] + frame @ translation
-        frame = frame @ rotation
+    for k in range(CLIP_LEN - 1):
+        offsets[..., k + 1, :] = offsets[..., k, :] + (frame @ deltas[..., k, 1, :, None])[..., 0]
+        frame = frame @ rotations[..., k, :, :]
     return offsets
 
 

@@ -41,7 +41,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -452,11 +452,24 @@ def _pair(value, name, integer=False):
     return tuple(_number(v, name, integer) for v in value)
 
 
-def _numbers_by_key(value, name):
-    """A JSON object of numbers, as a dict; an unknown key fails where the dict is passed as keywords."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be an object, got {value!r}")
+def _numbers_by_key(value, cls, name):
+    """A JSON object of numbers, as the keywords of the dataclass cls."""
+    _known_keys(value, [f.name for f in fields(cls)], name)
     return {key: _number(v, f"{name}.{key}") for key, v in value.items()}
+
+
+def _required(obj, key, name):
+    """obj[key], or a ValueError naming the key that name lacks."""
+    if key not in obj:
+        raise ValueError(f"{name} lacks the key '{key}'")
+    return obj[key]
+
+
+def _list(value, name):
+    """A JSON list, as it is; errors name the field."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 def _known_keys(obj, keys, name):
@@ -473,12 +486,12 @@ def _person(p) -> PersonSpec:
     if not isinstance(p.get("is_wearer", False), bool):
         raise ValueError(f"is_wearer must be true or false, got {p['is_wearer']!r}")
     return PersonSpec(
-        person_id=_number(p["id"], "id", integer=True),
-        waypoints=tuple(_pair(w, "waypoints") for w in p["waypoints"]),
-        speed=float(_number(p["speed"], "speed")),
+        person_id=_number(_required(p, "id", "a person"), "id", integer=True),
+        waypoints=tuple(_pair(w, "waypoints") for w in _list(_required(p, "waypoints", "a person"), "waypoints")),
+        speed=float(_number(_required(p, "speed", "a person"), "speed")),
         heading=float(_number(p.get("heading", 0.0), "heading")),
         is_wearer=p.get("is_wearer", False),
-        gait=GaitParams(**_numbers_by_key(p.get("gait", {}), "gait")),
+        gait=GaitParams(**_numbers_by_key(p.get("gait", {}), GaitParams, "gait")),
     )
 
 
@@ -492,20 +505,21 @@ def scenario_from_json(text: str) -> Scenario:
     version = obj.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    noise = _numbers_by_key(obj.get("noise", {}), "noise")
+    noise = _numbers_by_key(obj.get("noise", {}), NoiseParams, "noise")
     return Scenario(
-        seed=_number(obj["seed"], "seed", integer=True),
-        duration=_number(obj["duration"], "duration", integer=True),
+        seed=_number(_required(obj, "seed", "a scenario"), "seed", integer=True),
+        duration=_number(_required(obj, "duration", "a scenario"), "duration", integer=True),
         time_offset=_number(obj.get("time_offset", 0), "time_offset", integer=True),
         noise=NoiseParams(**{key: float(v) for key, v in noise.items()}),
-        persons=tuple(_person(p) for p in obj["persons"]),
-        crossings=tuple(_crossing(c) for c in obj.get("crossings", ())),
+        persons=tuple(_person(p) for p in _list(_required(obj, "persons", "a scenario"), "persons")),
+        crossings=tuple(_crossing(c) for c in _list(obj.get("crossings", []), "crossings")),
     )
 
 
 def _crossing(c) -> Crossing:
     _known_keys(c, ("pair", "start", "end"), "a crossing")
-    return Crossing(*_pair(c["pair"], "pair", True), *(_number(c[k], k, True) for k in ("start", "end")))
+    pair = _pair(_required(c, "pair", "a crossing"), "pair", True)
+    return Crossing(*pair, *(_number(_required(c, k, "a crossing"), k, True) for k in ("start", "end")))
 
 
 def save_scenario(s: Scenario, path) -> None:
@@ -521,7 +535,7 @@ def load_scenario(path) -> Scenario:
         raise OSError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         return scenario_from_json(text)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ValueError(f"malformed scenario file {path}: {exc}") from exc
 
 

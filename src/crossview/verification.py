@@ -18,18 +18,21 @@ observed pose (each hypothesis is tried in its own frame):
   track against the same boxes. Tracks are (8, 2) arrays re-based at frame 0.
 
 The total is a weighted sum of the four terms and the match probability is
-exp(-total / sigma). localize scores all of a clip's candidates in one array
-pass: the ego pose-delta array is summed and the ego increments integrated
-once per clip (as start-frame offsets, rotated into each candidate's body
-frame), and both action clips of every candidate go through one distance
-product against the centroids. verify_pair scores one pair at a time and is
-the per-pair reference the batched pass is tested against.
+exp(-total / sigma). score_scene scores a scene in blocks of whole clips,
+with one call each to cross_entropies, body_axes and exp_rotations per block;
+localize is that pass over one clip, so both share one code path. On
+OpenBLAS a distance product of rows x centroids <= 1200 (1 to 3 rows at
+k=400) gives a row other bits than a larger product, so each clip keeps a
+product of its own shape inside one stacked call and score_scene gives
+localize's bits. verify_pair scores one pair and is the per-pair reference
+the batched pass is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -60,6 +63,7 @@ __all__ = [
     "VerificationScore",
     "verify_pair",
     "localize",
+    "score_scene",
 ]
 
 
@@ -189,10 +193,13 @@ def _require_valid_frame(candidate: CandidateObservation):
         )
 
 
-def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig()):
-    """Pick the wearer among candidates by maximum match probability.
+BLOCK_PAIRS = 256  # pairs per score_scene block; one block for the scene costs memory, not time
+SCORE_FIELDS = tuple(f.name for f in fields(VerificationScore))
 
-    Scores every candidate as verify_pair does, all in one array pass.
+
+def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig()):
+    """Pick the wearer among candidates by maximum match probability: score_scene's pass over one clip.
+
     Returns (person_id, scores) with scores ordered like the input candidate
     list; ties go to the lowest person id. Raises like verify_pair on the
     first candidate, in input order, that cannot be scored.
@@ -200,8 +207,42 @@ def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig())
     candidates = list(candidates)
     if not candidates:
         raise ValueError("localize requires at least one candidate")
-    n = len(candidates)
-    observed = np.stack([c.poses for c in candidates])  # (n, 8, 19, 3)
+    (person_id,), columns = _score_block([(ego, candidates)], codebook, config)
+    return person_id, [VerificationScore(*row) for row in zip(*(column.tolist() for column in columns))]
+
+
+def score_scene(clips, codebook, config: ScoringConfig = ScoringConfig()):
+    """Score every (clip, candidate) pair of a scene in blocks of whole clips.
+
+    A block is a run of clips with one candidate count and at most
+    BLOCK_PAIRS pairs (or a single clip). Returns (decisions, columns): each
+    clip's raw decision as localize picks it, and a dict of the SCORE_FIELDS,
+    each a (P,) array over the pairs in scene order, with localize's bits.
+    Raises like localize on the first pair, in scene order, that cannot be
+    scored.
+    """
+    decisions, blocks = [], []
+    for n, run in groupby(clips, key=lambda clip: len(clip.candidates)):
+        run = [(clip.ego, clip.candidates) for clip in run]
+        step = max(1, BLOCK_PAIRS // n)
+        for i in range(0, len(run), step):
+            picked, columns = _score_block(run[i : i + step], codebook, config)
+            decisions += picked
+            blocks.append(columns)
+    if not blocks:
+        raise ValueError("score_scene requires at least one clip")
+    return decisions, {name: np.concatenate(column) for name, column in zip(SCORE_FIELDS, zip(*blocks))}
+
+
+def _score_block(clips, codebook, config):
+    # Every pair of c (ego, candidates) clips of n candidates each in one
+    # array pass; returns each clip's decision and the (c * n,) columns in
+    # SCORE_FIELDS order. Ego streams are integrated once per clip, the motion
+    # as start-frame offsets rotated into each candidate's body frame.
+    candidates = [candidate for _, group in clips for candidate in group]
+    c = len(clips)
+    n = len(candidates) // c
+    observed = np.stack([candidate.poses for candidate in candidates])  # (c * n, 8, 19, 3)
     axes, defined = body_axes(observed[:, 0])
     for candidate, ok in zip(candidates, defined):
         _require_valid_frame(candidate)
@@ -210,26 +251,27 @@ def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig())
                 f"candidate {candidate.person_id}: shoulder and neck joints are collinear; body frame undefined"
             )
 
-    offsets = np.concatenate([np.zeros((1, N_JOINTS, 3)), np.cumsum(ego.pose_deltas, axis=0)])
-    ego_clips = observed[:, :1] + offsets
-    ego_ce, third_ce = cross_entropies(codebook, ego_clips.reshape(n, -1), observed.reshape(n, -1), config.tau)
+    pose_sums = np.cumsum([ego.pose_deltas for ego, _ in clips], axis=1)
+    offsets = np.concatenate([np.zeros((c, 1, N_JOINTS, 3)), pose_sums], axis=1)
+    ego_clips = observed.reshape(c, n, CLIP_LEN, N_JOINTS, 3)[:, :, :1] + offsets[:, None]
+    # one distance product per clip, of the shape localize gives
+    stacked = cross_entropies(codebook, ego_clips.reshape(c, n, -1), observed.reshape(c, n, -1), config.tau)
+    ego_ce, third_ce = (column.reshape(-1) for column in stacked)
 
-    corners = np.array([[b.corners() for b in c.boxes] for c in candidates])  # (n, 8, 4)
+    corners = np.array([[b.corners() for b in candidate.boxes] for candidate in candidates])  # (c * n, 8, 4)
     box_centres = (corners[..., :2] + corners[..., 2:]) / 2.0
     box_track = box_centres - box_centres[:, :1]
     # row 0 of the offsets is zero, so each rotated track starts at (0, 0)
-    ego_track = ego_offsets(ego.motion_deltas) @ axes[:, :2, :].transpose(0, 2, 1)
+    motion_offsets = np.repeat(ego_offsets([ego.motion_deltas for ego, _ in clips]), n, axis=0)
+    ego_track = motion_offsets @ axes[:, :2, :].transpose(0, 2, 1)
     pose_centres = body_centers(observed)[..., :2]
     pose_track = pose_centres - pose_centres[:, :1]
-    motion_ego_l1 = np.abs(ego_track - box_track).reshape(n, -1).sum(axis=1)
-    motion_third_l1 = np.abs(pose_track - box_track).reshape(n, -1).sum(axis=1)
+    motion_ego_l1 = np.abs(ego_track - box_track).reshape(c * n, -1).sum(axis=1)
+    motion_third_l1 = np.abs(pose_track - box_track).reshape(c * n, -1).sum(axis=1)
 
     total = config.action_weight * (ego_ce + third_ce) + config.motion_weight * (motion_ego_l1 + motion_third_l1)
     probability = np.exp(-total / config.sigma)
-    scores = [
-        VerificationScore(*(float(v) for v in row))
-        for row in zip(total, ego_ce, third_ce, motion_ego_l1, motion_third_l1, probability)
-    ]
-    best = min(range(n), key=lambda i: (-scores[i].match_probability, candidates[i].person_id))
-    return candidates[best].person_id, scores
-
+    # each clip's least (-probability, person id): ties go to the lowest id
+    keys = list(zip((-probability).tolist(), [candidate.person_id for candidate in candidates]))
+    decisions = [min(keys[i : i + n])[1] for i in range(0, c * n, n)]
+    return decisions, (total, ego_ce, third_ce, motion_ego_l1, motion_third_l1, probability)

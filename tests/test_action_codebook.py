@@ -280,6 +280,20 @@ class TestNormCacheEquivalence:
         cb = ActionCodebook(rng.normal(size=(24, CLIP_DIM)))
         self.assert_scores_match_oracle(cb, rng.normal(size=(10, CLIP_DIM)))
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_stacked_pairs_get_the_bits_of_separate_calls(self, n):
+        # each (n, CLIP_DIM) array of a stack gets a distance product of its
+        # own shape, so the bits do not depend on the stack
+        rng = np.random.default_rng(43)
+        cb = ActionCodebook(rng.normal(size=(64, CLIP_DIM)))
+        ego, third = rng.normal(size=(2, 5, n, CLIP_DIM))
+        ego_ce, third_ce = cross_entropies(cb, ego, third)
+        assert ego_ce.shape == third_ce.shape == (5, n)
+        for i in range(5):
+            want_ego, want_third = cross_entropies(cb, ego[i], third[i])
+            assert np.array_equal(ego_ce[i], want_ego)
+            assert np.array_equal(third_ce[i], want_third)
+
     def test_scores_after_round_trip_match_oracle(self, tmp_path):
         rng = np.random.default_rng(37)
         cb = fit_codebook([random_clip(rng) for _ in range(40)], k=12, seed=37)

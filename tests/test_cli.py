@@ -1,6 +1,7 @@
 """CLI harness tests: evaluation pipeline, metrics, CSV emission, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 from dataclasses import fields, replace
@@ -70,6 +71,20 @@ class TestRunEvaluation:
             )
             accuracies.append(run_evaluation(config).accuracy)
         assert sum(accuracies) / 2 == 0.5
+
+    def test_output_bytes_match_golden(self, tmp_path, capsys):
+        # every scoring output, bit for bit, through the command line: a
+        # change to any score, probability or posterior fails here. The
+        # bytes come from the BLAS distance products, so they hold for the
+        # OpenBLAS build and CPU they were recorded on (see CHANGES.md).
+        golden = GOLDEN["evaluate_outputs"]
+        noise = cv.NoiseParams(sigma_pose=0.03, sigma_odo_trans=0.01, sigma_odo_rot=0.02, sigma_bbox=0.01)
+        path = write_scenario(tmp_path, cv.three_person_scenario(crossing=True, duration=60, seed=11, noise=noise))
+        out = tmp_path / "out"
+        assert main(["evaluate", "--scenario", str(path), "--codebook-k", "16", "--out", str(out)]) == 0
+        assert "clips=53 " in capsys.readouterr().out
+        for name, want in golden["sha256"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
 
     def test_crossing_filter_matches_golden(self, tmp_path):
         golden = GOLDEN["crossing_filter"]

@@ -407,7 +407,11 @@ class TestSerialization:
         assert restored == scenario
         assert scenario_to_json(restored) == text
 
-    @pytest.mark.parametrize("keys", [(), ("persons", 0), ("crossings", 0)], ids=["scenario", "person", "crossing"])
+    @pytest.mark.parametrize(
+        "keys",
+        [(), ("persons", 0), ("crossings", 0), ("noise",), ("persons", 1, "gait")],
+        ids=["scenario", "person", "crossing", "noise", "gait"],
+    )
     def test_unknown_key_rejected_naming_it(self, keys):
         obj = json.loads(scenario_to_json(cv.three_person_scenario(crossing=True, duration=88)))
         target = obj
@@ -415,6 +419,48 @@ class TestSerialization:
             target = target[key]
         target["extra"] = 1
         with pytest.raises(ValueError, match="unknown keys 'extra'"):
+            scenario_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "keys, text",
+        [
+            (("seed",), "a scenario lacks the key 'seed'"),
+            (("duration",), "a scenario lacks the key 'duration'"),
+            (("persons",), "a scenario lacks the key 'persons'"),
+            (("persons", 1, "id"), "a person lacks the key 'id'"),
+            (("persons", 1, "waypoints"), "a person lacks the key 'waypoints'"),
+            (("persons", 1, "speed"), "a person lacks the key 'speed'"),
+            (("crossings", 0, "pair"), "a crossing lacks the key 'pair'"),
+            (("crossings", 0, "start"), "a crossing lacks the key 'start'"),
+            (("crossings", 0, "end"), "a crossing lacks the key 'end'"),
+        ],
+    )
+    def test_missing_scenario_key_rejected_naming_it(self, keys, text):
+        obj = json.loads(scenario_to_json(cv.three_person_scenario(crossing=True, duration=88)))
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+        with pytest.raises(ValueError, match=text):
+            scenario_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "keys, value, text",
+        [
+            (("persons",), 5, "persons must be a list"),
+            (("crossings",), {}, "crossings must be a list"),
+            (("persons", 0, "waypoints"), 3, "waypoints must be a list"),
+            (("noise",), [0.1], "noise must be an object"),
+            (("persons", 0, "gait"), None, "gait must be an object"),
+        ],
+    )
+    def test_wrong_container_rejected_naming_it(self, keys, value, text):
+        obj = json.loads(scenario_to_json(cv.three_person_scenario(crossing=True, duration=88)))
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(ValueError, match=text):
             scenario_from_json(json.dumps(obj))
 
     def test_scenario_file_round_trip(self, tmp_path):

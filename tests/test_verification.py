@@ -1,11 +1,13 @@
 """Verification tests: channel scoring, localization, failure modes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import crossview as cv
 from crossview.action_codebook import fit_codebook
-from crossview.motion import BoundingBox
+from crossview.motion import BoundingBox, ego_offsets
 from crossview.skeleton import (
     LEFT_SHOULDER,
     NECK,
@@ -14,11 +16,14 @@ from crossview.skeleton import (
     body_centers,
 )
 from crossview.verification import (
+    BLOCK_PAIRS,
+    SCORE_FIELDS,
     CandidateObservation,
     EgoObservation,
     InsufficientObservationError,
     ScoringConfig,
     localize,
+    score_scene,
     verify_pair,
 )
 
@@ -353,6 +358,123 @@ class TestBatchedMatchesPerPair:
                 [verify_pair(clip.ego, c, codebook) for c in candidates]
             with pytest.raises(error):
                 localize(clip.ego, candidates, codebook)
+
+
+NOISE = cv.NoiseParams(sigma_pose=0.02, sigma_odo_trans=0.01, sigma_odo_rot=0.01, sigma_bbox=0.01)
+
+
+def fitted(scenario, k):
+    clips = cv.generate_scene(scenario)
+    return clips, fit_codebook([c.poses for clip in clips for c in clip.candidates], k=k, seed=scenario.seed)
+
+
+def per_clip(clips, codebook, config=ScoringConfig()):
+    """Decisions and score columns from one localize call per clip."""
+    decisions, scores = [], []
+    for clip in clips:
+        pid, clip_scores = localize(clip.ego, clip.candidates, codebook, config)
+        decisions.append(pid)
+        scores += clip_scores
+    return decisions, {name: np.array([getattr(s, name) for s in scores]) for name in SCORE_FIELDS}
+
+
+def assert_same_bits(got, want):
+    assert got[0] == want[0]
+    assert list(got[1]) == list(SCORE_FIELDS)
+    for name in SCORE_FIELDS:
+        assert got[1][name].dtype == np.float64
+        assert np.array_equal(got[1][name], want[1][name]), name
+
+
+class TestScoreScene:
+    """score_scene scores whole blocks of clips; per-clip localize is the reference, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def crossing3(self):
+        # the benchmark's crossing scene and codebook size: 200 clips of 3
+        return fitted(cv.three_person_scenario(crossing=True, duration=207, seed=7, noise=NOISE), 400)
+
+    def test_crossing3_matches_per_clip_localize(self, crossing3):
+        clips, codebook = crossing3
+        assert len(clips) * 3 > 2 * BLOCK_PAIRS
+        config = ScoringConfig(action_weight=0.7, motion_weight=1.3, sigma=2.0)
+        assert_same_bits(score_scene(clips, codebook, config), per_clip(clips, codebook, config))
+
+    def test_group_scene_over_several_blocks_matches_per_clip_localize(self):
+        # 73 clips of 8: blocks of 32, 32 and 9 clips. At k=64 one clip's
+        # 16-row product is small enough to take OpenBLAS's small-matrix
+        # kernel, so a flat product over the block would change its bits.
+        clips, codebook = fitted(cv.group_scenario(8, duration=80, seed=19, noise=NOISE), 64)
+        per_block = BLOCK_PAIRS // 8
+        assert len(clips) > 2 * per_block and len(clips) % per_block != 0
+        assert_same_bits(score_scene(clips, codebook), per_clip(clips, codebook))
+
+    def test_mixed_candidate_counts_match_per_clip_localize(self, crossing3):
+        # a block holds clips of one candidate count, so these runs split it
+        clips, codebook = crossing3
+        mixed = [
+            replace(clip, candidates=clip.candidates[: 1 + (i // 7) % 3]) for i, clip in enumerate(clips[:60])
+        ]
+        assert_same_bits(score_scene(mixed, codebook), per_clip(mixed, codebook))
+
+    def test_one_candidate_scene_matches_per_clip_localize(self):
+        # one candidate scores 2 rows, below the 4 rows from which a product
+        # of a k=400 codebook gives a row the bits a larger product gives it;
+        # every clip keeps a product of its own, so the bits still agree
+        clips, codebook = fitted(cv.group_scenario(8, duration=120, seed=19, noise=NOISE), 400)
+        alone = [
+            replace(clip, candidates=tuple(c for c in clip.candidates if c.person_id == clip.ground_truth_wearer))
+            for clip in clips
+        ]
+        decisions, columns = score_scene(alone, codebook)
+        assert decisions == [clip.ground_truth_wearer for clip in clips]
+        assert_same_bits((decisions, columns), per_clip(alone, codebook))
+
+    def test_batched_ego_offsets_match_one_clip_calls(self, crossing3):
+        clips, _ = crossing3
+        deltas = np.stack([clip.ego.motion_deltas for clip in clips])
+        batched = ego_offsets(deltas)
+        assert batched.shape == (len(clips), 8, 3)
+        for got, one in zip(batched, deltas):
+            assert np.array_equal(got, ego_offsets(one))
+        assert np.array_equal(ego_offsets(deltas.reshape(4, 50, 7, 2, 3)).reshape(-1, 8, 3), batched)
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            [(120, 1, "occluded")],
+            [(120, 2, "degenerate")],
+            [(150, 0, "degenerate"), (150, 1, "occluded")],
+            [(100, 2, "occluded"), (130, 0, "degenerate")],
+            [(100, 2, "degenerate"), (130, 0, "occluded")],
+        ],
+    )
+    def test_first_unscorable_pair_raises_as_the_per_clip_loop(self, crossing3, faults):
+        clips, codebook = crossing3
+        clips = list(clips)
+        for clip_index, slot, kind in faults:
+            clip = clips[clip_index]
+            good = clip.candidates[slot]
+            if kind == "occluded":
+                bad = CandidateObservation(good.person_id, good.poses, good.boxes, [False] * 8)
+            else:
+                poses = good.poses.copy()
+                poses[0, LEFT_SHOULDER] = poses[0, RIGHT_SHOULDER]
+                bad = CandidateObservation(good.person_id, poses, good.boxes, good.valid)
+            candidates = list(clip.candidates)
+            candidates[slot] = bad
+            clips[clip_index] = replace(clip, candidates=tuple(candidates))
+        with pytest.raises(ValueError) as per_clip_error:
+            per_clip(clips, codebook)
+        with pytest.raises(ValueError) as scene_error:
+            score_scene(clips, codebook)
+        assert type(scene_error.value) is type(per_clip_error.value)
+        assert type(scene_error.value) in (InsufficientObservationError, DegeneratePoseError)
+        assert str(scene_error.value) == str(per_clip_error.value)
+
+    def test_empty_scene_rejected(self):
+        with pytest.raises(ValueError, match="at least one clip"):
+            score_scene([], None)
 
 
 class TestRecordsAndConfig:
