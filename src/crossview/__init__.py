@@ -36,6 +36,7 @@ from .simulator import (
     group_scenario,
     load_scenario,
     save_scenario,
+    scene_arrays,
     three_person_scenario,
     two_person_scenario,
 )
@@ -51,6 +52,7 @@ from .verification import (
     CandidateObservation,
     EgoObservation,
     InsufficientObservationError,
+    Scene,
     ScoringConfig,
     VerificationScore,
     localize,

@@ -50,7 +50,7 @@ class ActionCodebook:
             raise ValueError(f"centroids must be (k, {CLIP_DIM}) with k >= 1, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("centroids must be finite")
-        if np.unique(c, axis=0).shape[0] != c.shape[0]:
+        if _distinct_count(c) != c.shape[0]:
             raise ValueError("centroids must be pairwise distinct")
         self._centroids = c.copy()
         self._centroids.setflags(write=False)
@@ -76,6 +76,13 @@ class ActionCodebook:
 
     def _sq_distances(self, vectors):
         return _pairwise_sq_distances(vectors, _sq_norms(vectors), self._centroids, self._centroid_sq)
+
+
+def _distinct_count(x):
+    # the number of distinct rows of a finite (m, d) array, by an exact
+    # bytes-set count; adding 0.0 turns -0.0 into 0.0, so rows equal as
+    # numbers have equal bytes
+    return len({row.tobytes() for row in x + 0.0})
 
 
 def _sq_norms(x):
@@ -117,24 +124,28 @@ def _seed_centroids(vectors, sq, k, rng):
 def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
     """Lloyd's algorithm on clip vectors, deterministic for a given seed.
 
-    Stops when assignments stabilize or after max_iters. Empty clusters are
-    re-seeded from the point currently farthest from its assigned centroid.
-    The per-iteration sum of squared errors is recorded on the returned
-    codebook and is non-increasing. Raises ValueError, naming the cause, for
-    k < 1, max_iters < 1, or fewer than k clips or distinct clips.
+    clips is an (M, 8, 19, 3) array, such as a Scene's poses reshaped, which
+    is read in place, or a list of (8, 19, 3) clips. Stops when assignments
+    stabilize or after max_iters. Empty clusters are re-seeded from the point
+    currently farthest from its assigned centroid. The per-iteration sum of
+    squared errors is recorded on the returned codebook and is
+    non-increasing. Raises ValueError, naming the cause, for k < 1,
+    max_iters < 1, clips of another shape, or fewer than k clips or distinct
+    clips.
     """
     if k < 1:
         raise ValueError(f"cluster count must be >= 1, got {k}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    clips = list(clips)
+    clips = np.asarray(clips if isinstance(clips, np.ndarray) else list(clips), dtype=float)
     if len(clips) < k:
         raise ValueError(f"need at least {k} clips to fit {k} clusters, got {len(clips)}")
-    vectors = np.stack([pose_clip_vector(c) for c in clips])
+    if clips.shape[1:] != (CLIP_LEN, N_JOINTS, 3):
+        raise ValueError(f"clips must each have shape {(CLIP_LEN, N_JOINTS, 3)}, got {clips.shape[1:]}")
+    vectors = clips.reshape(len(clips), CLIP_DIM)
     # an exact count: the seeding weights of repeated rows come out of the
-    # norm expansion as rounding residue, not as 0. Adding 0.0 turns -0.0
-    # into 0.0, so rows equal as numbers have equal bytes.
-    distinct = len({row.tobytes() for row in vectors + 0.0})
+    # norm expansion as rounding residue, not as 0
+    distinct = _distinct_count(vectors)
     if distinct < k:
         raise ValueError(f"need at least {k} distinct clips to fit {k} clusters, got {distinct}")
     sq = _sq_norms(vectors)
@@ -267,10 +278,16 @@ def save_codebook(codebook: ActionCodebook, path) -> None:
 
 
 def load_codebook(path) -> ActionCodebook:
+    """The codebook save_codebook wrote; a malformed file raises a ValueError naming the file and the field."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("kind") != "action_codebook":
-        raise ValueError(f"{path} is not an action codebook file")
+    if not isinstance(payload, dict) or payload.get("kind") != "action_codebook":
+        raise ValueError(f"{path} is not an action codebook file: a JSON object with 'kind', 'dim' and 'centroids'")
     if payload.get("dim") != CLIP_DIM:
         raise ValueError(f"codebook dimension {payload.get('dim')} does not match {CLIP_DIM}")
-    return ActionCodebook(np.array(payload["centroids"], dtype=float), seed=payload.get("seed"))
+    if "centroids" not in payload:
+        raise ValueError(f"codebook file {path} lacks the key 'centroids'")
+    try:
+        return ActionCodebook(np.array(payload["centroids"], dtype=float), seed=payload.get("seed"))
+    except (TypeError, ValueError) as exc:  # ragged rows, non-numbers, or what ActionCodebook rejects
+        raise ValueError(f"codebook file {path} has malformed 'centroids': {exc}") from exc

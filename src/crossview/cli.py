@@ -6,8 +6,11 @@ sweep writes the same four files and the scenario.json they were run from
 into one sigma_pose_<value> directory per pose-noise level, and sweep.csv
 beside those directories. Exit codes: 0 success, 2 validation error, 3 I/O
 error. Reports are deterministic: the same config and seed produce
-byte-identical report files (wall-clock timing is kept on the in-memory
-report only).
+byte-identical report files at a fixed OpenBLAS thread count (wall-clock
+timing is kept on the in-memory report only); the score bits, and so
+report.json, scores.csv and posteriors.csv, change with that count. evaluate,
+sweep and fit-codebook run on a Scene of arrays; simulate writes
+generate_scene's clip objects.
 """
 
 from __future__ import annotations
@@ -20,12 +23,15 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import product
 
 import numpy as np
 
 from . import bayes_filter
 from .action_codebook import DEFAULT_K, fit_codebook, load_codebook, save_codebook
-from .simulator import generate_scene, load_scenario, save_scenario, save_scene
+from .motion import box_centers
+from .simulator import generate_scene, load_scenario, save_scenario, save_scene, scene_arrays
+from .skeleton import CLIP_LEN, N_JOINTS
 # localize is bound here, uncalled, because perfbench/tracer.py wraps crossview.cli.localize
 from .verification import ScoringConfig, localize, score_scene  # noqa: F401
 
@@ -139,18 +145,16 @@ def _ranking_metrics(is_wearer, scores):
     return ap, ar
 
 
-def _scene(path, seed):
-    """Load a scenario, override its seed when one is given, and generate its clips."""
+def _scenario(path, seed):
+    """Load a scenario and override its seed when one is given."""
     scenario = load_scenario(path)
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
-    return scenario, generate_scene(scenario)
+    return scenario if seed is None else replace(scenario, seed=seed)
 
 
-def _fit(clips, k, seed, option):
+def _fit(scene, k, seed, option):
     """Fit the action codebook on the pose clip of every (clip, candidate) pair; errors name the k option."""
     try:
-        return fit_codebook([cand.poses for clip in clips for cand in clip.candidates], k=k, seed=seed)
+        return fit_codebook(scene.poses.reshape(-1, CLIP_LEN, N_JOINTS, 3), k=k, seed=seed)
     except ValueError as exc:  # k < 1, or fewer clips or distinct clips than k
         raise ValueError(f"{option} {k}: {exc}") from exc
 
@@ -160,64 +164,53 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
     scoring = config.validate()
     started = time.perf_counter()
 
-    scenario, clips = _scene(config.scenario, config.seed)
+    scenario = _scenario(config.scenario, config.seed)
+    scene = scene_arrays(scenario)
     if config.codebook is not None:
         codebook = load_codebook(config.codebook)
     else:
-        codebook = _fit(clips, config.codebook_k, scenario.seed, "--codebook-k")
+        codebook = _fit(scene, config.codebook_k, scenario.seed, "--codebook-k")
+    raw, scores = score_scene(scene, codebook, scoring)
 
-    state = None
-    if config.enable_filter:
-        first = clips[0].candidates
-        state = bayes_filter.init_filter([c.person_id for c in first], [c.boxes[-1].center for c in first])
-
-    raw, scores = score_scene(clips, codebook, scoring)
-    pairs = [(clip, c.person_id) for clip in clips for c in clip.candidates]
-    # tolist gives Python floats, which csv writes as their repr
+    # tolist gives Python numbers, which csv and json write as their repr
+    clip_ids, person_ids = scene.clip_ids.tolist(), scene.person_ids.tolist()
+    probabilities = scores["match_probability"].reshape(len(clip_ids), -1).tolist()
     score_rows = [
-        dict(zip(scores, values), clip_id=clip.clip_id, person_id=pid, is_wearer=int(pid == clip.ground_truth_wearer))
-        for (clip, pid), values in zip(pairs, zip(*(column.tolist() for column in scores.values())))
+        dict(zip(scores, values), clip_id=clip_id, person_id=pid, is_wearer=int(pid == scene.wearer))
+        for (clip_id, pid), values in zip(product(clip_ids, person_ids), zip(*(c.tolist() for c in scores.values())))
     ]
-    pair_probabilities = iter(scores["match_probability"].tolist())
-
-    decisions = []
+    decisions = [
+        {
+            "clip_id": clip_id,
+            "truth": scene.wearer,
+            "raw": pid,
+            "filtered": None,
+            "probabilities": [[person, p] for person, p in zip(person_ids, clip_probabilities)],
+        }
+        for clip_id, pid, clip_probabilities in zip(clip_ids, raw, probabilities)
+    ]
     posterior_rows = []
-    raw_correct = filtered_correct = 0
-    for clip, predicted in zip(clips, raw):
-        raw_correct += int(predicted == clip.ground_truth_wearer)
-        probabilities = [next(pair_probabilities) for _ in clip.candidates]
-
-        filtered = None
-        if state is not None:
+    if config.enable_filter:
+        # the filter observes each candidate's last box centre, and whether any of its frames was occluded
+        centres = box_centers(scene.corners[:, :, -1])
+        occluded = ~scene.valid.all(axis=-1)
+        state = bayes_filter.init_filter(person_ids, centres[0])
+        for i, decision in enumerate(decisions):
             prior = bayes_filter.predict(state, dt=1.0, alpha=config.alpha)
-            observed = np.array([c.boxes[-1].center for c in clip.candidates])
-            occluded = [not c.fully_valid() for c in clip.candidates]
             state = bayes_filter.update(
-                prior, probabilities, observed, occluded=occluded, beta=config.beta, sigma_p=config.sigma_p
+                prior, probabilities[i], centres[i], occluded=occluded[i], beta=config.beta, sigma_p=config.sigma_p
             )
-            filtered = bayes_filter.map_identity(state)
-            filtered_correct += int(filtered == clip.ground_truth_wearer)
+            decision["filtered"] = bayes_filter.map_identity(state)
             columns = (prior.weights, state.last_likelihood, state.weights, *prior.positions.T, *state.positions.T)
-            # tolist gives Python floats, which csv writes as their repr
             for cid, *values in zip(state.ids, *(column.tolist() for column in columns)):
-                posterior_rows.append(dict(zip(POSTERIOR_COLUMNS, (clip.clip_id, cid, *values))))
+                posterior_rows.append(dict(zip(POSTERIOR_COLUMNS, (decision["clip_id"], cid, *values))))
 
-        decisions.append(
-            {
-                "clip_id": clip.clip_id,
-                "truth": clip.ground_truth_wearer,
-                "raw": predicted,
-                "filtered": filtered,
-                "probabilities": [[c.person_id, p] for c, p in zip(clip.candidates, probabilities)],
-            }
-        )
-
-    n = len(clips)
-    ap, ar = _ranking_metrics([r["is_wearer"] for r in score_rows], [r["match_probability"] for r in score_rows])
+    n = len(decisions)
+    ap, ar = _ranking_metrics([r["is_wearer"] for r in score_rows], scores["match_probability"])
     report = MetricsReport(
         n_clips=n,
-        accuracy=raw_correct / n,
-        filtered_accuracy=(filtered_correct / n) if config.enable_filter else None,
+        accuracy=sum(pid == scene.wearer for pid in raw) / n,
+        filtered_accuracy=sum(d["filtered"] == scene.wearer for d in decisions) / n if config.enable_filter else None,
         average_precision=ap,
         average_recall=ar,
         decisions=decisions,
@@ -339,18 +332,19 @@ def _config_from_args(args):
 
 
 def _cmd_simulate(args):
-    scenario, clips = _scene(args.scenario, args.seed)
+    scenario = _scenario(args.scenario, args.seed)
+    clips = generate_scene(scenario)
     save_scene(clips, args.out, scenario)
     print(f"wrote {len(clips)} clips to {args.out}")
     return 0
 
 
 def _cmd_fit_codebook(args):
-    scenario, clips = _scene(args.scenario, args.seed)
-    codebook = _fit(clips, args.k, scenario.seed, "--k")
+    scenario = _scenario(args.scenario, args.seed)
+    scene = scene_arrays(scenario)
+    codebook = _fit(scene, args.k, scenario.seed, "--k")
     save_codebook(codebook, args.out)
-    pairs = sum(len(clip.candidates) for clip in clips)
-    print(f"fitted k={codebook.k} codebook on {pairs} clips -> {args.out}")
+    print(f"fitted k={codebook.k} codebook on {scene.clip_ids.size * scene.person_ids.size} clips -> {args.out}")
     return 0
 
 

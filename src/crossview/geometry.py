@@ -30,17 +30,17 @@ __all__ = [
 _SMALL_ANGLE = 1e-7
 
 
-def frozen_array(value, name, shape):
-    """Read-only float copy of value, checked for shape and finiteness; errors name the field."""
+def frozen_array(value, name, shape, dtype=float, copy=True):
+    """Read-only copy of value (a view if not copy), checked for shape and finiteness; errors name the field."""
     try:
-        a = np.asarray(value, dtype=float)
+        a = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError) as exc:  # ragged nesting or non-numbers
         raise ValueError(f"{name} must be a numeric array of shape {shape}") from exc
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
-    out = a.copy()
+    out = a.copy() if copy else a.view()
     out.setflags(write=False)
     return out
 

@@ -18,6 +18,7 @@ from .skeleton import CLIP_LEN
 
 __all__ = [
     "BoundingBox",
+    "box_centers",
     "bbox_trajectory",
     "integrate_ego_motion",
     "ego_offsets",
@@ -47,6 +48,11 @@ class BoundingBox:
 
     def __repr__(self):
         return f"BoundingBox({self.lx}, {self.ly}, {self.rx}, {self.ry})"
+
+
+def box_centers(corners) -> np.ndarray:
+    """(..., 2) centres of (..., 4) box corners (lx, ly, rx, ry), each with BoundingBox.center's bits."""
+    return (corners[..., :2] + corners[..., 2:]) / 2.0
 
 
 def bbox_trajectory(boxes) -> np.ndarray:

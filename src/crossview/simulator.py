@@ -50,7 +50,7 @@ import numpy as np
 from .geometry import relative_motions, se3_compose  # noqa: F401
 from .motion import BoundingBox
 from .skeleton import CLIP_LEN, N_JOINTS, body_frame, body_poses  # noqa: F401
-from .verification import CandidateObservation, EgoObservation
+from .verification import CandidateObservation, EgoObservation, Scene
 
 __all__ = [
     "GaitParams",
@@ -60,6 +60,7 @@ __all__ = [
     "Scenario",
     "ClipObservation",
     "generate_scene",
+    "scene_arrays",
     "ego_deltas_from_truth",
     "scenario_to_json",
     "scenario_from_json",
@@ -323,12 +324,16 @@ def _freeze_sources(occluded):
     return sources
 
 
-def generate_scene(scenario: Scenario):
-    """Materialize every sliding-window clip of a scenario, noise included.
+def _clip_draws(scenario: Scenario):
+    """The one generation pass: (person ids, wearer id, clip ids, draws).
 
-    Each zero-sigma column group is skipped in the draws (see the module
-    docstring for their order), and a group's noise is added as
-    0.0 + sigma * z, which is what rng.normal(0.0, sigma) returns bit for bit.
+    Person ids are sorted. draws yields, clip by clip, the candidates' poses
+    (N, 8, 19, 3), box corners (N, 8, 4) and valid flags (N, 8), then the ego
+    pose deltas (7, 19, 3) and motion increments (7, 2, 3): a Scene's fields
+    for one clip, in its order. Each zero-sigma column group is skipped in
+    the draws (see the module docstring for their order), and a group's noise
+    is added as 0.0 + sigma * z, which is what rng.normal(0.0, sigma) returns
+    bit for bit.
     """
     persons = sorted(scenario.persons, key=lambda p: p.person_id)
     wearer_row = next(i for i, p in enumerate(persons) if p.is_wearer)
@@ -362,46 +367,70 @@ def generate_scene(scenario: Scenario):
     motion_sigmas = np.array([noise.sigma_odo_rot, noise.sigma_odo_trans])
     motion_groups = np.flatnonzero(motion_sigmas > 0.0)
     candidate_width = N_JOINTS * 3 * (noise.sigma_pose > 0.0) + 2 * (noise.sigma_bbox > 0.0)
-    clips = []
-    for t0 in range(first, last + 1):
-        rng = np.random.default_rng([scenario.seed, t0])
 
-        window = slice(t0 - first, t0 - first + CLIP_LEN - 1)
-        pose_deltas = wearer_pose_steps[window]
-        motion_deltas = wearer_motion_steps[window]
-        if noise.sigma_pose > 0.0:
-            pose_deltas = pose_deltas + (0.0 + noise.sigma_pose * rng.standard_normal(pose_deltas.shape))
-        if motion_groups.size:
-            # per increment, the rotation draw and then the translation draw;
-            # a skipped group is left alone, since adding 0.0 would turn -0.0 into 0.0
-            z = rng.standard_normal((CLIP_LEN - 1, motion_groups.size, 3))
-            motion_deltas = motion_deltas.copy()
-            motion_deltas[:, motion_groups] += 0.0 + motion_sigmas[motion_groups, None] * z
-        if noise.sigma_pose > 0.0:
-            # a discarded pose-sized draw keeps the candidate block at its stream position
-            rng.standard_normal((N_JOINTS, 3))
-        ego = EgoObservation(pose_deltas, motion_deltas)
+    def draws():
+        for t0 in range(first, last + 1):
+            rng = np.random.default_rng([scenario.seed, t0])
 
-        frames = slice(t0, t0 + CLIP_LEN)
-        observed = joints[rows, sources[:, frames]]  # (N, 8, 19, 3), stale during occlusion
-        boxes = corners[:, frames]
-        if candidate_width:
-            # per person and frame: 57 pose columns, then the 2 box-shift columns
-            z = rng.standard_normal((len(persons), CLIP_LEN, candidate_width))
+            window = slice(t0 - first, t0 - first + CLIP_LEN - 1)
+            pose_deltas = wearer_pose_steps[window]
+            motion_deltas = wearer_motion_steps[window]
             if noise.sigma_pose > 0.0:
-                observed = observed + (0.0 + noise.sigma_pose * z[..., : N_JOINTS * 3].reshape(observed.shape))
-            if noise.sigma_bbox > 0.0:
-                shift = 0.0 + noise.sigma_bbox * z[..., -2:]
-                boxes = boxes + np.concatenate([shift, shift], axis=-1)
-        valid = ~occluded[:, frames]
-        candidates = tuple(
-            CandidateObservation(
-                spec.person_id, observed[row], [BoundingBox(*b) for b in boxes[row].tolist()], valid[row]
-            )
-            for row, spec in enumerate(persons)
+                pose_deltas = pose_deltas + (0.0 + noise.sigma_pose * rng.standard_normal(pose_deltas.shape))
+            if motion_groups.size:
+                # per increment, the rotation draw and then the translation draw;
+                # a skipped group is left alone, since adding 0.0 would turn -0.0 into 0.0
+                z = rng.standard_normal((CLIP_LEN - 1, motion_groups.size, 3))
+                motion_deltas = motion_deltas.copy()
+                motion_deltas[:, motion_groups] += 0.0 + motion_sigmas[motion_groups, None] * z
+            if noise.sigma_pose > 0.0:
+                # a discarded pose-sized draw keeps the candidate block at its stream position
+                rng.standard_normal((N_JOINTS, 3))
+
+            frames = slice(t0, t0 + CLIP_LEN)
+            observed = joints[rows, sources[:, frames]]  # (N, 8, 19, 3), stale during occlusion
+            boxes = corners[:, frames]
+            if candidate_width:
+                # per person and frame: 57 pose columns, then the 2 box-shift columns
+                z = rng.standard_normal((len(persons), CLIP_LEN, candidate_width))
+                if noise.sigma_pose > 0.0:
+                    observed = observed + (0.0 + noise.sigma_pose * z[..., : N_JOINTS * 3].reshape(observed.shape))
+                if noise.sigma_bbox > 0.0:
+                    shift = 0.0 + noise.sigma_bbox * z[..., -2:]
+                    boxes = boxes + np.concatenate([shift, shift], axis=-1)
+            yield observed, boxes, ~occluded[:, frames], pose_deltas, motion_deltas
+
+    ids = [p.person_id for p in persons]
+    return ids, ids[wearer_row], range(first, last + 1), draws()
+
+
+def generate_scene(scenario: Scenario):
+    """Materialize every sliding-window clip of a scenario, noise included, as ClipObservation objects."""
+    ids, wearer, clip_ids, draws = _clip_draws(scenario)
+    return [
+        ClipObservation(
+            t0,
+            EgoObservation(pose_deltas, motion_deltas),
+            tuple(
+                CandidateObservation(pid, poses[row], [BoundingBox(*b) for b in corners[row].tolist()], valid[row])
+                for row, pid in enumerate(ids)
+            ),
+            wearer,
         )
-        clips.append(ClipObservation(t0, ego, candidates, persons[wearer_row].person_id))
-    return clips
+        for t0, (poses, corners, valid, pose_deltas, motion_deltas) in zip(clip_ids, draws)
+    ]
+
+
+def scene_arrays(scenario: Scenario) -> Scene:
+    """generate_scene's clips, bit for bit, as one Scene filled clip by clip: no per-candidate object."""
+    ids, wearer, clip_ids, draws = _clip_draws(scenario)
+    arrays = None
+    for i, values in enumerate(draws):
+        if arrays is None:  # preallocated at the first clip's shapes; a scenario has at least one clip
+            arrays = [np.empty((len(clip_ids),) + value.shape, value.dtype) for value in values]
+        for array, value in zip(arrays, values):
+            array[i] = value
+    return Scene(*arrays, ids, clip_ids, wearer)
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,24 @@
 """Cross-view verification: does an ego motion stream belong to a candidate?
 
 The ego-downward camera sees only the wearer's body, so an ego observation
-holds only two relative streams, as read-only arrays: pose deltas (7, 19, 3)
-and rigid-motion increments (7, 2, 3), each step a rotation vector and then a
-translation. A third-view candidate holds its observed pose clip as one
-read-only (8, 19, 3) array, next to its 8 boxes and validity flags. Scoring
-runs two channels per candidate, both anchored at that candidate's own first
-observed pose (each hypothesis is tried in its own frame):
+holds two relative streams: pose deltas (7, 19, 3) and rigid-motion
+increments (7, 2, 3), per step a rotation vector and then a translation. A
+third-view candidate holds its (8, 19, 3) pose clip, 8 boxes and validity
+flags. Both channels are anchored at the candidate's own frame-0 pose:
 
-* action: the ego pose deltas are integrated from the candidate's frame-0
-  pose and the resulting clip is compared, through codebook label scores,
-  against the candidate's observed pose clip (a cross-entropy in each
-  direction);
-* motion: the ego rigid-motion increments are integrated from the body frame
-  of the candidate's frame-0 pose and compared by L1 against the candidate's
-  bounding-box track; a second L1 checks the candidate's own pose-derived
-  track against the same boxes. Tracks are (8, 2) arrays re-based at frame 0.
+* action: the ego pose deltas, integrated from that pose, against the
+  observed clip through codebook label scores (a cross-entropy each way);
+* motion: the ego increments, integrated from that pose's body frame, and
+  the candidate's pose-derived track, each by L1 against its box track.
+  Tracks are (8, 2) arrays re-based at frame 0.
 
 The total is a weighted sum of the four terms and the match probability is
-exp(-total / sigma). score_scene scores a scene in blocks of whole clips,
-with one call each to cross_entropies, body_axes and exp_rotations per block;
-localize is that pass over one clip, so both share one code path. On
-OpenBLAS a distance product of rows x centroids <= 1200 (1 to 3 rows at
-k=400) gives a row other bits than a larger product, so each clip keeps a
-product of its own shape inside one stacked call and score_scene gives
-localize's bits. verify_pair scores one pair and is the per-pair reference
-the batched pass is tested against.
+exp(-total / sigma). score_scene scores a Scene of arrays, or a list of clip
+objects, in blocks of whole clips; localize is that pass over one clip. On
+OpenBLAS a distance product of rows x centroids <= 1200 gives a row other
+bits than a larger one, so each clip keeps a product of its own shape inside
+one stacked call. verify_pair is the per-pair reference the batched pass is
+tested against.
 """
 
 from __future__ import annotations
@@ -41,6 +34,7 @@ from .geometry import frozen_array
 from .motion import (
     BoundingBox,
     bbox_trajectory,
+    box_centers,
     ego_offsets,
     integrate_ego_motion,
     trajectory_l1_loss,
@@ -61,6 +55,7 @@ __all__ = [
     "EgoObservation",
     "CandidateObservation",
     "VerificationScore",
+    "Scene",
     "verify_pair",
     "localize",
     "score_scene",
@@ -161,7 +156,7 @@ def verify_pair(
     occluded, and DegeneratePoseError when its frame-0 pose cannot anchor a
     body frame.
     """
-    _require_valid_frame(candidate)
+    _require_valid_frame(candidate.person_id, candidate.valid)
     seed_pose = candidate.poses[0]
 
     ego_sequence = integrate_pose_deltas(seed_pose, ego.pose_deltas)
@@ -186,15 +181,54 @@ def verify_pair(
     )
 
 
-def _require_valid_frame(candidate: CandidateObservation):
-    if not any(candidate.valid):
-        raise InsufficientObservationError(
-            f"candidate {candidate.person_id} has no valid frame in this clip"
-        )
+def _require_valid_frame(person_id, valid):
+    if not any(valid):
+        raise InsufficientObservationError(f"candidate {person_id} has no valid frame in this clip")
 
 
 BLOCK_PAIRS = 256  # pairs per score_scene block; one block for the scene costs memory, not time
 SCORE_FIELDS = tuple(f.name for f in fields(VerificationScore))
+
+
+@dataclass(frozen=True, eq=False)
+class Scene:
+    """Every clip of a scene as read-only arrays over C clips of the same N candidates.
+
+    Per candidate frame: poses (C, N, 8, 19, 3), box corners (C, N, 8, 4) as
+    (lx, ly, rx, ry) and valid (C, N, 8); per clip the ego pose deltas
+    (C, 7, 19, 3) and motion increments (C, 7, 2, 3); person ids (N,), clip
+    ids (C,) and the true wearer's id. Checked once here; errors name the
+    field. The arrays are read-only views, not copies.
+    """
+
+    poses: np.ndarray
+    corners: np.ndarray
+    valid: np.ndarray
+    pose_deltas: np.ndarray
+    motion_deltas: np.ndarray
+    person_ids: np.ndarray
+    clip_ids: np.ndarray
+    wearer: int
+
+    def __post_init__(self):
+        c, n = (np.shape(self.valid) + (0, 0))[:2]
+        if not (c and n):
+            raise ValueError(f"valid must be a (C, N, {CLIP_LEN}) array, C, N >= 1, got shape {np.shape(self.valid)}")
+        for name, dtype, shape in (
+            ("valid", bool, (c, n, CLIP_LEN)),
+            ("poses", float, (c, n, CLIP_LEN, N_JOINTS, 3)),
+            ("corners", float, (c, n, CLIP_LEN, 4)),
+            ("pose_deltas", float, (c, CLIP_LEN - 1, N_JOINTS, 3)),
+            ("motion_deltas", float, (c, CLIP_LEN - 1, 2, 3)),
+            ("person_ids", int, (n,)),
+            ("clip_ids", int, (c,)),
+        ):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), name, shape, dtype, copy=False))
+        object.__setattr__(self, "wearer", int(self.wearer))
+        if (self.corners[..., :2] > self.corners[..., 2:]).any():
+            raise ValueError("corners must have lx <= rx and ly <= ry")
+        if len(set(self.person_ids.tolist())) != n or self.wearer not in self.person_ids:
+            raise ValueError(f"person_ids must be distinct and hold the wearer {self.wearer}")
 
 
 def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig()):
@@ -207,63 +241,89 @@ def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig())
     candidates = list(candidates)
     if not candidates:
         raise ValueError("localize requires at least one candidate")
-    (person_id,), columns = _score_block([(ego, candidates)], codebook, config)
+    (person_id,), columns = _score_block(*_object_block([(ego, candidates)]), codebook, config)
     return person_id, [VerificationScore(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
-def score_scene(clips, codebook, config: ScoringConfig = ScoringConfig()):
-    """Score every (clip, candidate) pair of a scene in blocks of whole clips.
+def score_scene(scene, codebook, config: ScoringConfig = ScoringConfig()):
+    """Score every (clip, candidate) pair of a Scene, or of a list of clip objects, in blocks of whole clips.
 
     A block is a run of clips with one candidate count and at most
-    BLOCK_PAIRS pairs (or a single clip). Returns (decisions, columns): each
-    clip's raw decision as localize picks it, and a dict of the SCORE_FIELDS,
-    each a (P,) array over the pairs in scene order, with localize's bits.
-    Raises like localize on the first pair, in scene order, that cannot be
-    scored.
+    BLOCK_PAIRS pairs (or a single clip); clip objects are stacked run by
+    run. Returns (decisions, columns): each clip's raw decision as localize
+    picks it, and a dict of the SCORE_FIELDS, each a (P,) array over the
+    pairs in scene order, with localize's bits. Raises like localize on the
+    first pair, in scene order, that cannot be scored.
     """
     decisions, blocks = [], []
-    for n, run in groupby(clips, key=lambda clip: len(clip.candidates)):
-        run = [(clip.ego, clip.candidates) for clip in run]
-        step = max(1, BLOCK_PAIRS // n)
-        for i in range(0, len(run), step):
-            picked, columns = _score_block(run[i : i + step], codebook, config)
-            decisions += picked
-            blocks.append(columns)
+    for block in _blocks(scene):
+        picked, columns = _score_block(*block, codebook, config)
+        decisions += picked
+        blocks.append(columns)
     if not blocks:
         raise ValueError("score_scene requires at least one clip")
     return decisions, {name: np.concatenate(column) for name, column in zip(SCORE_FIELDS, zip(*blocks))}
 
 
-def _score_block(clips, codebook, config):
-    # Every pair of c (ego, candidates) clips of n candidates each in one
-    # array pass; returns each clip's decision and the (c * n,) columns in
-    # SCORE_FIELDS order. Ego streams are integrated once per clip, the motion
-    # as start-frame offsets rotated into each candidate's body frame.
-    candidates = [candidate for _, group in clips for candidate in group]
-    c = len(clips)
-    n = len(candidates) // c
-    observed = np.stack([candidate.poses for candidate in candidates])  # (c * n, 8, 19, 3)
-    axes, defined = body_axes(observed[:, 0])
-    for candidate, ok in zip(candidates, defined):
-        _require_valid_frame(candidate)
-        if not ok:
-            raise DegeneratePoseError(
-                f"candidate {candidate.person_id}: shoulder and neck joints are collinear; body frame undefined"
-            )
+def _blocks(scene):
+    # _score_block's arrays for each block of score_scene, in scene order
+    if isinstance(scene, Scene):
+        ids = np.broadcast_to(scene.person_ids, scene.valid.shape[:2])
+        runs = [(scene.pose_deltas, scene.motion_deltas, scene.poses, scene.corners, scene.valid, ids)]
+    else:
+        runs = (
+            _object_block([(clip.ego, clip.candidates) for clip in run])
+            for _, run in groupby(scene, key=lambda clip: len(clip.candidates))
+        )
+    for run in runs:
+        c, n = run[-1].shape
+        step = max(1, BLOCK_PAIRS // n)
+        for i in range(0, c, step):
+            yield tuple(a[i : i + step] for a in run)
 
-    pose_sums = np.cumsum([ego.pose_deltas for ego, _ in clips], axis=1)
-    offsets = np.concatenate([np.zeros((c, 1, N_JOINTS, 3)), pose_sums], axis=1)
-    ego_clips = observed.reshape(c, n, CLIP_LEN, N_JOINTS, 3)[:, :, :1] + offsets[:, None]
+
+def _object_block(clips):
+    # _score_block's arrays stacked from c (ego, candidates) pairs of n candidates each
+    candidates = [candidate for _, group in clips for candidate in group]
+    shape = (len(clips), len(candidates) // len(clips))
+    return (
+        np.array([ego.pose_deltas for ego, _ in clips]),
+        np.array([ego.motion_deltas for ego, _ in clips]),
+        np.array([candidate.poses for candidate in candidates]).reshape(shape + (CLIP_LEN, N_JOINTS, 3)),
+        np.array([[b.corners() for b in candidate.boxes] for candidate in candidates]).reshape(shape + (CLIP_LEN, 4)),
+        np.array([candidate.valid for candidate in candidates]).reshape(shape + (CLIP_LEN,)),
+        np.array([candidate.person_id for candidate in candidates]).reshape(shape),
+    )
+
+
+def _score_block(pose_deltas, motion_deltas, poses, corners, valid, ids, codebook, config):
+    # Every pair of c clips of n candidates each in one array pass, from a
+    # Scene's arrays over those clips and (c, n) ids; returns each clip's
+    # decision and the (c * n,) columns in SCORE_FIELDS order. Ego streams are
+    # integrated once per clip, the motion as start-frame offsets rotated into
+    # each candidate's body frame.
+    c, n = ids.shape
+    observed = poses.reshape(c * n, CLIP_LEN, N_JOINTS, 3)
+    axes, defined = body_axes(observed[:, 0])
+    scorable = valid.any(axis=-1).reshape(-1) & defined
+    if not scorable.all():
+        first = int(np.argmin(scorable))
+        person_id = int(ids.reshape(-1)[first])
+        _require_valid_frame(person_id, valid.reshape(-1, CLIP_LEN)[first])
+        raise DegeneratePoseError(
+            f"candidate {person_id}: shoulder and neck joints are collinear; body frame undefined"
+        )
+
+    offsets = np.concatenate([np.zeros((c, 1, N_JOINTS, 3)), np.cumsum(pose_deltas, axis=1)], axis=1)
+    ego_clips = poses[:, :, :1] + offsets[:, None]
     # one distance product per clip, of the shape localize gives
     stacked = cross_entropies(codebook, ego_clips.reshape(c, n, -1), observed.reshape(c, n, -1), config.tau)
     ego_ce, third_ce = (column.reshape(-1) for column in stacked)
 
-    corners = np.array([[b.corners() for b in candidate.boxes] for candidate in candidates])  # (c * n, 8, 4)
-    box_centres = (corners[..., :2] + corners[..., 2:]) / 2.0
-    box_track = box_centres - box_centres[:, :1]
+    centres = box_centers(corners)
+    box_track = (centres - centres[:, :, :1]).reshape(c * n, CLIP_LEN, 2)
     # row 0 of the offsets is zero, so each rotated track starts at (0, 0)
-    motion_offsets = np.repeat(ego_offsets([ego.motion_deltas for ego, _ in clips]), n, axis=0)
-    ego_track = motion_offsets @ axes[:, :2, :].transpose(0, 2, 1)
+    ego_track = np.repeat(ego_offsets(motion_deltas), n, axis=0) @ axes[:, :2, :].transpose(0, 2, 1)
     pose_centres = body_centers(observed)[..., :2]
     pose_track = pose_centres - pose_centres[:, :1]
     motion_ego_l1 = np.abs(ego_track - box_track).reshape(c * n, -1).sum(axis=1)
@@ -272,6 +332,6 @@ def _score_block(clips, codebook, config):
     total = config.action_weight * (ego_ce + third_ce) + config.motion_weight * (motion_ego_l1 + motion_third_l1)
     probability = np.exp(-total / config.sigma)
     # each clip's least (-probability, person id): ties go to the lowest id
-    keys = list(zip((-probability).tolist(), [candidate.person_id for candidate in candidates]))
+    keys = list(zip((-probability).tolist(), ids.reshape(-1).tolist()))
     decisions = [min(keys[i : i + n])[1] for i in range(0, c * n, n)]
     return decisions, (total, ego_ce, third_ce, motion_ego_l1, motion_third_l1, probability)

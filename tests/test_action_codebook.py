@@ -402,6 +402,22 @@ class TestAgreement:
             action_agreement(np.array([1.2, -0.2, 0.0, 0.0]), np.full(4, 0.25), cb)
 
 
+class TestSceneInput:
+    def test_scene_array_fits_the_codebook_of_the_list_of_poses(self):
+        noise = NoiseParams(sigma_pose=0.02, sigma_odo_trans=0.01, sigma_odo_rot=0.01, sigma_bbox=0.01)
+        scenario = cv.three_person_scenario(crossing=True, duration=64, seed=7, noise=noise)
+        poses = cv.scene_arrays(scenario).poses.reshape(-1, 8, 19, 3)
+        from_array = fit_codebook(poses, k=64, seed=7)
+        from_list = fit_codebook([c.poses for clip in generate_scene(scenario) for c in clip.candidates], k=64, seed=7)
+        assert from_array.centroids.tobytes() == from_list.centroids.tobytes()
+        assert from_array.sse_history == from_list.sse_history
+        assert not poses.flags.writeable  # read in place
+
+    def test_clips_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="clips must each have shape"):
+            fit_codebook(np.zeros((4, 8, 19, 2)), k=2, seed=0)
+
+
 class TestPersistence:
     def test_save_load_round_trip_bit_exact(self, tmp_path):
         clips = [random_clip(np.random.default_rng(i)) for i in range(12)]
@@ -421,6 +437,18 @@ class TestPersistence:
 
 
 class TestCodebookType:
+    def test_rows_that_differ_only_in_the_sign_of_zero_are_not_distinct(self):
+        row = RNG.normal(size=CLIP_DIM)
+        row[[3, 7]] = 0.0
+        negative = row.copy()
+        negative[[3, 7]] = -0.0
+        assert row.tobytes() != negative.tobytes()
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            ActionCodebook(np.stack([row, negative]))
+        clips = [clip_from_vector(row), clip_from_vector(negative)]
+        with pytest.raises(ValueError, match="need at least 2 distinct clips to fit 2 clusters, got 1"):
+            fit_codebook(clips, k=2, seed=0)
+
     def test_rejects_duplicate_centroids(self):
         row = RNG.normal(size=CLIP_DIM)
         with pytest.raises(ValueError):

@@ -521,6 +521,24 @@ class TestCommandLine:
         assert "need at least 4 distinct clips to fit 4 clusters, got 3" in capsys.readouterr().err
         assert not (tmp_path / "cb.json").exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [[0.0] * 456],
+            {"kind": "action_codebook", "dim": 456},
+            {"kind": "action_codebook", "dim": 456, "centroids": [[0.0] * 456, [1.0] * 455]},
+        ],
+        ids=["json_list", "no_centroids", "ragged_centroids"],
+    )
+    def test_malformed_codebook_file_exit_two_naming_file_and_centroids(self, tmp_path, capsys, payload):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))
+        cb_path = tmp_path / "cb.json"
+        cb_path.write_text(json.dumps(payload))
+        code = main(["evaluate", "--scenario", str(path), "--codebook", str(cb_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(cb_path) in err and "centroids" in err
+
     def test_report_command_prints_table(self, tmp_path, capsys):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))
         main(["evaluate", "--scenario", str(path), "--out", str(tmp_path / "out"), "--codebook-k", "8"])

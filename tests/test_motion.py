@@ -10,6 +10,7 @@ from crossview.geometry import error_quaternion, rotation_matrices, se3_compose,
 from crossview.motion import (
     BoundingBox,
     bbox_trajectory,
+    box_centers,
     ego_offsets,
     integrate_ego_motion,
     trajectory_l1_loss,
@@ -56,6 +57,12 @@ class TestBoundingBox:
         corners = {"lx": 0.0, "ly": 0.0, "rx": 1.0, "ry": 1.0, corner: value}
         with pytest.raises(ValueError, match="finite"):
             BoundingBox(**corners)
+
+    def test_box_centers_of_corner_arrays_match_center(self):
+        lower = RNG.normal(size=(3, 5, 2)) * 10.0
+        corners = np.concatenate([lower, lower + RNG.random((3, 5, 2))], axis=-1)
+        want = np.array([[BoundingBox(*c).center for c in row] for row in corners.tolist()])
+        assert box_centers(corners).tobytes() == want.tobytes()
 
 
 class TestBboxTrajectory:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from crossview.simulator import (
     save_scene,
     scenario_from_json,
     scenario_to_json,
+    scene_arrays,
     skeleton_at,
 )
 from crossview.geometry import (
@@ -316,6 +318,76 @@ class TestGenerateScene:
         a = generate_scene(cv.two_person_scenario(duration=16, seed=0, noise=noise))
         b = generate_scene(cv.two_person_scenario(duration=16, seed=1, noise=noise))
         assert clip_to_obj(a[0]) != clip_to_obj(b[0])
+
+
+NOISE = NoiseParams(sigma_pose=0.02, sigma_odo_trans=0.01, sigma_odo_rot=0.01, sigma_bbox=0.01)
+
+
+class TestSceneArrays:
+    """scene_arrays and generate_scene share one generation pass; the arrays hold the objects' bits."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            cv.three_person_scenario(crossing=True, duration=207, seed=7, noise=NOISE),
+            cv.group_scenario(8, duration=120, noise=NOISE),
+            cv.three_person_scenario(crossing=True, duration=60, seed=11, noise=NOISE, time_offset=-3),
+            cv.three_person_scenario(crossing=True, duration=60, seed=11),
+        ],
+        ids=["crossing3_seed7", "group8", "time_offset", "zero_noise"],
+    )
+    def test_each_array_equals_the_stacked_object_fields(self, scenario):
+        scene = scene_arrays(scenario)
+        clips = generate_scene(scenario)
+        candidates = [clip.candidates for clip in clips]
+        stacked = {
+            "poses": [[c.poses for c in row] for row in candidates],
+            "corners": [[[b.corners() for b in c.boxes] for c in row] for row in candidates],
+            "valid": [[c.valid for c in row] for row in candidates],
+            "pose_deltas": [clip.ego.pose_deltas for clip in clips],
+            "motion_deltas": [clip.ego.motion_deltas for clip in clips],
+            "person_ids": [c.person_id for c in clips[0].candidates],
+            "clip_ids": [clip.clip_id for clip in clips],
+        }
+        for name, want in stacked.items():
+            got = getattr(scene, name)
+            want = np.array(want, dtype=got.dtype)
+            assert got.shape == want.shape, name
+            # equal bytes: -0.0 and 0.0 differ here, as they do in a clip file
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+        assert all(clip.ground_truth_wearer == scene.wearer for clip in clips)
+        assert all([c.person_id for c in clip.candidates] == stacked["person_ids"] for clip in clips)
+
+    def test_arrays_are_read_only_views_of_the_callers_arrays(self):
+        scene = scene_arrays(cv.two_person_scenario(duration=16))
+        poses = np.array(scene.poses)
+        copy = replace(scene, poses=poses)
+        assert np.shares_memory(copy.poses, poses)
+        assert poses.flags.writeable and not copy.poses.flags.writeable
+        with pytest.raises(ValueError):
+            copy.poses[0, 0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("poses", lambda s: s.poses[:, :, :7], "poses"),
+            ("corners", lambda s: np.where(True, np.nan, s.corners), "corners"),
+            ("corners", lambda s: s.corners[..., [2, 1, 0, 3]], "corners"),
+            ("valid", lambda s: s.valid[0], "valid"),
+            ("pose_deltas", lambda s: s.pose_deltas[:-1], "pose_deltas"),
+            ("motion_deltas", lambda s: np.full(s.motion_deltas.shape, np.inf), "motion_deltas"),
+            ("person_ids", lambda s: [0, 0], "person_ids"),
+            ("clip_ids", lambda s: s.clip_ids[:-1], "clip_ids"),
+            ("wearer", lambda s: 5, "wearer"),
+        ],
+    )
+    def test_malformed_field_rejected_naming_it(self, field, value, match):
+        scene = scene_arrays(cv.two_person_scenario(duration=16))
+        fields = dict(scene.__dict__)
+        fields[field] = value(scene)
+        with pytest.raises(ValueError, match=match):
+            cv.Scene(**fields)
 
 
 class TestScenarioValidation:

@@ -430,6 +430,40 @@ class TestScoreScene:
         assert decisions == [clip.ground_truth_wearer for clip in clips]
         assert_same_bits((decisions, columns), per_clip(alone, codebook))
 
+    @pytest.mark.parametrize(
+        "scenario, k",
+        [
+            (cv.three_person_scenario(crossing=True, duration=207, seed=7, noise=NOISE), 400),
+            (cv.group_scenario(8, duration=80, seed=19, noise=NOISE), 64),
+        ],
+        ids=["crossing3", "group8_several_blocks"],
+    )
+    def test_scene_of_arrays_matches_per_clip_localize(self, scenario, k):
+        clips, codebook = fitted(scenario, k)
+        scene = cv.scene_arrays(scenario)
+        assert_same_bits(score_scene(scene, codebook), per_clip(clips, codebook))
+
+    def test_first_unscorable_pair_of_a_scene_raises_as_the_per_clip_loop(self, crossing3):
+        clips, codebook = crossing3
+        scene = cv.scene_arrays(cv.three_person_scenario(crossing=True, duration=207, seed=7, noise=NOISE))
+        poses, valid = scene.poses.copy(), scene.valid.copy()
+        poses[130, 0, 0, LEFT_SHOULDER] = poses[130, 0, 0, RIGHT_SHOULDER]
+        valid[100, 2] = False
+        faulty = replace(scene, poses=poses, valid=valid)
+        clips = list(clips)
+        for i, slot in ((130, 0), (100, 2)):
+            candidates = list(clips[i].candidates)
+            candidates[slot] = CandidateObservation(
+                candidates[slot].person_id, poses[i, slot], candidates[slot].boxes, valid[i, slot]
+            )
+            clips[i] = replace(clips[i], candidates=tuple(candidates))
+        with pytest.raises(ValueError) as per_clip_error:
+            per_clip(clips, codebook)
+        with pytest.raises(ValueError) as scene_error:
+            score_scene(faulty, codebook)
+        assert type(scene_error.value) is type(per_clip_error.value) is InsufficientObservationError
+        assert str(scene_error.value) == str(per_clip_error.value)
+
     def test_batched_ego_offsets_match_one_clip_calls(self, crossing3):
         clips, _ = crossing3
         deltas = np.stack([clip.ego.motion_deltas for clip in clips])
