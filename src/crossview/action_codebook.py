@@ -137,7 +137,7 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
         raise ValueError(f"cluster count must be >= 1, got {k}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    clips = np.asarray(clips if isinstance(clips, np.ndarray) else list(clips), dtype=float)
+    clips = np.asarray(clips, dtype=float)
     if len(clips) < k:
         raise ValueError(f"need at least {k} clips to fit {k} clusters, got {len(clips)}")
     if clips.shape[1:] != (CLIP_LEN, N_JOINTS, 3):
@@ -280,7 +280,10 @@ def save_codebook(codebook: ActionCodebook, path) -> None:
 def load_codebook(path) -> ActionCodebook:
     """The codebook save_codebook wrote; a malformed file raises a ValueError naming the file and the field."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed codebook file {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("kind") != "action_codebook":
         raise ValueError(f"{path} is not an action codebook file: a JSON object with 'kind', 'dim' and 'centroids'")
     if payload.get("dim") != CLIP_DIM:

@@ -291,7 +291,7 @@ def run_sweep(config: RunConfig, sigma_pose_values) -> list:
         if name in points:
             raise ConfigError(f"field 'sigma_pose' values {points[name]} and {sigma_pose} share the directory {name}")
         points[name] = sigma_pose
-    scenario = load_scenario(config.scenario)
+    scenario = _scenario(config.scenario, config.seed)
     rows = []
     for name, sigma_pose in points.items():
         point_dir = os.path.join(config.out_dir, name)

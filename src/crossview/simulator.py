@@ -310,18 +310,16 @@ def ego_deltas_from_truth(frames):
 
 
 def _freeze_sources(occluded):
-    """For each frame, the frame whose pose the tracker reports (stale during occlusion)."""
-    sources = np.arange(len(occluded))
-    visible = np.flatnonzero(~occluded)
-    if visible.size == 0:
+    """Per person (row of occluded) and frame, the frame whose pose the tracker reports.
+
+    That is the last visible frame, stale during occlusion, or the first
+    visible frame for an occlusion from frame 0.
+    """
+    visible = ~occluded
+    if not visible.any(axis=-1).all():
         raise ValueError("a person is occluded for the entire scenario")
-    last = None
-    for t in range(len(occluded)):
-        if not occluded[t]:
-            last = t
-        else:
-            sources[t] = last if last is not None else int(visible[0])
-    return sources
+    frames = np.where(visible, np.arange(occluded.shape[-1]), visible.argmax(axis=-1)[:, None])
+    return np.maximum.accumulate(frames, axis=-1)
 
 
 def _clip_draws(scenario: Scenario):
@@ -354,7 +352,7 @@ def _clip_draws(scenario: Scenario):
         for c in scenario.crossings:
             if spec.person_id in (c.person_a, c.person_b):
                 occluded[row, c.start : c.end] = True
-    sources = np.array([_freeze_sources(o) for o in occluded])
+    sources = _freeze_sources(occluded)
     rows = np.arange(len(persons))[:, None]
 
     offset = scenario.time_offset
@@ -474,10 +472,10 @@ def _number(value, name, integer=False):
     return int(value) if integer else value
 
 
-def _pair(value, name, integer=False):
-    """A JSON pair of numbers, as a tuple."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"{name} must be a list of 2 numbers, got {value!r}")
+def _numbers(value, name, count, integer=False):
+    """A JSON list of count numbers, as a tuple."""
+    if not isinstance(value, list) or len(value) != count:
+        raise ValueError(f"{name} must be a list of {count} numbers, got {value!r}")
     return tuple(_number(v, name, integer) for v in value)
 
 
@@ -501,6 +499,13 @@ def _list(value, name):
     return value
 
 
+def _flags(value, name):
+    """A JSON list of true and false, as it is."""
+    if not all(isinstance(v, bool) for v in _list(value, name)):
+        raise ValueError(f"{name} must be a list of true or false, got {value!r}")
+    return value
+
+
 def _known_keys(obj, keys, name):
     """Check that obj is a JSON object with no key beyond keys: a misspelt optional key would take its default."""
     if not isinstance(obj, dict):
@@ -516,7 +521,7 @@ def _person(p) -> PersonSpec:
         raise ValueError(f"is_wearer must be true or false, got {p['is_wearer']!r}")
     return PersonSpec(
         person_id=_number(_required(p, "id", "a person"), "id", integer=True),
-        waypoints=tuple(_pair(w, "waypoints") for w in _list(_required(p, "waypoints", "a person"), "waypoints")),
+        waypoints=tuple(_numbers(w, "waypoints", 2) for w in _list(_required(p, "waypoints", "a person"), "waypoints")),
         speed=float(_number(_required(p, "speed", "a person"), "speed")),
         heading=float(_number(p.get("heading", 0.0), "heading")),
         is_wearer=p.get("is_wearer", False),
@@ -547,7 +552,7 @@ def scenario_from_json(text: str) -> Scenario:
 
 def _crossing(c) -> Crossing:
     _known_keys(c, ("pair", "start", "end"), "a crossing")
-    pair = _pair(_required(c, "pair", "a crossing"), "pair", True)
+    pair = _numbers(_required(c, "pair", "a crossing"), "pair", 2, integer=True)
     return Crossing(*pair, *(_number(_required(c, k, "a crossing"), k, True) for k in ("start", "end")))
 
 
@@ -598,13 +603,14 @@ def clip_to_obj(clip: ClipObservation) -> dict:
 def clip_from_obj(obj) -> ClipObservation:
     """Inverse of clip_to_obj; other keys, such as an older file's ego start pose, are ignored.
 
-    Each candidate's frames must be clip_id ... clip_id + 7. A missing key
-    raises ValueError naming it.
+    Each candidate's frames must be clip_id ... clip_id + 7. A missing key or
+    a misread field (a fractional id, a box of other than 4 numbers, a valid
+    flag other than true or false) raises ValueError naming it.
     """
     try:
-        clip_id = int(obj["clip_id"])
+        clip_id = _number(obj["clip_id"], "clip_id", integer=True)
         frames = list(range(clip_id, clip_id + CLIP_LEN))
-        for c in obj["candidates"]:
+        for c in _list(obj["candidates"], "candidates"):
             if c["frames"] != frames:
                 raise ValueError(f"candidate {c['person_id']} frames must be {frames}, got {c['frames']}")
         ego_obj = obj["ego"]
@@ -613,10 +619,16 @@ def clip_from_obj(obj) -> ClipObservation:
             [(d["rotation"], d["translation"]) for d in ego_obj["motion"]["deltas"]],
         )
         candidates = tuple(
-            CandidateObservation(c["person_id"], c["poses"], [BoundingBox(*b) for b in c["boxes"]], c["valid"])
+            CandidateObservation(
+                _number(c["person_id"], "person_id", integer=True),
+                c["poses"],
+                [BoundingBox(*_numbers(b, "boxes", 4)) for b in _list(c["boxes"], "boxes")],
+                _flags(c["valid"], "valid"),
+            )
             for c in obj["candidates"]
         )
-        return ClipObservation(clip_id, ego, candidates, int(obj["ground_truth_wearer"]))
+        wearer = _number(obj["ground_truth_wearer"], "ground_truth_wearer", integer=True)
+        return ClipObservation(clip_id, ego, candidates, wearer)
     except KeyError as exc:
         raise ValueError(f"clip file lacks the key {exc}") from exc
 

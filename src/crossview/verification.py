@@ -13,19 +13,17 @@ flags. Both channels are anchored at the candidate's own frame-0 pose:
   Tracks are (8, 2) arrays re-based at frame 0.
 
 The total is a weighted sum of the four terms and the match probability is
-exp(-total / sigma). score_scene scores a Scene of arrays, or a list of clip
-objects, in blocks of whole clips; localize is that pass over one clip. On
-OpenBLAS a distance product of rows x centroids <= 1200 gives a row other
-bits than a larger one, so each clip keeps a product of its own shape inside
-one stacked call. verify_pair is the per-pair reference the batched pass is
-tested against.
+exp(-total / sigma). score_scene scores a Scene of arrays in blocks of whole
+clips; localize is that pass over one clip. On OpenBLAS a distance product
+of rows x centroids <= 1200 gives a row other bits than a larger one, so each
+clip keeps a product of its own shape inside one stacked call. verify_pair is
+the per-pair reference the batched pass is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import groupby
 
 import numpy as np
 
@@ -241,74 +239,52 @@ def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig())
     candidates = list(candidates)
     if not candidates:
         raise ValueError("localize requires at least one candidate")
-    (person_id,), columns = _score_block(*_object_block([(ego, candidates)]), codebook, config)
+    (person_id,), columns = _score_block(
+        ego.pose_deltas[None],
+        ego.motion_deltas[None],
+        np.array([[candidate.poses for candidate in candidates]]),
+        np.array([[[b.corners() for b in candidate.boxes] for candidate in candidates]]),
+        np.array([[candidate.valid for candidate in candidates]]),
+        np.array([candidate.person_id for candidate in candidates]),
+        codebook,
+        config,
+    )
     return person_id, [VerificationScore(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
-def score_scene(scene, codebook, config: ScoringConfig = ScoringConfig()):
-    """Score every (clip, candidate) pair of a Scene, or of a list of clip objects, in blocks of whole clips.
+def score_scene(scene: Scene, codebook, config: ScoringConfig = ScoringConfig()):
+    """Score every (clip, candidate) pair of a Scene in blocks of whole clips.
 
-    A block is a run of clips with one candidate count and at most
-    BLOCK_PAIRS pairs (or a single clip); clip objects are stacked run by
-    run. Returns (decisions, columns): each clip's raw decision as localize
-    picks it, and a dict of the SCORE_FIELDS, each a (P,) array over the
-    pairs in scene order, with localize's bits. Raises like localize on the
-    first pair, in scene order, that cannot be scored.
+    A block is at most BLOCK_PAIRS pairs (or a single clip). Returns
+    (decisions, columns): each clip's raw decision as localize picks it, and
+    a dict of the SCORE_FIELDS, each a (P,) array over the pairs in scene
+    order, with localize's bits. Raises like localize on the first pair, in
+    scene order, that cannot be scored.
     """
+    c, n = scene.valid.shape[:2]
+    step = max(1, BLOCK_PAIRS // n)
+    arrays = (scene.pose_deltas, scene.motion_deltas, scene.poses, scene.corners, scene.valid)
     decisions, blocks = [], []
-    for block in _blocks(scene):
-        picked, columns = _score_block(*block, codebook, config)
+    for i in range(0, c, step):
+        picked, columns = _score_block(*(a[i : i + step] for a in arrays), scene.person_ids, codebook, config)
         decisions += picked
         blocks.append(columns)
-    if not blocks:
-        raise ValueError("score_scene requires at least one clip")
     return decisions, {name: np.concatenate(column) for name, column in zip(SCORE_FIELDS, zip(*blocks))}
 
 
-def _blocks(scene):
-    # _score_block's arrays for each block of score_scene, in scene order
-    if isinstance(scene, Scene):
-        ids = np.broadcast_to(scene.person_ids, scene.valid.shape[:2])
-        runs = [(scene.pose_deltas, scene.motion_deltas, scene.poses, scene.corners, scene.valid, ids)]
-    else:
-        runs = (
-            _object_block([(clip.ego, clip.candidates) for clip in run])
-            for _, run in groupby(scene, key=lambda clip: len(clip.candidates))
-        )
-    for run in runs:
-        c, n = run[-1].shape
-        step = max(1, BLOCK_PAIRS // n)
-        for i in range(0, c, step):
-            yield tuple(a[i : i + step] for a in run)
-
-
-def _object_block(clips):
-    # _score_block's arrays stacked from c (ego, candidates) pairs of n candidates each
-    candidates = [candidate for _, group in clips for candidate in group]
-    shape = (len(clips), len(candidates) // len(clips))
-    return (
-        np.array([ego.pose_deltas for ego, _ in clips]),
-        np.array([ego.motion_deltas for ego, _ in clips]),
-        np.array([candidate.poses for candidate in candidates]).reshape(shape + (CLIP_LEN, N_JOINTS, 3)),
-        np.array([[b.corners() for b in candidate.boxes] for candidate in candidates]).reshape(shape + (CLIP_LEN, 4)),
-        np.array([candidate.valid for candidate in candidates]).reshape(shape + (CLIP_LEN,)),
-        np.array([candidate.person_id for candidate in candidates]).reshape(shape),
-    )
-
-
 def _score_block(pose_deltas, motion_deltas, poses, corners, valid, ids, codebook, config):
-    # Every pair of c clips of n candidates each in one array pass, from a
-    # Scene's arrays over those clips and (c, n) ids; returns each clip's
-    # decision and the (c * n,) columns in SCORE_FIELDS order. Ego streams are
-    # integrated once per clip, the motion as start-frame offsets rotated into
-    # each candidate's body frame.
-    c, n = ids.shape
+    # Every pair of c clips of the same n candidates in one array pass, from
+    # a Scene's arrays over those clips and the (n,) person ids; returns each
+    # clip's decision and the (c * n,) columns in SCORE_FIELDS order. Ego
+    # streams are integrated once per clip, the motion as start-frame offsets
+    # rotated into each candidate's body frame.
+    c, n = valid.shape[:2]
     observed = poses.reshape(c * n, CLIP_LEN, N_JOINTS, 3)
     axes, defined = body_axes(observed[:, 0])
     scorable = valid.any(axis=-1).reshape(-1) & defined
     if not scorable.all():
         first = int(np.argmin(scorable))
-        person_id = int(ids.reshape(-1)[first])
+        person_id = int(ids[first % n])
         _require_valid_frame(person_id, valid.reshape(-1, CLIP_LEN)[first])
         raise DegeneratePoseError(
             f"candidate {person_id}: shoulder and neck joints are collinear; body frame undefined"
@@ -332,6 +308,5 @@ def _score_block(pose_deltas, motion_deltas, poses, corners, valid, ids, codeboo
     total = config.action_weight * (ego_ce + third_ce) + config.motion_weight * (motion_ego_l1 + motion_third_l1)
     probability = np.exp(-total / config.sigma)
     # each clip's least (-probability, person id): ties go to the lowest id
-    keys = list(zip((-probability).tolist(), ids.reshape(-1).tolist()))
-    decisions = [min(keys[i : i + n])[1] for i in range(0, c * n, n)]
+    decisions = [min(zip(row, ids.tolist()))[1] for row in (-probability).reshape(c, n).tolist()]
     return decisions, (total, ego_ce, third_ce, motion_ego_l1, motion_third_l1, probability)

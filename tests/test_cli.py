@@ -317,6 +317,17 @@ class TestSweep:
             report = json.loads((out / point / "report.json").read_text())
             assert report["config"]["scenario"] == str(out / point / "scenario.json")
 
+    def test_point_scenario_holds_the_seed_the_level_ran_at(self, tmp_path):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=3))
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--scenario", str(path), "--seed", "11", "--codebook-k", "8", "--sigma-pose", "0.02"]
+        assert main(argv + ["--out", str(out)]) == 0
+        point = out / "sigma_pose_0.02"
+        assert json.loads((point / "scenario.json").read_text())["seed"] == 11
+        argv = ["evaluate", "--scenario", str(point / "scenario.json"), "--codebook-k", "8"]
+        assert main(argv + ["--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / "scores.csv").read_bytes() == (point / "scores.csv").read_bytes()
+
     def test_empty_list_rejected(self, tmp_path):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=3))
         with pytest.raises(ConfigError, match="sigma_pose"):
@@ -538,6 +549,15 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert code == 2
         assert str(cb_path) in err and "centroids" in err
+
+    def test_non_json_codebook_file_exit_two_naming_it(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))
+        cb_path = tmp_path / "bad.json"
+        cb_path.write_text("{not json")
+        code = main(["evaluate", "--scenario", str(path), "--codebook", str(cb_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(cb_path) in err and "Traceback" not in err
 
     def test_report_command_prints_table(self, tmp_path, capsys):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))

@@ -368,6 +368,18 @@ class TestSceneArrays:
         with pytest.raises(ValueError):
             copy.poses[0, 0, 0, 0, 0] = 1.0
 
+    def test_occlusion_from_frame_zero_reports_the_first_visible_pose(self):
+        # no preset occludes from frame 0: with no earlier pose to hold, the
+        # tracker reports the first visible one
+        clean = cv.two_person_scenario(duration=24, seed=2)
+        want = scene_arrays(clean)
+        got = scene_arrays(replace(clean, crossings=(Crossing(0, 1, 0, 5),)))
+        assert not np.array_equal(want.poses[0, :, 0], want.poses[0, :, 5])
+        assert not got.valid[0, :, :5].any() and got.valid[0, :, 5:].all()
+        assert np.array_equal(got.poses[0, :, :5], np.repeat(want.poses[0, :, 5:6], 5, axis=1))
+        assert np.array_equal(got.poses[0, :, 5:], want.poses[0, :, 5:])
+        assert np.array_equal(got.poses[5:], want.poses[5:])
+
     @pytest.mark.parametrize(
         "field, value, match",
         [
@@ -594,6 +606,23 @@ class TestSerialization:
         assert obj["candidates"][1]["frames"] == list(range(2, 10))
         obj["candidates"][1]["frames"] = frames
         with pytest.raises(ValueError, match=r"candidate 1 frames must be \[2, 3, 4, 5, 6, 7, 8, 9\]"):
+            clip_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "misread, text",
+        [
+            (lambda obj: obj.update(clip_id=2.7), "clip_id must be an integer, got 2.7"),
+            (lambda obj: obj["candidates"][1].update(person_id=1.7), "person_id must be an integer, got 1.7"),
+            (lambda obj: obj.update(ground_truth_wearer=0.7), "ground_truth_wearer must be an integer, got 0.7"),
+            (lambda obj: obj["candidates"][1].update(valid=["false"] * 8), "valid must be a list of true or false"),
+            (lambda obj: obj["candidates"][1]["boxes"][3].pop(), "boxes must be a list of 4 numbers"),
+        ],
+        ids=["fractional_clip_id", "fractional_person_id", "fractional_wearer", "string_valid", "three_number_box"],
+    )
+    def test_misread_field_rejected_naming_it(self, misread, text):
+        obj = clip_to_obj(generate_scene(cv.two_person_scenario(duration=16, seed=6))[2])
+        misread(obj)
+        with pytest.raises(ValueError, match=text):
             clip_from_obj(obj)
 
     @pytest.mark.parametrize(

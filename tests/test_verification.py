@@ -386,77 +386,86 @@ def assert_same_bits(got, want):
         assert np.array_equal(got[1][name], want[1][name]), name
 
 
+def with_faults(scene, clips, faults):
+    """The scene and its clip objects with each (clip, slot, kind) fault: all frames occluded or frame 0 degenerate."""
+    poses, valid, clips = scene.poses.copy(), scene.valid.copy(), list(clips)
+    for i, slot, kind in faults:
+        if kind == "occluded":
+            valid[i, slot] = False
+        else:
+            poses[i, slot, 0, LEFT_SHOULDER] = poses[i, slot, 0, RIGHT_SHOULDER]
+        candidates = list(clips[i].candidates)
+        good = candidates[slot]
+        candidates[slot] = CandidateObservation(good.person_id, poses[i, slot], good.boxes, valid[i, slot])
+        clips[i] = replace(clips[i], candidates=tuple(candidates))
+    return replace(scene, poses=poses, valid=valid), clips
+
+
 class TestScoreScene:
     """score_scene scores whole blocks of clips; per-clip localize is the reference, bit for bit."""
 
     @pytest.fixture(scope="class")
     def crossing3(self):
         # the benchmark's crossing scene and codebook size: 200 clips of 3
-        return fitted(cv.three_person_scenario(crossing=True, duration=207, seed=7, noise=NOISE), 400)
-
-    def test_crossing3_matches_per_clip_localize(self, crossing3):
-        clips, codebook = crossing3
-        assert len(clips) * 3 > 2 * BLOCK_PAIRS
-        config = ScoringConfig(action_weight=0.7, motion_weight=1.3, sigma=2.0)
-        assert_same_bits(score_scene(clips, codebook, config), per_clip(clips, codebook, config))
+        scenario = cv.three_person_scenario(crossing=True, duration=207, seed=7, noise=NOISE)
+        return (cv.scene_arrays(scenario),) + fitted(scenario, 400)
 
     def test_group_scene_over_several_blocks_matches_per_clip_localize(self):
         # 73 clips of 8: blocks of 32, 32 and 9 clips. At k=64 one clip's
         # 16-row product is small enough to take OpenBLAS's small-matrix
         # kernel, so a flat product over the block would change its bits.
-        clips, codebook = fitted(cv.group_scenario(8, duration=80, seed=19, noise=NOISE), 64)
+        scenario = cv.group_scenario(8, duration=80, seed=19, noise=NOISE)
+        clips, codebook = fitted(scenario, 64)
         per_block = BLOCK_PAIRS // 8
         assert len(clips) > 2 * per_block and len(clips) % per_block != 0
-        assert_same_bits(score_scene(clips, codebook), per_clip(clips, codebook))
-
-    def test_mixed_candidate_counts_match_per_clip_localize(self, crossing3):
-        # a block holds clips of one candidate count, so these runs split it
-        clips, codebook = crossing3
-        mixed = [
-            replace(clip, candidates=clip.candidates[: 1 + (i // 7) % 3]) for i, clip in enumerate(clips[:60])
-        ]
-        assert_same_bits(score_scene(mixed, codebook), per_clip(mixed, codebook))
+        assert_same_bits(score_scene(cv.scene_arrays(scenario), codebook), per_clip(clips, codebook))
 
     def test_one_candidate_scene_matches_per_clip_localize(self):
         # one candidate scores 2 rows, below the 4 rows from which a product
         # of a k=400 codebook gives a row the bits a larger product gives it;
         # every clip keeps a product of its own, so the bits still agree
-        clips, codebook = fitted(cv.group_scenario(8, duration=120, seed=19, noise=NOISE), 400)
-        alone = [
+        scenario = cv.group_scenario(8, duration=120, seed=19, noise=NOISE)
+        clips, codebook = fitted(scenario, 400)
+        scene = cv.scene_arrays(scenario)
+        column = scene.person_ids.tolist().index(scene.wearer)
+        wearer = slice(column, column + 1)
+        alone = replace(
+            scene,
+            poses=scene.poses[:, wearer],
+            corners=scene.corners[:, wearer],
+            valid=scene.valid[:, wearer],
+            person_ids=scene.person_ids[wearer],
+        )
+        decisions, columns = score_scene(alone, codebook)
+        assert decisions == [scene.wearer] * len(clips)
+        alone_clips = [
             replace(clip, candidates=tuple(c for c in clip.candidates if c.person_id == clip.ground_truth_wearer))
             for clip in clips
         ]
-        decisions, columns = score_scene(alone, codebook)
-        assert decisions == [clip.ground_truth_wearer for clip in clips]
-        assert_same_bits((decisions, columns), per_clip(alone, codebook))
+        assert_same_bits((decisions, columns), per_clip(alone_clips, codebook))
 
     @pytest.mark.parametrize(
-        "scenario, k",
+        "scenario, k, config",
         [
-            (cv.three_person_scenario(crossing=True, duration=207, seed=7, noise=NOISE), 400),
-            (cv.group_scenario(8, duration=80, seed=19, noise=NOISE), 64),
+            (cv.three_person_scenario(crossing=True, duration=207, seed=7, noise=NOISE), 400, ScoringConfig()),
+            (cv.group_scenario(8, duration=80, seed=19, noise=NOISE), 64, ScoringConfig()),
+            (
+                cv.three_person_scenario(crossing=True, duration=207, seed=7, noise=NOISE),
+                400,
+                ScoringConfig(action_weight=0.7, motion_weight=1.3, sigma=2.0),
+            ),
         ],
-        ids=["crossing3", "group8_several_blocks"],
+        ids=["crossing3", "group8_several_blocks", "crossing3_weighted"],
     )
-    def test_scene_of_arrays_matches_per_clip_localize(self, scenario, k):
+    def test_scene_of_arrays_matches_per_clip_localize(self, scenario, k, config):
         clips, codebook = fitted(scenario, k)
         scene = cv.scene_arrays(scenario)
-        assert_same_bits(score_scene(scene, codebook), per_clip(clips, codebook))
+        assert len(clips) * len(scenario.persons) > 2 * BLOCK_PAIRS
+        assert_same_bits(score_scene(scene, codebook, config), per_clip(clips, codebook, config))
 
     def test_first_unscorable_pair_of_a_scene_raises_as_the_per_clip_loop(self, crossing3):
-        clips, codebook = crossing3
-        scene = cv.scene_arrays(cv.three_person_scenario(crossing=True, duration=207, seed=7, noise=NOISE))
-        poses, valid = scene.poses.copy(), scene.valid.copy()
-        poses[130, 0, 0, LEFT_SHOULDER] = poses[130, 0, 0, RIGHT_SHOULDER]
-        valid[100, 2] = False
-        faulty = replace(scene, poses=poses, valid=valid)
-        clips = list(clips)
-        for i, slot in ((130, 0), (100, 2)):
-            candidates = list(clips[i].candidates)
-            candidates[slot] = CandidateObservation(
-                candidates[slot].person_id, poses[i, slot], candidates[slot].boxes, valid[i, slot]
-            )
-            clips[i] = replace(clips[i], candidates=tuple(candidates))
+        scene, clips, codebook = crossing3
+        faulty, clips = with_faults(scene, clips, [(130, 0, "degenerate"), (100, 2, "occluded")])
         with pytest.raises(ValueError) as per_clip_error:
             per_clip(clips, codebook)
         with pytest.raises(ValueError) as scene_error:
@@ -465,10 +474,9 @@ class TestScoreScene:
         assert str(scene_error.value) == str(per_clip_error.value)
 
     def test_batched_ego_offsets_match_one_clip_calls(self, crossing3):
-        clips, _ = crossing3
-        deltas = np.stack([clip.ego.motion_deltas for clip in clips])
+        deltas = crossing3[0].motion_deltas
         batched = ego_offsets(deltas)
-        assert batched.shape == (len(clips), 8, 3)
+        assert batched.shape == (len(deltas), 8, 3)
         for got, one in zip(batched, deltas):
             assert np.array_equal(got, ego_offsets(one))
         assert np.array_equal(ego_offsets(deltas.reshape(4, 50, 7, 2, 3)).reshape(-1, 8, 3), batched)
@@ -484,31 +492,15 @@ class TestScoreScene:
         ],
     )
     def test_first_unscorable_pair_raises_as_the_per_clip_loop(self, crossing3, faults):
-        clips, codebook = crossing3
-        clips = list(clips)
-        for clip_index, slot, kind in faults:
-            clip = clips[clip_index]
-            good = clip.candidates[slot]
-            if kind == "occluded":
-                bad = CandidateObservation(good.person_id, good.poses, good.boxes, [False] * 8)
-            else:
-                poses = good.poses.copy()
-                poses[0, LEFT_SHOULDER] = poses[0, RIGHT_SHOULDER]
-                bad = CandidateObservation(good.person_id, poses, good.boxes, good.valid)
-            candidates = list(clip.candidates)
-            candidates[slot] = bad
-            clips[clip_index] = replace(clip, candidates=tuple(candidates))
+        scene, clips, codebook = crossing3
+        faulty, clips = with_faults(scene, clips, faults)
         with pytest.raises(ValueError) as per_clip_error:
             per_clip(clips, codebook)
         with pytest.raises(ValueError) as scene_error:
-            score_scene(clips, codebook)
+            score_scene(faulty, codebook)
         assert type(scene_error.value) is type(per_clip_error.value)
         assert type(scene_error.value) in (InsufficientObservationError, DegeneratePoseError)
         assert str(scene_error.value) == str(per_clip_error.value)
-
-    def test_empty_scene_rejected(self):
-        with pytest.raises(ValueError, match="at least one clip"):
-            score_scene([], None)
 
 
 class TestRecordsAndConfig:
