@@ -36,6 +36,10 @@ DEFAULT_TAU = 0.1
 # Log arguments are clamped here so cross-entropies stay finite.
 _EPS_LOG = 1e-12
 
+# Below about -745.13, the log of half the smallest subnormal, exp rounds to
+# +0.0; this cut leaves a margin under it.
+_EXP_CUT = -746.0
+
 _SCHEMA_VERSION = 1
 
 
@@ -210,9 +214,18 @@ def _row_scores(codebook, vectors, tau):
     # so at k=400 every 1-, 2- and 3-row block of 600 crossing3 rows differed
     # from the same rows in the full product and no 4- or 6-row block did; at
     # some k (300, 404, 500) larger products differ with m too.
-    d = np.sqrt(codebook._sq_distances(vectors))
-    w = np.exp(-(d - d.min(axis=-1, keepdims=True)) / tau)
-    return w / w.sum(axis=-1, keepdims=True)
+    w = np.sqrt(codebook._sq_distances(vectors))
+    w -= w.min(axis=-1, keepdims=True)
+    w /= -tau  # the bits of -(d - d_min) / tau: IEEE rounding is symmetric in sign
+    # exp is +0.0 below _EXP_CUT, where numpy's SIMD exp takes a slow path:
+    # those entries get exp(0.0) and are then set to +0.0, so that exp runs
+    # over the whole array at once (exp with where= runs on the short gaps)
+    below = w < _EXP_CUT
+    w[below] = 0.0
+    np.exp(w, out=w)
+    w[below] = 0.0
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def _check_scores(scores, k, name):
@@ -284,6 +297,8 @@ def load_codebook(path) -> ActionCodebook:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed codebook file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"codebook file {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("kind") != "action_codebook":
         raise ValueError(f"{path} is not an action codebook file: a JSON object with 'kind', 'dim' and 'centroids'")
     if payload.get("dim") != CLIP_DIM:

@@ -22,7 +22,7 @@ tracks can be filtered concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,10 +65,20 @@ class FilterState:
             raise ValueError("velocities must be finite")
 
 
-def _freeze(a):
-    out = np.asarray(a, dtype=float).copy()
+def _freeze(a, copy=True):
+    # copy an array that may alias a caller's input; one just computed here is only sealed
+    out = np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _next_state(state, **changes):
+    # dataclasses.replace without FilterState's checks: predict and update
+    # keep its invariants but two that overflow can break, a finite weight
+    # sum and finite velocities, which update checks itself
+    new = object.__new__(FilterState)
+    new.__dict__.update(state.__dict__, **changes)
+    return new
 
 
 def init_filter(ids, positions) -> FilterState:
@@ -98,10 +108,10 @@ def predict(state: FilterState, dt=1.0, alpha=DEFAULT_ALPHA) -> FilterState:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     n = len(state.ids)
     weights = (1.0 - alpha) * state.weights + alpha / n
-    return replace(
+    return _next_state(
         state,
-        weights=_freeze(weights / weights.sum()),
-        positions=_freeze(state.positions + state.velocities * dt),
+        weights=_freeze(weights / weights.sum(), copy=False),
+        positions=_freeze(state.positions + state.velocities * dt, copy=False),
     )
 
 
@@ -153,25 +163,29 @@ def update(
 
     unnormalized = state.weights * likelihood
     mass = float(unnormalized.sum())
+    if mass == math.inf:  # overflow: every weight below would be 0
+        raise ValueError("weights must be a probability distribution")
     if mass > 0.0:
-        weights = unnormalized / mass
+        weights = _freeze(unnormalized / mass, copy=False)
         low_confidence = False
     else:
-        weights = state.weights  # nothing to learn from; keep the prior
+        weights = _freeze(state.weights)  # nothing to learn from; keep the prior
         low_confidence = True
 
     # Finite difference against the pre-predict position: observed - predicted
     # differs from it by exactly velocity * dt, so recover it in place.
     finite_diff = (observed - predicted) / dt + state.velocities
     velocities = beta * state.velocities + (1.0 - beta) * finite_diff
+    if not np.isfinite(velocities).all():  # overflow
+        raise ValueError("velocities must be finite")
 
-    return FilterState(
-        ids=state.ids,
-        weights=_freeze(weights),
+    return _next_state(
+        state,
+        weights=weights,
         positions=_freeze(observed),
-        velocities=_freeze(velocities),
+        velocities=_freeze(velocities, copy=False),
         low_confidence=low_confidence,
-        last_likelihood=_freeze(likelihood),
+        last_likelihood=_freeze(likelihood, copy=False),
     )
 
 

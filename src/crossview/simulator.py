@@ -506,11 +506,16 @@ def _flags(value, name):
     return value
 
 
+def _object(value, name):
+    """A JSON object, as it is; errors name the field."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def _known_keys(obj, keys, name):
     """Check that obj is a JSON object with no key beyond keys: a misspelt optional key would take its default."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{name} must be an object, got {obj!r}")
-    unknown = sorted(set(obj) - set(keys))
+    unknown = sorted(set(_object(obj, name)) - set(keys))
     if unknown:
         raise ValueError(f"{name} has unknown keys {', '.join(map(repr, unknown))}")
 
@@ -567,6 +572,8 @@ def load_scenario(path) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"scenario file {path} is not UTF-8 text: {exc}") from exc
     try:
         return scenario_from_json(text)
     except json.JSONDecodeError as exc:
@@ -605,18 +612,22 @@ def clip_from_obj(obj) -> ClipObservation:
 
     Each candidate's frames must be clip_id ... clip_id + 7. A missing key or
     a misread field (a fractional id, a box of other than 4 numbers, a valid
-    flag other than true or false) raises ValueError naming it.
+    flag other than true or false, a candidate or ego part that is not an
+    object) raises ValueError naming it.
     """
     try:
-        clip_id = _number(obj["clip_id"], "clip_id", integer=True)
+        clip_id = _number(_object(obj, "a clip file")["clip_id"], "clip_id", integer=True)
         frames = list(range(clip_id, clip_id + CLIP_LEN))
         for c in _list(obj["candidates"], "candidates"):
-            if c["frames"] != frames:
+            if _object(c, "a candidate")["frames"] != frames:
                 raise ValueError(f"candidate {c['person_id']} frames must be {frames}, got {c['frames']}")
-        ego_obj = obj["ego"]
+        ego_obj = _object(obj["ego"], "ego")
         ego = EgoObservation(
             ego_obj["pose_deltas"],
-            [(d["rotation"], d["translation"]) for d in ego_obj["motion"]["deltas"]],
+            [
+                (_object(d, "a motion delta")["rotation"], d["translation"])
+                for d in _list(_object(ego_obj["motion"], "ego.motion")["deltas"], "ego.motion.deltas")
+            ],
         )
         candidates = tuple(
             CandidateObservation(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import frozen_array, norms, quaternions_from_matrices
+from .geometry import cross3, frozen_array, norms, quaternions_from_matrices
 
 __all__ = [
     "JOINT_NAMES",
@@ -103,16 +103,19 @@ def body_axes(joints):
     right-handed triad. For a person lying flat the z sign choice is
     arbitrary but deterministic.
     """
-    shoulder = joints[..., RIGHT_SHOULDER, :] - joints[..., LEFT_SHOULDER, :]
-    cross = np.cross(shoulder, joints[..., NECK, :] - joints[..., LEFT_SHOULDER, :])
+    left = joints[..., LEFT_SHOULDER, :]
+    shoulder = joints[..., RIGHT_SHOULDER, :] - left
+    cross = cross3(shoulder, joints[..., NECK, :] - left)
     # norms() gives one pose bit-identical axes alone or in a batch
     cross_norm = norms(cross)
+    axes = np.empty(shoulder.shape + (3,))
+    x_axis, z_axis = axes[..., 0], axes[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_axis = shoulder / norms(shoulder)
-        z_axis = cross / cross_norm
-    z_axis = np.where(z_axis[..., 2:] < 0.0, -z_axis, z_axis)
-    y_axis = np.cross(z_axis, x_axis)
-    return np.stack([x_axis, y_axis, z_axis], axis=-1), cross_norm[..., 0] >= 1e-9
+        np.divide(shoulder, norms(shoulder), out=x_axis)
+        np.divide(cross, cross_norm, out=z_axis)
+    np.negative(z_axis, out=z_axis, where=z_axis[..., 2:] < 0.0)
+    axes[..., 1] = cross3(z_axis, x_axis)
+    return axes, cross_norm[..., 0] >= 1e-9
 
 
 def body_poses(frames):

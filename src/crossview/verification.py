@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -243,7 +244,11 @@ def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig())
         ego.pose_deltas[None],
         ego.motion_deltas[None],
         np.array([[candidate.poses for candidate in candidates]]),
-        np.array([[[b.corners() for b in candidate.boxes] for candidate in candidates]]),
+        np.fromiter(
+            chain.from_iterable(b.corners() for candidate in candidates for b in candidate.boxes),
+            float,
+            len(candidates) * CLIP_LEN * 4,
+        ).reshape(1, -1, CLIP_LEN, 4),
         np.array([[candidate.valid for candidate in candidates]]),
         np.array([candidate.person_id for candidate in candidates]),
         codebook,

@@ -8,6 +8,7 @@ import pytest
 
 import crossview as cv
 from crossview.action_codebook import (
+    _EXP_CUT,
     CLIP_DIM,
     DEFAULT_TAU,
     ActionCodebook,
@@ -18,6 +19,7 @@ from crossview.action_codebook import (
     label_scores,
     load_codebook,
     save_codebook,
+    _row_scores,
 )
 from crossview.simulator import NoiseParams, generate_scene
 from crossview.skeleton import pose_clip_vector
@@ -293,6 +295,30 @@ class TestNormCacheEquivalence:
             want_ego, want_third = cross_entropies(cb, ego[i], third[i])
             assert np.array_equal(ego_ce[i], want_ego)
             assert np.array_equal(third_ce[i], want_third)
+
+    def test_scores_through_the_underflow_cut_match_oracle(self):
+        # centroids on one axis put the softmax arguments -(d - d_min) / tau
+        # over [-2000, 0], densely through the band where exp is subnormal
+        # (about -745.1 to -708.4) and past the cut at -746
+        rng = np.random.default_rng(41)
+        radii = np.unique(np.concatenate([rng.uniform(0.0, 2000.0, 600), rng.uniform(700.0, 750.0, 600), [0.0]]))
+        centroids = np.zeros((len(radii), CLIP_DIM))
+        centroids[:, 0] = radii
+        cb = ActionCodebook(centroids)
+        rows = np.concatenate([np.zeros((1, CLIP_DIM)), rng.normal(scale=1e-3, size=(5, CLIP_DIM))])
+        want = oracle_scores(cb.centroids, rows, tau=1.0)
+        assert ((want > 0.0) & (want < np.finfo(float).tiny)).sum() > 100
+        assert (want == 0.0).sum() > 100
+        assert _row_scores(cb, rows, 1.0).tobytes() == want.tobytes()
+        for row, expected in zip(rows, want):
+            assert label_scores(cb, clip_from_vector(row), tau=1.0).tobytes() == expected.tobytes()
+
+    def test_exp_below_the_cut_is_plus_zero(self):
+        # _row_scores writes +0.0 for every argument below _EXP_CUT without
+        # calling exp; a numpy whose exp gave anything else there fails here
+        below = np.concatenate([np.linspace(-5000.0, np.nextafter(_EXP_CUT, -np.inf), 1_000_001), [-1e300, -np.inf]])
+        values = np.exp(below)
+        assert (values == 0.0).all() and not np.signbit(values).any()
 
     def test_scores_after_round_trip_match_oracle(self, tmp_path):
         rng = np.random.default_rng(37)

@@ -1,6 +1,8 @@
 """Bayes filter tests: the recursion against a hand-rolled reference."""
 
 import math
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -222,3 +224,70 @@ class TestInit:
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError):
             FilterState(ids=(0, 1), weights=np.array([0.6, 0.6]), positions=np.zeros((2, 2)), velocities=np.zeros((2, 2)))
+
+
+class TestStatesBuiltOnce:
+    """predict and update build states without re-running FilterState's checks; the checks would pass."""
+
+    def assert_checked_state_equal(self, state):
+        # the public constructor, from copies of the same arrays, accepts the
+        # state and gives it back field for field, byte for byte
+        values = {f.name: getattr(state, f.name) for f in fields(FilterState)}
+        checked = FilterState(**{k: v.copy() if isinstance(v, np.ndarray) else v for k, v in values.items()})
+        assert type(state) is FilterState
+        for name, value in values.items():
+            want = getattr(checked, name)
+            if isinstance(want, np.ndarray):
+                assert value.dtype == want.dtype == np.float64, name
+                assert value.shape == want.shape and value.tobytes() == want.tobytes(), name
+                assert not value.flags.writeable, name
+            else:
+                assert type(value) is type(want) and value == want, name
+
+    def test_fifty_steps_with_occlusions_and_a_low_confidence_step(self):
+        rng = np.random.default_rng(77)
+        n = 5
+        state = init_filter(range(10, 10 + n), rng.normal(size=(n, 2)))
+        seen_low = seen_occluded = 0
+        for step in range(50):
+            scores = rng.random(n) * (step != 20)  # every likelihood 0 at step 20
+            occluded = (rng.random(n) < 0.3) & (step != 20)
+            observed = state.positions + rng.normal(scale=0.2, size=(n, 2))
+            state = predict(state, dt=1.0, alpha=0.05)
+            self.assert_checked_state_equal(state)
+            state = update(state, scores, observed, occluded=occluded)
+            self.assert_checked_state_equal(state)
+            seen_low += state.low_confidence
+            seen_occluded += occluded.any()
+        assert seen_low == 1 and seen_occluded > 10
+
+    def test_update_does_not_alias_its_inputs(self):
+        observed = np.array([[1.0, 2.0], [3.0, 4.0]])
+        state = update(predict(init_filter([0, 1], np.zeros((2, 2)))), [0.0, 0.0], observed)
+        observed[0, 0] = 99.0
+        assert state.low_confidence and state.positions[0, 0] == 1.0
+
+    def test_overflowing_velocities_raise(self):
+        state = predict(init_filter([0, 1], np.zeros((2, 2))))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="velocities must be finite"):
+            update(state, [0.5, 0.5], [[1e308, 0.0], [0.0, 0.0]], dt=0.5)
+
+    def test_overflowing_likelihood_mass_raises(self):
+        # these weights sum to 1 but their products with the largest float
+        # sum past it: every posterior weight would be 0
+        state = make_state([0.07, 0.43, 0.19, 0.31000000000000005])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="weights must be a probability distribution"):
+            update(state, [sys.float_info.max] * 4, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize(
+        "weights, velocities, message",
+        [
+            ([0.5, 0.5, 0.0], np.zeros((2, 2)), "align"),
+            ([1.5, -0.5], np.zeros((2, 2)), "probability distribution"),
+            ([0.5, 0.6], np.zeros((2, 2)), "probability distribution"),
+            ([0.5, 0.5], [[0.0, math.inf], [0.0, 0.0]], "velocities must be finite"),
+        ],
+    )
+    def test_public_constructor_keeps_every_check(self, weights, velocities, message):
+        with pytest.raises(ValueError, match=message):
+            FilterState((0, 1), np.array(weights), np.zeros((2, 2)), np.array(velocities))

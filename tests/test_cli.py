@@ -559,6 +559,21 @@ class TestCommandLine:
         assert code == 2
         assert str(cb_path) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("option", ["--scenario", "--codebook"])
+    def test_non_utf8_file_exit_two_naming_it(self, tmp_path, capsys, option):
+        # a UTF-16 byte-order mark is not UTF-8
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        files = {"--scenario": write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))}
+        files[option] = bad
+        argv = ["evaluate", "--scenario", str(files["--scenario"]), "--out", str(tmp_path / "out")]
+        if option == "--codebook":
+            argv += ["--codebook", str(bad)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and "UTF-8" in err and "Traceback" not in err
+
     def test_report_command_prints_table(self, tmp_path, capsys):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))
         main(["evaluate", "--scenario", str(path), "--out", str(tmp_path / "out"), "--codebook-k", "8"])

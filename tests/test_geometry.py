@@ -491,6 +491,27 @@ class TestKernelsMatchScalarCode:
         with pytest.raises(ValueError, match="zero quaternion"):
             geometry.unit_quaternions(q)
 
+    @pytest.mark.parametrize("case", ["random", "signed_zeros", "near_1e150"])
+    def test_cross3_gives_numpys_cross_bits(self, case):
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(size=(2, 100_000, 3))
+        if case == "signed_zeros":
+            # each component is +0.0, -0.0 or a normal number, in every mix
+            a *= rng.choice([0.0, -0.0, 1.0], size=a.shape)
+            b *= rng.choice([0.0, -0.0, 1.0], size=b.shape)
+            assert (np.signbit(a) & (a == 0.0)).any() and (~np.signbit(b) & (b == 0.0)).any()
+        elif case == "near_1e150":
+            # the products reach about 1e300, the edge of overflow, and some pass it
+            a *= 1e150 * rng.uniform(0.5, 2e4, size=a.shape)
+            b *= 1e150 * rng.uniform(0.5, 2e4, size=b.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.cross(a, b)
+            assert_same_bits(geometry.cross3(a, b), want)
+            assert_same_bits(geometry.cross3(a[:8], b[:8]), want[:8])
+            assert_same_bits(geometry.cross3(a[:6].reshape(2, 3, 3), b[:6].reshape(2, 3, 3)), want[:6].reshape(2, 3, 3))
+        if case == "near_1e150":
+            assert np.isfinite(want).any() and not np.isfinite(want).all()
+
     def test_matrices_products_rotations_and_norms(self):
         rng = np.random.default_rng(9)
         a, b = log_cases(rng), log_cases(rng)

@@ -649,6 +649,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
             load_scene(tmp_path / "scene")
 
+    @pytest.mark.parametrize(
+        "misread, text",
+        [
+            (lambda obj: obj["candidates"].append([1, 2]), "a candidate must be an object, got \\[1, 2\\]"),
+            (lambda obj: obj.update(ego=[1, 2]), "ego must be an object, got \\[1, 2\\]"),
+            (lambda obj: obj["ego"].update(motion=3), "ego.motion must be an object, got 3"),
+        ],
+        ids=["list_candidate", "list_ego", "number_motion"],
+    )
+    def test_non_object_field_rejected_naming_it(self, tmp_path, misread, text):
+        scenario = cv.two_person_scenario(duration=16, seed=6)
+        clips = generate_scene(scenario)
+        obj = json.loads(json.dumps(clip_to_obj(clips[2])))
+        misread(obj)
+        with pytest.raises(ValueError, match=text):
+            clip_from_obj(obj)
+        save_scene(clips, tmp_path / "scene", scenario)
+        (tmp_path / "scene" / "clip_00002.json").write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=text):
+            load_scene(tmp_path / "scene")
+
     def test_scene_directory_round_trip(self, tmp_path):
         scenario = cv.two_person_scenario(duration=16, seed=8)
         clips = generate_scene(scenario)

@@ -1,6 +1,9 @@
 """Verification tests: channel scoring, localization, failure modes."""
 
+import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +25,13 @@ from crossview.verification import (
     EgoObservation,
     InsufficientObservationError,
     ScoringConfig,
+    _score_block,
     localize,
     score_scene,
     verify_pair,
 )
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "metrics.json").read_text())
 
 RNG = np.random.default_rng(55)
 
@@ -501,6 +507,57 @@ class TestScoreScene:
         assert type(scene_error.value) is type(per_clip_error.value)
         assert type(scene_error.value) in (InsufficientObservationError, DegeneratePoseError)
         assert str(scene_error.value) == str(per_clip_error.value)
+
+
+class TestStreamLoop:
+    """The online path: one localize call and one filter step per clip."""
+
+    @pytest.fixture(scope="class")
+    def group8(self):
+        noise = cv.NoiseParams(sigma_pose=0.03, sigma_odo_trans=0.01, sigma_odo_rot=0.02, sigma_bbox=0.01)
+        return fitted(cv.group_scenario(8, duration=60, seed=11, noise=noise), 16)
+
+    def test_localize_gathers_box_corners_as_nested_lists(self, group8):
+        clips, codebook = group8
+        for clip in clips:
+            candidates = clip.candidates
+            want = _score_block(
+                clip.ego.pose_deltas[None],
+                clip.ego.motion_deltas[None],
+                np.array([[c.poses for c in candidates]]),
+                np.array([[[b.corners() for b in c.boxes] for c in candidates]]),
+                np.array([[c.valid for c in candidates]]),
+                np.array([c.person_id for c in candidates]),
+                codebook,
+                ScoringConfig(),
+            )
+            person_id, scores = localize(clip.ego, candidates, codebook)
+            assert person_id == want[0][0]
+            for name, column in zip(SCORE_FIELDS, want[1]):
+                assert np.array([getattr(s, name) for s in scores]).tobytes() == column.tobytes(), name
+
+    def test_scores_and_weights_match_golden(self, group8):
+        # each clip's six score columns, then the filter weights after its
+        # update, in one digest. The bytes come from the BLAS distance
+        # products, so they hold for the OpenBLAS build and CPU they were
+        # recorded on (see CHANGES.md).
+        clips, codebook = group8
+        digest = hashlib.sha256()
+        first = clips[0].candidates
+        state = cv.init_filter([c.person_id for c in first], [c.boxes[-1].center for c in first])
+        for clip in clips:
+            _, scores = localize(clip.ego, clip.candidates, codebook)
+            columns = np.array([[getattr(s, name) for name in SCORE_FIELDS] for s in scores])
+            state = cv.update(
+                cv.predict(state),
+                columns[:, -1],
+                [c.boxes[-1].center for c in clip.candidates],
+                occluded=[not c.fully_valid() for c in clip.candidates],
+            )
+            digest.update(columns.tobytes())
+            digest.update(state.weights.tobytes())
+        assert len(clips) == 53
+        assert digest.hexdigest() == GOLDEN["stream_outputs"]["sha256"]
 
 
 class TestRecordsAndConfig:
