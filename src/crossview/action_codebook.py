@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 
+from ._files import _number, _required, read_json
 from .skeleton import CLIP_LEN, N_JOINTS, pose_clip_vector
 
 __all__ = [
@@ -292,20 +293,20 @@ def save_codebook(codebook: ActionCodebook, path) -> None:
 
 def load_codebook(path) -> ActionCodebook:
     """The codebook save_codebook wrote; a malformed file raises a ValueError naming the file and the field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed codebook file {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"codebook file {path} is not UTF-8 text: {exc}") from exc
+    return read_json(path, "codebook file", _codebook_from_obj)
+
+
+def _codebook_from_obj(payload) -> ActionCodebook:
     if not isinstance(payload, dict) or payload.get("kind") != "action_codebook":
-        raise ValueError(f"{path} is not an action codebook file: a JSON object with 'kind', 'dim' and 'centroids'")
-    if payload.get("dim") != CLIP_DIM:
-        raise ValueError(f"codebook dimension {payload.get('dim')} does not match {CLIP_DIM}")
-    if "centroids" not in payload:
-        raise ValueError(f"codebook file {path} lacks the key 'centroids'")
+        raise ValueError("it is not an action codebook file: a JSON object with 'kind', 'dim' and 'centroids'")
+    if _number(_required(payload, "dim", "a codebook"), "dim", integer=True) != CLIP_DIM:
+        raise ValueError(f"codebook dimension {payload['dim']} does not match {CLIP_DIM}")
+    centroids = _required(payload, "centroids", "a codebook")
+    seed = None if payload.get("seed") is None else _number(payload["seed"], "seed", integer=True)
     try:
-        return ActionCodebook(np.array(payload["centroids"], dtype=float), seed=payload.get("seed"))
+        codebook = ActionCodebook(np.array(centroids, dtype=float), seed=seed)
     except (TypeError, ValueError) as exc:  # ragged rows, non-numbers, or what ActionCodebook rejects
-        raise ValueError(f"codebook file {path} has malformed 'centroids': {exc}") from exc
+        raise ValueError(f"malformed 'centroids': {exc}") from exc
+    if _number(_required(payload, "k", "a codebook"), "k", integer=True) != codebook.k:
+        raise ValueError(f"k is {payload['k']}, but the file holds {codebook.k} centroids")
+    return codebook

@@ -8,9 +8,8 @@ beside those directories. Exit codes: 0 success, 2 validation error, 3 I/O
 error. Reports are deterministic: the same config and seed produce
 byte-identical report files at a fixed OpenBLAS thread count (wall-clock
 timing is kept on the in-memory report only); the score bits, and so
-report.json, scores.csv and posteriors.csv, change with that count. evaluate,
-sweep and fit-codebook run on a Scene of arrays; simulate writes
-generate_scene's clip objects.
+report.json, scores.csv and posteriors.csv, change with that count. Every
+command runs on a Scene of arrays.
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ from itertools import product
 import numpy as np
 
 from . import bayes_filter
+from ._files import _number, _object, _required, read_json
 from .action_codebook import DEFAULT_K, fit_codebook, load_codebook, save_codebook
 from .motion import box_centers
-from .simulator import generate_scene, load_scenario, save_scenario, save_scene, scene_arrays
-from .skeleton import CLIP_LEN, N_JOINTS
-# localize is bound here, uncalled, because perfbench/tracer.py wraps crossview.cli.localize
+# generate_scene and localize are bound here, uncalled, because perfbench/tracer.py wraps them in crossview.cli
+from .simulator import generate_scene, load_scenario, save_scenario, save_scene, scene_arrays  # noqa: F401
 from .verification import ScoringConfig, localize, score_scene  # noqa: F401
 
 __all__ = [
@@ -129,20 +128,11 @@ def _ranking_metrics(is_wearer, scores):
     curve traced by sorting on match probability; AR is the mean recall over
     all cut positions of that ranking.
     """
-    labels = np.asarray(is_wearer, dtype=bool)
-    scores = np.asarray(scores, dtype=float)
-    if labels.size == 0 or not labels.any():
-        return 0.0, 0.0
-    order = np.argsort(-scores, kind="stable")
-    hits = labels[order].astype(float)
+    hits = np.asarray(is_wearer, dtype=float)[np.argsort(-np.asarray(scores, dtype=float), kind="stable")]
     true_positives = np.cumsum(hits)
-    k = np.arange(1, hits.size + 1)
     positives = hits.sum()
-    precision = true_positives / k
-    recall = true_positives / positives
-    ap = float((precision * hits).sum() / positives)
-    ar = float(recall.mean())
-    return ap, ar
+    precision = true_positives / np.arange(1, hits.size + 1)
+    return float((precision * hits).sum() / positives), float((true_positives / positives).mean())
 
 
 def _scenario(path, seed):
@@ -154,7 +144,7 @@ def _scenario(path, seed):
 def _fit(scene, k, seed, option):
     """Fit the action codebook on the pose clip of every (clip, candidate) pair; errors name the k option."""
     try:
-        return fit_codebook(scene.poses.reshape(-1, CLIP_LEN, N_JOINTS, 3), k=k, seed=seed)
+        return fit_codebook(scene.poses.reshape(-1, *scene.poses.shape[2:]), k=k, seed=seed)
     except ValueError as exc:  # k < 1, or fewer clips or distinct clips than k
         raise ValueError(f"{option} {k}: {exc}") from exc
 
@@ -333,9 +323,9 @@ def _config_from_args(args):
 
 def _cmd_simulate(args):
     scenario = _scenario(args.scenario, args.seed)
-    clips = generate_scene(scenario)
-    save_scene(clips, args.out, scenario)
-    print(f"wrote {len(clips)} clips to {args.out}")
+    scene = scene_arrays(scenario)
+    save_scene(scene, args.out, scenario)
+    print(f"wrote {scene.clip_ids.size} clips to {args.out}")
     return 0
 
 
@@ -380,27 +370,22 @@ REPORT_LINES = {
 }
 
 
+def _report_lines(payload):
+    """The metric lines `report` prints from a report.json payload; n_clips must be an integer."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"this {type(payload).__name__} is not a metrics report")
+    metrics = _object(_required(payload, "metrics", "a report"), "metrics")
+    lines = []
+    for key, (label, spec) in REPORT_LINES.items():
+        if key == "filtered_accuracy" and metrics.get(key) is None:
+            continue
+        value = _number(_required(metrics, key, "metrics"), f"key '{key}'", integer=key == "n_clips")
+        lines.append(f"  {label:<19}{value:{spec}}")
+    return lines
+
+
 def _cmd_report(args):
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise OSError(f"cannot read report {args.report}: {exc}") from exc
-    lines = [f"report: {args.report}"]
-    try:
-        metrics = payload["metrics"]
-        for key, (label, spec) in REPORT_LINES.items():
-            if key == "filtered_accuracy" and metrics.get(key) is None:
-                continue
-            value = metrics[key]
-            if not isinstance(value, (int, float)):
-                raise ValueError(f"report {args.report}: key '{key}' must be a number, got {value!r}")
-            lines.append(f"  {label:<19}{value:{spec}}")
-    except KeyError as exc:
-        raise ValueError(f"report {args.report} lacks the key {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"report {args.report} is not a metrics report: {exc}") from exc
-    print("\n".join(lines))
+    print("\n".join([f"report: {args.report}", *read_json(args.report, "report", _report_lines)]))
     return 0
 
 

@@ -47,6 +47,7 @@ import numpy as np
 
 # se3_compose and body_frame are not called here; perfbench/tracer.py wraps
 # them under these names to count calls, which now read 0
+from ._files import _flags, _known_keys, _list, _number, _numbers, _object, _required, read_json
 from .geometry import relative_motions, se3_compose  # noqa: F401
 from .motion import BoundingBox
 from .skeleton import CLIP_LEN, N_JOINTS, body_frame, body_poses  # noqa: F401
@@ -233,10 +234,6 @@ class ClipObservation:
     candidates: tuple
     ground_truth_wearer: int
 
-    def __post_init__(self):
-        if not self.candidates:
-            raise ValueError("clip must contain at least one candidate")
-
 
 def _quantize(values):
     return np.round(np.asarray(values, dtype=float) / GRID) * GRID
@@ -419,16 +416,21 @@ def generate_scene(scenario: Scenario):
     ]
 
 
+def _filled(count, clips):
+    """A Scene's five per-clip arrays over count clips, copied clip by clip into arrays of the first clip's shapes."""
+    arrays = None
+    for i, values in enumerate(clips):
+        if arrays is None:  # a scenario and a manifest have at least one clip
+            arrays = [np.empty((count,) + value.shape, value.dtype) for value in values]
+        for array, value in zip(arrays, values):
+            array[i] = value
+    return arrays
+
+
 def scene_arrays(scenario: Scenario) -> Scene:
     """generate_scene's clips, bit for bit, as one Scene filled clip by clip: no per-candidate object."""
     ids, wearer, clip_ids, draws = _clip_draws(scenario)
-    arrays = None
-    for i, values in enumerate(draws):
-        if arrays is None:  # preallocated at the first clip's shapes; a scenario has at least one clip
-            arrays = [np.empty((len(clip_ids),) + value.shape, value.dtype) for value in values]
-        for array, value in zip(arrays, values):
-            array[i] = value
-    return Scene(*arrays, ids, clip_ids, wearer)
+    return Scene(*_filled(len(clip_ids), draws), ids, clip_ids, wearer)
 
 
 # ---------------------------------------------------------------------------
@@ -463,61 +465,10 @@ def scenario_to_json(s: Scenario) -> str:
     return json.dumps(_scenario_obj(s), sort_keys=True, indent=2)
 
 
-def _number(value, name, integer=False):
-    """A JSON number, as an int for an integer field; errors name the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if integer and not (isinstance(value, int) or value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value) if integer else value
-
-
-def _numbers(value, name, count, integer=False):
-    """A JSON list of count numbers, as a tuple."""
-    if not isinstance(value, list) or len(value) != count:
-        raise ValueError(f"{name} must be a list of {count} numbers, got {value!r}")
-    return tuple(_number(v, name, integer) for v in value)
-
-
 def _numbers_by_key(value, cls, name):
     """A JSON object of numbers, as the keywords of the dataclass cls."""
     _known_keys(value, [f.name for f in fields(cls)], name)
     return {key: _number(v, f"{name}.{key}") for key, v in value.items()}
-
-
-def _required(obj, key, name):
-    """obj[key], or a ValueError naming the key that name lacks."""
-    if key not in obj:
-        raise ValueError(f"{name} lacks the key '{key}'")
-    return obj[key]
-
-
-def _list(value, name):
-    """A JSON list, as it is; errors name the field."""
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return value
-
-
-def _flags(value, name):
-    """A JSON list of true and false, as it is."""
-    if not all(isinstance(v, bool) for v in _list(value, name)):
-        raise ValueError(f"{name} must be a list of true or false, got {value!r}")
-    return value
-
-
-def _object(value, name):
-    """A JSON object, as it is; errors name the field."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be an object, got {value!r}")
-    return value
-
-
-def _known_keys(obj, keys, name):
-    """Check that obj is a JSON object with no key beyond keys: a misspelt optional key would take its default."""
-    unknown = sorted(set(_object(obj, name)) - set(keys))
-    if unknown:
-        raise ValueError(f"{name} has unknown keys {', '.join(map(repr, unknown))}")
 
 
 def _person(p) -> PersonSpec:
@@ -536,9 +487,10 @@ def _person(p) -> PersonSpec:
 
 def scenario_from_json(text: str) -> Scenario:
     """The Scenario of a scenario_to_json text; a misread field raises a ValueError naming it."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError(f"a scenario must be a JSON object, got {type(obj).__name__}")
+    return _scenario_from_obj(json.loads(text))
+
+
+def _scenario_from_obj(obj) -> Scenario:
     keys = ("schema_version", "seed", "duration", "time_offset", "noise", "persons", "crossings")
     _known_keys(obj, keys, "a scenario")
     version = obj.get("schema_version", SCHEMA_VERSION)
@@ -567,113 +519,102 @@ def save_scenario(s: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read scenario file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"scenario file {path} is not UTF-8 text: {exc}") from exc
-    try:
-        return scenario_from_json(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed scenario file {path}: {exc}") from exc
+    return read_json(path, "scenario file", _scenario_from_obj)
 
 
-def clip_to_obj(clip: ClipObservation) -> dict:
+def clip_to_obj(scene: Scene, i) -> dict:
+    """Clip i of a Scene as a clip file's JSON object, built from its rows' tolist()."""
+    clip_id = int(scene.clip_ids[i])
+    rows = zip(scene.person_ids.tolist(), *(a[i].tolist() for a in (scene.poses, scene.corners, scene.valid)))
     return {
         "schema_version": SCHEMA_VERSION,
-        "clip_id": clip.clip_id,
-        "ground_truth_wearer": clip.ground_truth_wearer,
+        "clip_id": clip_id,
+        "ground_truth_wearer": scene.wearer,
         "ego": {
-            "pose_deltas": clip.ego.pose_deltas.tolist(),
-            "motion": {
-                "deltas": [
-                    {"rotation": rotation.tolist(), "translation": translation.tolist()}
-                    for rotation, translation in clip.ego.motion_deltas
-                ],
-            },
+            "pose_deltas": scene.pose_deltas[i].tolist(),
+            "motion": {"deltas": [{"rotation": r, "translation": t} for r, t in scene.motion_deltas[i].tolist()]},
         },
         "candidates": [
-            {
-                "person_id": c.person_id,
-                "frames": list(range(clip.clip_id, clip.clip_id + CLIP_LEN)),
-                "poses": c.poses.tolist(),
-                "boxes": [list(b.corners()) for b in c.boxes],
-                "valid": list(c.valid),
-            }
-            for c in clip.candidates
+            {"person_id": pid, "frames": list(range(clip_id, clip_id + CLIP_LEN)), "poses": p, "boxes": b, "valid": v}
+            for pid, p, b, v in rows
         ],
     }
 
 
-def clip_from_obj(obj) -> ClipObservation:
-    """Inverse of clip_to_obj; other keys, such as an older file's ego start pose, are ignored.
+def clip_from_obj(obj) -> Scene:
+    """The one-clip Scene of a clip_to_obj object; other keys, such as an older file's ego start pose, are ignored.
 
-    Each candidate's frames must be clip_id ... clip_id + 7. A missing key or
-    a misread field (a fractional id, a box of other than 4 numbers, a valid
-    flag other than true or false, a candidate or ego part that is not an
-    object) raises ValueError naming it.
+    Each candidate's frames must be clip_id ... clip_id + 7. A missing key, a misread field (a fractional id, a
+    box of other than 4 numbers, valid flags other than 8 of true or false, a candidate or ego part that is not
+    an object) or a wearer who is not a candidate raises ValueError naming it.
     """
     try:
         clip_id = _number(_object(obj, "a clip file")["clip_id"], "clip_id", integer=True)
         frames = list(range(clip_id, clip_id + CLIP_LEN))
-        for c in _list(obj["candidates"], "candidates"):
+        candidates = _list(obj["candidates"], "candidates")
+        for c in candidates:
             if _object(c, "a candidate")["frames"] != frames:
                 raise ValueError(f"candidate {c['person_id']} frames must be {frames}, got {c['frames']}")
-        ego_obj = _object(obj["ego"], "ego")
-        ego = EgoObservation(
-            ego_obj["pose_deltas"],
-            [
-                (_object(d, "a motion delta")["rotation"], d["translation"])
-                for d in _list(_object(ego_obj["motion"], "ego.motion")["deltas"], "ego.motion.deltas")
-            ],
+        ego = _object(obj["ego"], "ego")
+        deltas = _list(_object(ego["motion"], "ego.motion")["deltas"], "ego.motion.deltas")
+        return Scene(
+            poses=[[c["poses"] for c in candidates]],
+            corners=[[[_numbers(b, "boxes", 4) for b in _list(c["boxes"], "boxes")] for c in candidates]],
+            valid=[[_flags(c["valid"], "valid", CLIP_LEN) for c in candidates]],
+            pose_deltas=[ego["pose_deltas"]],
+            motion_deltas=[[(_object(d, "a motion delta")["rotation"], d["translation"]) for d in deltas]],
+            person_ids=[_number(c["person_id"], "person_id", integer=True) for c in candidates],
+            clip_ids=[clip_id],
+            wearer=_number(obj["ground_truth_wearer"], "ground_truth_wearer", integer=True),
         )
-        candidates = tuple(
-            CandidateObservation(
-                _number(c["person_id"], "person_id", integer=True),
-                c["poses"],
-                [BoundingBox(*_numbers(b, "boxes", 4)) for b in _list(c["boxes"], "boxes")],
-                _flags(c["valid"], "valid"),
-            )
-            for c in obj["candidates"]
-        )
-        wearer = _number(obj["ground_truth_wearer"], "ground_truth_wearer", integer=True)
-        return ClipObservation(clip_id, ego, candidates, wearer)
     except KeyError as exc:
         raise ValueError(f"clip file lacks the key {exc}") from exc
 
 
-def save_scene(clips, directory, scenario: Scenario | None = None) -> None:
-    """Write one JSON file per clip plus a manifest with seed and config hash."""
+def save_scene(scene: Scene, directory, scenario: Scenario | None = None) -> None:
+    """Write one JSON file per clip of a Scene plus a manifest with seed and config hash."""
     os.makedirs(directory, exist_ok=True)
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "clip_count": len(clips),
-        "clip_ids": [c.clip_id for c in clips],
-    }
+    clip_ids = scene.clip_ids.tolist()
+    manifest = {"schema_version": SCHEMA_VERSION, "clip_count": len(clip_ids), "clip_ids": clip_ids}
     if scenario is not None:
-        canonical = scenario_to_json(scenario)
-        manifest["seed"] = scenario.seed
-        manifest["config_hash"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    for clip in clips:
-        path = os.path.join(directory, f"clip_{clip.clip_id:05d}.json")
-        with open(path, "w", encoding="utf-8") as fh:
+        manifest.update(seed=scenario.seed, config_hash=hashlib.sha256(scenario_to_json(scenario).encode()).hexdigest())
+    for i, clip_id in enumerate(clip_ids):
+        with open(os.path.join(directory, f"clip_{clip_id:05d}.json"), "w", encoding="utf-8") as fh:
             # json.dumps takes the C encoder, json.dump the pure-Python one
-            fh.write(json.dumps(clip_to_obj(clip)))
+            fh.write(json.dumps(clip_to_obj(scene, i)))
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
 
 
-def load_scene(directory):
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    clips = []
-    for clip_id in manifest["clip_ids"]:
-        path = os.path.join(directory, f"clip_{clip_id:05d}.json")
-        with open(path, "r", encoding="utf-8") as fh:
-            clips.append(clip_from_obj(json.load(fh)))
-    return clips
+def _manifest_clip_ids(manifest):
+    clip_ids = _list(_required(_object(manifest, "a scene manifest"), "clip_ids", "a scene manifest"), "clip_ids")
+    if not clip_ids:
+        raise ValueError("clip_ids must list at least one clip")
+    return [_number(clip_id, "clip_ids", integer=True) for clip_id in clip_ids]
+
+
+def load_scene(directory) -> Scene:
+    """The Scene of a save_scene directory, filled clip file by clip file. A clip file must hold the clip id
+    the manifest lists for it and the first clip's person ids and wearer, or a ValueError names both files."""
+    clip_ids = read_json(os.path.join(directory, "manifest.json"), "scene manifest", _manifest_clip_ids)
+    first = []  # the first clip file's path and (person ids, wearer)
+
+    def clips():
+        for clip_id in clip_ids:
+            path = os.path.join(directory, f"clip_{clip_id:05d}.json")
+            clip = read_json(path, "clip file", clip_from_obj)
+            ids = (clip.person_ids.tolist(), clip.wearer)
+            first[:] = first or [path, ids]
+            if (clip.clip_ids[0], ids) != (clip_id, first[1]):
+                raise ValueError(
+                    f"clip file {path} holds clip_id {clip.clip_ids[0]} and (person ids, wearer) {ids}, but the "
+                    f"manifest lists clip_id {clip_id} and clip file {first[0]} holds {first[1]}"
+                )
+            yield clip.poses[0], clip.corners[0], clip.valid[0], clip.pose_deltas[0], clip.motion_deltas[0]
+
+    arrays = _filled(len(clip_ids), clips())
+    ids, wearer = first[1]
+    return Scene(*arrays, ids, clip_ids, wearer)
 
 
 # ---------------------------------------------------------------------------
@@ -749,10 +690,11 @@ def group_scenario(n_persons=6, *, duration=96, seed=0, noise=None, same_gait=Fa
     Lanes sit 0.2 apart (inside the filter's default position-gate scale),
     everyone walks at the wearer's speed, and the wearer is occluded in
     5-frame bursts every 9 frames against a rotating partner, so almost every
-    clip is corrupted. Per-clip accuracy collapses here and the identity
-    filter gets little score evidence to hold on to; this preset reproduces
-    that regime rather than patching it. Bursts are spaced so nobody is
-    occluded for 8 consecutive frames (a fully occluded clip is unscorable).
+    clip is corrupted. With 8 people, 400 frames and k=400, raw accuracy is
+    0.010-0.015 against a chance of 0.125, and the filter's 0.997 comes from
+    the occlusion schedule (0.008 with the occlusion mask all False; see
+    README). Nobody is occluded for 8 consecutive frames (a fully occluded
+    clip is unscorable).
     """
     if n_persons < 2:
         raise ValueError("group scenario needs at least 2 people")

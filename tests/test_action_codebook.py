@@ -1,6 +1,7 @@
 """Codebook tests: Lloyd fitting against exhaustive oracles, labels, cross-entropies."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -461,8 +462,43 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_codebook(path)
 
+    @pytest.mark.parametrize(
+        "change, text",
+        [
+            ({"k": 3}, "k is 3, but the file holds 2 centroids"),
+            ({"seed": [1]}, "seed must be a number, got \\[1\\]"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"dim": 10}, "codebook dimension 10 does not match 456"),
+            ({"dim": None}, "dim must be a number, got None"),
+        ],
+        ids=["k_not_the_centroid_count", "list_seed", "fractional_seed", "other_dim", "null_dim"],
+    )
+    def test_misread_field_rejected_naming_file_and_field(self, tmp_path, change, text):
+        path = tmp_path / "codebook.json"
+        save_codebook(ActionCodebook(np.stack([np.zeros(CLIP_DIM), np.ones(CLIP_DIM)]), seed=4), path)
+        payload = json.loads(path.read_text())
+        payload.update(change)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=text) as info:
+            load_codebook(path)
+        assert str(path) in str(info.value)
+
+    def test_null_seed_loads(self, tmp_path):
+        path = tmp_path / "codebook.json"
+        save_codebook(ActionCodebook(np.ones((1, CLIP_DIM))), path)
+        assert load_codebook(path).seed is None
+
 
 class TestCodebookType:
+    def test_distances_reject_a_vector_of_another_length(self):
+        with pytest.raises(ValueError, match="clip vector must have 456 components"):
+            ActionCodebook(np.ones((1, CLIP_DIM))).distances(np.zeros(3))
+
+    def test_agreement_rejects_scores_of_another_length(self):
+        codebook = ActionCodebook(np.stack([np.zeros(CLIP_DIM), np.ones(CLIP_DIM)]))
+        with pytest.raises(ValueError, match="ego_label_scores must have 2 entries"):
+            action_agreement(np.full(3, 1.0 / 3.0), np.array([0.5, 0.5]), codebook)
+
     def test_rows_that_differ_only_in_the_sign_of_zero_are_not_distinct(self):
         row = RNG.normal(size=CLIP_DIM)
         row[[3, 7]] = 0.0

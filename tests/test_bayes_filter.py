@@ -207,11 +207,26 @@ class TestReferenceRecursion:
                 assert state.weights[0] > 0.9
 
 
+class TestUpdateArguments:
+    def test_occluded_mask_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="occluded mask"):
+            update(make_state([0.5, 0.5]), [0.5, 0.5], np.zeros((2, 2)), occluded=[False, False, True])
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.5])
+    def test_beta_out_of_range_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be in"):
+            update(make_state([0.5, 0.5]), [0.5, 0.5], np.zeros((2, 2)), beta=beta)
+
+
 class TestInit:
     def test_uniform_start(self):
         state = init_filter([4, 5], [[0.0, 0.0], [1.0, 1.0]])
         np.testing.assert_array_equal(state.weights, [0.5, 0.5])
         np.testing.assert_array_equal(state.velocities, np.zeros((2, 2)))
+
+    def test_no_candidate_rejected(self):
+        with pytest.raises(ValueError, match="at least one candidate"):
+            init_filter([], np.zeros((0, 2)))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):

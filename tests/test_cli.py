@@ -23,7 +23,7 @@ from crossview.cli import (
     run_evaluation,
     run_sweep,
 )
-from crossview.simulator import save_scenario
+from crossview.simulator import load_scene, save_scenario
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "metrics.json").read_text())
 
@@ -193,6 +193,14 @@ class TestRunEvaluation:
         bad = RunConfig(scenario=str(path), out_dir=str(tmp_path / "o"), codebook_k=0)
         with pytest.raises(ConfigError, match="codebook_k"):
             run_evaluation(bad)
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [({"scenario": ""}, "scenario"), ({"out_dir": ""}, "out_dir"), ({"beta": 1.5}, "beta"), ({"seed": -1}, "seed")],
+    )
+    def test_config_validation_names_every_field(self, change, field):
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            replace(RunConfig(scenario="scenario.json", out_dir="out"), **change).validate()
 
     def test_missing_scenario_raises_oserror(self, tmp_path):
         config = RunConfig(scenario=str(tmp_path / "nope.json"), out_dir=str(tmp_path / "o"))
@@ -502,6 +510,25 @@ class TestCommandLine:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["clip_count"] == 9
 
+    @pytest.mark.parametrize(
+        "change, text",
+        [
+            ({"accuracy": True}, "key 'accuracy' must be a number, got True"),
+            ({"n_clips": 2.5}, "key 'n_clips' must be an integer, got 2.5"),
+            ({"average_recall": None}, "key 'average_recall' must be a number, got None"),
+            (None, "metrics must be an object, got None"),
+        ],
+        ids=["bool_accuracy", "fractional_n_clips", "null_recall", "null_metrics"],
+    )
+    def test_report_misread_metric_exit_two_naming_file_and_key(self, tmp_path, capsys, change, text):
+        metrics = {"n_clips": 3, "accuracy": 0.5, "average_precision": 0.5, "average_recall": 0.5}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"metrics": None if change is None else {**metrics, **change}}))
+        assert main(["report", "--report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert text in captured.err and str(path) in captured.err
+        assert captured.out == ""
+
     def test_fit_codebook_and_reuse(self, tmp_path, capsys):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))
         cb_path = tmp_path / "cb.json"
@@ -640,3 +667,56 @@ class TestCommandLine:
         )
         assert code == 0
         assert (tmp_path / "sw" / "sweep.csv").exists()
+
+
+# per reader: the file it reads, the command that reads it (None: load_scene is
+# called), and a JSON object lacking the first key the reader requires
+READERS = {
+    "scenario": ("scenario.json", ["evaluate", "--scenario", "{file}", "--codebook-k", "8"], {}, "seed"),
+    "codebook": (
+        "codebook.json",
+        ["evaluate", "--scenario", "{scenario}", "--codebook", "{file}"],
+        {"kind": "action_codebook"},
+        "dim",
+    ),
+    "scene_manifest": ("scene/manifest.json", None, {}, "clip_ids"),
+    "clip_file": ("scene/clip_00002.json", None, {}, "clip_id"),
+    "report": ("report.json", ["report", "--report", "{file}"], {}, "metrics"),
+}
+BAD_FILES = {
+    "missing": None,
+    "not_utf8": b"\xff\xfe{}",  # a UTF-16 byte-order mark
+    "not_json": b"{not json",
+    "json_list": b"[1]",
+}
+
+
+class TestReadersNameTheFile:
+    """Every JSON file the package reads fails the same way: OSError (exit 3) or ValueError (exit 2), naming it."""
+
+    @pytest.mark.parametrize("bad", [*BAD_FILES, "lacks_a_key"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_bad_file_named_without_traceback(self, tmp_path, capsys, reader, bad):
+        name, argv, lacking, key = READERS[reader]
+        scenario = write_scenario(tmp_path, cv.two_person_scenario(duration=16, seed=0), name="valid_scenario.json")
+        # the scene directory as simulate writes it, with the file under test replaced
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "scene")]) == 0
+        path = tmp_path / name
+        path.unlink(missing_ok=True)
+        content = BAD_FILES.get(bad, json.dumps(lacking).encode("utf-8"))
+        if content is not None:
+            path.write_bytes(content)
+        want = OSError if content is None else ValueError
+        if argv is None:
+            with pytest.raises(want) as info:
+                load_scene(tmp_path / "scene")
+            assert type(info.value) is want
+            message = str(info.value)
+        else:
+            argv = [a.format(file=path, scenario=scenario) for a in argv]
+            code = main(argv + ([] if argv[0] == "report" else ["--out", str(tmp_path / "out")]))
+            assert code == (3 if want is OSError else 2)
+            message = capsys.readouterr().err
+        assert str(path) in message and "Traceback" not in message
+        if bad == "lacks_a_key":
+            assert f"lacks the key '{key}'" in message

@@ -55,6 +55,19 @@ RNG = np.random.default_rng(77)
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "metrics.json").read_text())
 
 
+def clip_objs(scene):
+    """Every clip of a Scene as its clip file's JSON object."""
+    return [clip_to_obj(scene, i) for i in range(scene.clip_ids.size)]
+
+
+def assert_same_scene(got, want):
+    """Equal Scenes, array for array and bit for bit (-0.0 and 0.0 differ)."""
+    assert got.wearer == want.wearer
+    for name in ("poses", "corners", "valid", "pose_deltas", "motion_deltas", "person_ids", "clip_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
 def single_person_scenario(speed=0.0, duration=16, seed=0, noise=None):
     spec = PersonSpec(0, ((1.0, 2.0), (5.0, 2.0)), speed, GaitParams(), is_wearer=True)
     return Scenario(seed, duration, (spec,), noise or NoiseParams())
@@ -267,9 +280,9 @@ class TestGenerateScene:
     def test_same_seed_reproduces_scene_exactly(self):
         noise = NoiseParams(sigma_pose=0.03, sigma_odo_trans=0.01, sigma_odo_rot=0.02, sigma_bbox=0.01)
         scenario = cv.three_person_scenario(crossing=True, duration=24, seed=11, noise=noise)
-        a = generate_scene(scenario)
-        b = generate_scene(scenario)
-        assert [clip_to_obj(x) for x in a] == [clip_to_obj(y) for y in b]
+        a = scene_arrays(scenario)
+        b = scene_arrays(scenario)
+        assert clip_objs(a) == clip_objs(b)
 
     def test_noise_stream_matches_golden(self):
         # every noise kind is on, so dropping or reordering any draw moves
@@ -305,19 +318,22 @@ class TestGenerateScene:
         scenario = cv.three_person_scenario(
             crossing=True, duration=60, seed=11, noise=NoiseParams(**noise), time_offset=time_offset
         )
-        clips = generate_scene(scenario)
-        assert any(not all(c.valid) for clip in clips for c in clip.candidates)
-        text = "\n".join(json.dumps(clip_to_obj(clip)) for clip in clips)
+        scene = scene_arrays(scenario)
+        assert not scene.valid.all()
+        text = "\n".join(json.dumps(obj) for obj in clip_objs(scene))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
-        save_scene(clips, tmp_path)
-        written = "\n".join((tmp_path / f"clip_{clip.clip_id:05d}.json").read_text("utf-8") for clip in clips)
+        save_scene(scene, tmp_path)
+        paths = [tmp_path / f"clip_{clip_id:05d}.json" for clip_id in scene.clip_ids.tolist()]
+        written = "\n".join(path.read_text("utf-8") for path in paths)
         assert hashlib.sha256(written.encode("utf-8")).hexdigest() == want
+        # and the directory loads back to the same Scene, bit for bit
+        assert_same_scene(load_scene(tmp_path), scene)
 
     def test_different_seeds_differ(self):
         noise = NoiseParams(sigma_pose=0.03)
-        a = generate_scene(cv.two_person_scenario(duration=16, seed=0, noise=noise))
-        b = generate_scene(cv.two_person_scenario(duration=16, seed=1, noise=noise))
-        assert clip_to_obj(a[0]) != clip_to_obj(b[0])
+        a = scene_arrays(cv.two_person_scenario(duration=16, seed=0, noise=noise))
+        b = scene_arrays(cv.two_person_scenario(duration=16, seed=1, noise=noise))
+        assert clip_to_obj(a, 0) != clip_to_obj(b, 0)
 
 
 NOISE = NoiseParams(sigma_pose=0.02, sigma_odo_trans=0.01, sigma_odo_rot=0.01, sigma_bbox=0.01)
@@ -387,6 +403,7 @@ class TestSceneArrays:
             ("corners", lambda s: np.where(True, np.nan, s.corners), "corners"),
             ("corners", lambda s: s.corners[..., [2, 1, 0, 3]], "corners"),
             ("valid", lambda s: s.valid[0], "valid"),
+            ("valid", lambda s: s.valid[:, :0], r"valid must be a \(C, N, 8\) array, C, N >= 1"),
             ("pose_deltas", lambda s: s.pose_deltas[:-1], "pose_deltas"),
             ("motion_deltas", lambda s: np.full(s.motion_deltas.shape, np.inf), "motion_deltas"),
             ("person_ids", lambda s: [0, 0], "person_ids"),
@@ -403,6 +420,38 @@ class TestSceneArrays:
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize(
+        "waypoints, speed, text",
+        [((), 0.0, "waypoints must contain at least one point"), (((0.0, 0.0), (0.0, 0.0)), 0.1, "waypoints")],
+        ids=["empty", "repeated"],
+    )
+    def test_person_rejects_waypoints_naming_them(self, waypoints, speed, text):
+        with pytest.raises(ValueError, match=text):
+            PersonSpec(0, waypoints, speed, is_wearer=True)
+
+    def test_rejects_no_person(self):
+        with pytest.raises(ValueError, match="at least one person"):
+            Scenario(0, 16, ())
+
+    def test_rejects_time_offset_beyond_the_clip_window(self):
+        p0 = PersonSpec(0, ((0.0, 0.0),), 0.0, is_wearer=True)
+        with pytest.raises(ValueError, match="time_offset"):
+            Scenario(0, 16, (p0,), time_offset=9)
+
+    def test_person_occluded_for_the_whole_scenario_rejected(self):
+        scenario = replace(cv.two_person_scenario(duration=16), crossings=(Crossing(0, 1, 0, 16),))
+        with pytest.raises(ValueError, match="occluded for the entire scenario"):
+            scene_arrays(scenario)
+
+    def test_group_needs_two_people(self):
+        with pytest.raises(ValueError, match="at least 2 people"):
+            cv.group_scenario(1)
+
+    def test_same_gait_gives_every_person_the_wearer_gait(self):
+        for build in (cv.two_person_scenario, cv.three_person_scenario):
+            assert {p.gait for p in build(same_gait=True).persons} == {build().persons[0].gait}
+            assert len({p.gait for p in build().persons}) == len(build().persons)
+
     def test_requires_exactly_one_wearer(self):
         p0 = PersonSpec(0, ((0.0, 0.0),), 0.0)
         p1 = PersonSpec(1, ((1.0, 0.0),), 0.0)
@@ -574,35 +623,33 @@ class TestSerialization:
     def test_clip_round_trip_is_exact(self):
         noise = NoiseParams(sigma_pose=0.02, sigma_odo_trans=0.01, sigma_odo_rot=0.01, sigma_bbox=0.01)
         scenario = cv.two_person_scenario(crossing=True, duration=80, seed=6, noise=noise)
-        clip = generate_scene(scenario)[70]  # overlaps the occlusion window
-        restored = clip_from_obj(json.loads(json.dumps(clip_to_obj(clip))))
-        assert clip_to_obj(restored) == clip_to_obj(clip)
-        assert any(not v for v in restored.candidates[0].valid)
+        obj = clip_to_obj(scene_arrays(scenario), 70)  # overlaps the occlusion window
+        restored = clip_from_obj(json.loads(json.dumps(obj)))
+        assert clip_to_obj(restored, 0) == obj
+        assert not restored.valid[0, 0].all()
 
     def test_clip_with_ego_start_pose_and_transform_still_loads(self):
         # clip files once also stored ego.handoff_pose and ego.motion.t_init
         noise = NoiseParams(sigma_pose=0.02, sigma_odo_trans=0.01, sigma_odo_rot=0.01, sigma_bbox=0.01)
-        clip = generate_scene(cv.two_person_scenario(duration=16, seed=6, noise=noise))[3]
-        obj = json.loads(json.dumps(clip_to_obj(clip)))
+        scene = scene_arrays(cv.two_person_scenario(duration=16, seed=6, noise=noise))
+        obj = json.loads(json.dumps(clip_to_obj(scene, 3)))
         older = json.loads(json.dumps(obj))
-        older["ego"]["handoff_pose"] = clip.candidates[0].poses[0].tolist()
+        older["ego"]["handoff_pose"] = scene.poses[3, 0, 0].tolist()
         older["ego"]["motion"]["t_init"] = {"quaternion": [1.0, 0.0, 0.0, 0.0], "translation": [0.0, 0.0, 0.0]}
-        assert clip_to_obj(clip_from_obj(older)) == obj == clip_to_obj(clip)
+        assert clip_to_obj(clip_from_obj(older), 0) == obj == clip_to_obj(scene, 3)
         assert set(obj["ego"]) == {"pose_deltas", "motion"}
         assert set(obj["ego"]["motion"]) == {"deltas"}
 
     @pytest.mark.parametrize("rotation", [[1.0, 2.0], ["x", 0.0, 0.0]])
     def test_malformed_ego_increment_named(self, rotation):
-        clip = generate_scene(cv.two_person_scenario(duration=16, seed=6))[0]
-        obj = json.loads(json.dumps(clip_to_obj(clip)))
+        obj = json.loads(json.dumps(clip_to_obj(scene_arrays(cv.two_person_scenario(duration=16, seed=6)), 0)))
         obj["ego"]["motion"]["deltas"][2]["rotation"] = rotation
         with pytest.raises(ValueError, match="motion_deltas must be a numeric array of shape"):
             clip_from_obj(obj)
 
     @pytest.mark.parametrize("frames", [list(range(3, 11)), [2, 3, 4, 5, 5, 7, 8, 9], list(range(2, 9))])
     def test_mismatched_frames_rejected_naming_field(self, frames):
-        clip = generate_scene(cv.two_person_scenario(duration=16, seed=6))[2]
-        obj = json.loads(json.dumps(clip_to_obj(clip)))
+        obj = json.loads(json.dumps(clip_to_obj(scene_arrays(cv.two_person_scenario(duration=16, seed=6)), 2)))
         assert obj["candidates"][1]["frames"] == list(range(2, 10))
         obj["candidates"][1]["frames"] = frames
         with pytest.raises(ValueError, match=r"candidate 1 frames must be \[2, 3, 4, 5, 6, 7, 8, 9\]"):
@@ -620,7 +667,7 @@ class TestSerialization:
         ids=["fractional_clip_id", "fractional_person_id", "fractional_wearer", "string_valid", "three_number_box"],
     )
     def test_misread_field_rejected_naming_it(self, misread, text):
-        obj = clip_to_obj(generate_scene(cv.two_person_scenario(duration=16, seed=6))[2])
+        obj = clip_to_obj(scene_arrays(cv.two_person_scenario(duration=16, seed=6)), 2)
         misread(obj)
         with pytest.raises(ValueError, match=text):
             clip_from_obj(obj)
@@ -638,13 +685,13 @@ class TestSerialization:
     )
     def test_missing_key_rejected_naming_it(self, tmp_path, part, key):
         scenario = cv.two_person_scenario(duration=16, seed=6)
-        clips = generate_scene(scenario)
-        obj = json.loads(json.dumps(clip_to_obj(clips[2])))
+        scene = scene_arrays(scenario)
+        obj = json.loads(json.dumps(clip_to_obj(scene, 2)))
         del (obj["candidates"][1] if part == "candidate" else obj["ego"])[key]
         with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
             clip_from_obj(obj)
         # load_scene reads every clip file through clip_from_obj
-        save_scene(clips, tmp_path / "scene", scenario)
+        save_scene(scene, tmp_path / "scene", scenario)
         (tmp_path / "scene" / "clip_00002.json").write_text(json.dumps(obj))
         with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
             load_scene(tmp_path / "scene")
@@ -660,26 +707,61 @@ class TestSerialization:
     )
     def test_non_object_field_rejected_naming_it(self, tmp_path, misread, text):
         scenario = cv.two_person_scenario(duration=16, seed=6)
-        clips = generate_scene(scenario)
-        obj = json.loads(json.dumps(clip_to_obj(clips[2])))
+        scene = scene_arrays(scenario)
+        obj = json.loads(json.dumps(clip_to_obj(scene, 2)))
         misread(obj)
         with pytest.raises(ValueError, match=text):
             clip_from_obj(obj)
-        save_scene(clips, tmp_path / "scene", scenario)
+        save_scene(scene, tmp_path / "scene", scenario)
         (tmp_path / "scene" / "clip_00002.json").write_text(json.dumps(obj))
         with pytest.raises(ValueError, match=text):
             load_scene(tmp_path / "scene")
 
     def test_scene_directory_round_trip(self, tmp_path):
         scenario = cv.two_person_scenario(duration=16, seed=8)
-        clips = generate_scene(scenario)
-        save_scene(clips, tmp_path / "scene", scenario)
+        scene = scene_arrays(scenario)
+        save_scene(scene, tmp_path / "scene", scenario)
         restored = load_scene(tmp_path / "scene")
-        assert [clip_to_obj(c) for c in restored] == [clip_to_obj(c) for c in clips]
+        assert clip_objs(restored) == clip_objs(scene)
         manifest = json.loads((tmp_path / "scene" / "manifest.json").read_text())
-        assert manifest["clip_count"] == len(clips)
+        assert manifest["clip_count"] == scene.clip_ids.size
         assert manifest["seed"] == 8
         assert len(manifest["config_hash"]) == 64
+
+    def test_group_scene_directory_loads_bit_for_bit(self, tmp_path):
+        scene = scene_arrays(cv.group_scenario(8, duration=120, seed=7, noise=NOISE))
+        save_scene(scene, tmp_path)
+        assert_same_scene(load_scene(tmp_path), scene)
+
+    @pytest.mark.parametrize(
+        "change, text",
+        [
+            (lambda obj: obj["candidates"][1].update(person_id=5), r"\(\[0, 5\], 0\), but the manifest"),
+            (lambda obj: obj.update(ground_truth_wearer=1), r"\(\[0, 1\], 1\), but the manifest lists clip_id 2"),
+            (lambda obj: obj.update(ground_truth_wearer=7), "person_ids must be distinct and hold the wearer 7"),
+            (lambda obj: obj.update(clip_id=3), "holds clip_id 3 and .* manifest lists clip_id 2"),
+        ],
+        ids=["other_candidates", "other_wearer", "wearer_not_a_candidate", "other_clip_id"],
+    )
+    def test_clip_unlike_the_first_rejected_naming_both_files(self, tmp_path, change, text):
+        scene = scene_arrays(cv.two_person_scenario(duration=16, seed=6))
+        save_scene(scene, tmp_path)
+        obj = clip_to_obj(scene, 2)
+        change(obj)
+        obj["candidates"] = [dict(c, frames=list(range(obj["clip_id"], obj["clip_id"] + 8))) for c in obj["candidates"]]
+        path = tmp_path / "clip_00002.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=text) as info:
+            load_scene(tmp_path)
+        assert str(path) in str(info.value)
+        if "manifest" in text:
+            assert str(tmp_path / "clip_00000.json") in str(info.value)
+
+    def test_manifest_listing_no_clip_rejected(self, tmp_path):
+        save_scene(scene_arrays(cv.two_person_scenario(duration=16, seed=6)), tmp_path)
+        (tmp_path / "manifest.json").write_text(json.dumps({"clip_ids": []}))
+        with pytest.raises(ValueError, match="clip_ids must list at least one clip"):
+            load_scene(tmp_path)
 
 
 class TestPathWalking:

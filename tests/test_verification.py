@@ -144,6 +144,10 @@ class TestCandidateObservation:
         with pytest.raises(ValueError, match="poses must be finite"):
             CandidateObservation(0, poses, self.boxes())
 
+    def test_boxes_that_are_not_bounding_boxes_rejected(self):
+        with pytest.raises(ValueError, match="boxes entries must be BoundingBox"):
+            CandidateObservation(0, np.zeros((8, 19, 3)), [(0.0, 0.0, 1.0, 1.0)] * 8)
+
 
 class TestVerifyPair:
     def test_self_match_is_exactly_zero(self):
