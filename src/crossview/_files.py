@@ -36,6 +36,13 @@ def _numbers(value, name, count, integer=False):
     return tuple(_number(v, name, integer) for v in value)
 
 
+def _schema_version(obj, version):
+    """Check that a JSON object's schema_version, where it is present, is version."""
+    found = obj.get("schema_version", version)
+    if found != version:
+        raise ValueError(f"schema_version must be {version}, got {found!r}")
+
+
 def _required(obj, key, name):
     """obj[key], or a ValueError naming the key that name lacks."""
     if key not in obj:

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from ._files import _number, _required, read_json
+from ._files import _number, _required, _schema_version, read_json
 from .skeleton import CLIP_LEN, N_JOINTS, pose_clip_vector
 
 __all__ = [
@@ -86,43 +86,55 @@ class ActionCodebook:
 def _distinct_count(x):
     # the number of distinct rows of a finite (m, d) array, by an exact
     # bytes-set count; adding 0.0 turns -0.0 into 0.0, so rows equal as
-    # numbers have equal bytes
-    return len({row.tobytes() for row in x + 0.0})
+    # numbers have equal bytes. Row by row, so the corpus is not copied.
+    return len({(row + 0.0).tobytes() for row in x})
 
 
 def _sq_norms(x):
     return (x * x).sum(axis=-1)
 
 
-def _pairwise_sq_distances(a, a_sq, b, b_sq):
+def _pairwise_sq_distances(a, a_sq, b, b_sq, out=None, sums=None):
     # |a|^2 + |b|^2 - 2 a.b from the rows' squared norms a_sq = _sq_norms(a)
     # and b_sq = _sq_norms(b), which the caller computes once per array;
     # clipped against tiny negatives from cancellation. Fitted codebooks and
     # decisions depend on these bits: keep the expression, its operand order
     # and the a @ b.T product shape. a may be a stack of (m, d) arrays, each
-    # multiplied on its own.
-    return np.maximum(a_sq[..., None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0)
+    # multiplied on its own. The result is written to out and the norm sums
+    # to sums, two arrays of the result's shape that are allocated when not
+    # given; out must be C-contiguous, so that the product is written in
+    # place with the bits of a fresh one.
+    shape = a.shape[:-1] + b.shape[:1]
+    out = np.empty(shape) if out is None else out
+    sums = np.empty(shape) if sums is None else sums
+    np.add(a_sq[..., None], b_sq[None, :], out=sums)
+    np.matmul(a, b.T, out=out)
+    out *= 2.0
+    np.subtract(sums, out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _seed_centroids(vectors, sq, k, rng):
     # Distance-weighted seeding: each new seed is drawn with probability
     # proportional to squared distance from the already chosen set. Each draw
     # depends on the previous minimum, so the loop stays sequential; with the
-    # rows' squared norms sq given, a step costs one product.
+    # rows' squared norms sq given, a step costs one product, a gemv written
+    # into the same (n, 1) column each step, and d2 is lowered in place.
     n = vectors.shape[0]
+    column, sums = np.empty((2, n, 1))
 
     def distances_to(idx):
-        return _pairwise_sq_distances(vectors, sq, vectors[idx][None, :], sq[idx : idx + 1])[:, 0]
+        return _pairwise_sq_distances(vectors, sq, vectors[idx][None, :], sq[idx : idx + 1], column, sums)[:, 0]
 
     chosen = [int(rng.integers(n))]
-    d2 = distances_to(chosen[-1])
+    d2 = distances_to(chosen[-1]).copy()
     for _ in range(1, k):
         total = float(d2.sum())
         # every weight can still round to 0 on near-duplicate rows, though
         # fit_codebook has checked that k distinct rows exist
         idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
         chosen.append(idx)
-        d2 = np.minimum(d2, distances_to(idx))
+        np.minimum(d2, distances_to(idx), out=d2)
     return vectors[chosen].copy()
 
 
@@ -154,20 +166,38 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
     if distinct < k:
         raise ValueError(f"need at least {k} distinct clips to fit {k} clusters, got {distinct}")
     sq = _sq_norms(vectors)
-    rng = np.random.default_rng(seed)
-    centroids = _seed_centroids(vectors, sq, k, rng)
+    centroids, history = _lloyd(vectors, sq, _seed_centroids(vectors, sq, k, np.random.default_rng(seed)), max_iters)
+    return ActionCodebook(centroids, seed=seed, sse_history=history)
 
-    n = vectors.shape[0]
+
+def _lloyd(vectors, sq, centroids, max_iters):
+    # Lloyd passes from the seeded centroids, which are updated in place;
+    # returns them and the SSE history. Every pass runs in two buffers
+    # allocated once per fit and freed on return, before the codebook copies
+    # the centroids: d2 for the (n, k) distances, and a spare of
+    # n * max(k, CLIP_DIM) floats that holds first the norm sums and then the
+    # SSE differences, each as a C-contiguous view of its start, so that the
+    # SSE sums with the bits of a fresh array.
+    n, k = vectors.shape[0], centroids.shape[0]
+    d2 = np.empty((n, k))
+    spare = np.empty(n * max(k, CLIP_DIM))
+    sums = spare[: n * k].reshape(n, k)
+    diff = spare[: n * CLIP_DIM].reshape(n, CLIP_DIM)
     history = []
     previous = None
     reseeded = False
     for _ in range(max_iters):
         # the corpus norms are fixed; only the centroids move between passes
-        d2 = _pairwise_sq_distances(vectors, sq, centroids, _sq_norms(centroids))
+        _pairwise_sq_distances(vectors, sq, centroids, _sq_norms(centroids), d2, sums)
         labels = np.argmin(d2, axis=1)
         # SSE from explicit differences; the norm-expansion shortcut used for
-        # the argmin loses absolute accuracy through cancellation
-        history.append(float(((vectors - centroids[labels]) ** 2).sum()))
+        # the argmin loses absolute accuracy through cancellation. take's
+        # default mode="raise" would buffer out; labels are in range, so
+        # "clip" gathers the same rows straight into diff.
+        np.take(centroids, labels, axis=0, mode="clip", out=diff)
+        np.subtract(vectors, diff, out=diff)
+        np.square(diff, out=diff)
+        history.append(float(diff.sum()))
         if previous is not None and np.array_equal(labels, previous):
             break
         # a cluster that kept its members would get the same rows in the same
@@ -176,24 +206,28 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
         if previous is None or reseeded:
             stale = np.arange(k)
         else:
+            # a mask, not np.union1d: np.unique imports numpy.ma, about
+            # 15 ms, on its first call in a process
             moved = labels != previous
-            stale = np.union1d(labels[moved], previous[moved])
+            touched = np.zeros(k, dtype=bool)
+            touched[labels[moved]] = True
+            touched[previous[moved]] = True
+            stale = np.flatnonzero(touched)
         previous = labels
 
-        new_centroids = centroids.copy()
+        # the new means and reseeds read only the rows and d2, not the
+        # centroids, so they are written over them
         counts = np.bincount(labels, minlength=k)
         for j in stale[counts[stale] > 0]:
-            new_centroids[j] = vectors[labels == j].mean(axis=0)
+            centroids[j] = vectors[labels == j].mean(axis=0)
         empty = np.flatnonzero(counts == 0)
         reseeded = empty.size > 0
         if reseeded:
             # farthest points first, each used at most once
             order = np.argsort(-d2[np.arange(n), labels], kind="stable")
             for j, idx in zip(empty, order):
-                new_centroids[j] = vectors[idx]
-        centroids = new_centroids
-
-    return ActionCodebook(centroids, seed=seed, sse_history=history)
+                centroids[j] = vectors[idx]
+    return centroids, history
 
 
 def assign_label(codebook: ActionCodebook, clip) -> int:
@@ -275,19 +309,26 @@ def cross_entropies(codebook: ActionCodebook, ego_vectors, third_vectors, tau=DE
 
 def save_codebook(codebook: ActionCodebook, path) -> None:
     """Write the codebook as JSON; floats round-trip bit-exactly."""
-    payload = {
-        "schema_version": _SCHEMA_VERSION,
-        "kind": "action_codebook",
-        "k": codebook.k,
-        "dim": CLIP_DIM,
-        "seed": codebook.seed,
-        "centroids": codebook.centroids.tolist(),
-    }
+    head = json.dumps(
+        {
+            "schema_version": _SCHEMA_VERSION,
+            "kind": "action_codebook",
+            "k": codebook.k,
+            "dim": CLIP_DIM,
+            "seed": codebook.seed,
+            "centroids": [],
+        }
+    )
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        # json.dumps without indent uses the C encoder; json.dump always
-        # takes the pure-Python path, for the same bytes
-        fh.write(json.dumps(payload))
+        # the bytes of json.dumps of the whole payload, written one centroid
+        # row at a time: the head up to the centroids' "[", the rows joined
+        # by ", ", then "]}". json.dumps without indent uses the C encoder;
+        # json.dump always takes the pure-Python path, for the same bytes
+        fh.write(head[:-2])
+        for i, row in enumerate(codebook.centroids):
+            fh.write((", " if i else "") + json.dumps(row.tolist()))
+        fh.write(head[-2:])
     os.replace(tmp, path)
 
 
@@ -299,6 +340,7 @@ def load_codebook(path) -> ActionCodebook:
 def _codebook_from_obj(payload) -> ActionCodebook:
     if not isinstance(payload, dict) or payload.get("kind") != "action_codebook":
         raise ValueError("it is not an action codebook file: a JSON object with 'kind', 'dim' and 'centroids'")
+    _schema_version(payload, _SCHEMA_VERSION)
     if _number(_required(payload, "dim", "a codebook"), "dim", integer=True) != CLIP_DIM:
         raise ValueError(f"codebook dimension {payload['dim']} does not match {CLIP_DIM}")
     centroids = _required(payload, "centroids", "a codebook")

@@ -47,7 +47,7 @@ import numpy as np
 
 # se3_compose and body_frame are not called here; perfbench/tracer.py wraps
 # them under these names to count calls, which now read 0
-from ._files import _flags, _known_keys, _list, _number, _numbers, _object, _required, read_json
+from ._files import _flags, _known_keys, _list, _number, _numbers, _object, _required, _schema_version, read_json
 from .geometry import relative_motions, se3_compose  # noqa: F401
 from .motion import BoundingBox
 from .skeleton import CLIP_LEN, N_JOINTS, body_frame, body_poses  # noqa: F401
@@ -493,9 +493,7 @@ def scenario_from_json(text: str) -> Scenario:
 def _scenario_from_obj(obj) -> Scenario:
     keys = ("schema_version", "seed", "duration", "time_offset", "noise", "persons", "crossings")
     _known_keys(obj, keys, "a scenario")
-    version = obj.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    _schema_version(obj, SCHEMA_VERSION)
     noise = _numbers_by_key(obj.get("noise", {}), NoiseParams, "noise")
     return Scenario(
         seed=_number(_required(obj, "seed", "a scenario"), "seed", integer=True),
@@ -544,12 +542,13 @@ def clip_to_obj(scene: Scene, i) -> dict:
 def clip_from_obj(obj) -> Scene:
     """The one-clip Scene of a clip_to_obj object; other keys, such as an older file's ego start pose, are ignored.
 
-    Each candidate's frames must be clip_id ... clip_id + 7. A missing key, a misread field (a fractional id, a
-    box of other than 4 numbers, valid flags other than 8 of true or false, a candidate or ego part that is not
-    an object) or a wearer who is not a candidate raises ValueError naming it.
+    Each candidate's frames must be clip_id ... clip_id + 7. A missing key, a misread field (a schema_version
+    other than 1, a fractional id, a box of other than 4 numbers, valid flags other than 8 of true or false, a
+    candidate or ego part that is not an object) or a wearer who is not a candidate raises ValueError naming it.
     """
     try:
-        clip_id = _number(_object(obj, "a clip file")["clip_id"], "clip_id", integer=True)
+        _schema_version(_object(obj, "a clip file"), SCHEMA_VERSION)
+        clip_id = _number(obj["clip_id"], "clip_id", integer=True)
         frames = list(range(clip_id, clip_id + CLIP_LEN))
         candidates = _list(obj["candidates"], "candidates")
         for c in candidates:
@@ -587,15 +586,21 @@ def save_scene(scene: Scene, directory, scenario: Scenario | None = None) -> Non
 
 
 def _manifest_clip_ids(manifest):
-    clip_ids = _list(_required(_object(manifest, "a scene manifest"), "clip_ids", "a scene manifest"), "clip_ids")
+    _schema_version(_object(manifest, "a scene manifest"), SCHEMA_VERSION)
+    clip_ids = _list(_required(manifest, "clip_ids", "a scene manifest"), "clip_ids")
     if not clip_ids:
         raise ValueError("clip_ids must list at least one clip")
+    clip_count = _number(manifest.get("clip_count", len(clip_ids)), "clip_count", integer=True)
+    if clip_count != len(clip_ids):
+        raise ValueError(f"clip_count is {clip_count}, but clip_ids lists {len(clip_ids)} clips")
     return [_number(clip_id, "clip_ids", integer=True) for clip_id in clip_ids]
 
 
 def load_scene(directory) -> Scene:
-    """The Scene of a save_scene directory, filled clip file by clip file. A clip file must hold the clip id
-    the manifest lists for it and the first clip's person ids and wearer, or a ValueError names both files."""
+    """The Scene of a save_scene directory, filled clip file by clip file. A manifest whose schema_version is
+    not 1 or whose clip_count is not the number of its clip_ids raises a ValueError naming the file and the
+    field. A clip file must hold the clip id the manifest lists for it and the first clip's person ids and
+    wearer, or a ValueError names both files."""
     clip_ids = read_json(os.path.join(directory, "manifest.json"), "scene manifest", _manifest_clip_ids)
     first = []  # the first clip file's path and (person ids, wearer)
 

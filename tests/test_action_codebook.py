@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,33 @@ class TestNormCacheEquivalence:
         assert np.array_equal(cb.centroids, centroids)
         assert cb.sse_history == tuple(history)
 
+    @pytest.mark.parametrize("n, k", [(500, 460), (24, 24)], ids=["k_above_clip_dim", "k_equals_n"])
+    def test_fit_at_buffer_edges_matches_oracle(self, n, k):
+        # above k = 456 the spare buffer is widened to k columns for the norm
+        # sums, and the SSE differences use only its first n * 456 floats
+        vectors = np.random.default_rng(n + k).normal(size=(n, CLIP_DIM))
+        cb = fit_codebook(vectors.reshape(n, 8, 19, 3), k=k, seed=3)
+        centroids, history, _, _ = oracle_fit(vectors, k=k, seed=3)
+        assert np.array_equal(cb.centroids, centroids)
+        assert cb.sse_history == tuple(history)
+
+    def test_fit_working_memory_is_two_buffers(self):
+        # the traced peak of a fit is its (n, k) distance buffer and its
+        # n * max(k, 456) spare, plus a slack for the centroids and one
+        # temporary of their size (their norms) and 1 MiB for index arrays
+        # and interpreter objects; fresh per-pass temporaries would exceed it
+        n, k = 1000, 100
+        clips = np.random.default_rng(5).normal(size=(n, 8, 19, 3))
+        fit_codebook(clips, k=k, seed=1, max_iters=3)  # lazy imports are not the fit's
+        tracemalloc.start()
+        try:
+            fit_codebook(clips, k=k, seed=1, max_iters=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = (n * k + n * max(k, CLIP_DIM)) * 8
+        assert peak <= buffers + 2 * k * CLIP_DIM * 8 + 2**20
+
     def assert_scores_match_oracle(self, cb, rows):
         n = len(rows) // 2
         scores = oracle_scores(cb.centroids, rows)
@@ -470,8 +498,16 @@ class TestPersistence:
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
             ({"dim": 10}, "codebook dimension 10 does not match 456"),
             ({"dim": None}, "dim must be a number, got None"),
+            ({"schema_version": 99}, "schema_version must be 1, got 99"),
         ],
-        ids=["k_not_the_centroid_count", "list_seed", "fractional_seed", "other_dim", "null_dim"],
+        ids=[
+            "k_not_the_centroid_count",
+            "list_seed",
+            "fractional_seed",
+            "other_dim",
+            "null_dim",
+            "other_schema_version",
+        ],
     )
     def test_misread_field_rejected_naming_file_and_field(self, tmp_path, change, text):
         path = tmp_path / "codebook.json"
@@ -482,6 +518,29 @@ class TestPersistence:
         with pytest.raises(ValueError, match=text) as info:
             load_codebook(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("case", ["k1_null_seed", "fitted_k16", "negative_zero"])
+    def test_file_is_json_dumps_of_the_payload(self, tmp_path, case):
+        if case == "k1_null_seed":
+            cb = ActionCodebook(RNG.normal(size=(1, CLIP_DIM)))
+        elif case == "fitted_k16":
+            cb = fit_codebook([random_clip(np.random.default_rng(i)) for i in range(40)], k=16, seed=9)
+        else:
+            rows = RNG.normal(size=(3, CLIP_DIM))
+            rows[1, [0, 455]] = -0.0
+            cb = ActionCodebook(rows, seed=2)
+        payload = {
+            "schema_version": 1,
+            "kind": "action_codebook",
+            "k": cb.k,
+            "dim": CLIP_DIM,
+            "seed": cb.seed,
+            "centroids": cb.centroids.tolist(),
+        }
+        path = tmp_path / "codebook.json"
+        save_codebook(cb, path)
+        assert path.read_bytes() == json.dumps(payload).encode()
+        assert np.array_equal(load_codebook(path).centroids, cb.centroids)
 
     def test_null_seed_loads(self, tmp_path):
         path = tmp_path / "codebook.json"

@@ -757,6 +757,37 @@ class TestSerialization:
         if "manifest" in text:
             assert str(tmp_path / "clip_00000.json") in str(info.value)
 
+    @pytest.mark.parametrize(
+        "change, text",
+        [
+            ({"schema_version": 99}, "schema_version must be 1, got 99"),
+            ({"clip_count": 5}, "clip_count is 5, but clip_ids lists 9 clips"),
+            ({"clip_count": 9.5}, "clip_count must be an integer, got 9.5"),
+        ],
+        ids=["other_schema_version", "other_clip_count", "fractional_clip_count"],
+    )
+    def test_misread_manifest_rejected_naming_file_and_field(self, tmp_path, change, text):
+        save_scene(scene_arrays(cv.two_person_scenario(duration=16, seed=6)), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["clip_count"] == 9
+        path.write_text(json.dumps(dict(manifest, **change)))
+        with pytest.raises(ValueError, match=text) as info:
+            load_scene(tmp_path)
+        assert str(path) in str(info.value)
+
+    def test_clip_file_of_other_schema_version_rejected_naming_it(self, tmp_path):
+        scene = scene_arrays(cv.two_person_scenario(duration=16, seed=6))
+        save_scene(scene, tmp_path)
+        obj = clip_to_obj(scene, 2)
+        with pytest.raises(ValueError, match="schema_version must be 1, got 99"):
+            clip_from_obj(dict(obj, schema_version=99))
+        path = tmp_path / "clip_00002.json"
+        path.write_text(json.dumps(dict(obj, schema_version=99)))
+        with pytest.raises(ValueError, match="schema_version must be 1, got 99") as info:
+            load_scene(tmp_path)
+        assert str(path) in str(info.value)
+
     def test_manifest_listing_no_clip_rejected(self, tmp_path):
         save_scene(scene_arrays(cv.two_person_scenario(duration=16, seed=6)), tmp_path)
         (tmp_path / "manifest.json").write_text(json.dumps({"clip_ids": []}))
