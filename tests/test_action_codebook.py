@@ -540,6 +540,8 @@ class TestPersistence:
         path = tmp_path / "codebook.json"
         save_codebook(cb, path)
         assert path.read_bytes() == json.dumps(payload).encode()
+        if case == "negative_zero":  # the first and last coordinates of row 1
+            assert b"], [-0.0, " in path.read_bytes() and b", -0.0], [" in path.read_bytes()
         assert np.array_equal(load_codebook(path).centroids, cb.centroids)
 
     def test_null_seed_loads(self, tmp_path):
