@@ -39,7 +39,8 @@ def _numbers(value, name, count, integer=False):
 def _schema_version(obj, version):
     """Check that a JSON object's schema_version, where it is present, is version."""
     found = obj.get("schema_version", version)
-    if found != version:
+    # a JSON integer: True and 1.0 compare equal to 1 but are not one
+    if type(found) is not int or found != version:
         raise ValueError(f"schema_version must be {version}, got {found!r}")
 
 

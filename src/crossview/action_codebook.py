@@ -43,6 +43,20 @@ _EXP_CUT = -746.0
 
 _SCHEMA_VERSION = 1
 
+_EPS = np.finfo(float).eps
+
+# Two evaluations of |a|^2 + |b|^2 - 2 a.b for rows of norms r and s, in
+# products of any shape, summation order or thread count, differ by at most
+# _ROUNDING * (r + s)**2, and so does either one from the real value: a
+# d-term dot product is within about d/2 units in the last place of r * s,
+# the squared norms within that of r**2 and s**2, and the sums, the
+# difference and the clip at 0 add a few more. This is twice that.
+_ROUNDING = 2.0 * (CLIP_DIM + 8) * _EPS
+
+# The relative widening of each bound built from _ROUNDING that covers the
+# rounding of the bound's own arithmetic.
+_SLACK = 1e-9
+
 
 class ActionCodebook:
     """Immutable set of K centroids in clip-vector space."""
@@ -114,28 +128,101 @@ def _pairwise_sq_distances(a, a_sq, b, b_sq, out=None, sums=None):
     return np.maximum(out, 0.0, out=out)
 
 
-def _seed_centroids(vectors, sq, k, rng):
+def _seed_centroids(vectors, sq, k, seed, bound, spare):
     # Distance-weighted seeding: each new seed is drawn with probability
-    # proportional to squared distance from the already chosen set. Each draw
-    # depends on the previous minimum, so the loop stays sequential; with the
-    # rows' squared norms sq given, a step costs one product, a gemv written
-    # into the same (n, 1) column each step, and d2 is lowered in place.
+    # proportional to squared distance from the already chosen set, as
+    # rng.choice(n, p=d2 / total) with rng = np.random.default_rng(seed)
+    # draws it from d2, the running minimum of one full (n, 1) product per
+    # seed; returns the (k, CLIP_DIM) seeds. A product over some rows does
+    # not keep the full one's bits, so each row's d2 is kept within err of
+    # the full products' minimum, and a draw is accepted only when values
+    # within err cannot give another index (_draw). A row whose minimum
+    # provably cannot fall is skipped: its distance to the new seed is at
+    # least the new seed's distance to the seed that set its d2 (owner) less
+    # its own distance to that seed, so the row is skipped once the former
+    # reaches limit, twice its own widened by the bounds. The other rows are
+    # gathered into the spare and multiplied there, or all rows are when more
+    # than half are needed. When a draw cannot be certified, the seeding
+    # restarts from the seed with every row on the full product, which keeps
+    # err at 0: that is the plain computation.
     n = vectors.shape[0]
+    centroids = np.empty((k, CLIP_DIM))
+    chosen = np.empty(k, dtype=np.intp)
     column, sums = np.empty((2, n, 1))
+    prune = True
+    while True:
+        rng = np.random.default_rng(seed)
+        chosen[0] = rng.integers(n)
+        centroids[0] = vectors[chosen[0]]
+        d2 = _pairwise_sq_distances(vectors, sq, centroids[:1], sq[chosen[:1]], column, sums)[:, 0].copy()
+        err = np.zeros(n)
+        owner = np.zeros(n, dtype=np.intp)
+        limit = np.sqrt(d2 + 2.0 * bound) * (2.0 + 2.0 * _SLACK)
+        for j in range(1, k):
+            idx = _draw(rng, d2, float(err.sum()))
+            if idx is None:
+                break
+            chosen[j] = idx
+            centroids[j] = vectors[idx]
+            row, row_sq = centroids[j : j + 1], sq[idx : idx + 1]
+            rows = None
+            if prune:
+                # how far at least each row's owner lies from the new seed
+                gap = _pairwise_sq_distances(centroids[:j], sq[chosen[:j]], row, row_sq)[:, 0]
+                gap -= bound
+                np.maximum(gap, 0.0, out=gap)
+                apart = np.sqrt(gap, out=gap)[owner]
+                apart *= 1.0 - _SLACK
+                # not apart < limit: a NaN skips no row
+                rows = np.flatnonzero(~(apart >= limit))
+            if rows is None or 2 * rows.size > n:
+                # the full product's values are d2's own, so err stays
+                new = _pairwise_sq_distances(vectors, sq, row, row_sq, column, sums)[:, 0]
+                near = np.flatnonzero(new < d2)
+                value = new[near]
+                np.minimum(d2, new, out=d2)
+            else:
+                block = spare[: rows.size * CLIP_DIM].reshape(rows.size, CLIP_DIM)
+                np.take(vectors, rows, axis=0, out=block, mode="clip")
+                new = _pairwise_sq_distances(block, sq[rows], row, row_sq, column[: rows.size], sums[: rows.size])[:, 0]
+                closer = new < d2[rows]
+                near, value = rows[closer], new[closer]
+                d2[near] = value
+                err[rows] = bound
+            owner[near] = j
+            limit[near] = np.sqrt(value + 2.0 * bound) * (2.0 + 2.0 * _SLACK)
+        else:
+            return centroids
+        prune = False
 
-    def distances_to(idx):
-        return _pairwise_sq_distances(vectors, sq, vectors[idx][None, :], sq[idx : idx + 1], column, sums)[:, 0]
 
-    chosen = [int(rng.integers(n))]
-    d2 = distances_to(chosen[-1]).copy()
-    for _ in range(1, k):
+def _draw(rng, d2, slack):
+    # The index that rng.choice(n, p=d2 / total) draws, with total =
+    # float(d2.sum()), or rng.integers(n) when total is not positive, for
+    # every weight vector whose absolute differences from d2 sum to at most
+    # slack; None when two such vectors could draw different indices. With
+    # slack 0 the draw is choice's own. Otherwise it is replayed as the one
+    # rng.random() u that choice searches in its cdf, p.cumsum() / cdf[-1],
+    # and accepted when u lies farther from both ends of its interval than
+    # the two cdfs can differ: 2 * slack / total from the weights, and at
+    # most 3n units in the last place of rounding in each.
+    n = d2.size
+    if slack == 0.0:
         total = float(d2.sum())
         # every weight can still round to 0 on near-duplicate rows, though
         # fit_codebook has checked that k distinct rows exist
-        idx = int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
-        chosen.append(idx)
-        np.minimum(d2, distances_to(idx), out=d2)
-    return vectors[chosen].copy()
+        return int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
+    cdf = np.cumsum(d2)
+    lowest = float(cdf[-1]) * (1.0 - _SLACK) - slack * (1.0 + _SLACK)
+    if not lowest > 0.0:
+        return None
+    cdf /= cdf[-1]
+    u = rng.random()
+    idx = int(cdf.searchsorted(u, side="right"))
+    margin = 2.0 * slack * (1.0 + _SLACK) / lowest + 8.0 * (n + 2) * _EPS
+    if u + margin < cdf[idx] and (idx == 0 or cdf[idx - 1] + margin < u):
+        return idx
+    return None
 
 
 def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
@@ -166,30 +253,48 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
     if distinct < k:
         raise ValueError(f"need at least {k} distinct clips to fit {k} clusters, got {distinct}")
     sq = _sq_norms(vectors)
-    centroids, history = _lloyd(vectors, sq, _seed_centroids(vectors, sq, k, np.random.default_rng(seed)), max_iters)
+    # every seed and centroid is a row or a mean of rows, so no longer than
+    # the longest row: any product's distance lies within bound of the full
+    # product's and of the real one
+    bound = _ROUNDING * 4.0 * float(sq.max())
+    # the fit's two buffers, allocated once: d2 for the (n, k) distances, and
+    # a spare of n * max(k, CLIP_DIM) floats for the seeding's gathered rows
+    # and the Lloyd passes' norm sums, partial products and SSE differences
+    d2 = np.empty((len(vectors), k))
+    spare = np.empty(len(vectors) * max(k, CLIP_DIM))
+    centroids = _seed_centroids(vectors, sq, k, seed, bound, spare)
+    history = _lloyd(vectors, sq, centroids, max_iters, bound, d2, spare)
+    # freed before the codebook copies the centroids
+    del d2, spare
     return ActionCodebook(centroids, seed=seed, sse_history=history)
 
 
-def _lloyd(vectors, sq, centroids, max_iters):
+def _lloyd(vectors, sq, centroids, max_iters, bound, d2, spare):
     # Lloyd passes from the seeded centroids, which are updated in place;
-    # returns them and the SSE history. Every pass runs in two buffers
-    # allocated once per fit and freed on return, before the codebook copies
-    # the centroids: d2 for the (n, k) distances, and a spare of
-    # n * max(k, CLIP_DIM) floats that holds first the norm sums and then the
-    # SSE differences, each as a C-contiguous view of its start, so that the
-    # SSE sums with the bits of a fresh array.
-    n, k = vectors.shape[0], centroids.shape[0]
-    d2 = np.empty((n, k))
-    spare = np.empty(n * max(k, CLIP_DIM))
+    # returns the SSE history. The spare holds the norm sums and then the SSE
+    # differences, each as a C-contiguous view of its start, so that the SSE
+    # sums with the bits of a fresh array. After the first pass, a pass that
+    # moved at most half of the centroids recomputes only their columns of
+    # d2 (_certified_labels): those columns and their norm sums fit in the
+    # spare, and more would cost about the full product. A pass whose labels
+    # cannot be certified, or that empties a cluster, whose reseed reads d2,
+    # runs the full expansion.
+    n, k = d2.shape
     sums = spare[: n * k].reshape(n, k)
     diff = spare[: n * CLIP_DIM].reshape(n, CLIP_DIM)
     history = []
-    previous = None
+    previous = stale = None
     reseeded = False
     for _ in range(max_iters):
-        # the corpus norms are fixed; only the centroids move between passes
-        _pairwise_sq_distances(vectors, sq, centroids, _sq_norms(centroids), d2, sums)
-        labels = np.argmin(d2, axis=1)
+        labels = None
+        if stale is not None and 2 * stale.size <= k:
+            labels = _certified_labels(vectors, sq, centroids, stale, bound, d2, spare)
+            if labels is not None and np.bincount(labels, minlength=k).min() == 0:
+                labels = None
+        if labels is None:
+            # the corpus norms are fixed; only the centroids move between passes
+            _pairwise_sq_distances(vectors, sq, centroids, _sq_norms(centroids), d2, sums)
+            labels = np.argmin(d2, axis=1)
         # SSE from explicit differences; the norm-expansion shortcut used for
         # the argmin loses absolute accuracy through cancellation. take's
         # default mode="raise" would buffer out; labels are in range, so
@@ -227,7 +332,29 @@ def _lloyd(vectors, sq, centroids, max_iters):
             order = np.argsort(-d2[np.arange(n), labels], kind="stable")
             for j, idx in zip(empty, order):
                 centroids[j] = vectors[idx]
-    return centroids, history
+    return history
+
+
+def _certified_labels(vectors, sq, centroids, stale, bound, d2, spare):
+    # Writes the columns of d2 of the centroids in stale, from one product
+    # over those centroids, and returns argmin(d2, axis=1) when it is
+    # certified to be the full product's argmin, else None. Every value in
+    # d2, from this product or from an earlier one of a centroid that has
+    # kept its bits, lies within bound of the full product's, whatever the
+    # bits of either: a row's label is certified when its lowest value is
+    # lower than every other by more than twice the bound.
+    n, k = d2.shape
+    block, sums = spare[: 2 * n * stale.size].reshape(2, n, stale.size)
+    moved = centroids[stale]
+    _pairwise_sq_distances(vectors, sq, moved, _sq_norms(moved), block, sums)
+    d2[:, stale] = block
+    labels = np.argmin(d2, axis=1)
+    rows = np.arange(n)
+    best = d2[rows, labels]
+    d2[rows, labels] = np.inf
+    second = d2.min(axis=1)
+    d2[rows, labels] = best
+    return labels if (second > best + 2.0 * bound).all() else None
 
 
 def assign_label(codebook: ActionCodebook, clip) -> int:

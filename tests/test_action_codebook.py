@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import crossview as cv
+from crossview import action_codebook
 from crossview.action_codebook import (
     _EXP_CUT,
     CLIP_DIM,
@@ -21,6 +22,7 @@ from crossview.action_codebook import (
     label_scores,
     load_codebook,
     save_codebook,
+    _draw,
     _row_scores,
 )
 from crossview.simulator import NoiseParams, generate_scene
@@ -358,6 +360,164 @@ class TestNormCacheEquivalence:
         self.assert_scores_match_oracle(restored, rng.normal(size=(10, CLIP_DIM)))
 
 
+class TestCertifiedFit:
+    """The pruned seeding, the incremental Lloyd passes and each fallback, against oracle_fit."""
+
+    @staticmethod
+    def fit_counting(monkeypatch, vectors, k, seed):
+        """fit_codebook, with a record of what its certified loops did.
+
+        Returns the codebook and a dict: "rows", the row count of each
+        product over gathered rows in the seeding; "uncertified_draws", the
+        number of draws _draw could not certify; "passes", in order, "full"
+        for each full product of a Lloyd pass, and for each pass that tried
+        to recompute only the moved centroids, "uncertified" when its labels
+        could not be certified, "emptied" when they left a cluster empty,
+        else "certified".
+        """
+        n = len(vectors)
+        seen = {"rows": [], "uncertified_draws": 0, "passes": []}
+        product = action_codebook._pairwise_sq_distances
+        draw = action_codebook._draw
+        certify = action_codebook._certified_labels
+
+        def counting_product(a, a_sq, b, b_sq, out=None, sums=None):
+            # only the gathered seeding products have fewer than n rows
+            # and a buffer to write to
+            if out is not None and a.shape[0] < n:
+                seen["rows"].append(a.shape[0])
+            if a.shape[0] == n and b.shape[0] == k:
+                seen["passes"].append("full")
+            return product(a, a_sq, b, b_sq, out, sums)
+
+        def counting_draw(rng, d2, slack):
+            idx = draw(rng, d2, slack)
+            seen["uncertified_draws"] += idx is None
+            return idx
+
+        def counting_certify(*args):
+            labels = certify(*args)
+            if labels is None:
+                seen["passes"].append("uncertified")
+            elif np.bincount(labels, minlength=k).min() == 0:
+                seen["passes"].append("emptied")
+            else:
+                seen["passes"].append("certified")
+            return labels
+
+        monkeypatch.setattr(action_codebook, "_pairwise_sq_distances", counting_product)
+        monkeypatch.setattr(action_codebook, "_draw", counting_draw)
+        monkeypatch.setattr(action_codebook, "_certified_labels", counting_certify)
+        codebook = fit_codebook(vectors.reshape(n, 8, 19, 3), k=k, seed=seed)
+        monkeypatch.undo()
+        return codebook, seen
+
+    @staticmethod
+    def assert_matches_oracle(codebook, vectors, k, seed):
+        centroids, history, _, _ = oracle_fit(vectors, k=k, seed=seed)
+        assert np.array_equal(codebook.centroids, centroids)
+        assert codebook.sse_history == tuple(history)
+
+    def test_uncertified_draws_restart_the_seeding_on_the_full_product(self, monkeypatch):
+        # near-duplicates lie closer than the rounding bound of their
+        # distances, so a gathered product leaves draws uncertified
+        uncertified = 0
+        for seed in range(10):
+            vectors = duplicate_heavy_vectors(seed)
+            codebook, seen = self.fit_counting(monkeypatch, vectors, 4, seed)
+            uncertified += seen["uncertified_draws"]
+            self.assert_matches_oracle(codebook, vectors, 4, seed)
+        assert uncertified > 0
+
+    def test_distance_ties_run_the_full_pass(self, monkeypatch):
+        # rows of one small integer in every coordinate: a row midway
+        # between two centroids is at exactly the same distance from both
+        rng = np.random.default_rng(32)
+        vectors = np.repeat(rng.integers(0, 20, size=(150, 1)).astype(float), CLIP_DIM, axis=1)
+        codebook, seen = self.fit_counting(monkeypatch, vectors, 12, 32)
+        assert "uncertified, full" in ", ".join(seen["passes"])
+        self.assert_matches_oracle(codebook, vectors, 12, 32)
+
+    def test_cluster_emptied_after_an_incremental_pass_runs_the_full_pass(self, monkeypatch):
+        # 120 points on a line, denser near 0: the third pass recomputes a
+        # few moved centroids, and the fourth, which does too, leaves a
+        # cluster empty, so its reseed needs the full product's distances
+        rng = np.random.default_rng(19638)
+        vectors = np.zeros((120, CLIP_DIM))
+        vectors[:, 0] = 10.0 * rng.random(120) ** 1.5
+        codebook, seen = self.fit_counting(monkeypatch, vectors, 30, 19638)
+        assert seen["passes"][:5] == ["full", "full", "certified", "emptied", "full"]
+        self.assert_matches_oracle(codebook, vectors, 30, 19638)
+
+    @pytest.mark.parametrize("offset, certified", [(1e-12, False), (1e-6, True)])
+    def test_labels_closer_than_the_rounding_bound_are_not_certified(self, offset, certified):
+        # the first row is 1 from centroid 0 and 1 + offset from centroid 1,
+        # which is recomputed: within the rounding bound of the partial
+        # product, the two distances could rank either way
+        vectors = np.zeros((3, CLIP_DIM))
+        vectors[:, 0] = [1.0, 10.0, -10.0]
+        centroids = np.zeros((4, CLIP_DIM))
+        centroids[:, 0] = [0.0, 2.0 + offset, 10.0, -10.0]
+        sq = (vectors * vectors).sum(axis=1)
+        d2 = oracle_sq_distances(vectors, centroids)
+        spare = np.empty(3 * CLIP_DIM)
+        bound = action_codebook._ROUNDING * 4.0 * float(sq.max())
+        labels = action_codebook._certified_labels(vectors, sq, centroids, np.array([1]), bound, d2, spare)
+        if certified:
+            np.testing.assert_array_equal(labels, np.argmin(oracle_sq_distances(vectors, centroids), axis=1))
+        else:
+            assert labels is None
+
+    @pytest.mark.parametrize("n", [1001, 1002, 1003])
+    def test_row_counts_off_whole_groups_of_four_match_oracle(self, monkeypatch, n):
+        # rows spread mostly along three directions: the seeding skips rows
+        # and gathers the others, in counts that are not all multiples of 4,
+        # and later Lloyd passes recompute only the moved centroids
+        rng = np.random.default_rng(n)
+        vectors = rng.normal(size=(n, 3)) @ rng.normal(size=(3, CLIP_DIM)) + 0.3 * rng.normal(size=(n, CLIP_DIM))
+        codebook, seen = self.fit_counting(monkeypatch, vectors, 40, 1)
+        assert any(rows % 4 for rows in seen["rows"])
+        assert "certified" in seen["passes"]
+        self.assert_matches_oracle(codebook, vectors, 40, 1)
+
+
+class TestDraw:
+    @pytest.mark.parametrize("zeros", [False, True], ids=["positive", "with_zeros"])
+    def test_certified_draw_is_choices_draw(self, zeros):
+        # _draw gets weights within slack of p's; when it certifies a draw,
+        # its index is the one choice draws from p, and it has taken the
+        # same one double from the generator
+        certified = 0
+        for trial in range(400):
+            rng = np.random.default_rng(trial)
+            n = int(rng.integers(1, 80))
+            p = rng.random(n) ** 3
+            if zeros:
+                p[rng.random(n) < 0.5] = 0.0
+                p[rng.integers(n)] = 1.0
+            slack = float(p.sum()) * 10.0 ** rng.uniform(-12.0, -0.5)
+            delta = rng.uniform(-1.0, 1.0, n)
+            weights = np.maximum(p + delta * (slack / np.abs(delta).sum()), 0.0)
+            ours, theirs = np.random.default_rng(trial + 1000), np.random.default_rng(trial + 1000)
+            idx = _draw(ours, weights, slack)
+            want = int(theirs.choice(n, p=p / float(p.sum())))
+            if idx is not None:
+                certified += 1
+                assert idx == want, trial
+                assert ours.bit_generator.state == theirs.bit_generator.state
+        assert certified > 300
+
+    def test_exact_draw_is_choices_draw(self):
+        # with no slack the weights are choice's, including weights that
+        # are all 0, for which the seeding draws a uniform index
+        for trial, p in enumerate([np.array([0.0, 2.0, 0.0, 1.0]), np.zeros(5), np.random.default_rng(3).random(50)]):
+            ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+            total = float(p.sum())
+            want = int(theirs.choice(len(p), p=p / total)) if total > 0.0 else int(theirs.integers(len(p)))
+            assert _draw(ours, p, 0.0) == want
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 class TestAssign:
     def make_codebook(self):
         centroids = np.stack([np.full(CLIP_DIM, 10.0 * j) for j in range(4)])
@@ -499,6 +659,8 @@ class TestPersistence:
             ({"dim": 10}, "codebook dimension 10 does not match 456"),
             ({"dim": None}, "dim must be a number, got None"),
             ({"schema_version": 99}, "schema_version must be 1, got 99"),
+            ({"schema_version": True}, "schema_version must be 1, got True"),
+            ({"schema_version": 1.0}, "schema_version must be 1, got 1.0"),
         ],
         ids=[
             "k_not_the_centroid_count",
@@ -507,6 +669,8 @@ class TestPersistence:
             "other_dim",
             "null_dim",
             "other_schema_version",
+            "bool_schema_version",
+            "float_schema_version",
         ],
     )
     def test_misread_field_rejected_naming_file_and_field(self, tmp_path, change, text):

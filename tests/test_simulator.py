@@ -606,12 +606,13 @@ class TestSerialization:
         with pytest.raises(OSError):
             load_scenario(tmp_path / "missing.json")
 
-    def test_load_scenario_rejects_other_schema_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [99, True, 1.0])
+    def test_load_scenario_rejects_other_schema_version(self, tmp_path, version):
         obj = json.loads(scenario_to_json(cv.two_person_scenario(duration=20, seed=3)))
-        obj["schema_version"] = 99
+        obj["schema_version"] = version
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(ValueError, match="schema_version"):
+        with pytest.raises(ValueError, match=f"schema_version must be 1, got {version!r}"):
             load_scenario(path)
 
     def test_load_scenario_malformed(self, tmp_path):
@@ -761,10 +762,18 @@ class TestSerialization:
         "change, text",
         [
             ({"schema_version": 99}, "schema_version must be 1, got 99"),
+            ({"schema_version": True}, "schema_version must be 1, got True"),
+            ({"schema_version": 1.0}, "schema_version must be 1, got 1.0"),
             ({"clip_count": 5}, "clip_count is 5, but clip_ids lists 9 clips"),
             ({"clip_count": 9.5}, "clip_count must be an integer, got 9.5"),
         ],
-        ids=["other_schema_version", "other_clip_count", "fractional_clip_count"],
+        ids=[
+            "other_schema_version",
+            "bool_schema_version",
+            "float_schema_version",
+            "other_clip_count",
+            "fractional_clip_count",
+        ],
     )
     def test_misread_manifest_rejected_naming_file_and_field(self, tmp_path, change, text):
         save_scene(scene_arrays(cv.two_person_scenario(duration=16, seed=6)), tmp_path)
@@ -776,15 +785,17 @@ class TestSerialization:
             load_scene(tmp_path)
         assert str(path) in str(info.value)
 
-    def test_clip_file_of_other_schema_version_rejected_naming_it(self, tmp_path):
+    @pytest.mark.parametrize("version", [99, True, 1.0])
+    def test_clip_file_of_other_schema_version_rejected_naming_it(self, tmp_path, version):
         scene = scene_arrays(cv.two_person_scenario(duration=16, seed=6))
         save_scene(scene, tmp_path)
         obj = clip_to_obj(scene, 2)
-        with pytest.raises(ValueError, match="schema_version must be 1, got 99"):
-            clip_from_obj(dict(obj, schema_version=99))
+        text = f"schema_version must be 1, got {version!r}"
+        with pytest.raises(ValueError, match=text):
+            clip_from_obj(dict(obj, schema_version=version))
         path = tmp_path / "clip_00002.json"
-        path.write_text(json.dumps(dict(obj, schema_version=99)))
-        with pytest.raises(ValueError, match="schema_version must be 1, got 99") as info:
+        path.write_text(json.dumps(dict(obj, schema_version=version)))
+        with pytest.raises(ValueError, match=text) as info:
             load_scene(tmp_path)
         assert str(path) in str(info.value)
 
