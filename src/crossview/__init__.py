@@ -10,14 +10,13 @@ simulator, a Bayes identity filter, and an evaluation CLI.
 from .action_codebook import (
     ActionCodebook,
     action_agreement,
-    assign_label,
     fit_codebook,
     label_scores,
     load_codebook,
     save_codebook,
 )
 from .bayes_filter import FilterState, init_filter, map_identity, predict, update
-from .geometry import RotationDelta, error_quaternion, se3_compose, warp_to_third_2d
+from .geometry import RotationDelta, error_quaternion, se3_compose
 from .motion import (
     BoundingBox,
     bbox_trajectory,

@@ -58,13 +58,6 @@ def _list(value, name):
     return value
 
 
-def _flags(value, name, count):
-    """A JSON list of count true and false values, as it is."""
-    if not (isinstance(value, list) and len(value) == count and all(isinstance(v, bool) for v in value)):
-        raise ValueError(f"{name} must be a list of true or false of length {count}, got {value!r}")
-    return value
-
-
 def _object(value, name):
     """A JSON object, as it is; errors name the field."""
     if not isinstance(value, dict):

@@ -15,6 +15,7 @@ import os
 import numpy as np
 
 from ._files import _number, _required, _schema_version, read_json
+from .geometry import frozen_array
 from .skeleton import CLIP_LEN, N_JOINTS, pose_clip_vector
 
 __all__ = [
@@ -22,7 +23,6 @@ __all__ = [
     "DEFAULT_K",
     "ActionCodebook",
     "fit_codebook",
-    "assign_label",
     "label_scores",
     "action_agreement",
     "cross_entropies",
@@ -64,15 +64,9 @@ class ActionCodebook:
     __slots__ = ("_centroids", "_centroid_sq", "seed", "sse_history")
 
     def __init__(self, centroids, seed=None, sse_history=()):
-        c = np.asarray(centroids, dtype=float)
-        if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] != CLIP_DIM:
-            raise ValueError(f"centroids must be (k, {CLIP_DIM}) with k >= 1, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("centroids must be finite")
-        if _distinct_count(c) != c.shape[0]:
+        self._centroids = frozen_array(centroids, "centroids", ("k", CLIP_DIM))
+        if _distinct_count(self._centroids) != self.k:
             raise ValueError("centroids must be pairwise distinct")
-        self._centroids = c.copy()
-        self._centroids.setflags(write=False)
         # the centroids are read-only, so their norms are computed once
         self._centroid_sq = _sq_norms(self._centroids)
         self.seed = seed
@@ -85,13 +79,6 @@ class ActionCodebook:
     @property
     def k(self):
         return self._centroids.shape[0]
-
-    def distances(self, vector):
-        """Euclidean distance from a clip vector to every centroid."""
-        v = np.asarray(vector, dtype=float)
-        if v.shape != (CLIP_DIM,):
-            raise ValueError(f"clip vector must have {CLIP_DIM} components, got shape {v.shape}")
-        return np.sqrt(self._sq_distances(v[None, :])[0])
 
     def _sq_distances(self, vectors):
         return _pairwise_sq_distances(vectors, _sq_norms(vectors), self._centroids, self._centroid_sq)
@@ -357,11 +344,6 @@ def _certified_labels(vectors, sq, centroids, stale, bound, d2, spare):
     return labels if (second > best + 2.0 * bound).all() else None
 
 
-def assign_label(codebook: ActionCodebook, clip) -> int:
-    """Nearest centroid index; ties go to the lowest index."""
-    return int(np.argmin(codebook.distances(pose_clip_vector(clip))))
-
-
 def label_scores(codebook: ActionCodebook, clip, tau=DEFAULT_TAU) -> np.ndarray:
     """softmax(-distance / tau) over the centroids; sums to 1."""
     if tau <= 0.0:
@@ -472,10 +454,7 @@ def _codebook_from_obj(payload) -> ActionCodebook:
         raise ValueError(f"codebook dimension {payload['dim']} does not match {CLIP_DIM}")
     centroids = _required(payload, "centroids", "a codebook")
     seed = None if payload.get("seed") is None else _number(payload["seed"], "seed", integer=True)
-    try:
-        codebook = ActionCodebook(np.array(centroids, dtype=float), seed=seed)
-    except (TypeError, ValueError) as exc:  # ragged rows, non-numbers, or what ActionCodebook rejects
-        raise ValueError(f"malformed 'centroids': {exc}") from exc
+    codebook = ActionCodebook(centroids, seed=seed)
     if _number(_required(payload, "k", "a codebook"), "k", integer=True) != codebook.k:
         raise ValueError(f"k is {payload['k']}, but the file holds {codebook.k} centroids")
     return codebook

@@ -7,14 +7,15 @@ components and re-bases the track at its first sample.
 
 A rigid transform is a pair of arrays, a unit quaternion rotation (4,) and
 a translation (3,) in meters. The kernels at the bottom take n rows at once
-and are the API; error_quaternion, se3_compose and warp_to_third_2d are their
-one-transform forms. Every function is pure, so everything here is safe to
+and are the API; error_quaternion and se3_compose are their one-transform
+forms. Every function is pure, so everything here is safe to
 share across threads.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -22,7 +23,6 @@ __all__ = [
     "RotationDelta",
     "error_quaternion",
     "se3_compose",
-    "warp_to_third_2d",
 ]
 
 # Below this rotation angle the sin(theta/2)/theta factor switches to its
@@ -30,19 +30,59 @@ __all__ = [
 _SMALL_ANGLE = 1e-7
 
 
+# The Python and numpy number types; a bool is an int, so callers refuse it apart.
+_NUMBERS = (int, float, np.integer, np.floating)
+
+# Per array dtype: the ndarray dtype kinds it takes, the leaf types of nested
+# lists it takes and those it refuses among them, and the word for them in
+# errors. numpy itself reads "0.5" and True as numbers.
+_LEAVES = {
+    float: ("fiu", _NUMBERS, bool, "numbers"),
+    int: ("iu", (int, np.integer), bool, "integers"),
+    bool: ("b", (bool, np.bool_), (), "true or false"),
+}
+
+
 def frozen_array(value, name, shape, dtype=float, copy=True):
-    """Read-only copy of value (a view if not copy), checked for shape and finiteness; errors name the field."""
+    """Read-only copy of value (a view if not copy), checked for element type, shape and finiteness.
+
+    dtype is float, int or bool. An ndarray must be of a kind dtype takes, an
+    O(1) check; every leaf of nested lists must be a float or an int for
+    float, an int for int and a bool for bool. A str in shape, such as "k",
+    is a length of at least 1. Errors name the field and the type found.
+    """
+    kinds, takes, refuses, noun = _LEAVES[dtype]
+    if isinstance(value, np.ndarray):
+        found = [] if value.dtype.kind in kinds else [value.dtype.type.__name__]
+    else:
+        leaves = [value]
+        for _ in shape:  # the leaves, by C-level iteration
+            leaves = chain.from_iterable(leaves)
+        try:
+            types = set(map(type, leaves))
+        except TypeError:  # a level that is not a sequence, which asarray or the shape check names
+            types = ()
+        found = sorted(t.__name__ for t in types if not issubclass(t, takes) or issubclass(t, refuses))
+    if found:
+        raise ValueError(f"{name} must hold {noun}, got {', '.join(found)}")
     try:
         a = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:  # ragged nesting or non-numbers
-        raise ValueError(f"{name} must be a numeric array of shape {shape}") from exc
-    if a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.isfinite(a).all():
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise ValueError(f"{name} must be an array of {noun} of shape {_shape_text(shape)}") from exc
+    if a.shape != shape and (
+        a.ndim != len(shape) or any(n < 1 if isinstance(s, str) else n != s for s, n in zip(shape, a.shape))
+    ):
+        raise ValueError(f"{name} must have shape {_shape_text(shape)}, got {a.shape}")
+    if a.dtype.kind == "f" and not np.isfinite(a).all():  # ints and bools are finite
         raise ValueError(f"{name} must be finite")
     out = a.copy() if copy else a.view()
     out.setflags(write=False)
     return out
+
+
+def _shape_text(shape):
+    free = ", ".join(s for s in shape if isinstance(s, str))
+    return str(shape).replace("'", "") + (f", {free} >= 1" if free else "")
 
 
 class RotationDelta:
@@ -62,14 +102,8 @@ class RotationDelta:
 
 
 def error_quaternion(delta) -> np.ndarray:
-    """Quaternion exponential (4,) of a rotation vector or RotationDelta (see exp_rotations).
-
-    A plain vector is checked here without a copy: the norm is finite only
-    if every component is.
-    """
-    v = delta.vector if isinstance(delta, RotationDelta) else np.asarray(delta, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"rotation vector must have shape (3,), got {v.shape}")
+    """Quaternion exponential (4,) of a rotation vector or RotationDelta (see exp_rotations)."""
+    v = delta.vector if isinstance(delta, RotationDelta) else frozen_array(delta, "rotation vector", (3,), copy=False)
     return exp_rotations(v[None])[0]
 
 
@@ -94,18 +128,6 @@ def se3_compose(a, b):
     """
     (qa, ta), (qb, tb) = _rigid(a, "a"), _rigid(b, "b")
     return quaternion_products(qa[None], qb[None])[0], rotate_points(qa[None], tb[None])[0] + ta
-
-
-def warp_to_third_2d(chain) -> np.ndarray:
-    """Project a chain of (rotation, translation) pairs into the third-view plane.
-
-    Returns an (n, 2) array: the (x, y) translation components of every
-    transform minus the first, so row 0 is exactly (0, 0).
-    """
-    xy = np.array([translation[:2] for _, translation in chain])
-    if not len(xy):
-        raise ValueError("transform chain must be non-empty")
-    return xy - xy[0]
 
 
 # ---------------------------------------------------------------------------

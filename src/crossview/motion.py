@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .geometry import error_quaternion, exp_rotations, rotation_matrices, se3_compose, warp_to_third_2d
+from .geometry import _NUMBERS, error_quaternion, exp_rotations, rotation_matrices, se3_compose
 from .skeleton import CLIP_LEN
 
 __all__ = [
@@ -27,11 +27,16 @@ __all__ = [
 
 
 class BoundingBox:
-    """Axis-aligned box in third-view plane coordinates."""
+    """Axis-aligned box in third-view plane coordinates; each corner coordinate must be a number, not a bool."""
 
     __slots__ = ("lx", "ly", "rx", "ry")
 
     def __init__(self, lx, ly, rx, ry):
+        # floats, as every simulated box has, skip the per-value check
+        if not type(lx) is type(ly) is type(rx) is type(ry) is float:
+            for value in (lx, ly, rx, ry):
+                if isinstance(value, bool) or not isinstance(value, _NUMBERS):
+                    raise ValueError(f"bounding box corners must be numbers, got {value!r}")
         lx, ly, rx, ry = float(lx), float(ly), float(rx), float(ry)
         if not (math.isfinite(lx) and math.isfinite(ly) and math.isfinite(rx) and math.isfinite(ry)):
             raise ValueError("bounding box corners must be finite")
@@ -77,7 +82,8 @@ def integrate_ego_motion(t_init, deltas) -> np.ndarray:
     chain = [t_init]
     for rotation, translation in deltas:
         chain.append(se3_compose(chain[-1], (error_quaternion(rotation), translation)))
-    return warp_to_third_2d(chain)
+    xy = np.array([translation[:2] for _, translation in chain])
+    return xy - xy[0]
 
 
 def ego_offsets(deltas) -> np.ndarray:

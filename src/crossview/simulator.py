@@ -47,8 +47,8 @@ import numpy as np
 
 # se3_compose and body_frame are not called here; perfbench/tracer.py wraps
 # them under these names to count calls, which now read 0
-from ._files import _flags, _known_keys, _list, _number, _numbers, _object, _required, _schema_version, read_json
-from .geometry import relative_motions, se3_compose  # noqa: F401
+from ._files import _known_keys, _list, _number, _numbers, _object, _required, _schema_version, read_json
+from .geometry import frozen_array, relative_motions, se3_compose  # noqa: F401
 from .motion import BoundingBox
 from .skeleton import CLIP_LEN, N_JOINTS, body_frame, body_poses  # noqa: F401
 from .verification import CandidateObservation, EgoObservation, Scene
@@ -259,11 +259,6 @@ def _skeletons(centers_xy, headings, gait: GaitParams, travelled):
     height = np.broadcast_to(_HEIGHT, forward.shape)
     offsets = _quantize(np.stack([_LATERAL * rx + forward * fx, _LATERAL * ry + forward * fy, height], axis=-1))
     return center[:, None, :] + offsets
-
-
-def skeleton_at(center_xy, heading, gait: GaitParams, travelled) -> np.ndarray:
-    """Grid-snapped (19, 3) pose at a planar position, heading, and gait phase."""
-    return _skeletons(np.array([center_xy], dtype=float), [heading], gait, np.array([float(travelled)]))[0]
 
 
 def _path_states(spec: PersonSpec, duration):
@@ -543,8 +538,8 @@ def clip_from_obj(obj) -> Scene:
     """The one-clip Scene of a clip_to_obj object; other keys, such as an older file's ego start pose, are ignored.
 
     Each candidate's frames must be clip_id ... clip_id + 7. A missing key, a misread field (a schema_version
-    other than 1, a fractional id, a box of other than 4 numbers, valid flags other than 8 of true or false, a
-    candidate or ego part that is not an object) or a wearer who is not a candidate raises ValueError naming it.
+    other than 1, a fractional id, an array that frozen_array rejects, a candidate or ego part that is not an
+    object) or a wearer who is not a candidate raises ValueError naming it.
     """
     try:
         _schema_version(_object(obj, "a clip file"), SCHEMA_VERSION)
@@ -558,8 +553,8 @@ def clip_from_obj(obj) -> Scene:
         deltas = _list(_object(ego["motion"], "ego.motion")["deltas"], "ego.motion.deltas")
         return Scene(
             poses=[[c["poses"] for c in candidates]],
-            corners=[[[_numbers(b, "boxes", 4) for b in _list(c["boxes"], "boxes")] for c in candidates]],
-            valid=[[_flags(c["valid"], "valid", CLIP_LEN) for c in candidates]],
+            corners=frozen_array([c["boxes"] for c in candidates], "boxes", (len(candidates), CLIP_LEN, 4))[None],
+            valid=[[c["valid"] for c in candidates]],
             pose_deltas=[ego["pose_deltas"]],
             motion_deltas=[[(_object(d, "a motion delta")["rotation"], d["translation"]) for d in deltas]],
             person_ids=[_number(c["person_id"], "person_id", integer=True) for c in candidates],

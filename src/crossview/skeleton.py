@@ -68,13 +68,6 @@ class DegeneratePoseError(ValueError):
     """Raised when a pose cannot support a body frame (collapsed torso triangle)."""
 
 
-def _pose(value, name):
-    pose = np.asarray(value, dtype=float)
-    if pose.shape != (N_JOINTS, 3):
-        raise ValueError(f"{name} must have shape {(N_JOINTS, 3)}, got {pose.shape}")
-    return pose
-
-
 def integrate_pose_deltas(init, deltas) -> np.ndarray:
     """Accumulate (7, 19, 3) joint-space deltas onto a (19, 3) start pose, giving an (8, 19, 3) clip.
 
@@ -82,7 +75,7 @@ def integrate_pose_deltas(init, deltas) -> np.ndarray:
     poses fed the same deltas therefore differ by a constant offset at every
     frame.
     """
-    init = _pose(init, "init")
+    init = frozen_array(init, "init", (N_JOINTS, 3), copy=False)
     cumulative = np.cumsum(frozen_array(deltas, "deltas", (CLIP_LEN - 1, N_JOINTS, 3)), axis=0)
     return np.concatenate([init[None], init + cumulative])
 
@@ -132,13 +125,10 @@ def body_poses(frames):
 
 def body_frame(joints):
     """Person-attached frame (rotation (4,), translation (3,)) of one (19, 3) pose: body_poses of one."""
-    rotations, centres = body_poses(_pose(joints, "joints")[None])
+    rotations, centres = body_poses(frozen_array(joints, "joints", (N_JOINTS, 3), copy=False)[None])
     return rotations[0], centres[0]
 
 
 def pose_clip_vector(clip) -> np.ndarray:
     """Flatten an (8, 19, 3) clip to a 456-vector (frame, then joint, then x/y/z)."""
-    clip = np.asarray(clip, dtype=float)
-    if clip.shape != (CLIP_LEN, N_JOINTS, 3):
-        raise ValueError(f"clip must have shape {(CLIP_LEN, N_JOINTS, 3)}, got {clip.shape}")
-    return clip.reshape(-1)
+    return frozen_array(clip, "clip", (CLIP_LEN, N_JOINTS, 3), copy=False).reshape(-1)

@@ -111,21 +111,16 @@ class CandidateObservation:
 
     def __init__(self, person_id, poses, boxes, valid=None):
         self.person_id = int(person_id)
-        poses = frozen_array(poses, "poses", (CLIP_LEN, N_JOINTS, 3))
-        boxes = tuple(boxes)
-        if len(boxes) != CLIP_LEN:
-            raise ValueError(f"expected {CLIP_LEN} bounding boxes, got {len(boxes)}")
-        for b in boxes:
+        self.poses = frozen_array(poses, "poses", (CLIP_LEN, N_JOINTS, 3))
+        self.boxes = tuple(boxes)
+        if len(self.boxes) != CLIP_LEN:
+            raise ValueError(f"expected {CLIP_LEN} bounding boxes, got {len(self.boxes)}")
+        for b in self.boxes:
             if not isinstance(b, BoundingBox):
                 raise ValueError("boxes entries must be BoundingBox")
-        if valid is None:
-            valid = (True,) * CLIP_LEN
-        valid = tuple(bool(v) for v in valid)
-        if len(valid) != CLIP_LEN:
-            raise ValueError(f"expected {CLIP_LEN} validity flags, got {len(valid)}")
-        self.poses = poses
-        self.boxes = boxes
-        self.valid = valid
+        self.valid = (True,) * CLIP_LEN
+        if valid is not None:
+            self.valid = tuple(frozen_array(valid, "valid", (CLIP_LEN,), bool, copy=False).tolist())
 
     def fully_valid(self):
         return all(self.valid)
@@ -210,11 +205,9 @@ class Scene:
     wearer: int
 
     def __post_init__(self):
-        c, n = (np.shape(self.valid) + (0, 0))[:2]
-        if not (c and n):
-            raise ValueError(f"valid must be a (C, N, {CLIP_LEN}) array, C, N >= 1, got shape {np.shape(self.valid)}")
+        object.__setattr__(self, "valid", frozen_array(self.valid, "valid", ("C", "N", CLIP_LEN), bool, copy=False))
+        c, n = self.valid.shape[:2]
         for name, dtype, shape in (
-            ("valid", bool, (c, n, CLIP_LEN)),
             ("poses", float, (c, n, CLIP_LEN, N_JOINTS, 3)),
             ("corners", float, (c, n, CLIP_LEN, 4)),
             ("pose_deltas", float, (c, CLIP_LEN - 1, N_JOINTS, 3)),
@@ -223,7 +216,7 @@ class Scene:
             ("clip_ids", int, (c,)),
         ):
             object.__setattr__(self, name, frozen_array(getattr(self, name), name, shape, dtype, copy=False))
-        object.__setattr__(self, "wearer", int(self.wearer))
+        object.__setattr__(self, "wearer", int(frozen_array(self.wearer, "wearer", (), int)))
         if (self.corners[..., :2] > self.corners[..., 2:]).any():
             raise ValueError("corners must have lx <= rx and ly <= ry")
         if len(set(self.person_ids.tolist())) != n or self.wearer not in self.person_ids:

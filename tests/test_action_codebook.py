@@ -16,7 +16,6 @@ from crossview.action_codebook import (
     DEFAULT_TAU,
     ActionCodebook,
     action_agreement,
-    assign_label,
     cross_entropies,
     fit_codebook,
     label_scores,
@@ -306,7 +305,6 @@ class TestNormCacheEquivalence:
         for i, row in enumerate(rows):
             want = oracle_scores(cb.centroids, row[None, :])[0]
             assert np.array_equal(label_scores(cb, clip_from_vector(row)), want)
-            assert np.array_equal(cb.distances(row), np.sqrt(oracle_sq_distances(row[None, :], cb.centroids)[0]))
 
     def test_scores_match_oracle(self):
         rng = np.random.default_rng(31)
@@ -519,38 +517,6 @@ class TestDraw:
             assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-class TestAssign:
-    def make_codebook(self):
-        centroids = np.stack([np.full(CLIP_DIM, 10.0 * j) for j in range(4)])
-        return ActionCodebook(centroids)
-
-    def test_centroid_maps_to_own_label(self):
-        cb = self.make_codebook()
-        for j in range(4):
-            assert assign_label(cb, clip_from_vector(cb.centroids[j])) == j
-
-    def test_tie_breaks_to_lowest_index(self):
-        cb = self.make_codebook()
-        midpoint = clip_from_vector(np.full(CLIP_DIM, 15.0))  # between centroids 1 and 2
-        assert assign_label(cb, midpoint) == 1
-
-    def test_matches_linear_scan(self):
-        cb = ActionCodebook(RNG.normal(size=(10, CLIP_DIM)))
-        for _ in range(20):
-            clip = random_clip(RNG)
-            d = np.linalg.norm(cb.centroids - pose_clip_vector(clip), axis=1)
-            assert assign_label(cb, clip) == int(np.argmin(d))
-
-    def test_permutation_equivariant(self):
-        cb = ActionCodebook(RNG.normal(size=(6, CLIP_DIM)))
-        perm = np.array([3, 0, 5, 1, 4, 2])
-        permuted = ActionCodebook(cb.centroids[perm])
-        for _ in range(10):
-            clip = random_clip(RNG)
-            original = assign_label(cb, clip)
-            assert perm[assign_label(permuted, clip)] == original
-
-
 class TestScores:
     def test_scores_sum_to_one(self):
         cb = ActionCodebook(RNG.normal(size=(7, CLIP_DIM)))
@@ -662,6 +628,9 @@ class TestPersistence:
             ({"schema_version": 99}, "schema_version must be 1, got 99"),
             ({"schema_version": True}, "schema_version must be 1, got True"),
             ({"schema_version": 1.0}, "schema_version must be 1, got 1.0"),
+            ({"centroids": [[0.0] * 455 + ["1"], [1.0] * 456]}, "centroids must hold numbers, got str"),
+            ({"centroids": [[0.0] * 456, [True] + [1.0] * 455]}, "centroids must hold numbers, got bool"),
+            ({"centroids": [[0.0] * 456, [1.0] * 455 + [None]]}, "centroids must hold numbers, got NoneType"),
         ],
         ids=[
             "k_not_the_centroid_count",
@@ -672,6 +641,9 @@ class TestPersistence:
             "other_schema_version",
             "bool_schema_version",
             "float_schema_version",
+            "string_centroid",
+            "true_centroid",
+            "null_centroid",
         ],
     )
     def test_misread_field_rejected_naming_file_and_field(self, tmp_path, change, text):
@@ -716,10 +688,6 @@ class TestPersistence:
 
 
 class TestCodebookType:
-    def test_distances_reject_a_vector_of_another_length(self):
-        with pytest.raises(ValueError, match="clip vector must have 456 components"):
-            ActionCodebook(np.ones((1, CLIP_DIM))).distances(np.zeros(3))
-
     def test_agreement_rejects_scores_of_another_length(self):
         codebook = ActionCodebook(np.stack([np.zeros(CLIP_DIM), np.ones(CLIP_DIM)]))
         with pytest.raises(ValueError, match="ego_label_scores must have 2 entries"):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from crossview import geometry
-from crossview.geometry import RotationDelta, error_quaternion, se3_compose, warp_to_third_2d
+from crossview.geometry import RotationDelta, error_quaternion, se3_compose
 
 RNG = np.random.default_rng(12345)
 
@@ -109,18 +109,23 @@ class TestErrorQuaternion:
         with pytest.raises(ValueError):
             error_quaternion([np.inf, 0.0, 0.0])
 
+    @pytest.mark.parametrize("make, name", [(list, "rotation vector"), (RotationDelta, "delta_theta")])
     @pytest.mark.parametrize(
         "vector, problem",
         [
-            ([1.0, 0.0], "shape"),
-            ([0.0, 0.0, 0.0, 1.0], "shape"),
-            ([0.0, np.nan, 0.0], "finite"),
-            ([0.0, 0.0, -np.inf], "finite"),
+            ([1.0, 0.0], "have shape"),
+            ([0.0, 0.0, 0.0, 1.0], "have shape"),
+            ([0.0, np.nan, 0.0], "be finite"),
+            ([0.0, 0.0, -np.inf], "be finite"),
+            (["0.5", 0.0, 0.0], "hold numbers, got str"),
+            ([True, 0.0, 0.0], "hold numbers, got bool"),
+            ([None, 0.0, 0.0], "hold numbers, got NoneType"),
         ],
+        ids=["two", "four", "nan", "-inf", "string", "true", "null"],
     )
-    def test_bad_plain_vector_named(self, vector, problem):
-        with pytest.raises(ValueError, match=f"rotation vector must .*{problem}"):
-            error_quaternion(np.array(vector))
+    def test_bad_vector_named(self, make, name, vector, problem):
+        with pytest.raises(ValueError, match=f"{name} must {problem}"):
+            error_quaternion(make(vector))
 
     @given(rotation_vectors())
     @example(np.array([1e-6, 0.0, 0.0]))
@@ -284,40 +289,6 @@ class TestSE3Boundary:
         pairs = {"a": IDENTITY_SE3, "b": IDENTITY_SE3, argument: value}
         with pytest.raises(ValueError, match=f"{argument} must be a \\(rotation, translation\\) pair"):
             se3_compose(pairs["a"], pairs["b"])
-
-
-class TestWarp:
-    def test_identity_chain(self):
-        traj = warp_to_third_2d([IDENTITY_SE3] * 8)
-        np.testing.assert_array_equal(traj, np.zeros((8, 2)))
-
-    def test_subtracts_first_translation(self):
-        chain = [(IDENTITY, np.array([1.0, 2.0, 9.0])), (IDENTITY, np.array([3.0, 5.0, 7.0]))]
-        np.testing.assert_array_equal(warp_to_third_2d(chain), [[0.0, 0.0], [2.0, 3.0]])
-
-    def test_matches_matrix_chain_oracle(self):
-        # accumulate 8 random steps two ways: library chain vs 4x4 products
-        steps = [random_se3(RNG) for _ in range(7)]
-        start = random_se3(RNG)
-        chain = [start]
-        for s in steps:
-            chain.append(se3_compose(chain[-1], s))
-        matrices = [homogeneous(start)]
-        for s in steps:
-            matrices.append(matrices[-1] @ homogeneous(s))
-        expected = np.array([m[:2, 3] for m in matrices])
-        expected -= expected[0]
-        np.testing.assert_allclose(warp_to_third_2d(chain), expected, atol=1e-9)
-
-    def test_always_starts_at_origin(self):
-        for _ in range(20):
-            chain = [random_se3(RNG) for _ in range(5)]
-            pts = warp_to_third_2d(chain)
-            assert pts[0, 0] == 0.0 and pts[0, 1] == 0.0
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            warp_to_third_2d([])
 
 
 # The one-rotation code as it was before the array kernels, kept here as the

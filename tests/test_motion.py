@@ -51,12 +51,28 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(1.0, 0.0, 0.0, 1.0)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (np.nan, "must be finite"),
+            (np.inf, "must be finite"),
+            (-np.inf, "must be finite"),
+            ("0.5", "must be numbers, got '0.5'"),
+            (True, "must be numbers, got True"),
+            (None, "must be numbers, got None"),
+        ],
+        ids=["nan", "inf", "-inf", "string", "true", "null"],
+    )
     @pytest.mark.parametrize("corner", ["lx", "ly", "rx", "ry"])
-    def test_non_finite_rejected(self, corner, value):
+    def test_bad_corner_rejected(self, corner, value, text):
         corners = {"lx": 0.0, "ly": 0.0, "rx": 1.0, "ry": 1.0, corner: value}
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=f"bounding box corners {text}"):
             BoundingBox(**corners)
+
+    def test_numbers_of_any_numeric_type_are_corners(self):
+        box = BoundingBox(0, np.float32(0.5), np.int64(2), 3.0)
+        assert box.corners() == (0.0, 0.5, 2.0, 3.0)
+        assert all(type(v) is float for v in box.corners())
 
     def test_box_centers_of_corner_arrays_match_center(self):
         lower = RNG.normal(size=(3, 5, 2)) * 10.0

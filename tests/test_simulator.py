@@ -30,7 +30,7 @@ from crossview.simulator import (
     scenario_from_json,
     scenario_to_json,
     scene_arrays,
-    skeleton_at,
+    _skeletons,
 )
 from crossview.geometry import (
     error_quaternion,
@@ -68,39 +68,54 @@ def assert_same_scene(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
+def with_leaf(array, value):
+    """An array's nested lists with value as the first leaf."""
+    nested = array.tolist()
+    row = nested
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = value
+    return nested
+
+
+def pose_at(center_xy, heading, gait, travelled):
+    """The grid-snapped (19, 3) pose at one planar position, heading and distance travelled."""
+    return _skeletons(np.array([center_xy], dtype=float), [heading], gait, np.array([float(travelled)]))[0]
+
+
 def single_person_scenario(speed=0.0, duration=16, seed=0, noise=None):
     spec = PersonSpec(0, ((1.0, 2.0), (5.0, 2.0)), speed, GaitParams(), is_wearer=True)
     return Scenario(seed, duration, (spec,), noise or NoiseParams())
 
 
-class TestSkeletonAt:
+class TestSkeletons:
     def test_joints_on_binary_grid(self):
-        pose = skeleton_at((1.234, -0.567), 0.8, GaitParams(), 3.21)
+        pose = pose_at((1.234, -0.567), 0.8, GaitParams(), 3.21)
         scaled = pose / GRID
         np.testing.assert_array_equal(scaled, np.round(scaled))
 
     def test_planar_extent_centered_on_path_position(self):
         for heading in (0.0, 0.4, 2.0, -1.3):
-            pose = skeleton_at((2.5, -1.5), heading, GaitParams(), 1.7)
+            pose = pose_at((2.5, -1.5), heading, GaitParams(), 1.7)
             xy = pose[:, :2]
             center = (xy.min(axis=0) + xy.max(axis=0)) / 2.0
             np.testing.assert_allclose(center, [2.5, -1.5], atol=1e-9)
 
     def test_standing_person_is_static(self):
-        a = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
-        b = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
+        a = pose_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
+        b = pose_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
         np.testing.assert_array_equal(a, b)
 
 
 class TestEgoDeltasFromTruth:
     def test_identical_frames_give_identity(self):
-        frame = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
+        frame = pose_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
         pose_deltas, motion_deltas = ego_deltas_from_truth([frame] * 8)
         np.testing.assert_array_equal(pose_deltas, np.zeros((7, 19, 3)))
         np.testing.assert_allclose(motion_deltas, np.zeros((7, 2, 3)), atol=1e-12)
 
     def test_rigid_translation(self):
-        base = skeleton_at((0.0, 0.0), 0.7, GaitParams(), 0.5)
+        base = pose_at((0.0, 0.0), 0.7, GaitParams(), 0.5)
         step = np.array([0.3, 0.0, 0.0])
         frames = [base + k * step for k in range(8)]
         pose_deltas, motion_deltas = ego_deltas_from_truth(frames)
@@ -114,7 +129,7 @@ class TestEgoDeltasFromTruth:
     def test_pure_spin_about_body_axis(self):
         # frames built so consecutive body frames differ by a 0.1 rad turn
         # about the body frame's third axis
-        base = skeleton_at((0.0, 0.0), 0.3, GaitParams(), 0.2)
+        base = pose_at((0.0, 0.0), 0.3, GaitParams(), 0.2)
         q0, c0 = body_frame(base)
         r0 = rotation_matrices(q0[None])[0]
         frames = [base]
@@ -129,7 +144,7 @@ class TestEgoDeltasFromTruth:
             np.testing.assert_allclose(rotation_matrices(error_quaternion(rotation)[None])[0], expected, atol=1e-9)
 
     def test_wrong_frame_count_rejected(self):
-        frame = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
+        frame = pose_at((0.0, 0.0), 0.0, GaitParams(), 0.0)
         with pytest.raises(ValueError):
             ego_deltas_from_truth([frame] * 7)
 
@@ -158,7 +173,7 @@ def from_matrix_branch(m):
 
 def posed_frames(body_rotations, shifts):
     """One walker pose turned so that its body axes are each given rotation, then shifted."""
-    base = skeleton_at((0.0, 0.0), 0.0, GaitParams(), 0.3)
+    base = pose_at((0.0, 0.0), 0.0, GaitParams(), 0.3)
     axes, centre = body_axes(base)[0], body_centers(base)
     return np.stack([(base - centre) @ (r @ axes.T).T + shift for r, shift in zip(body_rotations, shifts)])
 
@@ -403,12 +418,24 @@ class TestSceneArrays:
             ("corners", lambda s: np.where(True, np.nan, s.corners), "corners"),
             ("corners", lambda s: s.corners[..., [2, 1, 0, 3]], "corners"),
             ("valid", lambda s: s.valid[0], "valid"),
-            ("valid", lambda s: s.valid[:, :0], r"valid must be a \(C, N, 8\) array, C, N >= 1"),
+            ("valid", lambda s: s.valid[:, :0], r"valid must have shape \(C, N, 8\), C, N >= 1"),
             ("pose_deltas", lambda s: s.pose_deltas[:-1], "pose_deltas"),
             ("motion_deltas", lambda s: np.full(s.motion_deltas.shape, np.inf), "motion_deltas"),
             ("person_ids", lambda s: [0, 0], "person_ids"),
             ("clip_ids", lambda s: s.clip_ids[:-1], "clip_ids"),
             ("wearer", lambda s: 5, "wearer"),
+            ("wearer", lambda s: "0", "wearer must hold integers, got str"),
+            ("wearer", lambda s: 0.9, "wearer must hold integers, got float"),
+            ("wearer", lambda s: None, "wearer must hold integers, got NoneType"),
+            ("pose_deltas", lambda s: with_leaf(s.pose_deltas, "0.5"), "pose_deltas must hold numbers, got str"),
+            ("motion_deltas", lambda s: with_leaf(s.motion_deltas, True), "motion_deltas must hold numbers, got bool"),
+            ("corners", lambda s: with_leaf(s.corners, None), "corners must hold numbers, got NoneType"),
+            ("valid", lambda s: with_leaf(s.valid, "no"), "valid must hold true or false, got str"),
+            ("person_ids", lambda s: [0, True], "person_ids must hold integers, got bool"),
+            ("clip_ids", lambda s: with_leaf(s.clip_ids, 0.0), "clip_ids must hold integers, got float"),
+            ("poses", lambda s: s.poses > 0.0, "poses must hold numbers, got bool"),
+            ("valid", lambda s: s.valid.astype(float), "valid must hold true or false, got float64"),
+            ("corners", lambda s: s.corners.astype(str), "corners must hold numbers, got str_"),
         ],
     )
     def test_malformed_field_rejected_naming_it(self, field, value, match):
@@ -514,6 +541,25 @@ class TestScenarioValidation:
     def test_person_rejects_nan_naming_field(self, waypoints, speed, heading, field):
         with pytest.raises(ValueError, match=field):
             PersonSpec(0, waypoints, speed, heading=heading, is_wearer=True)
+
+
+def set_at(obj, path, value):
+    """Set the element of nested JSON containers that path of keys and indices leads to."""
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+NUMBER_MISREADS = [("0.5", "str"), (True, "bool"), (None, "NoneType")]
+# per array field of a clip file: the path to one of its leaves, the name its
+# errors give, the word for what it holds, and the misreads put there
+CLIP_FILE_LEAVES = [
+    (("candidates", 1, "poses", 3, 4, 2), "poses", "numbers", NUMBER_MISREADS),
+    (("candidates", 1, "boxes", 3, 2), "boxes", "numbers", NUMBER_MISREADS),
+    (("candidates", 1, "valid", 5), "valid", "true or false", [("no", "str"), (1, "int"), (None, "NoneType")]),
+    (("ego", "pose_deltas", 2, 4, 1), "pose_deltas", "numbers", NUMBER_MISREADS),
+    (("ego", "motion", "deltas", 2, "translation", 1), "motion_deltas", "numbers", NUMBER_MISREADS),
+]
 
 
 class TestSerialization:
@@ -641,11 +687,17 @@ class TestSerialization:
         assert set(obj["ego"]) == {"pose_deltas", "motion"}
         assert set(obj["ego"]["motion"]) == {"deltas"}
 
-    @pytest.mark.parametrize("rotation", [[1.0, 2.0], ["x", 0.0, 0.0]])
-    def test_malformed_ego_increment_named(self, rotation):
+    @pytest.mark.parametrize(
+        "rotation, text",
+        [
+            ([1.0, 2.0], "motion_deltas must be an array of numbers of shape"),
+            (["x", 0.0, 0.0], "motion_deltas must hold numbers, got str"),
+        ],
+    )
+    def test_malformed_ego_increment_named(self, rotation, text):
         obj = json.loads(json.dumps(clip_to_obj(scene_arrays(cv.two_person_scenario(duration=16, seed=6)), 0)))
         obj["ego"]["motion"]["deltas"][2]["rotation"] = rotation
-        with pytest.raises(ValueError, match="motion_deltas must be a numeric array of shape"):
+        with pytest.raises(ValueError, match=text):
             clip_from_obj(obj)
 
     @pytest.mark.parametrize("frames", [list(range(3, 11)), [2, 3, 4, 5, 5, 7, 8, 9], list(range(2, 9))])
@@ -662,10 +714,22 @@ class TestSerialization:
             (lambda obj: obj.update(clip_id=2.7), "clip_id must be an integer, got 2.7"),
             (lambda obj: obj["candidates"][1].update(person_id=1.7), "person_id must be an integer, got 1.7"),
             (lambda obj: obj.update(ground_truth_wearer=0.7), "ground_truth_wearer must be an integer, got 0.7"),
-            (lambda obj: obj["candidates"][1].update(valid=["false"] * 8), "valid must be a list of true or false"),
-            (lambda obj: obj["candidates"][1]["boxes"][3].pop(), "boxes must be a list of 4 numbers"),
+            (lambda obj: obj["candidates"][1].update(valid=["false"] * 8), "valid must hold true or false, got str"),
+            (lambda obj: obj["candidates"][1]["boxes"][3].pop(), r"boxes must be an array of numbers of shape \(2, 8"),
+            *(
+                (lambda obj, path=path, value=value: set_at(obj, path, value), f"{name} must hold {noun}, got {kind}")
+                for path, name, noun, values in CLIP_FILE_LEAVES
+                for value, kind in values
+            ),
         ],
-        ids=["fractional_clip_id", "fractional_person_id", "fractional_wearer", "string_valid", "three_number_box"],
+        ids=[
+            "fractional_clip_id",
+            "fractional_person_id",
+            "fractional_wearer",
+            "string_valid",
+            "three_number_box",
+            *(f"{name}_{kind}" for _, name, _, values in CLIP_FILE_LEAVES for _, kind in values),
+        ],
     )
     def test_misread_field_rejected_naming_it(self, misread, text):
         obj = clip_to_obj(scene_arrays(cv.two_person_scenario(duration=16, seed=6)), 2)

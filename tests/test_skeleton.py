@@ -55,10 +55,21 @@ class TestIntegratePoseDeltas:
         for k, pose in enumerate(seq):
             np.testing.assert_array_equal(pose, np.full((19, 3), float(k)))
 
-    def test_wrong_delta_count_rejected(self):
-        init = np.zeros((19, 3))
-        with pytest.raises(ValueError):
-            integrate_pose_deltas(init, np.zeros((6, 19, 3)))
+    @pytest.mark.parametrize(
+        "field, value, text",
+        [
+            ("deltas", np.zeros((6, 19, 3)), r"deltas must have shape \(7, 19, 3\)"),
+            ("init", np.zeros((18, 3)), r"init must have shape \(19, 3\)"),
+            ("init", [["0.5", 0.0, 0.0]] * 19, "init must hold numbers, got str"),
+            ("deltas", [[[0.0, True, 0.0]] * 19] * 7, "deltas must hold numbers, got bool"),
+            ("deltas", [[[0.0, 0.0, None]] * 19] * 7, "deltas must hold numbers, got NoneType"),
+        ],
+        ids=["six_deltas", "short_init", "string_init", "true_delta", "null_delta"],
+    )
+    def test_malformed_input_rejected_naming_it(self, field, value, text):
+        arguments = {"init": np.zeros((19, 3)), "deltas": np.zeros((7, 19, 3)), field: value}
+        with pytest.raises(ValueError, match=text):
+            integrate_pose_deltas(**arguments)
 
     def test_constant_offset_between_two_inits(self):
         # same deltas fed to two start poses differ by exactly the start gap;
@@ -138,10 +149,19 @@ class TestBodyFrame:
         expected = (j[RIGHT_SHOULDER] + j[LEFT_SHOULDER] + j[NECK]) / 3.0
         np.testing.assert_array_equal(body_centers(j), expected)
 
-    @pytest.mark.parametrize("shape", [(18, 3), (19, 2), (57,), (2, 19, 3)])
-    def test_wrong_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match=r"joints must have shape \(19, 3\)"):
-            body_frame(np.zeros(shape))
+    @pytest.mark.parametrize(
+        "joints, problem",
+        [
+            *((np.zeros(shape), r"have shape \(19, 3\)") for shape in [(18, 3), (19, 2), (57,), (2, 19, 3)]),
+            ([["0.5", 0.0, 0.0]] * 19, "hold numbers, got str"),
+            ([[True, 0.0, 0.0]] * 19, "hold numbers, got bool"),
+            ([[None, 0.0, 0.0]] * 19, "hold numbers, got NoneType"),
+        ],
+        ids=["18x3", "19x2", "57", "2x19x3", "string", "true", "null"],
+    )
+    def test_malformed_joints_rejected(self, joints, problem):
+        with pytest.raises(ValueError, match=f"joints must {problem}"):
+            body_frame(joints)
 
 
 class TestPoseClipVector:

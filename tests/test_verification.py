@@ -106,11 +106,20 @@ class TestEgoObservation:
             EgoObservation(**arrays)
 
     @pytest.mark.parametrize("field", ["pose_deltas", "motion_deltas"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_rejected_naming_field(self, field, value):
-        arrays = {"pose_deltas": zero_pose_deltas(), "motion_deltas": constant_motion_deltas()}
-        arrays[field][-1, 1, 2] = value
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            (float("nan"), "be finite"),
+            (float("inf"), "be finite"),
+            ("0.5", "hold numbers, got str"),
+            (True, "hold numbers, got bool"),
+            (None, "hold numbers, got NoneType"),
+        ],
+    )
+    def test_bad_value_rejected_naming_field(self, field, value, problem):
+        arrays = {"pose_deltas": zero_pose_deltas().tolist(), "motion_deltas": constant_motion_deltas().tolist()}
+        arrays[field][-1][1][2] = value
+        with pytest.raises(ValueError, match=f"{field} must {problem}"):
             EgoObservation(**arrays)
 
 
@@ -132,10 +141,41 @@ class TestCandidateObservation:
         with pytest.raises(ValueError, match=r"poses must have shape \(8, 19, 3\)"):
             CandidateObservation(0, np.zeros(shape), self.boxes())
 
-    def test_ragged_nesting_rejected_naming_field(self):
-        ragged = [np.zeros((19, 3))] * 7 + [np.zeros((18, 3))]
-        with pytest.raises(ValueError, match="poses must be a numeric array"):
-            CandidateObservation(0, ragged, self.boxes())
+    @pytest.mark.parametrize(
+        "field, value, text",
+        [
+            ("poses", [np.zeros((19, 3))] * 7 + [np.zeros((18, 3))], r"poses must be an array of numbers of shape"),
+            ("poses", [[["0.5", 0.0, 0.0]] * 19] * 8, "poses must hold numbers, got str"),
+            ("poses", [[[True, 0.0, 0.0]] * 19] * 8, "poses must hold numbers, got bool"),
+            ("poses", [[[None, 0.0, 0.0]] * 19] * 8, "poses must hold numbers, got NoneType"),
+            ("valid", ["no"] * 8, "valid must hold true or false, got str"),
+            ("valid", [1] * 8, "valid must hold true or false, got int"),
+            ("valid", [None] * 8, "valid must hold true or false, got NoneType"),
+            ("valid", np.ones(8), "valid must hold true or false, got float64"),
+            ("valid", [True] * 7, r"valid must have shape \(8,\), got \(7,\)"),
+        ],
+        ids=[
+            "ragged_poses",
+            "string_pose",
+            "true_pose",
+            "null_pose",
+            "string_valid",
+            "int_valid",
+            "null_valid",
+            "float_valid_array",
+            "seven_flags",
+        ],
+    )
+    def test_malformed_field_rejected_naming_it(self, field, value, text):
+        fields = {"poses": np.zeros((8, 19, 3)), "valid": [True] * 8, field: value}
+        with pytest.raises(ValueError, match=text):
+            CandidateObservation(0, fields["poses"], self.boxes(), fields["valid"])
+
+    def test_valid_is_a_tuple_of_bools(self):
+        flags = np.array([True] * 7 + [False])
+        candidate = CandidateObservation(0, np.zeros((8, 19, 3)), self.boxes(), flags)
+        assert candidate.valid == (True,) * 7 + (False,)
+        assert all(type(v) is bool for v in candidate.valid) and not candidate.fully_valid()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected_naming_field(self, value):
