@@ -1,10 +1,14 @@
-"""read_json, the one reader of every JSON input file, and the field checks of the parsers it calls.
+"""read_json, the one reader of every JSON input file, and the field checks of the parsers it calls and of arguments.
 
 An unreadable file raises OSError (exit 3); one that is not UTF-8, not JSON
 or not what its parser takes raises ValueError (exit 2). Both name the file.
 """
 
 import json
+import math
+import sys
+
+from .geometry import _NUMBERS
 
 
 def read_json(path, what, parse):
@@ -21,19 +25,21 @@ def read_json(path, what, parse):
 
 
 def _number(value, name, integer=False):
-    """A JSON number, as an int for an integer field; errors name the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """The scalar rule of every argument and JSON field; errors name the field. A Python or numpy number, not a
+    bool, finite as a float (an int beyond the floats is not), given as a float, or as an int for an integer field."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (integer or abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     if integer and not (isinstance(value, int) or value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value) if integer else value
+    return int(value) if integer else float(value)
 
 
-def _numbers(value, name, count, integer=False):
-    """A JSON list of count numbers, as a tuple."""
-    if not isinstance(value, list) or len(value) != count:
-        raise ValueError(f"{name} must be a list of {count} numbers, got {value!r}")
-    return tuple(_number(v, name, integer) for v in value)
+def _checked_fields(obj, names, integer=False):
+    """Check the fields names of a (frozen) dataclass instance by _number and keep what it gives."""
+    for name in names:
+        object.__setattr__(obj, name, _number(getattr(obj, name), name, integer))
 
 
 def _schema_version(obj, version):
@@ -66,7 +72,8 @@ def _object(value, name):
 
 
 def _known_keys(obj, keys, name):
-    """Check that obj is a JSON object with no key beyond keys: a misspelt optional key would take its default."""
+    """obj, a JSON object with no key beyond keys: a misspelt optional key would take its default."""
     unknown = sorted(set(_object(obj, name)) - set(keys))
     if unknown:
         raise ValueError(f"{name} has unknown keys {', '.join(map(repr, unknown))}")
+    return obj

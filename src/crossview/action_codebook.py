@@ -224,15 +224,13 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
     max_iters < 1, clips of another shape, or fewer than k clips or distinct
     clips.
     """
-    if k < 1:
+    if _number(k, "k", integer=True) < 1:
         raise ValueError(f"cluster count must be >= 1, got {k}")
-    if max_iters < 1:
+    if _number(max_iters, "max_iters", integer=True) < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    clips = np.asarray(clips, dtype=float)
+    clips = frozen_array(clips, "clips", ("M", CLIP_LEN, N_JOINTS, 3), copy=False)
     if len(clips) < k:
         raise ValueError(f"need at least {k} clips to fit {k} clusters, got {len(clips)}")
-    if clips.shape[1:] != (CLIP_LEN, N_JOINTS, 3):
-        raise ValueError(f"clips must each have shape {(CLIP_LEN, N_JOINTS, 3)}, got {clips.shape[1:]}")
     vectors = clips.reshape(len(clips), CLIP_DIM)
     # an exact count: the seeding weights of repeated rows come out of the
     # norm expansion as rounding residue, not as 0
@@ -346,7 +344,7 @@ def _certified_labels(vectors, sq, centroids, stale, bound, d2, spare):
 
 def label_scores(codebook: ActionCodebook, clip, tau=DEFAULT_TAU) -> np.ndarray:
     """softmax(-distance / tau) over the centroids; sums to 1."""
-    if tau <= 0.0:
+    if _number(tau, "tau") <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
     return _row_scores(codebook, pose_clip_vector(clip)[None, :], tau)[0]
 
@@ -373,11 +371,9 @@ def _row_scores(codebook, vectors, tau):
 
 
 def _check_scores(scores, k, name):
-    s = np.asarray(scores, dtype=float)
-    if s.shape != (k,):
-        raise ValueError(f"{name} must have {k} entries, got shape {s.shape}")
-    if not np.all(np.isfinite(s)) or np.any(s < 0.0):
-        raise ValueError(f"{name} must be finite and non-negative")
+    s = frozen_array(scores, name, (k,), copy=False)
+    if (s < 0.0).any():
+        raise ValueError(f"{name} must be non-negative")
     if abs(float(s.sum()) - 1.0) > 1e-6:
         raise ValueError(f"{name} must sum to 1 within 1e-6, got {float(s.sum())}")
     return s

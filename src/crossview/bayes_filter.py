@@ -26,6 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import _number
+from .geometry import frozen_array
+
 __all__ = [
     "FilterState",
     "init_filter",
@@ -56,20 +59,22 @@ class FilterState:
     last_likelihood: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(_number(i, "ids", integer=True) for i in self.ids))
         n = len(self.ids)
-        if self.weights.shape != (n,) or self.positions.shape != (n, 2) or self.velocities.shape != (n, 2):
-            raise ValueError("filter state arrays must align with the candidate ids")
+        if not n:
+            raise ValueError("filter needs at least one candidate")
+        if len(set(self.ids)) != n:
+            raise ValueError("candidate ids must be unique")
+        for name, shape in (("weights", (n,)), ("positions", (n, 2)), ("velocities", (n, 2))):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), name, shape))
         if np.any(self.weights < 0.0) or abs(float(self.weights.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must be a probability distribution")
-        if not np.all(np.isfinite(self.velocities)):
-            raise ValueError("velocities must be finite")
 
 
-def _freeze(a, copy=True):
-    # copy an array that may alias a caller's input; one just computed here is only sealed
-    out = np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
-    out.setflags(write=False)
-    return out
+def _freeze(a):
+    # seal an array just computed here
+    a.setflags(write=False)
+    return a
 
 
 def _next_state(state, **changes):
@@ -83,26 +88,15 @@ def _next_state(state, **changes):
 
 def init_filter(ids, positions) -> FilterState:
     """Uniform posterior, zero velocities, positions from the first sighting."""
-    ids = tuple(int(i) for i in ids)
-    if not ids:
-        raise ValueError("filter needs at least one candidate")
-    if len(set(ids)) != len(ids):
-        raise ValueError("candidate ids must be unique")
+    ids = tuple(ids)
     n = len(ids)
-    positions = np.asarray(positions, dtype=float).reshape(n, 2)
-    if not np.isfinite(positions).all():
-        raise ValueError("positions must be finite")
-    return FilterState(
-        ids=ids,
-        weights=_freeze(np.full(n, 1.0 / n)),
-        positions=_freeze(positions),
-        velocities=_freeze(np.zeros((n, 2))),
-    )
+    return FilterState(ids=ids, weights=np.ones(n) / n, positions=positions, velocities=np.zeros((n, 2)))
 
 
 def predict(state: FilterState, dt=1.0, alpha=DEFAULT_ALPHA) -> FilterState:
     """Advance positions by velocity * dt and leak weights toward uniform."""
-    if not (math.isfinite(dt) and dt >= 0.0):
+    dt, alpha = _number(dt, "dt"), _number(alpha, "alpha")
+    if dt < 0.0:
         raise ValueError(f"dt must be finite and non-negative, got {dt}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -110,8 +104,8 @@ def predict(state: FilterState, dt=1.0, alpha=DEFAULT_ALPHA) -> FilterState:
     weights = (1.0 - alpha) * state.weights + alpha / n
     return _next_state(
         state,
-        weights=_freeze(weights / weights.sum(), copy=False),
-        positions=_freeze(state.positions + state.velocities * dt, copy=False),
+        weights=_freeze(weights / weights.sum()),
+        positions=_freeze(state.positions + state.velocities * dt),
     )
 
 
@@ -133,27 +127,17 @@ def update(
     another dt puts it off by v (1 - dt_predict / dt_update).
     """
     n = len(state.ids)
-    scores = np.asarray(clip_scores, dtype=float)
-    observed = np.asarray(observed_positions, dtype=float)
-    if scores.shape != (n,):
-        raise ValueError(f"clip_scores must align with the {n} candidates, got shape {scores.shape}")
-    if not (np.isfinite(scores) & (scores >= 0.0)).all():
+    scores = frozen_array(clip_scores, "clip_scores", (n,), copy=False)
+    if (scores < 0.0).any():
         raise ValueError(f"clip_scores must be finite and non-negative, got {scores}")
-    if observed.shape != (n, 2):
-        raise ValueError(f"observed_positions must be (n, 2), got shape {observed.shape}")
-    if not np.isfinite(observed).all():
-        raise ValueError("observed_positions must be finite")
-    if occluded is None:
-        occluded = np.zeros(n, dtype=bool)
-    else:
-        occluded = np.asarray(occluded, dtype=bool)
-        if occluded.shape != (n,):
-            raise ValueError("occluded mask must align with the candidates")
+    observed = frozen_array(observed_positions, "observed_positions", (n, 2))
+    occluded = np.zeros(n, bool) if occluded is None else frozen_array(occluded, "occluded", (n,), bool, copy=False)
+    beta, sigma_p, dt = _number(beta, "beta"), _number(sigma_p, "sigma_p"), _number(dt, "dt")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if not (math.isfinite(sigma_p) and sigma_p > 0.0):
+    if sigma_p <= 0.0:
         raise ValueError(f"sigma_p must be finite and positive, got {sigma_p}")
-    if not (math.isfinite(dt) and dt > 0.0):
+    if dt <= 0.0:
         raise ValueError(f"dt must be finite and positive, got {dt}")
 
     predicted = state.positions
@@ -166,10 +150,10 @@ def update(
     if mass == math.inf:  # overflow: every weight below would be 0
         raise ValueError("weights must be a probability distribution")
     if mass > 0.0:
-        weights = _freeze(unnormalized / mass, copy=False)
+        weights = _freeze(unnormalized / mass)
         low_confidence = False
     else:
-        weights = _freeze(state.weights)  # nothing to learn from; keep the prior
+        weights = state.weights  # nothing to learn from; keep the prior
         low_confidence = True
 
     # Finite difference against the pre-predict position: observed - predicted
@@ -182,10 +166,10 @@ def update(
     return _next_state(
         state,
         weights=weights,
-        positions=_freeze(observed),
-        velocities=_freeze(velocities, copy=False),
+        positions=observed,
+        velocities=_freeze(velocities),
         low_confidence=low_confidence,
-        last_likelihood=_freeze(likelihood, copy=False),
+        last_likelihood=_freeze(likelihood),
     )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -81,27 +80,21 @@ class RunConfig:
     seed: int | None = None
 
     def validate(self) -> ScoringConfig:
-        if not self.scenario:
-            raise ConfigError("field 'scenario' must be a path")
-        if not self.out_dir:
-            raise ConfigError("field 'out_dir' must be a path")
-        if self.codebook_k < 1:
-            raise ConfigError(f"field 'codebook_k' must be >= 1, got {self.codebook_k}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"field 'alpha' must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"field 'beta' must be in [0, 1], got {self.beta}")
-        if not (math.isfinite(self.sigma_p) and self.sigma_p > 0.0):
-            raise ConfigError(f"field 'sigma_p' must be finite and positive, got {self.sigma_p}")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"field 'seed' must be non-negative, got {self.seed}")
+        """The ScoringConfig of these options; a ConfigError names the first field out of its range."""
         try:
-            return ScoringConfig(
-                action_weight=self.action_weight,
-                motion_weight=self.motion_weight,
-                sigma=self.sigma,
-                tau=self.tau,
-            )
+            for name in ("scenario", "out_dir"):
+                if not getattr(self, name):
+                    raise ValueError(f"field '{name}' must be a path")
+            if _number(self.codebook_k, "field 'codebook_k'", integer=True) < 1:
+                raise ValueError(f"field 'codebook_k' must be >= 1, got {self.codebook_k}")
+            for name in ("alpha", "beta"):
+                if not 0.0 <= _number(getattr(self, name), f"field '{name}'") <= 1.0:
+                    raise ValueError(f"field '{name}' must be in [0, 1], got {getattr(self, name)}")
+            if _number(self.sigma_p, "field 'sigma_p'") <= 0.0:
+                raise ValueError(f"field 'sigma_p' must be finite and positive, got {self.sigma_p}")
+            if self.seed is not None and _number(self.seed, "field 'seed'", integer=True) < 0:
+                raise ValueError(f"field 'seed' must be non-negative, got {self.seed}")
+            return ScoringConfig(self.action_weight, self.motion_weight, self.sigma, self.tau)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -128,7 +121,7 @@ def _ranking_metrics(is_wearer, scores):
     curve traced by sorting on match probability; AR is the mean recall over
     all cut positions of that ranking.
     """
-    hits = np.asarray(is_wearer, dtype=float)[np.argsort(-np.asarray(scores, dtype=float), kind="stable")]
+    hits = np.array(is_wearer, float)[np.argsort(-scores, kind="stable")]
     true_positives = np.cumsum(hits)
     positives = hits.sum()
     precision = true_positives / np.arange(1, hits.size + 1)
@@ -275,8 +268,11 @@ def run_sweep(config: RunConfig, sigma_pose_values) -> list:
         raise ConfigError("field 'sigma_pose' must list at least one value")
     points = {}  # directory name -> level
     for sigma_pose in sigma_pose_values:
-        if not (math.isfinite(sigma_pose) and sigma_pose >= 0.0):
-            raise ConfigError(f"field 'sigma_pose' must be finite and non-negative, got {sigma_pose}")
+        try:
+            if _number(sigma_pose, "field 'sigma_pose'") < 0.0:
+                raise ValueError(f"field 'sigma_pose' must be non-negative, got {sigma_pose}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         name = f"sigma_pose_{sigma_pose:g}"
         if name in points:
             raise ConfigError(f"field 'sigma_pose' values {points[name]} and {sigma_pose} share the directory {name}")

@@ -9,11 +9,10 @@ rigid-motion increments are a (7, 2, 3) array: per step, the rotation vector
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .geometry import _NUMBERS, error_quaternion, exp_rotations, rotation_matrices, se3_compose
+from ._files import _number
+from .geometry import error_quaternion, exp_rotations, frozen_array, rotation_matrices, se3_compose
 from .skeleton import CLIP_LEN
 
 __all__ = [
@@ -27,22 +26,21 @@ __all__ = [
 
 
 class BoundingBox:
-    """Axis-aligned box in third-view plane coordinates; each corner coordinate must be a number, not a bool."""
+    """Axis-aligned box in third-view plane coordinates: four finite numbers, not bools, with lx <= rx and ly <= ry."""
 
     __slots__ = ("lx", "ly", "rx", "ry")
 
     def __init__(self, lx, ly, rx, ry):
-        # floats, as every simulated box has, skip the per-value check
-        if not type(lx) is type(ly) is type(rx) is type(ry) is float:
-            for value in (lx, ly, rx, ry):
-                if isinstance(value, bool) or not isinstance(value, _NUMBERS):
-                    raise ValueError(f"bounding box corners must be numbers, got {value!r}")
-        lx, ly, rx, ry = float(lx), float(ly), float(rx), float(ry)
-        if not (math.isfinite(lx) and math.isfinite(ly) and math.isfinite(rx) and math.isfinite(ry)):
-            raise ValueError("bounding box corners must be finite")
+        lx, ly, rx, ry = (_number(v, name) for v, name in zip((lx, ly, rx, ry), self.__slots__))
         if lx > rx or ly > ry:
             raise ValueError(f"bounding box corners out of order: ({lx}, {ly}), ({rx}, {ry})")
         self.lx, self.ly, self.rx, self.ry = lx, ly, rx, ry
+
+    @classmethod
+    def _unchecked(cls, corners):  # four ordered finite floats, such as the simulator's, not checked again
+        box = object.__new__(cls)
+        box.lx, box.ly, box.rx, box.ry = corners
+        return box
 
     @property
     def center(self):
@@ -96,7 +94,7 @@ def ego_offsets(deltas) -> np.ndarray:
     The step rotations come from one array pass; the chain is a loop of
     batched 3x3 products, and each leading index gets the bits it gets alone.
     """
-    deltas = np.asarray(deltas, dtype=float)
+    deltas = frozen_array(deltas, "deltas", (..., CLIP_LEN - 1, 2, 3), copy=False)
     rotations = rotation_matrices(exp_rotations(deltas[..., 0, :].reshape(-1, 3))).reshape(deltas.shape[:-2] + (3, 3))
     offsets = np.zeros(deltas.shape[:-3] + (CLIP_LEN, 3))
     frame = np.eye(3)
@@ -108,8 +106,6 @@ def ego_offsets(deltas) -> np.ndarray:
 
 def trajectory_l1_loss(predicted, reference) -> float:
     """Sum over frames of |dx| + |dy| between two tracks of equal shape."""
-    predicted = np.asarray(predicted, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    if predicted.shape != reference.shape:
-        raise ValueError(f"trajectory shapes differ: {predicted.shape} vs {reference.shape}")
+    predicted = frozen_array(predicted, "predicted", ("n", 2), copy=False)
+    reference = frozen_array(reference, "reference", predicted.shape, copy=False)
     return float(np.abs(predicted - reference).sum())

@@ -47,7 +47,7 @@ import numpy as np
 
 # se3_compose and body_frame are not called here; perfbench/tracer.py wraps
 # them under these names to count calls, which now read 0
-from ._files import _known_keys, _list, _number, _numbers, _object, _required, _schema_version, read_json
+from ._files import _checked_fields, _known_keys, _list, _number, _object, _required, _schema_version, read_json
 from .geometry import frozen_array, relative_motions, se3_compose  # noqa: F401
 from .motion import BoundingBox
 from .skeleton import CLIP_LEN, N_JOINTS, body_frame, body_poses  # noqa: F401
@@ -128,9 +128,7 @@ class GaitParams:
     phase: float = 0.0
 
     def __post_init__(self):
-        for name in ("arm_amplitude", "leg_amplitude", "stride_length", "phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _checked_fields(self, ("arm_amplitude", "leg_amplitude", "stride_length", "phase"))
         for name in ("arm_amplitude", "leg_amplitude"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
@@ -150,20 +148,16 @@ class PersonSpec:
     heading: float = 0.0  # used when the path has no extent
 
     def __post_init__(self):
-        wps = tuple((float(x), float(y)) for x, y in self.waypoints)
-        if not wps:
-            raise ValueError("waypoints must contain at least one point")
-        if not all(math.isfinite(v) for w in wps for v in w):
-            raise ValueError(f"waypoints must be finite, got {wps}")
+        _checked_fields(self, ("person_id",), integer=True)
+        _checked_fields(self, ("speed", "heading"))
+        wps = tuple(map(tuple, frozen_array(self.waypoints, "waypoints", ("n", 2), copy=False).tolist()))
         object.__setattr__(self, "waypoints", wps)
-        if not (math.isfinite(self.speed) and self.speed >= 0.0):
-            raise ValueError(f"speed must be finite and non-negative, got {self.speed}")
-        if not math.isfinite(self.heading):
-            raise ValueError(f"heading must be finite, got {self.heading}")
-        if self.speed > 0.0 and len(wps) > 1:
-            for a, b in zip(wps, wps[1:]):
-                if a == b:
-                    raise ValueError("consecutive waypoints must be distinct")
+        if not isinstance(self.is_wearer, bool):
+            raise ValueError(f"is_wearer must be true or false, got {self.is_wearer!r}")
+        if self.speed < 0.0:
+            raise ValueError(f"speed must be non-negative, got {self.speed}")
+        if self.speed > 0.0 and any(a == b for a, b in zip(wps, wps[1:])):
+            raise ValueError("consecutive waypoints must be distinct")
 
 
 @dataclass(frozen=True)
@@ -177,9 +171,9 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("sigma_pose", "sigma_odo_trans", "sigma_odo_rot", "sigma_bbox"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            _checked_fields(self, (name,))
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +184,9 @@ class Crossing:
     person_b: int
     start: int
     end: int
+
+    def __post_init__(self):
+        _checked_fields(self, ("person_a", "person_b", "start", "end"), integer=True)
 
 
 @dataclass(frozen=True)
@@ -204,6 +201,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "persons", tuple(self.persons))
         object.__setattr__(self, "crossings", tuple(self.crossings))
+        _checked_fields(self, ("seed", "duration", "time_offset"), integer=True)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.duration < CLIP_LEN:
@@ -236,7 +234,7 @@ class ClipObservation:
 
 
 def _quantize(values):
-    return np.round(np.asarray(values, dtype=float) / GRID) * GRID
+    return np.round(values / GRID) * GRID
 
 
 def _skeletons(centers_xy, headings, gait: GaitParams, travelled):
@@ -263,7 +261,7 @@ def _skeletons(centers_xy, headings, gait: GaitParams, travelled):
 
 def _path_states(spec: PersonSpec, duration):
     """Positions (T, 2), headings (T,) and distances travelled (T,) over the first T frames."""
-    pts = np.asarray(spec.waypoints, dtype=float)
+    pts = np.array(spec.waypoints)
     if len(pts) == 1 or spec.speed == 0.0:
         return np.tile(pts[0], (duration, 1)), [spec.heading] * duration, np.zeros(duration)
     segments = np.diff(pts, axis=0)
@@ -295,10 +293,7 @@ def ego_deltas_from_truth(frames):
     relative transforms between consecutive body frames (rotation vector,
     then translation).
     """
-    frames = np.asarray(frames, dtype=float)
-    if frames.shape != (CLIP_LEN, N_JOINTS, 3):
-        raise ValueError(f"frames must have shape {(CLIP_LEN, N_JOINTS, 3)}, got {frames.shape}")
-    return _ego_steps(frames)
+    return _ego_steps(frozen_array(frames, "frames", (CLIP_LEN, N_JOINTS, 3), copy=False))
 
 
 def _freeze_sources(occluded):
@@ -402,7 +397,7 @@ def generate_scene(scenario: Scenario):
             t0,
             EgoObservation(pose_deltas, motion_deltas),
             tuple(
-                CandidateObservation(pid, poses[row], [BoundingBox(*b) for b in corners[row].tolist()], valid[row])
+                CandidateObservation(pid, poses[row], map(BoundingBox._unchecked, corners[row].tolist()), valid[row])
                 for row, pid in enumerate(ids)
             ),
             wearer,
@@ -460,23 +455,15 @@ def scenario_to_json(s: Scenario) -> str:
     return json.dumps(_scenario_obj(s), sort_keys=True, indent=2)
 
 
-def _numbers_by_key(value, cls, name):
-    """A JSON object of numbers, as the keywords of the dataclass cls."""
-    _known_keys(value, [f.name for f in fields(cls)], name)
-    return {key: _number(v, f"{name}.{key}") for key, v in value.items()}
-
-
 def _person(p) -> PersonSpec:
     _known_keys(p, ("id", "waypoints", "speed", "heading", "is_wearer", "gait"), "a person")
-    if not isinstance(p.get("is_wearer", False), bool):
-        raise ValueError(f"is_wearer must be true or false, got {p['is_wearer']!r}")
     return PersonSpec(
         person_id=_number(_required(p, "id", "a person"), "id", integer=True),
-        waypoints=tuple(_numbers(w, "waypoints", 2) for w in _list(_required(p, "waypoints", "a person"), "waypoints")),
-        speed=float(_number(_required(p, "speed", "a person"), "speed")),
-        heading=float(_number(p.get("heading", 0.0), "heading")),
+        waypoints=_list(_required(p, "waypoints", "a person"), "waypoints"),
+        speed=_required(p, "speed", "a person"),
+        heading=p.get("heading", 0.0),
         is_wearer=p.get("is_wearer", False),
-        gait=GaitParams(**_numbers_by_key(p.get("gait", {}), GaitParams, "gait")),
+        gait=GaitParams(**_known_keys(p.get("gait", {}), [f.name for f in fields(GaitParams)], "gait")),
     )
 
 
@@ -489,12 +476,11 @@ def _scenario_from_obj(obj) -> Scenario:
     keys = ("schema_version", "seed", "duration", "time_offset", "noise", "persons", "crossings")
     _known_keys(obj, keys, "a scenario")
     _schema_version(obj, SCHEMA_VERSION)
-    noise = _numbers_by_key(obj.get("noise", {}), NoiseParams, "noise")
     return Scenario(
-        seed=_number(_required(obj, "seed", "a scenario"), "seed", integer=True),
-        duration=_number(_required(obj, "duration", "a scenario"), "duration", integer=True),
-        time_offset=_number(obj.get("time_offset", 0), "time_offset", integer=True),
-        noise=NoiseParams(**{key: float(v) for key, v in noise.items()}),
+        seed=_required(obj, "seed", "a scenario"),
+        duration=_required(obj, "duration", "a scenario"),
+        time_offset=obj.get("time_offset", 0),
+        noise=NoiseParams(**_known_keys(obj.get("noise", {}), [f.name for f in fields(NoiseParams)], "noise")),
         persons=tuple(_person(p) for p in _list(_required(obj, "persons", "a scenario"), "persons")),
         crossings=tuple(_crossing(c) for c in _list(obj.get("crossings", []), "crossings")),
     )
@@ -502,8 +488,11 @@ def _scenario_from_obj(obj) -> Scenario:
 
 def _crossing(c) -> Crossing:
     _known_keys(c, ("pair", "start", "end"), "a crossing")
-    pair = _numbers(_required(c, "pair", "a crossing"), "pair", 2, integer=True)
-    return Crossing(*pair, *(_number(_required(c, k, "a crossing"), k, True) for k in ("start", "end")))
+    pair = _required(c, "pair", "a crossing")
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"pair must be a list of 2 numbers, got {pair!r}")
+    start, end = (_required(c, k, "a crossing") for k in ("start", "end"))
+    return Crossing(*(_number(v, "pair", integer=True) for v in pair), start, end)
 
 
 def save_scenario(s: Scenario, path) -> None:
@@ -690,11 +679,12 @@ def group_scenario(n_persons=6, *, duration=96, seed=0, noise=None, same_gait=Fa
     Lanes sit 0.2 apart (inside the filter's default position-gate scale),
     everyone walks at the wearer's speed, and the wearer is occluded in
     5-frame bursts every 9 frames against a rotating partner, so almost every
-    clip is corrupted. With 8 people, 400 frames and k=400, raw accuracy is
-    0.010-0.015 against a chance of 0.125, and the filter's 0.997 comes from
-    the occlusion schedule (0.008 with the occlusion mask all False; see
-    README). Nobody is occluded for 8 consecutive frames (a fully occluded
-    clip is unscorable).
+    clip is corrupted. With 8 people, 400 frames, the benchmark noise and
+    k=400, seeds 7 and 19 give raw accuracy 0.010 and 0.015 (chance 0.125)
+    and filtered 0.997, which comes from the occlusion schedule (0.008 with
+    the occlusion mask all False; see README); seeds 0-3 give raw 0.260,
+    0.654, 0.013 and 0.005, filtered 1.0, 0.997, 0.997 and 0.997. Nobody is
+    occluded for 8 consecutive frames (a fully occluded clip is unscorable).
     """
     if n_persons < 2:
         raise ValueError("group scenario needs at least 2 people")

@@ -28,6 +28,7 @@ from itertools import chain
 
 import numpy as np
 
+from ._files import _checked_fields, _number
 from .action_codebook import DEFAULT_TAU, ActionCodebook, action_agreement, cross_entropies, label_scores
 from .geometry import frozen_array
 from .motion import (
@@ -75,9 +76,7 @@ class ScoringConfig:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        for name in ("action_weight", "motion_weight", "sigma", "tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _checked_fields(self, ("action_weight", "motion_weight", "sigma", "tau"))
         for name in ("action_weight", "motion_weight"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
@@ -110,7 +109,7 @@ class CandidateObservation:
     __slots__ = ("person_id", "poses", "boxes", "valid")
 
     def __init__(self, person_id, poses, boxes, valid=None):
-        self.person_id = int(person_id)
+        self.person_id = _number(person_id, "person_id", integer=True)
         self.poses = frozen_array(poses, "poses", (CLIP_LEN, N_JOINTS, 3))
         self.boxes = tuple(boxes)
         if len(self.boxes) != CLIP_LEN:

@@ -537,6 +537,12 @@ class TestScores:
         with pytest.raises(ValueError):
             label_scores(cb, random_clip(RNG), tau=0.0)
 
+    @pytest.mark.parametrize("tau, text", [("0.1", "tau must be a number"), (math.nan, "tau must be finite")])
+    def test_misread_tau_rejected_naming_it(self, tau, text):
+        cb = ActionCodebook(RNG.normal(size=(3, CLIP_DIM)))
+        with pytest.raises(ValueError, match=text):
+            label_scores(cb, random_clip(RNG), tau=tau)
+
 
 class TestAgreement:
     def one_hot(self, k, i):
@@ -583,6 +589,21 @@ class TestAgreement:
         with pytest.raises(ValueError):
             action_agreement(np.array([1.2, -0.2, 0.0, 0.0]), np.full(4, 0.25), cb)
 
+    @pytest.mark.parametrize(
+        "scores, text",
+        [
+            (["0.25"] * 4, "third_label_scores must hold numbers, got str"),
+            ([True, False, False, False], "third_label_scores must hold numbers, got bool"),
+            ([math.nan, 0.5, 0.5, 0.0], "third_label_scores must be finite"),
+            ([1.5, -0.5, 0.0, 0.0], "third_label_scores must be non-negative"),
+        ],
+        ids=["string", "bool", "nan", "negative"],
+    )
+    def test_misread_scores_rejected_naming_them(self, scores, text):
+        cb = ActionCodebook(RNG.normal(size=(4, CLIP_DIM)))
+        with pytest.raises(ValueError, match=text):
+            action_agreement(np.full(4, 0.25), scores, cb)
+
 
 class TestSceneInput:
     def test_scene_array_fits_the_codebook_of_the_list_of_poses(self):
@@ -596,8 +617,46 @@ class TestSceneInput:
         assert not poses.flags.writeable  # read in place
 
     def test_clips_of_another_shape_rejected(self):
-        with pytest.raises(ValueError, match="clips must each have shape"):
+        with pytest.raises(ValueError, match="clips must have shape"):
             fit_codebook(np.zeros((4, 8, 19, 2)), k=2, seed=0)
+
+    @staticmethod
+    def with_leaf(clips, value):
+        clips[2][5][7][1] = value
+        return clips
+
+    @pytest.mark.parametrize(
+        "clips, arguments, text",
+        [
+            # numpy reads "0.5" and True as numbers
+            (lambda c: TestSceneInput.with_leaf(c.tolist(), "0.5"), {}, "clips must hold numbers, got str"),
+            (lambda c: TestSceneInput.with_leaf(c.tolist(), True), {}, "clips must hold numbers, got bool"),
+            (lambda c: [*c[:-1], c[-1].astype(str)], {}, "clips must hold numbers, got str_"),
+            (lambda c: [*c[:-1], c[-1] > 0.0], {}, "clips must hold numbers, got bool"),
+            (lambda c: c > 0.0, {}, "clips must hold numbers, got bool"),
+            (lambda c: c, {"k": "2"}, "k must be a number, got '2'"),
+            (lambda c: c, {"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+        ],
+        ids=[
+            "string_leaf",
+            "true_leaf",
+            "string_array",
+            "bool_array",
+            "bool_corpus",
+            "string_k",
+            "fractional_max_iters",
+        ],
+    )
+    def test_misread_argument_rejected_naming_it(self, clips, arguments, text):
+        corpus = np.random.default_rng(3).normal(size=(6, 8, 19, 3))
+        with pytest.raises(ValueError, match=text):
+            fit_codebook(clips(corpus), **{"k": 2, "seed": 0, **arguments})
+
+    def test_list_of_float_and_int_arrays_fits_like_the_array(self):
+        corpus = np.random.default_rng(3).integers(-5, 5, size=(6, 8, 19, 3))
+        clips = [clip.astype(float) if i % 2 else clip for i, clip in enumerate(corpus)]
+        want = fit_codebook(corpus.astype(float), k=3, seed=0)
+        assert fit_codebook(clips, k=3, seed=0).centroids.tobytes() == want.centroids.tobytes()
 
 
 class TestPersistence:
@@ -690,7 +749,7 @@ class TestPersistence:
 class TestCodebookType:
     def test_agreement_rejects_scores_of_another_length(self):
         codebook = ActionCodebook(np.stack([np.zeros(CLIP_DIM), np.ones(CLIP_DIM)]))
-        with pytest.raises(ValueError, match="ego_label_scores must have 2 entries"):
+        with pytest.raises(ValueError, match=r"ego_label_scores must have shape \(2,\)"):
             action_agreement(np.full(3, 1.0 / 3.0), np.array([0.5, 0.5]), codebook)
 
     def test_rows_that_differ_only_in_the_sign_of_zero_are_not_distinct(self):

@@ -51,6 +51,13 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(make_state([1.0]), alpha=1.5)
 
+    @pytest.mark.parametrize(
+        "change, text", [({"dt": "1"}, "dt must be a number, got '1'"), ({"alpha": True}, "alpha must be a number")]
+    )
+    def test_misread_argument_rejected_naming_it(self, change, text):
+        with pytest.raises(ValueError, match=text):
+            predict(make_state([0.5, 0.5]), **change)
+
     @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
     def test_non_finite_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt must be finite"):
@@ -209,13 +216,50 @@ class TestReferenceRecursion:
 
 class TestUpdateArguments:
     def test_occluded_mask_of_another_length_rejected(self):
-        with pytest.raises(ValueError, match="occluded mask"):
+        with pytest.raises(ValueError, match="occluded must have shape"):
             update(make_state([0.5, 0.5]), [0.5, 0.5], np.zeros((2, 2)), occluded=[False, False, True])
 
     @pytest.mark.parametrize("beta", [-0.1, 1.5])
     def test_beta_out_of_range_rejected(self, beta):
         with pytest.raises(ValueError, match="beta must be in"):
             update(make_state([0.5, 0.5]), [0.5, 0.5], np.zeros((2, 2)), beta=beta)
+
+    @pytest.mark.parametrize(
+        "change, text",
+        [
+            # numpy reads "False" as True and 2 as True
+            ({"occluded": ["False", "False"]}, "occluded must hold true or false, got str"),
+            ({"occluded": [0, 2]}, "occluded must hold true or false, got int"),
+            ({"occluded": np.array([0.0, 1.0])}, "occluded must hold true or false, got float64"),
+            ({"clip_scores": ["0.5", "0.5"]}, "clip_scores must hold numbers, got str"),
+            ({"clip_scores": [True, 0.5]}, "clip_scores must hold numbers, got bool"),
+            ({"observed_positions": [[0.0, None], [0.0, 0.0]]}, "observed_positions must hold numbers, got NoneType"),
+            ({"beta": True}, "beta must be a number, got True"),
+            ({"sigma_p": "0.5"}, "sigma_p must be a number, got '0.5'"),
+            ({"dt": None}, "dt must be a number, got None"),
+        ],
+        ids=[
+            "string_occluded",
+            "int_occluded",
+            "float_occluded_array",
+            "string_scores",
+            "true_score",
+            "null_position",
+            "true_beta",
+            "string_sigma_p",
+            "null_dt",
+        ],
+    )
+    def test_misread_argument_rejected_naming_it(self, change, text):
+        arguments = {"clip_scores": [0.5, 0.5], "observed_positions": np.zeros((2, 2)), **change}
+        with pytest.raises(ValueError, match=text):
+            update(predict(make_state([0.5, 0.5])), **arguments)
+
+    def test_numpy_scalars_are_numbers(self):
+        state = predict(make_state([0.5, 0.5]), dt=np.float32(1.0), alpha=np.float64(0.05))
+        want = update(state, [0.8, 0.2], np.zeros((2, 2)), beta=0.7, sigma_p=0.5, dt=1.0)
+        got = update(state, [0.8, 0.2], np.zeros((2, 2)), beta=np.float64(0.7), sigma_p=np.float32(0.5), dt=np.int64(1))
+        assert got.weights.tobytes() == want.weights.tobytes()
 
 
 class TestInit:
@@ -235,6 +279,24 @@ class TestInit:
     def test_nan_position_rejected(self):
         with pytest.raises(ValueError, match="positions must be finite"):
             init_filter([1, 2], [[0.0, 0.0], [float("nan"), 1.0]])
+
+    @pytest.mark.parametrize(
+        "ids, positions, text",
+        [
+            ([0.5, 1.5], np.zeros((2, 2)), "ids must be an integer, got 0.5"),  # int() read them as 0 and 1
+            ([0, "1"], np.zeros((2, 2)), "ids must be a number, got '1'"),
+            ([0, True], np.zeros((2, 2)), "ids must be a number, got True"),
+            ([0, 1], [["0.0", 0.0], [1.0, 1.0]], "positions must hold numbers, got str"),
+            ([0, 1], np.zeros(4), r"positions must have shape \(2, 2\), got \(4,\)"),
+        ],
+    )
+    def test_misread_argument_rejected_naming_it(self, ids, positions, text):
+        with pytest.raises(ValueError, match=text):
+            init_filter(ids, positions)
+
+    def test_whole_number_ids_of_any_type_are_ints(self):
+        state = init_filter((i for i in [np.int64(4), 5.0, 6]), np.zeros((3, 2)))
+        assert state.ids == (4, 5, 6) and all(type(i) is int for i in state.ids)
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError):
@@ -297,7 +359,7 @@ class TestStatesBuiltOnce:
     @pytest.mark.parametrize(
         "weights, velocities, message",
         [
-            ([0.5, 0.5, 0.0], np.zeros((2, 2)), "align"),
+            ([0.5, 0.5, 0.0], np.zeros((2, 2)), "weights must have shape"),
             ([1.5, -0.5], np.zeros((2, 2)), "probability distribution"),
             ([0.5, 0.6], np.zeros((2, 2)), "probability distribution"),
             ([0.5, 0.5], [[0.0, math.inf], [0.0, 0.0]], "velocities must be finite"),

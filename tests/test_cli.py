@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import fields, replace
 from pathlib import Path
@@ -196,7 +197,18 @@ class TestRunEvaluation:
 
     @pytest.mark.parametrize(
         "change, field",
-        [({"scenario": ""}, "scenario"), ({"out_dir": ""}, "out_dir"), ({"beta": 1.5}, "beta"), ({"seed": -1}, "seed")],
+        [
+            ({"scenario": ""}, "scenario"),
+            ({"out_dir": ""}, "out_dir"),
+            ({"beta": 1.5}, "beta"),
+            ({"seed": -1}, "seed"),
+            # each passed before: a bool is not a number, nor 2.5 a cluster count
+            ({"alpha": True}, "alpha"),
+            ({"codebook_k": 2.5}, "codebook_k"),
+            ({"sigma_p": "0.5"}, "sigma_p"),
+            ({"seed": 1.5}, "seed"),
+            ({"beta": math.nan}, "beta"),
+        ],
     )
     def test_config_validation_names_every_field(self, change, field):
         with pytest.raises(ConfigError, match=f"field '{field}'"):
@@ -342,6 +354,16 @@ class TestSweep:
             run_sweep(RunConfig(scenario=str(path), out_dir=str(tmp_path / "sweep")), [])
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [(True, "must be a number, got True"), ("0.1", "must be a number"), (-0.1, "must be non-negative")],
+    )
+    def test_misread_level_rejected_before_any_point(self, tmp_path, value, text):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=3))
+        with pytest.raises(ConfigError, match=f"field 'sigma_pose' {text}"):
+            run_sweep(RunConfig(scenario=str(path), out_dir=str(tmp_path / "sweep")), [0.0, value])
+        assert not (tmp_path / "sweep").exists()
+
 
 # every RunConfig field but scenario and out_dir: (flag, its argument, field, value)
 RUN_FLAGS = [
@@ -392,6 +414,7 @@ BAD_SCENARIO_FIELDS = [
     pytest.param(("duration",), 7.9, "duration must be an integer", id="fractional_duration"),
     pytest.param(("time_offset",), 1.5, "time_offset must be an integer", id="fractional_time_offset"),
     pytest.param(("persons", 1, "speed"), "fast", "speed", id="string_speed"),
+    pytest.param(("persons", 1, "speed"), 10**400, "speed must be finite", id="speed_beyond_float"),
     pytest.param(("crosings",), [], "unknown keys 'crosings'", id="misspelt_top_level_key"),
     pytest.param(("time_ofset",), 3, "unknown keys 'time_ofset'", id="misspelt_time_offset"),
     pytest.param(("persons", 1, "heding"), 0.5, "unknown keys 'heding'", id="misspelt_person_key"),

@@ -291,6 +291,48 @@ class TestSE3Boundary:
             se3_compose(pairs["a"], pairs["b"])
 
 
+class TestFrozenArray:
+    """The array rule: an ndarray, also one inside lists, is checked by its dtype and not walked."""
+
+    def test_arrays_in_a_list_are_not_walked(self):
+        class Unwalkable(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("walked element by element")
+
+        clips = [np.full((8, 19, 3), float(i)).view(Unwalkable) for i in range(5)]
+        got = geometry.frozen_array(clips, "clips", ("M", 8, 19, 3))
+        assert got.shape == (5, 8, 19, 3) and got[3, 7, 18, 2] == 3.0 and not got.flags.writeable
+
+    @pytest.mark.parametrize(
+        "value, shape, dtype, text",
+        [
+            ([np.zeros(2), np.zeros(2, str)], (2, 2), float, "x must hold numbers, got str_"),
+            ([np.zeros(2), np.zeros(2, bool)], (2, 2), float, "x must hold numbers, got bool"),
+            ([[np.zeros(2)], [np.zeros(2, bool)]], (2, 1, 2), float, "x must hold numbers, got bool"),
+            ([np.arange(2), np.arange(2.0)], (2, 2), int, "x must hold integers, got float64"),
+            ([np.ones(2, bool), np.ones(2, np.int8)], (2, 2), bool, "x must hold true or false, got int8"),
+            ([np.zeros(2), ["0.5", 0.0]], (2, 2), float, "x must hold numbers, got str"),
+        ],
+    )
+    def test_arrays_of_another_kind_in_a_list_rejected(self, value, shape, dtype, text):
+        with pytest.raises(ValueError, match=text):
+            geometry.frozen_array(value, "x", shape, dtype)
+
+    @pytest.mark.parametrize(
+        "value, shape, dtype",
+        [
+            ([np.zeros(2), np.arange(2), [0.5, 1]], (3, 2), float),
+            ([np.arange(2, dtype=np.uint8), [3, 4]], (2, 2), int),
+            ([np.ones(2, bool), [True, False]], (2, 2), bool),
+            ([np.zeros((2, 7, 2, 3)), np.zeros((2, 7, 2, 3))], (..., 7, 2, 3), float),
+        ],
+    )
+    def test_lists_of_arrays_of_a_taken_kind_read_like_one_array(self, value, shape, dtype):
+        want = np.array([np.asarray(v) for v in value]).astype(dtype)
+        got = geometry.frozen_array(value, "x", shape, dtype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # The one-rotation code as it was before the array kernels, kept here as the
 # reference the kernels must reproduce bit for bit.
 

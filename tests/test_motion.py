@@ -57,16 +57,16 @@ class TestBoundingBox:
             (np.nan, "must be finite"),
             (np.inf, "must be finite"),
             (-np.inf, "must be finite"),
-            ("0.5", "must be numbers, got '0.5'"),
-            (True, "must be numbers, got True"),
-            (None, "must be numbers, got None"),
+            ("0.5", "must be a number, got '0.5'"),
+            (True, "must be a number, got True"),
+            (None, "must be a number, got None"),
         ],
         ids=["nan", "inf", "-inf", "string", "true", "null"],
     )
     @pytest.mark.parametrize("corner", ["lx", "ly", "rx", "ry"])
     def test_bad_corner_rejected(self, corner, value, text):
         corners = {"lx": 0.0, "ly": 0.0, "rx": 1.0, "ry": 1.0, corner: value}
-        with pytest.raises(ValueError, match=f"bounding box corners {text}"):
+        with pytest.raises(ValueError, match=f"{corner} {text}"):
             BoundingBox(**corners)
 
     def test_numbers_of_any_numeric_type_are_corners(self):
@@ -202,6 +202,21 @@ class TestTrajectoryL1:
         with pytest.raises(ValueError):
             trajectory_l1_loss(a, b)
 
+    @pytest.mark.parametrize(
+        "predicted, reference, text",
+        [
+            ([["1", True]], [[0.0, 0.0]], "predicted must hold numbers, got bool, str"),  # numpy's sum was 2.0
+            ([[0.0, 0.0]], [[None, 0.0]], "reference must hold numbers, got NoneType"),
+            (np.zeros((8, 2)), np.zeros((5, 2)), r"reference must have shape \(8, 2\), got \(5, 2\)"),
+            (np.zeros((8, 3)), np.zeros((8, 3)), r"predicted must have shape \(n, 2\), n >= 1, got \(8, 3\)"),
+            ([[0.0, math.inf]], [[0.0, 0.0]], "predicted must be finite"),
+        ],
+        ids=["string_and_true", "null", "lengths_differ", "three_columns", "infinite"],
+    )
+    def test_misread_track_rejected_naming_it(self, predicted, reference, text):
+        with pytest.raises(ValueError, match=text):
+            trajectory_l1_loss(predicted, reference)
+
 
 class TestEgoOffsets:
     def test_rotated_offsets_match_integration_from_any_start(self):
@@ -241,11 +256,33 @@ class TestEgoOffsets:
             got = ego_offsets(deltas)
             assert got.tobytes() == self.chained_offsets(deltas).tobytes()
 
+    def test_lists_give_the_offsets_of_the_array(self):
+        deltas = np.stack([random_deltas(np.random.default_rng(i), 0.2) for i in range(3)])
+        want = ego_offsets(deltas)
+        assert ego_offsets(list(deltas)).tobytes() == want.tobytes()
+        assert ego_offsets(deltas.tolist()).tobytes() == want.tobytes()
+        assert ego_offsets(deltas[0].tolist()).tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "change, text",
+        [
+            (lambda d: [*d[:-1].tolist(), [[0.0, "0.1", 0.0], [0.0] * 3]], "deltas must hold numbers, got str"),
+            (lambda d: [*d[:-1], d[-1] > 0.0], "deltas must hold numbers, got bool"),
+            (lambda d: d[:6], r"deltas must have shape \(\.\.\., 7, 2, 3\), got \(6, 2, 3\)"),
+            (lambda d: np.where(True, np.nan, d)[..., 1, :], "deltas must have shape"),
+        ],
+        ids=["string_leaf", "bool_step", "six_steps", "no_translations"],
+    )
+    def test_misread_deltas_rejected_naming_them(self, change, text):
+        deltas = random_deltas(np.random.default_rng(31), 0.2)
+        with pytest.raises(ValueError, match=text):
+            ego_offsets(change(deltas))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rotation_rejected(self, bad):
         deltas = random_deltas(np.random.default_rng(29), 0.2)
         deltas[3, 0, 1] = bad
-        with pytest.raises(ValueError, match="rotation vector must be finite"):
+        with pytest.raises(ValueError, match="deltas must be finite"):
             ego_offsets(deltas)
 
 

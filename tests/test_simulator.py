@@ -3,11 +3,13 @@
 import hashlib
 import json
 import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 import crossview as cv
@@ -228,6 +230,13 @@ class TestEgoStepsMatchPerFrameChain:
         with pytest.raises(ValueError, match="frames must have shape"):
             ego_deltas_from_truth(np.zeros(shape))
 
+    @pytest.mark.parametrize("value, kind", [("0.5", "str"), (True, "bool"), (None, "NoneType")])
+    def test_misread_frame_rejected_naming_it(self, value, kind):
+        frames = posed_frames([np.eye(3)] * 8, np.zeros((8, 3))).tolist()
+        frames[3][4][2] = value
+        with pytest.raises(ValueError, match=f"frames must hold numbers, got {kind}"):
+            ego_deltas_from_truth(frames)
+
 
 class TestGenerateScene:
     def test_static_person_zero_observables(self):
@@ -390,6 +399,12 @@ class TestSceneArrays:
         assert all(clip.ground_truth_wearer == scene.wearer for clip in clips)
         assert all([c.person_id for c in clip.candidates] == stacked["person_ids"] for clip in clips)
 
+    def test_lists_of_arrays_give_the_scene_of_the_arrays(self):
+        scene = scene_arrays(cv.two_person_scenario(duration=16))
+        names = ("poses", "corners", "valid", "pose_deltas", "motion_deltas")
+        listed = replace(scene, **{name: [list(clip) for clip in getattr(scene, name)] for name in names})
+        assert_same_scene(listed, scene)
+
     def test_arrays_are_read_only_views_of_the_callers_arrays(self):
         scene = scene_arrays(cv.two_person_scenario(duration=16))
         poses = np.array(scene.poses)
@@ -436,6 +451,10 @@ class TestSceneArrays:
             ("poses", lambda s: s.poses > 0.0, "poses must hold numbers, got bool"),
             ("valid", lambda s: s.valid.astype(float), "valid must hold true or false, got float64"),
             ("corners", lambda s: s.corners.astype(str), "corners must hold numbers, got str_"),
+            # arrays in a list are checked by their dtype, as an array is
+            ("poses", lambda s: [*s.poses[:-1], s.poses[-1].astype(str)], "poses must hold numbers, got str_"),
+            ("corners", lambda s: [*s.corners[:-1], s.corners[-1] > 0.0], "corners must hold numbers, got bool"),
+            ("valid", lambda s: list(s.valid.astype(float)), "valid must hold true or false, got float64$"),
         ],
     )
     def test_malformed_field_rejected_naming_it(self, field, value, match):
@@ -449,7 +468,7 @@ class TestSceneArrays:
 class TestScenarioValidation:
     @pytest.mark.parametrize(
         "waypoints, speed, text",
-        [((), 0.0, "waypoints must contain at least one point"), (((0.0, 0.0), (0.0, 0.0)), 0.1, "waypoints")],
+        [((), 0.0, "waypoints must have shape"), (((0.0, 0.0), (0.0, 0.0)), 0.1, "waypoints")],
         ids=["empty", "repeated"],
     )
     def test_person_rejects_waypoints_naming_them(self, waypoints, speed, text):
@@ -525,6 +544,36 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=field):
             GaitParams(**{field: float("nan")})
 
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            # each was accepted, or raised a TypeError that names no field
+            (lambda p0: NoiseParams(sigma_pose=True), "sigma_pose must be a number, got True"),
+            (lambda p0: GaitParams(phase="0"), "phase must be a number, got '0'"),
+            (lambda p0: PersonSpec(1.5, ((0.0, 0.0),), 0.0), "person_id must be an integer, got 1.5"),
+            (lambda p0: PersonSpec(0, ((0.0, 0.0),), 0.0, is_wearer=1), "is_wearer must be true or false, got 1"),
+            (lambda p0: Scenario(0.5, 16, (p0,)), "seed must be an integer, got 0.5"),
+            (lambda p0: Scenario(0, "16", (p0,)), "duration must be a number, got '16'"),
+            (lambda p0: Scenario(0, 16, (p0,), time_offset=None), "time_offset must be a number, got None"),
+            (lambda p0: Crossing(0, 1, 2.5, 6), "start must be an integer, got 2.5"),
+            (lambda p0: Crossing(0, True, 2, 6), "person_b must be a number, got True"),
+        ],
+        ids=[
+            "true_noise",
+            "string_gait",
+            "fractional_id",
+            "int_wearer_flag",
+            "fractional_seed",
+            "string_duration",
+            "null_time_offset",
+            "fractional_start",
+            "true_person",
+        ],
+    )
+    def test_misread_number_rejected_naming_field(self, build, text):
+        with pytest.raises(ValueError, match=text):
+            build(PersonSpec(0, ((0.0, 0.0),), 0.0, is_wearer=True))
+
     @pytest.mark.parametrize("field", ["sigma_pose", "sigma_odo_trans", "sigma_odo_rot", "sigma_bbox"])
     def test_noise_rejects_nan_naming_field(self, field):
         with pytest.raises(ValueError, match=field):
@@ -536,11 +585,71 @@ class TestScenarioValidation:
             (((0.0, 0.0), (1.0, 0.0)), float("nan"), 0.0, "speed"),
             (((0.0, 0.0),), 0.0, float("nan"), "heading"),
             (((0.0, 0.0), (float("nan"), 0.0)), 0.1, 0.0, "waypoints"),
+            (((0.0, 0.0), (1.0, 0.0)), "0.1", 0.0, "speed"),
+            (((0.0, 0.0),), 0.0, True, "heading"),
+            ((("0", 0.0),), 0.0, 0.0, "waypoints"),
+            (((0.0, 0.0, 1.0),), 0.0, 0.0, "waypoints"),
         ],
     )
     def test_person_rejects_nan_naming_field(self, waypoints, speed, heading, field):
         with pytest.raises(ValueError, match=field):
             PersonSpec(0, waypoints, speed, heading=heading, is_wearer=True)
+
+
+# a number as a caller may pass it: a Python or numpy int or float
+def as_any_number(draw, value):
+    return draw(st.sampled_from([int, float, np.int64, np.float64] if value == int(value) else [float, np.float64]))(value)
+
+
+# values no field should be read as, and some that one field or another takes
+PROBES = [True, False, "1", None, math.nan, math.inf, -1, 0.5, 2.0, np.bool_(True), np.float32(0.25), np.int64(3)]
+
+
+@st.composite
+def scenario_parts(draw):
+    """The keyword arguments of a Scenario, its persons, gait, noise and crossings as dicts, maybe with one probe."""
+    number = lambda low, high: as_any_number(draw, draw(st.floats(low, high)))  # noqa: E731
+    whole = lambda low, high: as_any_number(draw, draw(st.integers(low, high)))  # noqa: E731
+    ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+    duration = draw(st.integers(8, 30))
+    persons = [
+        {
+            "person_id": as_any_number(draw, pid),
+            "waypoints": [[number(-5.0, 5.0), number(-5.0, 5.0)] for _ in range(draw(st.integers(1, 3)))],
+            "speed": number(0.0, 1.0),
+            "heading": number(-3.0, 3.0),
+            "is_wearer": row == 0,
+            "gait": {"arm_amplitude": number(0.0, 0.5), "phase": number(-3.0, 3.0), "stride_length": number(0.1, 2.0)},
+        }
+        for row, pid in enumerate(ids)
+    ]
+    crossings = []
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, duration - 1))
+        pair = [as_any_number(draw, pid) for pid in draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2))]
+        crossings.append({"person_a": pair[0], "person_b": pair[1], "start": start, "end": whole(start + 1, duration)})
+    parts = {
+        "seed": whole(0, 99),
+        "duration": as_any_number(draw, duration),
+        "time_offset": whole(8 - duration, duration - 8),
+        "noise": {name: number(0.0, 0.1) for name in ("sigma_pose", "sigma_odo_trans", "sigma_odo_rot", "sigma_bbox")},
+        "persons": persons,
+        "crossings": crossings,
+    }
+    if draw(st.booleans()):  # one field, or one waypoint coordinate, gets a probe
+        container = draw(st.sampled_from([parts, parts["noise"], *persons, *(p["gait"] for p in persons), *crossings]))
+        keys = [k for k in container if k not in ("noise", "persons", "crossings", "gait")]
+        key = draw(st.sampled_from(keys))
+        if key == "waypoints":
+            container, key = draw(st.sampled_from(container["waypoints"])), draw(st.integers(0, 1))
+        container[key] = draw(st.sampled_from(PROBES))
+    return parts
+
+
+def scenario_of(parts):
+    persons = [PersonSpec(**{**p, "gait": GaitParams(**p["gait"])}) for p in parts["persons"]]
+    crossings = [Crossing(**c) for c in parts["crossings"]]
+    return Scenario(**{**parts, "noise": NoiseParams(**parts["noise"]), "persons": persons, "crossings": crossings})
 
 
 def set_at(obj, path, value):
@@ -641,6 +750,21 @@ class TestSerialization:
         target[keys[-1]] = value
         with pytest.raises(ValueError, match=text):
             scenario_from_json(json.dumps(obj))
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenario_parts())
+    def test_every_scenario_the_constructors_accept_survives_a_file(self, parts):
+        # the constructors check each field as load_scenario does, so no
+        # numpy number, bool or fractional id gets into a file the loader rejects
+        try:
+            scenario = scenario_of(parts)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "scenario.json"
+            save_scenario(scenario, path)
+            assert load_scenario(path) == scenario
+            assert path.read_text() == scenario_to_json(load_scenario(path))
 
     def test_scenario_file_round_trip(self, tmp_path):
         scenario = cv.two_person_scenario(duration=20, seed=3)

@@ -153,6 +153,9 @@ class TestCandidateObservation:
             ("valid", [None] * 8, "valid must hold true or false, got NoneType"),
             ("valid", np.ones(8), "valid must hold true or false, got float64"),
             ("valid", [True] * 7, r"valid must have shape \(8,\), got \(7,\)"),
+            ("person_id", 1.7, "person_id must be an integer, got 1.7"),  # int() read it as 1
+            ("person_id", "1", "person_id must be a number, got '1'"),
+            ("poses", [np.zeros((19, 3))] * 7 + [np.zeros((19, 3), str)], "poses must hold numbers, got str_"),
         ],
         ids=[
             "ragged_poses",
@@ -164,12 +167,15 @@ class TestCandidateObservation:
             "null_valid",
             "float_valid_array",
             "seven_flags",
+            "fractional_person_id",
+            "string_person_id",
+            "string_array_among_poses",
         ],
     )
     def test_malformed_field_rejected_naming_it(self, field, value, text):
-        fields = {"poses": np.zeros((8, 19, 3)), "valid": [True] * 8, field: value}
+        fields = {"person_id": 0, "poses": np.zeros((8, 19, 3)), "valid": [True] * 8, field: value}
         with pytest.raises(ValueError, match=text):
-            CandidateObservation(0, fields["poses"], self.boxes(), fields["valid"])
+            CandidateObservation(fields["person_id"], fields["poses"], self.boxes(), fields["valid"])
 
     def test_valid_is_a_tuple_of_bools(self):
         flags = np.array([True] * 7 + [False])
@@ -614,10 +620,25 @@ class TestRecordsAndConfig:
             ScoringConfig(tau=-0.1)
 
     @pytest.mark.parametrize("field", ["action_weight", "motion_weight", "sigma", "tau"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_config_rejects_non_finite_naming_field(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            (float("nan"), "be finite"),
+            (float("inf"), "be finite"),
+            # a string raised a TypeError that named no field, and True was taken as 1.0
+            ("1", "be a number, got '1'"),
+            (True, "be a number, got True"),
+        ],
+        ids=["nan", "inf", "string", "true"],
+    )
+    def test_config_rejects_non_finite_naming_field(self, field, value, problem):
+        with pytest.raises(ValueError, match=f"{field} must {problem}"):
             ScoringConfig(**{field: value})
+
+    def test_config_keeps_numbers_as_floats(self):
+        config = ScoringConfig(action_weight=2, motion_weight=np.float32(0.5), sigma=np.int64(3), tau=0.25)
+        assert config == ScoringConfig(2.0, 0.5, 3.0, 0.25)
+        assert all(type(v) is float for v in vars(config).values())
 
     def test_candidate_validation(self):
         pose = facing_x_pose()
