@@ -84,11 +84,17 @@ class ActionCodebook:
         return _pairwise_sq_distances(vectors, _sq_norms(vectors), self._centroids, self._centroid_sq)
 
 
-def _distinct_count(x):
+def _distinct_count(x, stop=None):
     # the number of distinct rows of a finite (m, d) array, by an exact
-    # bytes-set count; adding 0.0 turns -0.0 into 0.0, so rows equal as
-    # numbers have equal bytes. Row by row, so the corpus is not copied.
-    return len({(row + 0.0).tobytes() for row in x})
+    # bytes-set count, or stop once stop of them are seen; adding 0.0 turns
+    # -0.0 into 0.0, so rows equal as numbers have equal bytes. Row by row,
+    # so the corpus is not copied.
+    seen = set()
+    for row in x:
+        seen.add((row + 0.0).tobytes())
+        if len(seen) == stop:
+            break
+    return len(seen)
 
 
 def _sq_norms(x):
@@ -132,6 +138,12 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
     # than half are needed. When a draw cannot be certified, the seeding
     # restarts from the seed with every row on the full product, which keeps
     # err at 0: that is the plain computation.
+    # Also returns pass 1's labels, owner, when they are certified to be the
+    # argmin of the full (n, k) product over the seeds, else None. limit
+    # widens a row's value by three bounds, so a skipped seed lies, in any
+    # product, more than bound farther from the row than its owner; second,
+    # the lowest value a row got from any other seed, must lie above its d2
+    # by more than twice the bound.
     n = vectors.shape[0]
     centroids = np.empty((k, CLIP_DIM))
     chosen = np.empty(k, dtype=np.intp)
@@ -144,7 +156,8 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
         d2 = _pairwise_sq_distances(vectors, sq, centroids[:1], sq[chosen[:1]], column, sums)[:, 0].copy()
         err = np.zeros(n)
         owner = np.zeros(n, dtype=np.intp)
-        limit = np.sqrt(d2 + 2.0 * bound) * (2.0 + 2.0 * _SLACK)
+        second = np.full(n, np.inf)
+        limit = np.sqrt(d2 + 3.0 * bound) * (2.0 + 2.0 * _SLACK)
         for j in range(1, k):
             idx = _draw(rng, d2, float(err.sum()))
             if idx is None:
@@ -165,6 +178,7 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
             if rows is None or 2 * rows.size > n:
                 # the full product's values are d2's own, so err stays
                 new = _pairwise_sq_distances(vectors, sq, row, row_sq, column, sums)[:, 0]
+                np.minimum(second, np.maximum(new, d2), out=second)
                 near = np.flatnonzero(new < d2)
                 value = new[near]
                 np.minimum(d2, new, out=d2)
@@ -172,14 +186,17 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
                 block = spare[: rows.size * CLIP_DIM].reshape(rows.size, CLIP_DIM)
                 np.take(vectors, rows, axis=0, out=block, mode="clip")
                 new = _pairwise_sq_distances(block, sq[rows], row, row_sq, column[: rows.size], sums[: rows.size])[:, 0]
-                closer = new < d2[rows]
+                old = d2[rows]
+                second[rows] = np.minimum(second[rows], np.maximum(new, old))
+                closer = new < old
                 near, value = rows[closer], new[closer]
                 d2[near] = value
                 err[rows] = bound
             owner[near] = j
-            limit[near] = np.sqrt(value + 2.0 * bound) * (2.0 + 2.0 * _SLACK)
+            limit[near] = np.sqrt(value + 3.0 * bound) * (2.0 + 2.0 * _SLACK)
         else:
-            return centroids
+            certified = (second > (d2 + 2.0 * bound) * (1.0 + _SLACK)).all()
+            return centroids, owner if certified else None
         prune = False
 
 
@@ -233,10 +250,10 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
         raise ValueError(f"need at least {k} clips to fit {k} clusters, got {len(clips)}")
     vectors = clips.reshape(len(clips), CLIP_DIM)
     # an exact count: the seeding weights of repeated rows come out of the
-    # norm expansion as rounding residue, not as 0
-    distinct = _distinct_count(vectors)
-    if distinct < k:
-        raise ValueError(f"need at least {k} distinct clips to fit {k} clusters, got {distinct}")
+    # norm expansion as rounding residue, not as 0. Every row is counted only
+    # for the error.
+    if _distinct_count(vectors, stop=k) < k:
+        raise ValueError(f"need at least {k} distinct clips to fit {k} clusters, got {_distinct_count(vectors)}")
     sq = _sq_norms(vectors)
     # every seed and centroid is a row or a mean of rows, so no longer than
     # the longest row: any product's distance lies within bound of the full
@@ -247,16 +264,19 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
     # and the Lloyd passes' norm sums, partial products and SSE differences
     d2 = np.empty((len(vectors), k))
     spare = np.empty(len(vectors) * max(k, CLIP_DIM))
-    centroids = _seed_centroids(vectors, sq, k, seed, bound, spare)
-    history = _lloyd(vectors, sq, centroids, max_iters, bound, d2, spare)
+    centroids, labels = _seed_centroids(vectors, sq, k, seed, bound, spare)
+    history = _lloyd(vectors, sq, centroids, labels, max_iters, bound, d2, spare)
     # freed before the codebook copies the centroids
     del d2, spare
     return ActionCodebook(centroids, seed=seed, sse_history=history)
 
 
-def _lloyd(vectors, sq, centroids, max_iters, bound, d2, spare):
+def _lloyd(vectors, sq, centroids, labels, max_iters, bound, d2, spare):
     # Lloyd passes from the seeded centroids, which are updated in place;
-    # returns the SSE history. The spare holds the norm sums and then the SSE
+    # returns the SSE history. Pass 1 takes the labels the seeding certified,
+    # if any, when they leave no cluster empty, and runs no product: pass 2
+    # recomputes every centroid, so it reads no column of d2 from pass 1.
+    # The spare holds the norm sums and then the SSE
     # differences, each as a C-contiguous view of its start, so that the SSE
     # sums with the bits of a fresh array. After the first pass, a pass that
     # moved at most half of the centroids recomputes only their columns of
@@ -271,11 +291,10 @@ def _lloyd(vectors, sq, centroids, max_iters, bound, d2, spare):
     previous = stale = None
     reseeded = False
     for _ in range(max_iters):
-        labels = None
-        if stale is not None and 2 * stale.size <= k:
-            labels = _certified_labels(vectors, sq, centroids, stale, bound, d2, spare)
-            if labels is not None and np.bincount(labels, minlength=k).min() == 0:
-                labels = None
+        if stale is not None:
+            labels = _certified_labels(vectors, sq, centroids, stale, bound, d2, spare) if 2 * stale.size <= k else None
+        if labels is not None and np.bincount(labels, minlength=k).min() == 0:
+            labels = None
         if labels is None:
             # the corpus norms are fixed; only the centroids move between passes
             _pairwise_sq_distances(vectors, sq, centroids, _sq_norms(centroids), d2, sums)
@@ -306,10 +325,14 @@ def _lloyd(vectors, sq, centroids, max_iters, bound, d2, spare):
         previous = labels
 
         # the new means and reseeds read only the rows and d2, not the
-        # centroids, so they are written over them
+        # centroids, so they are written over them; a stable sort lists each
+        # cluster's rows in the order of vectors[labels == j], so each mean
+        # keeps the bits of one over that mask
         counts = np.bincount(labels, minlength=k)
+        members = np.argsort(labels, kind="stable")
+        ends = np.cumsum(counts)
         for j in stale[counts[stale] > 0]:
-            centroids[j] = vectors[labels == j].mean(axis=0)
+            centroids[j] = vectors[members[ends[j] - counts[j] : ends[j]]].mean(axis=0)
         empty = np.flatnonzero(counts == 0)
         reseeded = empty.size > 0
         if reseeded:

@@ -82,6 +82,9 @@ GRID = 2.0 ** -20
 
 BOX_PAD = 0.1
 
+# Clips whose noise is drawn and added together: about 0.5 MB of normals on the 8-person group scene.
+_DRAW_BLOCK = 16
+
 # Per joint: (lateral offset toward the right side, constant forward offset,
 # height, swing multiplier applied to the arm or leg swing along the facing
 # direction). Planar (lateral, forward) entries come in exact +/- pairs so the
@@ -312,13 +315,15 @@ def _freeze_sources(occluded):
 def _clip_draws(scenario: Scenario):
     """The one generation pass: (person ids, wearer id, clip ids, draws).
 
-    Person ids are sorted. draws yields, clip by clip, the candidates' poses
-    (N, 8, 19, 3), box corners (N, 8, 4) and valid flags (N, 8), then the ego
-    pose deltas (7, 19, 3) and motion increments (7, 2, 3): a Scene's fields
-    for one clip, in its order. Each zero-sigma column group is skipped in
-    the draws (see the module docstring for their order), and a group's noise
-    is added as 0.0 + sigma * z, which is what rng.normal(0.0, sigma) returns
-    bit for bit.
+    Person ids are sorted. draws yields, for each block of B <= _DRAW_BLOCK
+    consecutive clips, the candidates' poses (B, N, 8, 19, 3), box corners
+    (B, N, 8, 4) and valid flags (B, N, 8), then the ego pose deltas (B, 7,
+    19, 3) and motion increments (B, 7, 2, 3): a Scene's fields for those
+    clips, in its order. Each clip's generator fills its row of one block
+    buffer with all of its normals in one call, which draws them as the
+    module docstring's calls would; each zero-sigma column group is skipped
+    in the draws, and a group's noise is added as 0.0 + sigma * z, which is
+    what rng.normal(0.0, sigma) returns bit for bit.
     """
     persons = sorted(scenario.persons, key=lambda p: p.person_id)
     wearer_row = next(i for i, p in enumerate(persons) if p.is_wearer)
@@ -340,7 +345,7 @@ def _clip_draws(scenario: Scenario):
             if spec.person_id in (c.person_a, c.person_b):
                 occluded[row, c.start : c.end] = True
     sources = _freeze_sources(occluded)
-    rows = np.arange(len(persons))[:, None]
+    rows = np.arange(len(persons))[:, None]  # against (B, 1, 8) frames: (B, N, 8)
 
     offset = scenario.time_offset
     first = max(0, -offset)
@@ -351,39 +356,45 @@ def _clip_draws(scenario: Scenario):
     wearer_pose_steps, wearer_motion_steps = _ego_steps(wearer_frames)
     motion_sigmas = np.array([noise.sigma_odo_rot, noise.sigma_odo_trans])
     motion_groups = np.flatnonzero(motion_sigmas > 0.0)
-    candidate_width = N_JOINTS * 3 * (noise.sigma_pose > 0.0) + 2 * (noise.sigma_bbox > 0.0)
+    pose_width = N_JOINTS * 3 * (noise.sigma_pose > 0.0)
+    candidate_width = pose_width + 2 * (noise.sigma_bbox > 0.0)
+    # each normal's sigma, in a clip's draw order (see the module docstring);
+    # the discarded pose-sized draw keeps the candidate block at its position
+    ego = np.full((CLIP_LEN - 1) * pose_width, noise.sigma_pose)
+    motion = np.tile(np.repeat(motion_sigmas[motion_groups], 3), CLIP_LEN - 1)
+    candidate = np.repeat([noise.sigma_pose, noise.sigma_bbox], [pose_width, candidate_width - pose_width])
+    scale = np.concatenate([ego, motion, np.zeros(pose_width), np.tile(candidate, len(persons) * CLIP_LEN)])
+    splits = np.cumsum([ego.size, motion.size, pose_width])
 
     def draws():
-        for t0 in range(first, last + 1):
-            rng = np.random.default_rng([scenario.seed, t0])
+        z = np.empty((_DRAW_BLOCK, scale.size))
+        for start in range(first, last + 1, _DRAW_BLOCK):
+            t0 = np.arange(start, min(start + _DRAW_BLOCK, last + 1))
+            for row, t in zip(z, t0.tolist()):
+                np.random.default_rng([scenario.seed, t]).standard_normal(out=row)
+            # scaled in place to 0.0 + sigma * z
+            block = z[: t0.size]
+            block *= scale
+            block += 0.0
+            pose_noise, motion_noise, _, candidate_noise = np.split(block, splits, axis=1)
 
-            window = slice(t0 - first, t0 - first + CLIP_LEN - 1)
-            pose_deltas = wearer_pose_steps[window]
-            motion_deltas = wearer_motion_steps[window]
+            windows = (t0 - first)[:, None] + np.arange(CLIP_LEN - 1)
+            pose_deltas = wearer_pose_steps[windows]
+            motion_deltas = wearer_motion_steps[windows]
             if noise.sigma_pose > 0.0:
-                pose_deltas = pose_deltas + (0.0 + noise.sigma_pose * rng.standard_normal(pose_deltas.shape))
-            if motion_groups.size:
-                # per increment, the rotation draw and then the translation draw;
-                # a skipped group is left alone, since adding 0.0 would turn -0.0 into 0.0
-                z = rng.standard_normal((CLIP_LEN - 1, motion_groups.size, 3))
-                motion_deltas = motion_deltas.copy()
-                motion_deltas[:, motion_groups] += 0.0 + motion_sigmas[motion_groups, None] * z
-            if noise.sigma_pose > 0.0:
-                # a discarded pose-sized draw keeps the candidate block at its stream position
-                rng.standard_normal((N_JOINTS, 3))
+                pose_deltas += pose_noise.reshape(pose_deltas.shape)
+            # a skipped group is left alone, since adding 0.0 would turn -0.0 into 0.0
+            motion_deltas[:, :, motion_groups] += motion_noise.reshape(t0.size, CLIP_LEN - 1, motion_groups.size, 3)
 
-            frames = slice(t0, t0 + CLIP_LEN)
-            observed = joints[rows, sources[:, frames]]  # (N, 8, 19, 3), stale during occlusion
-            boxes = corners[:, frames]
-            if candidate_width:
-                # per person and frame: 57 pose columns, then the 2 box-shift columns
-                z = rng.standard_normal((len(persons), CLIP_LEN, candidate_width))
-                if noise.sigma_pose > 0.0:
-                    observed = observed + (0.0 + noise.sigma_pose * z[..., : N_JOINTS * 3].reshape(observed.shape))
-                if noise.sigma_bbox > 0.0:
-                    shift = 0.0 + noise.sigma_bbox * z[..., -2:]
-                    boxes = boxes + np.concatenate([shift, shift], axis=-1)
-            yield observed, boxes, ~occluded[:, frames], pose_deltas, motion_deltas
+            frames = t0[:, None, None] + np.arange(CLIP_LEN)
+            observed = joints[rows, sources[rows, frames]]  # stale during occlusion
+            boxes = corners[rows, frames]
+            candidate_noise = candidate_noise.reshape(t0.size, len(persons), CLIP_LEN, candidate_width)
+            if noise.sigma_pose > 0.0:
+                observed += candidate_noise[..., : N_JOINTS * 3].reshape(observed.shape)
+            if noise.sigma_bbox > 0.0:
+                boxes += np.tile(candidate_noise[..., -2:], 2)
+            yield observed, boxes, ~occluded[rows, frames], pose_deltas, motion_deltas
 
     ids = [p.person_id for p in persons]
     return ids, ids[wearer_row], range(first, last + 1), draws()
@@ -392,6 +403,7 @@ def _clip_draws(scenario: Scenario):
 def generate_scene(scenario: Scenario):
     """Materialize every sliding-window clip of a scenario, noise included, as ClipObservation objects."""
     ids, wearer, clip_ids, draws = _clip_draws(scenario)
+    clips = (clip for block in draws for clip in zip(*block))
     return [
         ClipObservation(
             t0,
@@ -402,23 +414,25 @@ def generate_scene(scenario: Scenario):
             ),
             wearer,
         )
-        for t0, (poses, corners, valid, pose_deltas, motion_deltas) in zip(clip_ids, draws)
+        for t0, (poses, corners, valid, pose_deltas, motion_deltas) in zip(clip_ids, clips)
     ]
 
 
-def _filled(count, clips):
-    """A Scene's five per-clip arrays over count clips, copied clip by clip into arrays of the first clip's shapes."""
+def _filled(count, blocks):
+    """A Scene's five per-clip arrays over count clips, copied block of clips by block into arrays of their shapes."""
     arrays = None
-    for i, values in enumerate(clips):
+    start = 0
+    for values in blocks:
         if arrays is None:  # a scenario and a manifest have at least one clip
-            arrays = [np.empty((count,) + value.shape, value.dtype) for value in values]
+            arrays = [np.empty((count,) + value.shape[1:], value.dtype) for value in values]
         for array, value in zip(arrays, values):
-            array[i] = value
+            array[start : start + len(value)] = value
+        start += len(values[0])
     return arrays
 
 
 def scene_arrays(scenario: Scenario) -> Scene:
-    """generate_scene's clips, bit for bit, as one Scene filled clip by clip: no per-candidate object."""
+    """generate_scene's clips, bit for bit, as one Scene filled block by block: no per-candidate object."""
     ids, wearer, clip_ids, draws = _clip_draws(scenario)
     return Scene(*_filled(len(clip_ids), draws), ids, clip_ids, wearer)
 
@@ -599,7 +613,7 @@ def load_scene(directory) -> Scene:
                     f"clip file {path} holds clip_id {clip.clip_ids[0]} and (person ids, wearer) {ids}, but the "
                     f"manifest lists clip_id {clip_id} and clip file {first[0]} holds {first[1]}"
                 )
-            yield clip.poses[0], clip.corners[0], clip.valid[0], clip.pose_deltas[0], clip.motion_deltas[0]
+            yield clip.poses, clip.corners, clip.valid, clip.pose_deltas, clip.motion_deltas
 
     arrays = _filled(len(clip_ids), clips())
     ids, wearer = first[1]

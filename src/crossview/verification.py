@@ -215,7 +215,7 @@ class Scene:
             ("clip_ids", int, (c,)),
         ):
             object.__setattr__(self, name, frozen_array(getattr(self, name), name, shape, dtype, copy=False))
-        object.__setattr__(self, "wearer", int(frozen_array(self.wearer, "wearer", (), int)))
+        object.__setattr__(self, "wearer", _number(self.wearer, "wearer", integer=True))
         if (self.corners[..., :2] > self.corners[..., 2:]).any():
             raise ValueError("corners must have lx <= rx and ly <= ry")
         if len(set(self.person_ids.tolist())) != n or self.wearer not in self.person_ids:

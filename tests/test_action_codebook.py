@@ -367,17 +367,19 @@ class TestCertifiedFit:
 
         Returns the codebook and a dict: "rows", the row count of each
         product over gathered rows in the seeding; "uncertified_draws", the
-        number of draws _draw could not certify; "passes", in order, "full"
-        for each full product of a Lloyd pass, and for each pass that tried
-        to recompute only the moved centroids, "uncertified" when its labels
-        could not be certified, "emptied" when they left a cluster empty,
-        else "certified".
+        number of draws _draw could not certify; "seeds", the seeded
+        centroids; "seeded", whether the seeding certified pass 1's labels;
+        "passes", in order, "full" for each full product of a Lloyd pass,
+        and for each pass that tried to recompute only the moved centroids,
+        "uncertified" when its labels could not be certified, "emptied" when
+        they left a cluster empty, else "certified".
         """
         n = len(vectors)
         seen = {"rows": [], "uncertified_draws": 0, "passes": []}
         product = action_codebook._pairwise_sq_distances
         draw = action_codebook._draw
         certify = action_codebook._certified_labels
+        seed_centroids = action_codebook._seed_centroids
 
         def counting_product(a, a_sq, b, b_sq, out=None, sums=None):
             # only the gathered seeding products have fewer than n rows
@@ -403,6 +405,12 @@ class TestCertifiedFit:
                 seen["passes"].append("certified")
             return labels
 
+        def recording_seeding(*args):
+            centroids, labels = seed_centroids(*args)
+            seen["seeds"], seen["seeded"] = centroids.copy(), labels is not None
+            return centroids, labels
+
+        monkeypatch.setattr(action_codebook, "_seed_centroids", recording_seeding)
         monkeypatch.setattr(action_codebook, "_pairwise_sq_distances", counting_product)
         monkeypatch.setattr(action_codebook, "_draw", counting_draw)
         monkeypatch.setattr(action_codebook, "_certified_labels", counting_certify)
@@ -438,15 +446,51 @@ class TestCertifiedFit:
         self.assert_matches_oracle(codebook, vectors, 12, 32)
 
     def test_cluster_emptied_after_an_incremental_pass_runs_the_full_pass(self, monkeypatch):
-        # 120 points on a line, denser near 0: the third pass recomputes a
-        # few moved centroids, and the fourth, which does too, leaves a
-        # cluster empty, so its reseed needs the full product's distances
+        # 120 points on a line, denser near 0: the first pass takes the
+        # seeding's labels and runs no product, the second runs the full one,
+        # the third recomputes a few moved centroids, and the fourth, which
+        # does too, leaves a cluster empty, so its reseed needs the full
+        # product's distances
         rng = np.random.default_rng(19638)
         vectors = np.zeros((120, CLIP_DIM))
         vectors[:, 0] = 10.0 * rng.random(120) ** 1.5
         codebook, seen = self.fit_counting(monkeypatch, vectors, 30, 19638)
-        assert seen["passes"][:5] == ["full", "full", "certified", "emptied", "full"]
+        assert seen["passes"][:4] == ["full", "certified", "emptied", "full"]
         self.assert_matches_oracle(codebook, vectors, 30, 19638)
+
+    @pytest.mark.parametrize("offset, seeded", [(2.0**-42, False), (2.0**-20, True)])
+    def test_row_equidistant_from_two_seeds_runs_the_full_first_pass(self, monkeypatch, offset, seeded):
+        # at seed 6 the rows at 0 and 2 are the seeds, and the third row, at
+        # 1 + offset, is for the smaller offset closer to equidistant from
+        # both than the rounding bound: its pass-1 label is not certified, so
+        # pass 1 runs the full product. At k=2 every later pass does too.
+        vectors = np.zeros((3, CLIP_DIM))
+        vectors[:, 0] = [0.0, 2.0, 1.0 + offset]
+        codebook, seen = self.fit_counting(monkeypatch, vectors, 2, 6)
+        assert sorted(seen["seeds"][:, 0]) == [0.0, 2.0]
+        assert seen["seeded"] is seeded
+        assert seen["passes"] == ["full"] * (len(codebook.sse_history) - seeded)
+        self.assert_matches_oracle(codebook, vectors, 2, 6)
+
+    def test_tie_in_a_gathered_product_runs_the_full_first_pass(self, monkeypatch):
+        # distinct even integers on one axis: a row midway between two seeds
+        # is exactly as far from both, and as the seeding skips most rows,
+        # such ties show up in products over gathered rows
+        vectors = np.zeros((120, CLIP_DIM))
+        vectors[:, 0] = np.random.default_rng(0).choice(np.arange(0, 400, 2), size=120, replace=False)
+        codebook, seen = self.fit_counting(monkeypatch, vectors, 10, 0)
+        assert seen["rows"] and not seen["seeded"]
+        self.assert_matches_oracle(codebook, vectors, 10, 0)
+
+    def test_exactly_k_distinct_rows_then_repeats_fit(self):
+        # the distinct count stops at the k-th distinct row, which is the
+        # last row before the repeats; one cluster more counts every row
+        rows = np.random.default_rng(8).normal(size=(6, CLIP_DIM))
+        vectors = np.concatenate([rows, rows[::-1], rows[:4]])
+        codebook = fit_codebook(vectors.reshape(-1, 8, 19, 3), k=6, seed=8)
+        self.assert_matches_oracle(codebook, vectors, 6, 8)
+        with pytest.raises(ValueError, match="need at least 7 distinct clips to fit 7 clusters, got 6"):
+            fit_codebook(vectors.reshape(-1, 8, 19, 3), k=7, seed=8)
 
     @pytest.mark.parametrize("offset, certified", [(1e-12, False), (1e-6, True)])
     def test_labels_closer_than_the_rounding_bound_are_not_certified(self, offset, certified):
@@ -475,6 +519,7 @@ class TestCertifiedFit:
         rng = np.random.default_rng(n)
         vectors = rng.normal(size=(n, 3)) @ rng.normal(size=(3, CLIP_DIM)) + 0.3 * rng.normal(size=(n, CLIP_DIM))
         codebook, seen = self.fit_counting(monkeypatch, vectors, 40, 1)
+        assert seen["seeded"]
         assert any(rows % 4 for rows in seen["rows"])
         assert "certified" in seen["passes"]
         self.assert_matches_oracle(codebook, vectors, 40, 1)

@@ -363,8 +363,35 @@ class TestGenerateScene:
 NOISE = NoiseParams(sigma_pose=0.02, sigma_odo_trans=0.01, sigma_odo_rot=0.01, sigma_bbox=0.01)
 
 
+SCENE_SHA256 = json.loads((Path(__file__).parent / "golden" / "scene_field_sha256.json").read_text())
+
+
 class TestSceneArrays:
     """scene_arrays and generate_scene share one generation pass; the arrays hold the objects' bits."""
+
+    @pytest.mark.parametrize("case", sorted(SCENE_SHA256))
+    def test_fields_keep_their_pinned_bytes(self, case):
+        # the sha256 of each field, recorded when every clip drew its normals
+        # in separate calls: the crossing3 and group8 benchmark scenes at two
+        # seeds, with NOISE (the benchmark's), with every sigma 0, and with
+        # each sigma 0 alone, whose draws are skipped; and crossing3 at two
+        # time offsets
+        scene, seed, label, *offset = case.split("/")
+        if label == "bench":
+            noise = NOISE
+        elif label == "all_zero":
+            noise = NoiseParams()
+        else:
+            noise = replace(NOISE, **{label.removesuffix("_zero"): 0.0})
+        kwargs = {"seed": int(seed), "noise": noise}
+        if scene == "crossing3":
+            time_offset = int(offset[0].removeprefix("offset")) if offset else 0
+            scenario = cv.three_person_scenario(crossing=True, duration=207, time_offset=time_offset, **kwargs)
+        else:
+            scenario = cv.group_scenario(8, duration=400, **kwargs)
+        arrays = scene_arrays(scenario)
+        got = {name: hashlib.sha256(getattr(arrays, name).tobytes()).hexdigest() for name in SCENE_SHA256[case]}
+        assert got == SCENE_SHA256[case]
 
     @pytest.mark.parametrize(
         "scenario",
@@ -439,9 +466,10 @@ class TestSceneArrays:
             ("person_ids", lambda s: [0, 0], "person_ids"),
             ("clip_ids", lambda s: s.clip_ids[:-1], "clip_ids"),
             ("wearer", lambda s: 5, "wearer"),
-            ("wearer", lambda s: "0", "wearer must hold integers, got str"),
-            ("wearer", lambda s: 0.9, "wearer must hold integers, got float"),
-            ("wearer", lambda s: None, "wearer must hold integers, got NoneType"),
+            ("wearer", lambda s: "0", "wearer must be a number, got '0'"),
+            ("wearer", lambda s: 0.9, "wearer must be an integer, got 0.9"),
+            ("wearer", lambda s: None, "wearer must be a number, got None"),
+            ("wearer", lambda s: True, "wearer must be a number, got True"),
             ("pose_deltas", lambda s: with_leaf(s.pose_deltas, "0.5"), "pose_deltas must hold numbers, got str"),
             ("motion_deltas", lambda s: with_leaf(s.motion_deltas, True), "motion_deltas must hold numbers, got bool"),
             ("corners", lambda s: with_leaf(s.corners, None), "corners must hold numbers, got NoneType"),
@@ -463,6 +491,15 @@ class TestSceneArrays:
         fields[field] = value(scene)
         with pytest.raises(ValueError, match=match):
             cv.Scene(**fields)
+
+    @pytest.mark.parametrize("wearer", [0.0, np.float64(0.0), np.int32(0)])
+    def test_whole_number_wearer_is_read_as_an_int(self, wearer):
+        # the wearer is an id like a candidate's or a JSON file's, which
+        # _number reads: a whole float is taken as its int
+        scene = scene_arrays(cv.two_person_scenario(duration=16))
+        fields = dict(scene.__dict__, wearer=wearer)
+        got = cv.Scene(**fields).wearer
+        assert got == 0 and type(got) is int
 
 
 class TestScenarioValidation:
