@@ -8,6 +8,7 @@ the cross-entropy of each against the other's argmax as a one-hot indicator.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -130,16 +131,19 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
     # not keep the full one's bits, so each row's d2 is kept within err of
     # the full products' minimum, and a draw is accepted only when values
     # within err cannot give another index (_draw). A row whose minimum
-    # provably cannot fall is skipped: its distance to the new seed is at
-    # least the new seed's distance to the seed that set its d2 (owner) less
-    # its own distance to that seed, so the row is skipped once the former
-    # reaches limit, twice its own widened by the bounds. The other rows are
-    # gathered into the spare and multiplied there, or all rows are when more
-    # than half are needed. When a draw cannot be certified, the seeding
-    # restarts from the seed with every row on the full product, which keeps
-    # err at 0: that is the plain computation.
+    # provably cannot fall is skipped: reach is its distance widened by the
+    # bounds and by the norms' rounding. Its distance to the new seed is at
+    # least the gap between their norms, so the row is skipped once that gap
+    # reaches reach. Where that leaves more than half as many rows as there
+    # are seeds, one (j, 1) product over the seeds also skips each row left
+    # once the new seed's distance to the seed that set the row's d2 (owner)
+    # reaches twice reach, as the row itself lies within reach of its owner.
+    # The other rows are gathered into the spare and multiplied there, or all
+    # rows are when more than half are needed. When a draw cannot be
+    # certified, the seeding restarts from the seed with every row on the
+    # full product, which keeps err at 0: that is the plain computation.
     # Also returns pass 1's labels, owner, when they are certified to be the
-    # argmin of the full (n, k) product over the seeds, else None. limit
+    # argmin of the full (n, k) product over the seeds, else None. reach
     # widens a row's value by three bounds, so a skipped seed lies, in any
     # product, more than bound farther from the row than its owner; second,
     # the lowest value a row got from any other seed, must lie above its d2
@@ -148,6 +152,10 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
     centroids = np.empty((k, CLIP_DIM))
     chosen = np.empty(k, dtype=np.intp)
     column, sums = np.empty((2, n, 1))
+    # each computed norm lies within about sqrt(bound / 8) of the real one,
+    # so a gap between two lies within margin of the real gap
+    norms = np.sqrt(sq)
+    margin = math.sqrt(bound)
     prune = True
     while True:
         rng = np.random.default_rng(seed)
@@ -157,7 +165,7 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
         err = np.zeros(n)
         owner = np.zeros(n, dtype=np.intp)
         second = np.full(n, np.inf)
-        limit = np.sqrt(d2 + 3.0 * bound) * (2.0 + 2.0 * _SLACK)
+        reach = np.sqrt(d2 + 3.0 * bound) * (1.0 + 2.0 * _SLACK) + margin
         for j in range(1, k):
             idx = _draw(rng, d2, float(err.sum()))
             if idx is None:
@@ -167,14 +175,17 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
             row, row_sq = centroids[j : j + 1], sq[idx : idx + 1]
             rows = None
             if prune:
-                # how far at least each row's owner lies from the new seed
-                gap = _pairwise_sq_distances(centroids[:j], sq[chosen[:j]], row, row_sq)[:, 0]
-                gap -= bound
-                np.maximum(gap, 0.0, out=gap)
-                apart = np.sqrt(gap, out=gap)[owner]
-                apart *= 1.0 - _SLACK
-                # not apart < limit: a NaN skips no row
-                rows = np.flatnonzero(~(apart >= limit))
+                apart = np.abs(norms - norms[idx])
+                # not apart < reach: a NaN skips no row
+                rows = np.flatnonzero(~(apart >= reach))
+                if 2 * rows.size > j:
+                    # how far at least each row's owner lies from the new seed
+                    gap = _pairwise_sq_distances(centroids[:j], sq[chosen[:j]], row, row_sq)[:, 0]
+                    gap -= bound
+                    np.maximum(gap, 0.0, out=gap)
+                    apart = np.sqrt(gap, out=gap)[owner[rows]]
+                    apart *= 0.5 - 0.5 * _SLACK
+                    rows = rows[~(apart >= reach[rows])]
             if rows is None or 2 * rows.size > n:
                 # the full product's values are d2's own, so err stays
                 new = _pairwise_sq_distances(vectors, sq, row, row_sq, column, sums)[:, 0]
@@ -193,7 +204,7 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
                 d2[near] = value
                 err[rows] = bound
             owner[near] = j
-            limit[near] = np.sqrt(value + 3.0 * bound) * (2.0 + 2.0 * _SLACK)
+            reach[near] = np.sqrt(value + 3.0 * bound) * (1.0 + 2.0 * _SLACK) + margin
         else:
             certified = (second > (d2 + 2.0 * bound) * (1.0 + _SLACK)).all()
             return centroids, owner if certified else None
@@ -331,7 +342,11 @@ def _lloyd(vectors, sq, centroids, labels, max_iters, bound, d2, spare):
         counts = np.bincount(labels, minlength=k)
         members = np.argsort(labels, kind="stable")
         ends = np.cumsum(counts)
-        for j in stale[counts[stale] > 0]:
+        # np.mean sums from +0.0, so the mean of one row is that row plus
+        # 0.0: -0.0 becomes 0.0 and every other value is kept
+        single = stale[counts[stale] == 1]
+        centroids[single] = vectors[members[ends[single] - 1]] + 0.0
+        for j in stale[counts[stale] > 1]:
             centroids[j] = vectors[members[ends[j] - counts[j] : ends[j]]].mean(axis=0)
         empty = np.flatnonzero(counts == 0)
         reseeded = empty.size > 0
@@ -448,16 +463,23 @@ def save_codebook(codebook: ActionCodebook, path) -> None:
         }
     )
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        # the bytes of json.dumps of the whole payload, written one centroid
-        # row at a time: the head up to the centroids' "[", the rows joined
-        # by ", ", then "]}". json.dumps without indent uses the C encoder;
-        # json.dump always takes the pure-Python path, for the same bytes
-        fh.write(head[:-2])
-        for i, row in enumerate(codebook.centroids):
-            fh.write((", " if i else "") + json.dumps(row.tolist()))
-        fh.write(head[-2:])
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            # the bytes of json.dumps of the whole payload, written one
+            # centroid row at a time: the head up to the centroids' "[", the
+            # rows joined by ", ", then "]}". json.dumps without indent uses
+            # the C encoder; json.dump always takes the pure-Python path, for
+            # the same bytes
+            fh.write(head[:-2])
+            for i, row in enumerate(codebook.centroids):
+                fh.write((", " if i else "") + json.dumps(row.tolist()))
+            fh.write(head[-2:])
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write leaves path as it was and no temporary file behind
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_codebook(path) -> ActionCodebook:

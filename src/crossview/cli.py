@@ -55,6 +55,9 @@ POSTERIOR_COLUMNS = (
     "predicted_x", "predicted_y", "observed_x", "observed_y",
 )
 SWEEP_COLUMNS = ("sigma_pose", "accuracy", "filtered_accuracy", "n_clips")
+# run_evaluation's stages, in order: the scene, the codebook (fitted or
+# loaded), the scores and ranking metrics, the filter, and the four files
+STAGES = ("scene", "codebook", "score", "filter", "write")
 
 
 class ConfigError(ValueError):
@@ -111,6 +114,8 @@ class MetricsReport:
     posterior_rows: list = field(default_factory=list)
     runtime_seconds: float = 0.0
     config: dict = field(default_factory=dict)
+    # seconds per stage of run_evaluation, keyed by STAGES; not in report.json
+    stage_seconds: dict = field(default_factory=dict)
 
 
 def _ranking_metrics(is_wearer, scores):
@@ -145,14 +150,17 @@ def _fit(scene, k, seed, option):
 def run_evaluation(config: RunConfig) -> MetricsReport:
     """Score every clip of the scenario, optionally filter, and write the four report files."""
     scoring = config.validate()
-    started = time.perf_counter()
+    # the clock at the start and at the end of each of STAGES
+    marks = [time.perf_counter()]
 
     scenario = _scenario(config.scenario, config.seed)
     scene = scene_arrays(scenario)
+    marks.append(time.perf_counter())
     if config.codebook is not None:
         codebook = load_codebook(config.codebook)
     else:
         codebook = _fit(scene, config.codebook_k, scenario.seed, "--codebook-k")
+    marks.append(time.perf_counter())
     raw, scores = score_scene(scene, codebook, scoring)
 
     # tolist gives Python numbers, which csv and json write as their repr
@@ -172,6 +180,8 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
         }
         for clip_id, pid, clip_probabilities in zip(clip_ids, raw, probabilities)
     ]
+    ap, ar = _ranking_metrics([r["is_wearer"] for r in score_rows], scores["match_probability"])
+    marks.append(time.perf_counter())
     posterior_rows = []
     if config.enable_filter:
         # the filter observes each candidate's last box centre, and whether any of its frames was occluded
@@ -188,8 +198,9 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
             for cid, *values in zip(state.ids, *(column.tolist() for column in columns)):
                 posterior_rows.append(dict(zip(POSTERIOR_COLUMNS, (decision["clip_id"], cid, *values))))
 
+    marks.append(time.perf_counter())
+
     n = len(decisions)
-    ap, ar = _ranking_metrics([r["is_wearer"] for r in score_rows], scores["match_probability"])
     report = MetricsReport(
         n_clips=n,
         accuracy=sum(pid == scene.wearer for pid in raw) / n,
@@ -201,10 +212,14 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
         posterior_rows=posterior_rows,
         # report.json writes a pathlib.Path as its string
         config={k: os.fspath(v) if isinstance(v, os.PathLike) else v for k, v in asdict(config).items()},
-        runtime_seconds=time.perf_counter() - started,
     )
     write_report(report, config.out_dir)
     emit_plots(report, config.out_dir)
+    marks.append(time.perf_counter())
+    # two clock readings within a factor of 2 of each other differ exactly,
+    # so math.fsum of the stage times is the runtime
+    report.runtime_seconds = marks[-1] - marks[0]
+    report.stage_seconds = {stage: end - start for stage, start, end in zip(STAGES, marks, marks[1:])}
     return report
 
 

@@ -1,5 +1,6 @@
 """Codebook tests: Lloyd fitting against exhaustive oracles, labels, cross-entropies."""
 
+import errno
 import itertools
 import json
 import math
@@ -367,7 +368,11 @@ class TestCertifiedFit:
 
         Returns the codebook and a dict: "rows", the row count of each
         product over gathered rows in the seeding; "uncertified_draws", the
-        number of draws _draw could not certify; "seeds", the seeded
+        number of draws _draw could not certify; "prunes", for each accepted
+        draw in order, "norm" when the seeding skipped rows by their norms
+        alone, "gap" when it also ran the owner-gap product over the seeds,
+        and "none" after an uncertified draw restarted it on full products;
+        "seeds", the seeded
         centroids; "seeded", whether the seeding certified pass 1's labels;
         "passes", in order, "full" for each full product of a Lloyd pass,
         and for each pass that tried to recompute only the moved centroids,
@@ -375,7 +380,7 @@ class TestCertifiedFit:
         they left a cluster empty, else "certified".
         """
         n = len(vectors)
-        seen = {"rows": [], "uncertified_draws": 0, "passes": []}
+        seen = {"rows": [], "uncertified_draws": 0, "prunes": [], "passes": []}
         product = action_codebook._pairwise_sq_distances
         draw = action_codebook._draw
         certify = action_codebook._certified_labels
@@ -386,6 +391,9 @@ class TestCertifiedFit:
             # and a buffer to write to
             if out is not None and a.shape[0] < n:
                 seen["rows"].append(a.shape[0])
+            # the owner-gap product is the fit's only one without a buffer
+            if out is None:
+                seen["prunes"][-1] = "gap"
             if a.shape[0] == n and b.shape[0] == k:
                 seen["passes"].append("full")
             return product(a, a_sq, b, b_sq, out, sums)
@@ -393,6 +401,8 @@ class TestCertifiedFit:
         def counting_draw(rng, d2, slack):
             idx = draw(rng, d2, slack)
             seen["uncertified_draws"] += idx is None
+            if idx is not None:
+                seen["prunes"].append("none" if seen["uncertified_draws"] else "norm")
             return idx
 
         def counting_certify(*args):
@@ -523,6 +533,54 @@ class TestCertifiedFit:
         assert any(rows % 4 for rows in seen["rows"])
         assert "certified" in seen["passes"]
         self.assert_matches_oracle(codebook, vectors, 40, 1)
+
+
+    def test_rows_differing_mostly_in_norm_run_both_prunes(self, monkeypatch):
+        # multiples of one direction, from 1 to 10 times, plus a little
+        # noise: the norm gap skips most rows of most draws, and the owner-gap
+        # product runs where it leaves many. At k = 2n/3 most clusters hold
+        # one row.
+        rng = np.random.default_rng(5)
+        vectors = rng.uniform(1.0, 10.0, size=(90, 1)) * rng.normal(size=CLIP_DIM) + 0.05 * rng.normal(size=(90, CLIP_DIM))
+        codebook, seen = self.fit_counting(monkeypatch, vectors, 60, 5)
+        assert seen["uncertified_draws"] == 0
+        assert {"norm", "gap"} <= set(seen["prunes"])
+        assert seen["prunes"].count("norm") > seen["prunes"].count("gap")
+        assert seen["rows"]
+        self.assert_matches_oracle(codebook, vectors, 60, 5)
+
+    def test_rows_of_one_norm_fall_back_to_the_owner_gap(self, monkeypatch):
+        # clumps on a sphere: every row has the same norm, so the norm gap
+        # skips no row and every draw runs the owner-gap product, which
+        # skips the clumps far from the new seed
+        rng = np.random.default_rng(6)
+        centers = rng.normal(size=(12, CLIP_DIM))
+        vectors = centers[rng.integers(12, size=150)] + 0.1 * rng.normal(size=(150, CLIP_DIM))
+        vectors *= 30.0 / np.sqrt((vectors * vectors).sum(axis=1, keepdims=True))
+        codebook, seen = self.fit_counting(monkeypatch, vectors, 20, 6)
+        assert seen["uncertified_draws"] == 0
+        assert set(seen["prunes"]) == {"gap"}
+        assert seen["rows"]
+        self.assert_matches_oracle(codebook, vectors, 20, 6)
+
+    def test_one_row_clusters_are_their_row_plus_zero(self, monkeypatch):
+        # five clumps of six rows and five lone rows, far apart, at k = 10:
+        # each lone row is a cluster of its own. Its coordinates but the
+        # first are -0.0, and the mean of one row, like any mean, sums from
+        # +0.0, so its centroid holds +0.0 there, as oracle_fit's mean does.
+        rng = np.random.default_rng(7)
+        clumps = np.repeat(100.0 * rng.normal(size=(5, CLIP_DIM)), 6, axis=0) + rng.normal(size=(30, CLIP_DIM))
+        lone = np.full((5, CLIP_DIM), -0.0)
+        lone[:, 0] = 1000.0 * np.arange(1, 6)
+        vectors = np.concatenate([clumps, lone])
+        codebook, seen = self.fit_counting(monkeypatch, vectors, 10, 7)
+        centroids, history, _, _ = oracle_fit(vectors, k=10, seed=7)
+        assert codebook.centroids.tobytes() == centroids.tobytes()
+        assert codebook.sse_history == tuple(history)
+        lone_centroids = codebook.centroids[np.isin(codebook.centroids[:, 0], lone[:, 0])]
+        lone_centroids = lone_centroids[np.argsort(lone_centroids[:, 0])]
+        assert lone_centroids.tobytes() == (lone + 0.0).tobytes()
+        assert seen["seeded"]
 
 
 class TestDraw:
@@ -784,6 +842,32 @@ class TestPersistence:
         if case == "negative_zero":  # the first and last coordinates of row 1
             assert b"], [-0.0, " in path.read_bytes() and b", -0.0], [" in path.read_bytes()
         assert np.array_equal(load_codebook(path).centroids, cb.centroids)
+
+    def test_failed_write_leaves_no_temporary_and_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "codebook.json"
+        save_codebook(ActionCodebook(np.ones((1, CLIP_DIM)), seed=1), path)
+        before = path.read_bytes()
+
+        class FullDisk:
+            # writes a few characters of each write, then fails like a full disk
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:5])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(action_codebook, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_codebook(ActionCodebook(np.zeros((2, CLIP_DIM)) + np.arange(2)[:, None], seed=2), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["codebook.json"]
+        assert path.read_bytes() == before
 
     def test_null_seed_loads(self, tmp_path):
         path = tmp_path / "codebook.json"

@@ -106,6 +106,22 @@ class TestRunEvaluation:
         decisions = json.loads((tmp_path / "out" / "report.json").read_text())["decisions"]
         assert all(d["filtered"] is None for d in decisions)
 
+    @pytest.mark.parametrize("fitted", [True, False], ids=["fitted", "loaded"])
+    def test_stage_times_cover_the_run_and_stay_out_of_the_report(self, tmp_path, fitted):
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=2, noise=NOISE))
+        codebook = None
+        if not fitted:
+            codebook = str(tmp_path / "codebook.json")
+            assert main(["fit-codebook", "--scenario", str(path), "--k", "8", "--out", codebook]) == 0
+        config = RunConfig(scenario=str(path), out_dir=str(tmp_path / "out"), codebook_k=8, codebook=codebook)
+        report = run_evaluation(config)
+        assert list(report.stage_seconds) == ["scene", "codebook", "score", "filter", "write"]
+        assert all(seconds >= 0.0 for seconds in report.stage_seconds.values())
+        assert math.fsum(report.stage_seconds.values()) <= report.runtime_seconds
+        payload = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(payload) == {"schema_version", "config", "metrics", "decisions"}
+        assert set(payload["metrics"]) == {"n_clips", "accuracy", "filtered_accuracy", "average_precision", "average_recall"}
+
     def test_reports_reproducible_byte_for_byte(self, tmp_path):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=2, noise=NOISE))
         config = RunConfig(scenario=str(path), out_dir=str(tmp_path / "out"), codebook_k=8)
