@@ -534,7 +534,6 @@ class TestCertifiedFit:
         assert "certified" in seen["passes"]
         self.assert_matches_oracle(codebook, vectors, 40, 1)
 
-
     def test_rows_differing_mostly_in_norm_run_both_prunes(self, monkeypatch):
         # multiples of one direction, from 1 to 10 times, plus a little
         # noise: the norm gap skips most rows of most draws, and the owner-gap
