@@ -401,9 +401,9 @@ def _row_scores(codebook, vectors, tau):
     # those entries get exp(0.0) and are then set to +0.0, so that exp runs
     # over the whole array at once (exp with where= runs on the short gaps)
     below = w < _EXP_CUT
-    w[below] = 0.0
+    np.putmask(w, below, 0.0)
     np.exp(w, out=w)
-    w[below] = 0.0
+    np.putmask(w, below, 0.0)
     w /= w.sum(axis=-1, keepdims=True)
     return w
 
@@ -434,18 +434,27 @@ def action_agreement(ego_label_scores, third_label_scores, codebook: ActionCodeb
 def cross_entropies(codebook: ActionCodebook, ego_vectors, third_vectors, tau=DEFAULT_TAU):
     """The two cross-entropies of action_agreement for each row pair, batched.
 
-    ego_vectors and third_vectors are (..., n, CLIP_DIM) clip vectors; row i
-    of one is paired with row i of the other. The 2n rows of each (n,
-    CLIP_DIM) pair of arrays are scored against the centroids with one
-    distance product, the ego rows first, so a stack of them gets the bits
-    each gets alone. Returns (ego_ce, third_ce), two (..., n) arrays.
+    ego_vectors and third_vectors are (..., n, CLIP_DIM) clip vectors of the
+    same shape; row i of one is paired with row i of the other. The 2n rows
+    of each (n, CLIP_DIM) pair of arrays are scored against the centroids
+    with one distance product, the ego rows first, so a stack of them gets
+    the bits each gets alone. Returns (ego_ce, third_ce), two (..., n) arrays.
     """
-    n = ego_vectors.shape[-2]
-    scores = _row_scores(codebook, np.concatenate([ego_vectors, third_vectors], axis=-2), tau)
+    if _number(tau, "tau") <= 0.0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    ego = frozen_array(ego_vectors, "ego_vectors", (..., "n", CLIP_DIM), copy=False)
+    third = frozen_array(third_vectors, "third_vectors", ego.shape, copy=False)
+    return _cross_entropies(codebook, np.concatenate([ego, third], axis=-2), tau)
+
+
+def _cross_entropies(codebook, rows, tau):
+    # cross_entropies of a (..., 2n, CLIP_DIM) stack, the n ego rows first, unchecked
+    scores = _row_scores(codebook, rows, tau)
     labels = scores.argmax(axis=-1)
+    n = labels.shape[-1] // 2
     # each row's score at the label of its partner row in the other half
     partner = labels.reshape(-1, 2, n)[:, ::-1].reshape(-1)
-    picked = scores.reshape(partner.size, -1)[np.arange(partner.size), partner]
+    picked = scores.reshape(-1)[np.arange(0, scores.size, codebook.k) + partner]
     ce = -np.log(np.maximum(picked, _EPS_LOG)).reshape(labels.shape)
     return ce[..., :n], ce[..., n:]
 

@@ -100,13 +100,9 @@ def predict(state: FilterState, dt=1.0, alpha=DEFAULT_ALPHA) -> FilterState:
         raise ValueError(f"dt must be finite and non-negative, got {dt}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    n = len(state.ids)
-    weights = (1.0 - alpha) * state.weights + alpha / n
-    return _next_state(
-        state,
-        weights=_freeze(weights / weights.sum()),
-        positions=_freeze(state.positions + state.velocities * dt),
-    )
+    weights = (1.0 - alpha) * state.weights + alpha / len(state.ids)
+    weights /= weights.sum()
+    return _next_state(state, weights=_freeze(weights), positions=_freeze(state.positions + state.velocities * dt))
 
 
 def update(
@@ -140,26 +136,20 @@ def update(
     if dt <= 0.0:
         raise ValueError(f"dt must be finite and positive, got {dt}")
 
-    predicted = state.positions
-    gap2 = ((observed - predicted) ** 2).sum(axis=1)
-    kernel = np.exp(-gap2 / (2.0 * sigma_p * sigma_p))
+    gap = observed - state.positions  # from the predicted positions
+    kernel = np.exp((gap**2).sum(axis=1) / (-2.0 * sigma_p * sigma_p))  # the bits of exp(-gap2 / (2 sigma_p^2))
     likelihood = np.where(occluded, kernel, scores * kernel)
 
     unnormalized = state.weights * likelihood
     mass = float(unnormalized.sum())
     if mass == math.inf:  # overflow: every weight below would be 0
         raise ValueError("weights must be a probability distribution")
-    if mass > 0.0:
-        weights = _freeze(unnormalized / mass)
-        low_confidence = False
-    else:
-        weights = state.weights  # nothing to learn from; keep the prior
-        low_confidence = True
+    low_confidence = not mass > 0.0  # nothing to learn from: keep the prior
+    weights = state.weights if low_confidence else _freeze(np.divide(unnormalized, mass, out=unnormalized))
 
     # Finite difference against the pre-predict position: observed - predicted
     # differs from it by exactly velocity * dt, so recover it in place.
-    finite_diff = (observed - predicted) / dt + state.velocities
-    velocities = beta * state.velocities + (1.0 - beta) * finite_diff
+    velocities = beta * state.velocities + (1.0 - beta) * (gap / dt + state.velocities)
     if not np.isfinite(velocities).all():  # overflow
         raise ValueError("velocities must be finite")
 
@@ -175,7 +165,7 @@ def update(
 
 def map_identity(state: FilterState):
     """Maximum a posteriori candidate id; exact ties go to the lowest id."""
-    best = float(state.weights.max())
-    tied = [state.ids[i] for i in range(len(state.ids)) if state.weights[i] == best]
-    return min(tied)
+    weights = state.weights.tolist()
+    best = max(weights)
+    return min(i for i, weight in zip(state.ids, weights) if weight == best)
 

@@ -144,9 +144,13 @@ def se3_compose(a, b):
 # element, as the numpy ufuncs may round differently from libm.
 
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
-# component i of a cross product is a[_NEXT[i]] b[_PREVIOUS[i]] - a[_PREVIOUS[i]] b[_NEXT[i]]
-_NEXT = np.array([1, 2, 0])
-_PREVIOUS = np.array([2, 0, 1])
+# component i of a cross product is a[_CROSS_A[i]] b[_CROSS_B[i]] - a[_CROSS_A[i + 3]] b[_CROSS_B[i + 3]]
+_CROSS_A = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_B = np.array([2, 0, 1, 1, 2, 0])
+# rotation matrix entry i: 2 (p[a] + s p[b]), 1 - 2 (...) on the diagonal, for p = q q^T flattened, (a, b) and s
+# _MATRIX_TERMS[:, i] and _MATRIX_SIGNS[i]
+_MATRIX_TERMS = np.array([[10, 6, 7, 6, 5, 11, 7, 11, 5], [15, 3, 2, 3, 15, 1, 2, 1, 10]])
+_MATRIX_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 
 
 def norms(v):
@@ -154,7 +158,7 @@ def norms(v):
 
     A finite vector whose dot product overflows is scaled by its largest component first.
     """
-    if not np.abs(v).max(initial=0.0) > 1e150:  # no dot product can overflow
+    if np.abs(v).max(initial=0.0) <= 1e150:  # no dot product can overflow; a NaN anywhere fails this too
         return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
     with np.errstate(over="ignore"):
         n = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
@@ -195,7 +199,8 @@ def cross3(a, b):
     without numpy's generic axis handling, which costs several times the
     arithmetic on a few rows.
     """
-    return a[..., _NEXT] * b[..., _PREVIOUS] - a[..., _PREVIOUS] * b[..., _NEXT]
+    products = a[..., _CROSS_A] * b[..., _CROSS_B]
+    return products[..., :3] - products[..., 3:]
 
 
 def rotate_points(q, v):
@@ -206,14 +211,12 @@ def rotate_points(q, v):
 
 
 def rotation_matrices(q):
-    """(n, 3, 3) rotation matrices of (n, 4) unit quaternions."""
-    w, x, y, z = q.T
-    entries = [
-        1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
-        2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
-        2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y),
-    ]  # fmt: skip
-    return np.stack(entries, axis=-1).reshape(-1, 3, 3)
+    """(n, 3, 3) rotation matrices of (n, 4) unit quaternions: the textbook formula's operations, gathered."""
+    products = (q[:, :, None] * q[:, None, :]).reshape(-1, 16)[:, _MATRIX_TERMS]
+    m = products[:, 0] + products[:, 1] * _MATRIX_SIGNS  # adding -b is subtracting b, bit for bit
+    m *= 2.0
+    np.subtract(1.0, m[:, ::4], out=m[:, ::4])
+    return m.reshape(-1, 3, 3)
 
 
 def quaternions_from_matrices(m):
@@ -262,16 +265,18 @@ def exp_rotations(v):
     its series 1/2 - |d|^2/48, so the map is continuous through that branch.
     """
     theta = norms(v)[:, 0]
-    bad = ~np.isfinite(theta)
-    if bad.any():
-        raise ValueError(f"rotation vector must be finite, got {v[bad][0]}")
+    finite = np.isfinite(theta)
+    if not finite.all():
+        raise ValueError(f"rotation vector must be finite, got {v[~finite][0]}")
     half = (0.5 * theta).tolist()
     small = theta < _SMALL_ANGLE
-    sines = np.array([math.sin(h) for h in half])
-    series = 0.5 - np.square(np.minimum(theta, _SMALL_ANGLE)) / 48.0  # capped: unused rows must not overflow
-    scale = np.where(small, series, sines / np.where(small, 1.0, theta))
-    q = unit_quaternions(np.column_stack([[math.cos(h) for h in half], scale[:, None] * v]))
-    q[theta == 0.0] = (1.0, 0.0, 0.0, 0.0)
+    scale = np.array([math.sin(h) for h in half]) / np.where(small, 1.0, theta)
+    if small.any():
+        scale[small] = 0.5 - np.square(theta[small]) / 48.0
+    q = np.zeros((len(half), 4))
+    q[:, 0] = [math.cos(h) for h in half]
+    np.multiply(scale[:, None], v, out=q[:, 1:], where=theta[:, None] != 0.0)  # a zero vector keeps (1, 0, 0, 0)
+    q /= norms(q)  # finite and of norm about 1: what unit_quaternions checks holds
     return q
 
 

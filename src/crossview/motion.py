@@ -94,14 +94,20 @@ def ego_offsets(deltas) -> np.ndarray:
     The step rotations come from one array pass; the chain is a loop of
     batched 3x3 products, and each leading index gets the bits it gets alone.
     """
-    deltas = frozen_array(deltas, "deltas", (..., CLIP_LEN - 1, 2, 3), copy=False)
-    rotations = rotation_matrices(exp_rotations(deltas[..., 0, :].reshape(-1, 3))).reshape(deltas.shape[:-2] + (3, 3))
-    offsets = np.zeros(deltas.shape[:-3] + (CLIP_LEN, 3))
-    frame = np.eye(3)
-    for k in range(CLIP_LEN - 1):
-        offsets[..., k + 1, :] = offsets[..., k, :] + (frame @ deltas[..., k, 1, :, None])[..., 0]
-        frame = frame @ rotations[..., k, :, :]
-    return offsets
+    return _ego_offsets(frozen_array(deltas, "deltas", (..., CLIP_LEN - 1, 2, 3), copy=False))
+
+
+def _ego_offsets(deltas):
+    # ego_offsets of a checked (..., 7, 2, 3) array, over its leading dimensions flattened into one
+    flat = deltas.reshape(-1, CLIP_LEN - 1, 2, 3)
+    rotations = rotation_matrices(exp_rotations(flat[:, :, 0].reshape(-1, 3))).reshape(-1, CLIP_LEN - 1, 3, 3)
+    frames = np.empty(rotations.shape)
+    frames[:, 0] = np.eye(3)
+    for k in range(CLIP_LEN - 2):
+        frames[:, k + 1] = frames[:, k] @ rotations[:, k]
+    offsets = np.zeros((len(flat), CLIP_LEN, 3))
+    offsets[:, 1:] = (frames @ flat[:, :, 1, :, None])[..., 0]  # row k + 1 is frame k's step; cumsum adds in order
+    return offsets.cumsum(axis=1, out=offsets).reshape(deltas.shape[:-3] + (CLIP_LEN, 3))
 
 
 def trajectory_l1_loss(predicted, reference) -> float:

@@ -96,19 +96,18 @@ def body_axes(joints):
     right-handed triad. For a person lying flat the z sign choice is
     arbitrary but deterministic.
     """
-    left = joints[..., LEFT_SHOULDER, :]
-    shoulder = joints[..., RIGHT_SHOULDER, :] - left
-    cross = cross3(shoulder, joints[..., NECK, :] - left)
-    # norms() gives one pose bit-identical axes alone or in a batch
-    cross_norm = norms(cross)
-    axes = np.empty(shoulder.shape + (3,))
-    x_axis, z_axis = axes[..., 0], axes[..., 2]
+    # the shoulder edge and the cross product, normalized together: norms() gives each the bits it gets alone
+    edges = joints[..., [RIGHT_SHOULDER, NECK], :] - joints[..., LEFT_SHOULDER, None, :]
+    edges[..., 1, :] = cross3(edges[..., 0, :], edges[..., 1, :])
+    lengths = norms(edges)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(shoulder, norms(shoulder), out=x_axis)
-        np.divide(cross, cross_norm, out=z_axis)
+        edges /= lengths
+    z_axis = edges[..., 1, :]
     np.negative(z_axis, out=z_axis, where=z_axis[..., 2:] < 0.0)
-    axes[..., 1] = cross3(z_axis, x_axis)
-    return axes, cross_norm[..., 0] >= 1e-9
+    axes = np.empty(edges.shape[:-2] + (3, 3))
+    axes[..., ::2] = edges.swapaxes(-1, -2)
+    axes[..., 1] = cross3(z_axis, edges[..., 0, :])
+    return axes, lengths[..., 1, 0] >= 1e-9
 
 
 def body_poses(frames):

@@ -25,17 +25,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from ._files import _checked_fields, _number
-from .action_codebook import DEFAULT_TAU, ActionCodebook, action_agreement, cross_entropies, label_scores
+from .action_codebook import DEFAULT_TAU, ActionCodebook, _cross_entropies, action_agreement, label_scores
 from .geometry import frozen_array
 from .motion import (
     BoundingBox,
     bbox_trajectory,
+    _ego_offsets,
     box_centers,
-    ego_offsets,
     integrate_ego_motion,
     trajectory_l1_loss,
 )
@@ -181,6 +182,7 @@ def _require_valid_frame(person_id, valid):
 
 BLOCK_PAIRS = 256  # pairs per score_scene block; one block for the scene costs memory, not time
 SCORE_FIELDS = tuple(f.name for f in fields(VerificationScore))
+_CORNERS = attrgetter(*BoundingBox.__slots__)  # a box's (lx, ly, rx, ry), as BoundingBox.corners gives them
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,21 +234,21 @@ def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig())
     candidates = list(candidates)
     if not candidates:
         raise ValueError("localize requires at least one candidate")
-    (person_id,), columns = _score_block(
+    boxes = chain.from_iterable(candidate.boxes for candidate in candidates)
+    (person_id,), table = _score_block(
         ego.pose_deltas[None],
         ego.motion_deltas[None],
         np.array([[candidate.poses for candidate in candidates]]),
-        np.fromiter(
-            chain.from_iterable(b.corners() for candidate in candidates for b in candidate.boxes),
-            float,
-            len(candidates) * CLIP_LEN * 4,
-        ).reshape(1, -1, CLIP_LEN, 4),
-        np.array([[candidate.valid for candidate in candidates]]),
+        np.array(list(chain.from_iterable(map(_CORNERS, boxes)))).reshape(1, -1, CLIP_LEN, 4),
+        np.fromiter(chain.from_iterable(candidate.valid for candidate in candidates), bool).reshape(1, -1, CLIP_LEN),
         np.array([candidate.person_id for candidate in candidates]),
         codebook,
         config,
     )
-    return person_id, [VerificationScore(*row) for row in zip(*(column.tolist() for column in columns))]
+    scores = [object.__new__(VerificationScore) for _ in candidates]
+    for score, row in zip(scores, table.T.tolist()):  # VerificationScore(*row) without one setattr call per field
+        score.__dict__.update(zip(SCORE_FIELDS, row))
+    return person_id, scores
 
 
 def score_scene(scene: Scene, codebook, config: ScoringConfig = ScoringConfig()):
@@ -261,20 +263,16 @@ def score_scene(scene: Scene, codebook, config: ScoringConfig = ScoringConfig())
     c, n = scene.valid.shape[:2]
     step = max(1, BLOCK_PAIRS // n)
     arrays = (scene.pose_deltas, scene.motion_deltas, scene.poses, scene.corners, scene.valid)
-    decisions, blocks = [], []
-    for i in range(0, c, step):
-        picked, columns = _score_block(*(a[i : i + step] for a in arrays), scene.person_ids, codebook, config)
-        decisions += picked
-        blocks.append(columns)
-    return decisions, {name: np.concatenate(column) for name, column in zip(SCORE_FIELDS, zip(*blocks))}
+    ids = scene.person_ids
+    blocks = (_score_block(*(a[i : i + step] for a in arrays), ids, codebook, config) for i in range(0, c, step))
+    decisions, tables = zip(*blocks)
+    return list(chain.from_iterable(decisions)), dict(zip(SCORE_FIELDS, np.concatenate(tables, axis=1)))
 
 
 def _score_block(pose_deltas, motion_deltas, poses, corners, valid, ids, codebook, config):
-    # Every pair of c clips of the same n candidates in one array pass, from
-    # a Scene's arrays over those clips and the (n,) person ids; returns each
-    # clip's decision and the (c * n,) columns in SCORE_FIELDS order. Ego
-    # streams are integrated once per clip, the motion as start-frame offsets
-    # rotated into each candidate's body frame.
+    # Every pair of c clips of the same n candidates in one array pass, from a Scene's arrays over those clips and
+    # the (n,) person ids; returns each clip's decision and a (6, c * n) table, one row per SCORE_FIELDS entry. Ego
+    # streams are integrated once per clip, the motion as start-frame offsets rotated into each candidate's body frame.
     c, n = valid.shape[:2]
     observed = poses.reshape(c * n, CLIP_LEN, N_JOINTS, 3)
     axes, defined = body_axes(observed[:, 0])
@@ -287,23 +285,21 @@ def _score_block(pose_deltas, motion_deltas, poses, corners, valid, ids, codeboo
             f"candidate {person_id}: shoulder and neck joints are collinear; body frame undefined"
         )
 
-    offsets = np.concatenate([np.zeros((c, 1, N_JOINTS, 3)), np.cumsum(pose_deltas, axis=1)], axis=1)
-    ego_clips = poses[:, :, :1] + offsets[:, None]
-    # one distance product per clip, of the shape localize gives
-    stacked = cross_entropies(codebook, ego_clips.reshape(c, n, -1), observed.reshape(c, n, -1), config.tau)
-    ego_ce, third_ce = (column.reshape(-1) for column in stacked)
+    offsets = np.concatenate([np.zeros((c, 1, N_JOINTS, 3)), pose_deltas.cumsum(axis=1)], axis=1)
+    # each clip's ego, then observed clips: one distance product per clip, of the shape localize gives
+    rows = np.concatenate([poses[:, :, :1] + offsets[:, None], poses], axis=1).reshape(c, 2 * n, -1)
+    ego_ce, third_ce = (ce.reshape(-1) for ce in _cross_entropies(codebook, rows, config.tau))
 
     centres = box_centers(corners)
     box_track = (centres - centres[:, :, :1]).reshape(c * n, CLIP_LEN, 2)
     # row 0 of the offsets is zero, so each rotated track starts at (0, 0)
-    ego_track = np.repeat(ego_offsets(motion_deltas), n, axis=0) @ axes[:, :2, :].transpose(0, 2, 1)
-    pose_centres = body_centers(observed)[..., :2]
-    pose_track = pose_centres - pose_centres[:, :1]
-    motion_ego_l1 = np.abs(ego_track - box_track).reshape(c * n, -1).sum(axis=1)
-    motion_third_l1 = np.abs(pose_track - box_track).reshape(c * n, -1).sum(axis=1)
+    ego_track = _ego_offsets(motion_deltas).repeat(n, axis=0) @ axes[:, :2, :].transpose(0, 2, 1)
+    pose_centres = body_centers(observed[..., :2])
+    tracks = np.concatenate([ego_track, pose_centres - pose_centres[:, :1]]).reshape(2, c * n, -1)
+    l1 = np.abs(tracks - box_track.reshape(c * n, -1)).sum(axis=2)  # the ego, then the pose track's
 
-    total = config.action_weight * (ego_ce + third_ce) + config.motion_weight * (motion_ego_l1 + motion_third_l1)
-    probability = np.exp(-total / config.sigma)
+    total = config.action_weight * (ego_ce + third_ce) + config.motion_weight * (l1[0] + l1[1])
+    probability = np.exp(total / -config.sigma)  # the bits of exp(-total / sigma)
     # each clip's least (-probability, person id): ties go to the lowest id
     decisions = [min(zip(row, ids.tolist()))[1] for row in (-probability).reshape(c, n).tolist()]
-    return decisions, (total, ego_ce, third_ce, motion_ego_l1, motion_third_l1, probability)
+    return decisions, np.concatenate([total, ego_ce, third_ce, l1.reshape(-1), probability]).reshape(6, -1)

@@ -646,6 +646,74 @@ class TestScores:
             label_scores(cb, random_clip(RNG), tau=tau)
 
 
+class TestCrossEntropiesArguments:
+    """cross_entropies checks tau by the scalar rule and both arrays by the array rule, naming each."""
+
+    @pytest.fixture(scope="class")
+    def codebook(self):
+        return ActionCodebook(np.random.default_rng(47).normal(size=(16, CLIP_DIM)))
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return np.random.default_rng(53).normal(size=(2, 3, CLIP_DIM))
+
+    @pytest.mark.parametrize(
+        "tau, text",
+        [
+            (-1.0, "temperature must be positive, got -1.0"),
+            (0.0, "temperature must be positive, got 0.0"),
+            (math.nan, "tau must be finite"),
+            (math.inf, "tau must be finite"),
+            (True, "tau must be a number, got True"),
+            ("0.1", "tau must be a number, got '0.1'"),
+        ],
+        ids=["negative", "zero", "nan", "inf", "true", "string"],
+    )
+    def test_tau_rejected_as_label_scores_rejects_it(self, codebook, rows, tau, text):
+        with pytest.raises(ValueError, match=text):
+            cross_entropies(codebook, rows[0], rows[1], tau=tau)
+        with pytest.raises(ValueError, match=text):
+            label_scores(codebook, clip_from_vector(rows[0, 0]), tau=tau)
+
+    def test_row_counts_must_match(self, codebook, rows):
+        # 3 ego rows against 2 third-view rows raised "cannot reshape array of size 5"
+        with pytest.raises(ValueError, match=r"third_vectors must have shape \(3, 456\), got \(2, 456\)"):
+            cross_entropies(codebook, rows[0], rows[1, :2])
+
+    @pytest.mark.parametrize("name", ["ego_vectors", "third_vectors"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_row_rejected_naming_its_array(self, codebook, rows, name, bad):
+        ego, third = rows.copy()
+        (ego if name == "ego_vectors" else third)[1, 7] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cross_entropies(codebook, ego, third)
+
+    @pytest.mark.parametrize(
+        "ego, text",
+        [
+            (np.zeros(CLIP_DIM), r"ego_vectors must have shape \(\.\.\., n, 456\)"),
+            (np.zeros((3, CLIP_DIM - 1)), r"ego_vectors must have shape \(\.\.\., n, 456\)"),
+            ([["0.5"] * CLIP_DIM] * 3, "ego_vectors must hold numbers, got str"),
+        ],
+        ids=["one_row", "short_rows", "strings"],
+    )
+    def test_misread_ego_vectors_rejected_naming_them(self, codebook, rows, ego, text):
+        with pytest.raises(ValueError, match=text):
+            cross_entropies(codebook, ego, rows[1])
+
+    def test_lists_give_the_bits_of_arrays(self, codebook, rows):
+        # lists raised AttributeError on .shape
+        want = cross_entropies(codebook, rows[0], rows[1])
+        got = cross_entropies(codebook, rows[0].tolist(), rows[1].tolist())
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_inputs_are_not_written(self, codebook, rows):
+        ego, third = rows.copy()
+        cross_entropies(codebook, ego, third)
+        assert ego.tobytes() == rows[0].tobytes() and third.tobytes() == rows[1].tobytes()
+
+
 class TestAgreement:
     def one_hot(self, k, i):
         v = np.zeros(k)

@@ -544,3 +544,51 @@ class TestKernelsMatchScalarCode:
             assert_same_bits(translation, scalar_rotate(a[i], points[i]) + points[i])
             assert_same_bits(rotate(a[i], points[i]), scalar_rotate(a[i], points[i]))
             assert_same_bits(unit(b[i] * 3.0), scalar_unit(*b[i] * 3.0))
+
+    @staticmethod
+    def edge_rows(case, width, rng):
+        """Rows of signed zeros, of +-1 components or of components near 1e150 or 1e-150, in every mix."""
+        shape = (3000, width)
+        if case == "signed_zeros":
+            return rng.normal(size=shape) * rng.choice([0.0, -0.0, 1.0], size=shape)
+        if case == "unit_components":
+            return rng.choice([1.0, -1.0, 0.0, -0.0], size=shape)
+        scale = 1e150 if case == "near_1e150" else 1e-150
+        return rng.choice([-scale, scale], size=shape) * rng.uniform(0.5, 2.0, size=shape)
+
+    @pytest.mark.parametrize("case", ["signed_zeros", "unit_components", "near_1e150", "near_1e-150"])
+    def test_matrices_of_edge_rows(self, case):
+        # every matrix entry is gathered from one outer product; the products
+        # of components near 1e150 reach about 1e300, and near 1e-150 the
+        # subnormal range
+        q = self.edge_rows(case, 4, np.random.default_rng(14))
+        matrices = geometry.rotation_matrices(q)
+        for row, m in zip(q, matrices):
+            assert_same_bits(m, scalar_matrix(row))
+            assert_same_bits(matrix(row), scalar_matrix(row))
+
+    @pytest.mark.parametrize("case", ["signed_zeros", "unit_components", "near_1e150", "near_1e-150"])
+    def test_exp_of_edge_rows(self, case):
+        # zero vectors, vectors below the series cut and angles near 1e150 radians
+        v = self.edge_rows(case, 3, np.random.default_rng(15))
+        batch = geometry.exp_rotations(v)
+        for row, q in zip(v, batch):
+            assert_same_bits(q, scalar_exp(row))
+            assert_same_bits(error_quaternion(row), scalar_exp(row))
+
+    @pytest.mark.parametrize("case", ["unit_components", "near_1e-150"])
+    def test_cross3_of_edge_rows(self, case):
+        a, b = (self.edge_rows(case, 3, np.random.default_rng(seed)) for seed in (16, 17))
+        want = np.cross(a, b)
+        assert_same_bits(geometry.cross3(a, b), want)
+        for i in range(0, len(a), 97):
+            assert_same_bits(geometry.cross3(a[i], b[i]), want[i])
+
+    def test_norms_of_a_batch_holding_a_nan_row_match_each_row_alone(self):
+        # a NaN row once sent the whole batch past the rescaling of dot
+        # products that overflow, so a row's norm depended on its batch
+        v = np.array([[np.nan, 1.0, 2.0], [3e160, -4e160, 0.0], [1.0, 2.0, 2.0], [np.inf, 0.0, 0.0], [2e-170, 0.0, 0.0]])
+        batch = geometry.norms(v)
+        for row, n in zip(v, batch):
+            assert_same_bits(n, geometry.norms(row[None])[0])
+        assert np.isfinite(batch[1, 0]) and batch[2, 0] == 3.0 and batch[3, 0] == np.inf

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from crossview.geometry import rotation_matrices
+from crossview.geometry import norms, rotation_matrices
 from crossview.skeleton import (
     CLIP_LEN,
     LEFT_SHOULDER,
@@ -143,6 +143,42 @@ class TestBodyFrame:
             rotation, translation = body_frame(joints[i])
             np.testing.assert_allclose(axes.reshape(6, 3, 3)[i], matrix(rotation), atol=1e-12)
             np.testing.assert_array_equal(body_centers(joints)[i], translation)
+
+    @staticmethod
+    def scalar_axes(joints):
+        # one pose at a time: each unit vector divided by its own norm, z flipped up, y = z x x
+        left = joints[LEFT_SHOULDER]
+        shoulder = joints[RIGHT_SHOULDER] - left
+        cross = np.cross(shoulder, joints[NECK] - left)
+        x_axis = shoulder / norms(shoulder[None])[0]
+        z_axis = cross / norms(cross[None])[0]
+        if z_axis[2] < 0.0:
+            z_axis = -z_axis
+        return np.column_stack([x_axis, np.cross(z_axis, x_axis), z_axis])
+
+    @pytest.mark.parametrize("case", ["random", "signed_zeros", "unit_components", "near_1e150", "near_1e-150"])
+    def test_batched_axes_match_one_pose_at_a_time_bit_for_bit(self, case):
+        # the shoulder edge and the cross product share one norms() call, and
+        # a NaN row (a collapsed triangle, or a cross product past overflow)
+        # must not change any other row's bits
+        rng = np.random.default_rng(29)
+        joints = rng.normal(size=(400, 19, 3))
+        if case == "signed_zeros":
+            joints *= rng.choice([0.0, -0.0, 1.0], size=joints.shape)
+        elif case == "unit_components":
+            joints = rng.choice([1.0, -1.0, 0.0, -0.0], size=joints.shape)
+        elif case != "random":
+            scale = 1e150 if case == "near_1e150" else 1e-150
+            joints *= scale * rng.uniform(0.5, 2e4, size=(400, 1, 1))
+        joints[:8, NECK] = joints[:8, LEFT_SHOULDER]
+        joints[8:16, RIGHT_SHOULDER] = joints[8:16, LEFT_SHOULDER]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            axes, defined = body_axes(joints)
+            assert axes.tobytes() == np.stack([self.scalar_axes(j) for j in joints]).tobytes()
+            for i in range(0, len(joints), 7):
+                alone, one_defined = body_axes(joints[i])
+                assert alone.tobytes() == axes[i].tobytes() and one_defined == defined[i]
+        assert not defined[:16].any()
 
     def test_center_is_torso_centroid(self):
         j = upright_pose()

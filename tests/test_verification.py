@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from crossview.verification import (
     EgoObservation,
     InsufficientObservationError,
     ScoringConfig,
+    VerificationScore,
     _score_block,
     localize,
     score_scene,
@@ -608,6 +609,43 @@ class TestStreamLoop:
             digest.update(state.weights.tobytes())
         assert len(clips) == 53
         assert digest.hexdigest() == GOLDEN["stream_outputs"]["sha256"]
+
+
+class TestLocalizeRecords:
+    """localize builds its records without the frozen __init__; they must be the records that __init__ builds."""
+
+    @pytest.fixture(scope="class")
+    def crossing(self):
+        # a candidate of clip 41 is occluded in one of its frames
+        scenario = cv.three_person_scenario(crossing=True, duration=60, seed=3, noise=NOISE)
+        return (cv.scene_arrays(scenario),) + fitted(scenario, 16)
+
+    def test_records_are_verification_scores(self, crossing):
+        _, clips, codebook = crossing
+        _, scores = localize(clips[41].ego, clips[41].candidates, codebook)
+        for score in scores:
+            built = VerificationScore(**{name: getattr(score, name) for name in SCORE_FIELDS})
+            assert type(score) is VerificationScore
+            assert score == built and hash(score) == hash(built)
+            assert repr(score) == repr(built)
+            assert vars(score) == vars(built)
+            with pytest.raises(FrozenInstanceError):
+                score.total = 0.0
+            with pytest.raises(FrozenInstanceError):
+                del score.match_probability
+
+    def test_fields_equal_score_scene_columns_on_a_clip_with_an_occluded_candidate(self, crossing):
+        scene, clips, codebook = crossing
+        i = 41
+        assert not all(c.fully_valid() for c in clips[i].candidates)
+        decisions, columns = score_scene(scene, codebook)
+        person_id, scores = localize(clips[i].ego, clips[i].candidates, codebook)
+        assert person_id == decisions[i]
+        n = len(scores)
+        for name in SCORE_FIELDS:
+            got = np.array([getattr(score, name) for score in scores])
+            assert all(type(getattr(score, name)) is float for score in scores)
+            assert got.tobytes() == columns[name][i * n : (i + 1) * n].tobytes(), name
 
 
 class TestRecordsAndConfig:
