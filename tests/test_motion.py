@@ -256,6 +256,22 @@ class TestEgoOffsets:
             got = ego_offsets(deltas)
             assert got.tobytes() == self.chained_offsets(deltas).tobytes()
 
+    @pytest.mark.parametrize("case", ["signed_zeros", "unit_components", "near_1e150", "near_1e-150"])
+    def test_bits_of_edge_increments_match_per_step_exponentials_in_a_stack(self, case):
+        # the step products run as one batched call and are summed by cumsum:
+        # each clip of a stack gets the per-step chain's bits
+        rng = np.random.default_rng(37)
+        deltas = rng.normal(size=(40, 7, 2, 3))
+        if case == "signed_zeros":
+            deltas *= rng.choice([0.0, -0.0, 1.0], size=deltas.shape)
+        elif case == "unit_components":
+            deltas = rng.choice([1.0, -1.0, 0.0, -0.0], size=deltas.shape)
+        else:
+            deltas *= (1e150 if case == "near_1e150" else 1e-150) * rng.uniform(0.5, 2.0, size=deltas.shape)
+        got = ego_offsets(deltas)
+        for clip, offsets in zip(deltas, got):
+            assert offsets.tobytes() == self.chained_offsets(clip).tobytes()
+
     def test_lists_give_the_offsets_of_the_array(self):
         deltas = np.stack([random_deltas(np.random.default_rng(i), 0.2) for i in range(3)])
         want = ego_offsets(deltas)
