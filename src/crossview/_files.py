@@ -24,22 +24,27 @@ def read_json(path, what, parse):
         raise ValueError(f"{what} {path}: {exc}") from exc
 
 
-def _number(value, name, integer=False):
-    """The scalar rule of every argument and JSON field; errors name the field. A Python or numpy number, not a
-    bool, finite as a float (an int beyond the floats is not), given as a float, or as an int for an integer field."""
+def _number(value, name, integer=False, low=None, high=None, positive=False):
+    """The scalar rule of every argument and JSON field; errors name the field and the value. A Python or numpy
+    number, not a bool, finite as a float (an int beyond the floats is not), given as a float, or as an int for an
+    integer field; then at least low and at most high (high needs low), and above 0 if positive, where given."""
     if isinstance(value, bool) or not isinstance(value, _NUMBERS):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not (integer or abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if integer and not (isinstance(value, int) or value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value) if integer else float(value)
+    number = int(value) if integer else float(value)
+    if (low is not None and number < low) or (high is not None and number > high) or (positive and number <= 0):
+        bound = f"in [{low}, {high}]" if high is not None else "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {'positive' if positive else bound}, got {number!r}")
+    return number
 
 
-def _checked_fields(obj, names, integer=False):
+def _checked_fields(obj, names, integer=False, **bounds):
     """Check the fields names of a (frozen) dataclass instance by _number and keep what it gives."""
     for name in names:
-        object.__setattr__(obj, name, _number(getattr(obj, name), name, integer))
+        object.__setattr__(obj, name, _number(getattr(obj, name), name, integer, **bounds))
 
 
 def _schema_version(obj, version):

@@ -252,10 +252,7 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
     max_iters < 1, clips of another shape, or fewer than k clips or distinct
     clips.
     """
-    if _number(k, "k", integer=True) < 1:
-        raise ValueError(f"cluster count must be >= 1, got {k}")
-    if _number(max_iters, "max_iters", integer=True) < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    k, max_iters = _number(k, "k", integer=True, low=1), _number(max_iters, "max_iters", integer=True, low=1)
     clips = frozen_array(clips, "clips", ("M", CLIP_LEN, N_JOINTS, 3), copy=False)
     if len(clips) < k:
         raise ValueError(f"need at least {k} clips to fit {k} clusters, got {len(clips)}")
@@ -382,8 +379,7 @@ def _certified_labels(vectors, sq, centroids, stale, bound, d2, spare):
 
 def label_scores(codebook: ActionCodebook, clip, tau=DEFAULT_TAU) -> np.ndarray:
     """softmax(-distance / tau) over the centroids; sums to 1."""
-    if _number(tau, "tau") <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    _number(tau, "tau", positive=True)
     return _row_scores(codebook, pose_clip_vector(clip)[None, :], tau)[0]
 
 
@@ -440,8 +436,7 @@ def cross_entropies(codebook: ActionCodebook, ego_vectors, third_vectors, tau=DE
     with one distance product, the ego rows first, so a stack of them gets
     the bits each gets alone. Returns (ego_ce, third_ce), two (..., n) arrays.
     """
-    if _number(tau, "tau") <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    _number(tau, "tau", positive=True)
     ego = frozen_array(ego_vectors, "ego_vectors", (..., "n", CLIP_DIM), copy=False)
     third = frozen_array(third_vectors, "third_vectors", ego.shape, copy=False)
     return _cross_entropies(codebook, np.concatenate([ego, third], axis=-2), tau)

@@ -40,6 +40,9 @@ __all__ = [
 DEFAULT_ALPHA = 0.05
 DEFAULT_BETA = 0.7
 DEFAULT_SIGMA_P = 0.5
+# the least sigma_p whose 2 sigma_p^2 is not 0: below it the kernel of a
+# candidate that did not move is 0 / -0.0, a NaN likelihood
+_MIN_SIGMA_P = math.nextafter(2.0**-538, math.inf)
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,7 @@ def init_filter(ids, positions) -> FilterState:
 
 def predict(state: FilterState, dt=1.0, alpha=DEFAULT_ALPHA) -> FilterState:
     """Advance positions by velocity * dt and leak weights toward uniform."""
-    dt, alpha = _number(dt, "dt"), _number(alpha, "alpha")
-    if dt < 0.0:
-        raise ValueError(f"dt must be finite and non-negative, got {dt}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    dt, alpha = _number(dt, "dt", low=0), _number(alpha, "alpha", low=0, high=1)
     weights = (1.0 - alpha) * state.weights + alpha / len(state.ids)
     weights /= weights.sum()
     return _next_state(state, weights=_freeze(weights), positions=_freeze(state.positions + state.velocities * dt))
@@ -128,13 +127,8 @@ def update(
         raise ValueError(f"clip_scores must be finite and non-negative, got {scores}")
     observed = frozen_array(observed_positions, "observed_positions", (n, 2))
     occluded = np.zeros(n, bool) if occluded is None else frozen_array(occluded, "occluded", (n,), bool, copy=False)
-    beta, sigma_p, dt = _number(beta, "beta"), _number(sigma_p, "sigma_p"), _number(dt, "dt")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if sigma_p <= 0.0:
-        raise ValueError(f"sigma_p must be finite and positive, got {sigma_p}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    beta = _number(beta, "beta", low=0, high=1)
+    sigma_p, dt = _number(sigma_p, "sigma_p", low=_MIN_SIGMA_P), _number(dt, "dt", positive=True)
 
     gap = observed - state.positions  # from the predicted positions
     kernel = np.exp((gap**2).sum(axis=1) / (-2.0 * sigma_p * sigma_p))  # the bits of exp(-gap2 / (2 sigma_p^2))

@@ -88,15 +88,12 @@ class RunConfig:
             for name in ("scenario", "out_dir"):
                 if not getattr(self, name):
                     raise ValueError(f"field '{name}' must be a path")
-            if _number(self.codebook_k, "field 'codebook_k'", integer=True) < 1:
-                raise ValueError(f"field 'codebook_k' must be >= 1, got {self.codebook_k}")
+            _number(self.codebook_k, "field 'codebook_k'", integer=True, low=1)
             for name in ("alpha", "beta"):
-                if not 0.0 <= _number(getattr(self, name), f"field '{name}'") <= 1.0:
-                    raise ValueError(f"field '{name}' must be in [0, 1], got {getattr(self, name)}")
-            if _number(self.sigma_p, "field 'sigma_p'") <= 0.0:
-                raise ValueError(f"field 'sigma_p' must be finite and positive, got {self.sigma_p}")
-            if self.seed is not None and _number(self.seed, "field 'seed'", integer=True) < 0:
-                raise ValueError(f"field 'seed' must be non-negative, got {self.seed}")
+                _number(getattr(self, name), f"field '{name}'", low=0, high=1)
+            _number(self.sigma_p, "field 'sigma_p'", low=bayes_filter._MIN_SIGMA_P)
+            if self.seed is not None:
+                _number(self.seed, "field 'seed'", integer=True, low=0)
             return ScoringConfig(self.action_weight, self.motion_weight, self.sigma, self.tau)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -284,11 +281,10 @@ def run_sweep(config: RunConfig, sigma_pose_values) -> list:
     points = {}  # directory name -> level
     for sigma_pose in sigma_pose_values:
         try:
-            if _number(sigma_pose, "field 'sigma_pose'") < 0.0:
-                raise ValueError(f"field 'sigma_pose' must be non-negative, got {sigma_pose}")
+            _number(sigma_pose, "field 'sigma_pose'", low=0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        name = f"sigma_pose_{sigma_pose:g}"
+        name = f"sigma_pose_{sigma_pose + 0:g}"  # -0 + 0 is 0: -0 names the directory of 0
         if name in points:
             raise ConfigError(f"field 'sigma_pose' values {points[name]} and {sigma_pose} share the directory {name}")
         points[name] = sigma_pose

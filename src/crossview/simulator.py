@@ -131,12 +131,9 @@ class GaitParams:
     phase: float = 0.0
 
     def __post_init__(self):
-        _checked_fields(self, ("arm_amplitude", "leg_amplitude", "stride_length", "phase"))
-        for name in ("arm_amplitude", "leg_amplitude"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.stride_length <= 0.0:
-            raise ValueError(f"stride_length must be positive, got {self.stride_length}")
+        _checked_fields(self, ("arm_amplitude", "leg_amplitude"), low=0)
+        _checked_fields(self, ("stride_length",), positive=True)
+        _checked_fields(self, ("phase",))
 
 
 @dataclass(frozen=True)
@@ -152,13 +149,12 @@ class PersonSpec:
 
     def __post_init__(self):
         _checked_fields(self, ("person_id",), integer=True)
-        _checked_fields(self, ("speed", "heading"))
+        _checked_fields(self, ("speed",), low=0)
+        _checked_fields(self, ("heading",))
         wps = tuple(map(tuple, frozen_array(self.waypoints, "waypoints", ("n", 2), copy=False).tolist()))
         object.__setattr__(self, "waypoints", wps)
         if not isinstance(self.is_wearer, bool):
             raise ValueError(f"is_wearer must be true or false, got {self.is_wearer!r}")
-        if self.speed < 0.0:
-            raise ValueError(f"speed must be non-negative, got {self.speed}")
         if self.speed > 0.0 and any(a == b for a, b in zip(wps, wps[1:])):
             raise ValueError("consecutive waypoints must be distinct")
 
@@ -173,10 +169,7 @@ class NoiseParams:
     sigma_bbox: float = 0.0
 
     def __post_init__(self):
-        for name in ("sigma_pose", "sigma_odo_trans", "sigma_odo_rot", "sigma_bbox"):
-            _checked_fields(self, (name,))
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        _checked_fields(self, ("sigma_pose", "sigma_odo_trans", "sigma_odo_rot", "sigma_bbox"), low=0)
 
 
 @dataclass(frozen=True)
@@ -204,11 +197,9 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "persons", tuple(self.persons))
         object.__setattr__(self, "crossings", tuple(self.crossings))
-        _checked_fields(self, ("seed", "duration", "time_offset"), integer=True)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.duration < CLIP_LEN:
-            raise ValueError(f"duration must be at least {CLIP_LEN}, got {self.duration}")
+        _checked_fields(self, ("seed",), integer=True, low=0)
+        _checked_fields(self, ("duration",), integer=True, low=CLIP_LEN)
+        _checked_fields(self, ("time_offset",), integer=True)
         if not self.persons:
             raise ValueError("scenario needs at least one person")
         ids = [p.person_id for p in self.persons]
@@ -700,8 +691,7 @@ def group_scenario(n_persons=6, *, duration=96, seed=0, noise=None, same_gait=Fa
     0.654, 0.013 and 0.005, filtered 1.0, 0.997, 0.997 and 0.997. Nobody is
     occluded for 8 consecutive frames (a fully occluded clip is unscorable).
     """
-    if n_persons < 2:
-        raise ValueError("group scenario needs at least 2 people")
+    n_persons = _number(n_persons, "n_persons", integer=True, low=2)
     noise = noise or NoiseParams()
     persons = [PersonSpec(0, ((0.0, 0.0), (10.0, 0.0)), 0.08, _gait_for(0), is_wearer=True)]
     for i in range(1, n_persons):

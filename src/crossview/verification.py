@@ -77,13 +77,8 @@ class ScoringConfig:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        _checked_fields(self, ("action_weight", "motion_weight", "sigma", "tau"))
-        for name in ("action_weight", "motion_weight"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("sigma", "tau"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        _checked_fields(self, ("action_weight", "motion_weight"), low=0)
+        _checked_fields(self, ("sigma", "tau"), positive=True)
 
 
 class EgoObservation:

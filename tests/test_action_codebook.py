@@ -660,8 +660,8 @@ class TestCrossEntropiesArguments:
     @pytest.mark.parametrize(
         "tau, text",
         [
-            (-1.0, "temperature must be positive, got -1.0"),
-            (0.0, "temperature must be positive, got 0.0"),
+            (-1.0, "tau must be positive, got -1.0"),
+            (0.0, "tau must be positive, got 0.0"),
             (math.nan, "tau must be finite"),
             (math.inf, "tau must be finite"),
             (True, "tau must be a number, got True"),

@@ -127,6 +127,11 @@ class TestUpdate:
         with pytest.raises(ValueError, match="sigma_p"):
             update(state, [0.5, 0.5], np.zeros((2, 2)), sigma_p=sigma_p)
 
+    def test_sigma_p_whose_square_underflows_rejected(self):
+        # 2 * 1e-200**2 is 0: the kernel of a candidate that did not move was 0 / -0.0, a NaN likelihood
+        with pytest.raises(ValueError, match=r"sigma_p must be at least .*, got 1e-200"):
+            update(make_state([0.5, 0.5]), [0.5, 0.5], np.zeros((2, 2)), sigma_p=1e-200)
+
     @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
     def test_non_finite_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt must be finite"):

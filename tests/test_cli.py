@@ -536,6 +536,14 @@ class TestCommandLine:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_sigma_p_whose_square_underflows_exit_two(self, tmp_path, capsys):
+        # 2 sigma_p^2 is 0 at 1e-200: evaluate wrote NaN likelihoods to posteriors.csv and exited 0
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24))
+        argv = ["evaluate", "--scenario", str(path), "--out", str(tmp_path / "out"), "--codebook-k", "8"]
+        assert main(argv + ["--sigma-p", "1e-200"]) == 2
+        assert "field 'sigma_p'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_io_error_exit_three(self, tmp_path, capsys):
         code = main(
             ["evaluate", "--scenario", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")]
@@ -670,8 +678,8 @@ class TestCommandLine:
         assert key in captured.err
         assert captured.out == ""
 
-    # the last two lists name one point directory twice (sigma_pose_0, sigma_pose_0.01)
-    @pytest.mark.parametrize("values", ["0,0.05,-1", "0,nan", "0,abc", "0,0", "0.0100001,0.01000012"])
+    # the last three lists name one point directory twice (sigma_pose_0, sigma_pose_0, sigma_pose_0.01)
+    @pytest.mark.parametrize("values", ["0,0.05,-1", "0,nan", "0,abc", "0,0", "0,-0", "0.0100001,0.01000012"])
     def test_sweep_bad_sigma_pose_exit_two_before_any_point(self, tmp_path, capsys, values):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0, noise=NOISE))
         out = tmp_path / "sw"

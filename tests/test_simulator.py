@@ -527,7 +527,7 @@ class TestScenarioValidation:
             scene_arrays(scenario)
 
     def test_group_needs_two_people(self):
-        with pytest.raises(ValueError, match="at least 2 people"):
+        with pytest.raises(ValueError, match="n_persons must be at least 2, got 1"):
             cv.group_scenario(1)
 
     def test_same_gait_gives_every_person_the_wearer_gait(self):
