@@ -1,4 +1,4 @@
-"""read_json, the one reader of every JSON input file, and the field checks of the parsers it calls and of arguments.
+"""read_json, the one JSON file reader; its parsers' field checks; and the argument rules, _number and frozen_array.
 
 An unreadable file raises OSError (exit 3); one that is not UTF-8, not JSON
 or not what its parser takes raises ValueError (exit 2). Both name the file.
@@ -7,8 +7,21 @@ or not what its parser takes raises ValueError (exit 2). Both name the file.
 import json
 import math
 import sys
+from itertools import chain
 
-from .geometry import _NUMBERS
+import numpy as np
+
+# The Python and numpy number types; a bool is an int, so callers refuse it apart.
+_NUMBERS = (int, float, np.integer, np.floating)
+
+# Per array dtype: the ndarray dtype kinds it takes, the leaf types of nested
+# lists it takes and those it refuses among them, and the word for them in
+# errors. numpy itself reads "0.5" and True as numbers.
+_LEAVES = {
+    float: ("fiu", _NUMBERS, bool, "numbers"),
+    int: ("iu", (int, np.integer), bool, "integers"),
+    bool: ("b", (bool, np.bool_), (), "true or false"),
+}
 
 
 def read_json(path, what, parse):
@@ -39,6 +52,54 @@ def _number(value, name, integer=False, low=None, high=None, positive=False):
         bound = f"in [{low}, {high}]" if high is not None else "non-negative" if low == 0 else f"at least {low}"
         raise ValueError(f"{name} must be {'positive' if positive else bound}, got {number!r}")
     return number
+
+
+def frozen_array(value, name, shape, dtype=float, copy=True):
+    """Read-only copy of value (a view if not copy), checked for element type, shape and finiteness.
+
+    dtype is float, int or bool. An ndarray, also one nested in lists, must be
+    of a kind dtype takes, an O(1) check; every other leaf must be a float or
+    an int for float, an int for int and a bool for bool. shape holds fixed
+    lengths and named ones: a str, such as "k", is a length of at least 1.
+    Errors name the field and the type found.
+    """
+    kinds, takes, refuses, noun = _LEAVES[dtype]
+    if isinstance(value, np.ndarray):
+        found = set() if value.dtype.kind in kinds else {value.dtype.type.__name__}
+    else:
+        found, leaves = set(), [value]
+        try:  # the leaves, level by level by C-level iteration
+            for _ in range(len(shape)):
+                leaves = list(leaves)
+                if any(issubclass(t, np.ndarray) for t in set(map(type, leaves))):  # by dtype kind, not walked
+                    arrays = [a for a in leaves if isinstance(a, np.ndarray)]
+                    found.update(a.dtype.type.__name__ for a in arrays if a.dtype.kind not in kinds)
+                    leaves = [x for x in leaves if not isinstance(x, np.ndarray)]
+                leaves = chain.from_iterable(leaves)
+            types = set(map(type, leaves))
+        except (TypeError, ValueError):  # ragged or too shallow: asarray or the shape check names it
+            types = ()
+        found.update(t.__name__ for t in types if not issubclass(t, takes) or issubclass(t, refuses))
+    if found:
+        raise ValueError(f"{name} must hold {noun}, got {', '.join(sorted(found))}")
+    try:
+        a = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise ValueError(f"{name} must be an array of {noun} of shape {_shape_text(shape)}") from exc
+    if a.shape != shape and (
+        a.ndim != len(shape) or any(n < 1 if isinstance(s, str) else n != s for s, n in zip(shape, a.shape))
+    ):
+        raise ValueError(f"{name} must have shape {_shape_text(shape)}, got {a.shape}")
+    if a.dtype.kind == "f" and not np.isfinite(a).all():  # ints and bools are finite
+        raise ValueError(f"{name} must be finite")
+    out = a.copy() if copy else a.view()
+    out.setflags(write=False)
+    return out
+
+
+def _shape_text(shape):
+    named = ", ".join(s for s in shape if isinstance(s, str))
+    return str(shape).replace("'", "") + (f", {named} >= 1" if named else "")
 
 
 def _checked_fields(obj, names, integer=False, **bounds):

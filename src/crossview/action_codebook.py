@@ -15,8 +15,7 @@ import os
 
 import numpy as np
 
-from ._files import _number, _required, _schema_version, read_json
-from .geometry import frozen_array
+from ._files import _number, _required, _schema_version, frozen_array, read_json
 from .skeleton import CLIP_LEN, N_JOINTS, pose_clip_vector
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "fit_codebook",
     "label_scores",
     "action_agreement",
-    "cross_entropies",
     "save_codebook",
     "load_codebook",
 ]
@@ -427,23 +425,10 @@ def action_agreement(ego_label_scores, third_label_scores, codebook: ActionCodeb
     return ego_ce, third_ce
 
 
-def cross_entropies(codebook: ActionCodebook, ego_vectors, third_vectors, tau=DEFAULT_TAU):
-    """The two cross-entropies of action_agreement for each row pair, batched.
-
-    ego_vectors and third_vectors are (..., n, CLIP_DIM) clip vectors of the
-    same shape; row i of one is paired with row i of the other. The 2n rows
-    of each (n, CLIP_DIM) pair of arrays are scored against the centroids
-    with one distance product, the ego rows first, so a stack of them gets
-    the bits each gets alone. Returns (ego_ce, third_ce), two (..., n) arrays.
-    """
-    _number(tau, "tau", positive=True)
-    ego = frozen_array(ego_vectors, "ego_vectors", (..., "n", CLIP_DIM), copy=False)
-    third = frozen_array(third_vectors, "third_vectors", ego.shape, copy=False)
-    return _cross_entropies(codebook, np.concatenate([ego, third], axis=-2), tau)
-
-
 def _cross_entropies(codebook, rows, tau):
-    # cross_entropies of a (..., 2n, CLIP_DIM) stack, the n ego rows first, unchecked
+    # The two cross-entropies of action_agreement for each row pair of a checked (..., 2n, CLIP_DIM) stack,
+    # the n ego rows first, row i paired with row n + i. Each (2n, CLIP_DIM) array gets one distance product,
+    # so a stack of them gets the bits each gets alone. Returns (ego_ce, third_ce), two (..., n) arrays.
     scores = _row_scores(codebook, rows, tau)
     labels = scores.argmax(axis=-1)
     n = labels.shape[-1] // 2

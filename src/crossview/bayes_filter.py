@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import _number
-from .geometry import frozen_array
+from ._files import _number, frozen_array
 
 __all__ = [
     "FilterState",
@@ -98,7 +97,7 @@ def init_filter(ids, positions) -> FilterState:
 
 def predict(state: FilterState, dt=1.0, alpha=DEFAULT_ALPHA) -> FilterState:
     """Advance positions by velocity * dt and leak weights toward uniform."""
-    dt, alpha = _number(dt, "dt", low=0), _number(alpha, "alpha", low=0, high=1)
+    dt, alpha = _number(dt, "dt", positive=True), _number(alpha, "alpha", low=0, high=1)
     weights = (1.0 - alpha) * state.weights + alpha / len(state.ids)
     weights /= weights.sum()
     return _next_state(state, weights=_freeze(weights), positions=_freeze(state.positions + state.velocities * dt))
@@ -131,7 +130,8 @@ def update(
     sigma_p, dt = _number(sigma_p, "sigma_p", low=_MIN_SIGMA_P), _number(dt, "dt", positive=True)
 
     gap = observed - state.positions  # from the predicted positions
-    kernel = np.exp((gap**2).sum(axis=1) / (-2.0 * sigma_p * sigma_p))  # the bits of exp(-gap2 / (2 sigma_p^2))
+    with np.errstate(over="ignore"):  # a tiny sigma_p sends the quotient to -inf, whose exp, 0, is the kernel
+        kernel = np.exp((gap**2).sum(axis=1) / (-2.0 * sigma_p * sigma_p))  # the bits of exp(-gap2 / (2 sigma_p^2))
     likelihood = np.where(occluded, kernel, scores * kernel)
 
     unnormalized = state.weights * likelihood

@@ -15,9 +15,10 @@ share across threads.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
+
+from ._files import frozen_array
 
 __all__ = [
     "RotationDelta",
@@ -28,69 +29,6 @@ __all__ = [
 # Below this rotation angle the sin(theta/2)/theta factor switches to its
 # series expansion to avoid dividing by a vanishing norm.
 _SMALL_ANGLE = 1e-7
-
-
-# The Python and numpy number types; a bool is an int, so callers refuse it apart.
-_NUMBERS = (int, float, np.integer, np.floating)
-
-# Per array dtype: the ndarray dtype kinds it takes, the leaf types of nested
-# lists it takes and those it refuses among them, and the word for them in
-# errors. numpy itself reads "0.5" and True as numbers.
-_LEAVES = {
-    float: ("fiu", _NUMBERS, bool, "numbers"),
-    int: ("iu", (int, np.integer), bool, "integers"),
-    bool: ("b", (bool, np.bool_), (), "true or false"),
-}
-
-
-def frozen_array(value, name, shape, dtype=float, copy=True):
-    """Read-only copy of value (a view if not copy), checked for element type, shape and finiteness.
-
-    dtype is float, int or bool. An ndarray, also one nested in lists, must be
-    of a kind dtype takes, an O(1) check; every other leaf must be a float or
-    an int for float, an int for int and a bool for bool. A str in shape, such
-    as "k", is a length of at least 1; a leading ... is any number of leading
-    dimensions. Errors name the field and the type found.
-    """
-    kinds, takes, refuses, noun = _LEAVES[dtype]
-    free = shape[:1] == (...,)
-    if isinstance(value, np.ndarray):
-        found = set() if value.dtype.kind in kinds else {value.dtype.type.__name__}
-    else:
-        found, leaves = set(), [value]
-        try:  # the leaves, level by level by C-level iteration; under a leading ..., as deep as value goes
-            for _ in range(np.ndim(value) if free else len(shape)):
-                leaves = list(leaves)
-                if any(issubclass(t, np.ndarray) for t in set(map(type, leaves))):  # by dtype kind, not walked
-                    arrays = [a for a in leaves if isinstance(a, np.ndarray)]
-                    found.update(a.dtype.type.__name__ for a in arrays if a.dtype.kind not in kinds)
-                    leaves = [x for x in leaves if not isinstance(x, np.ndarray)]
-                leaves = chain.from_iterable(leaves)
-            types = set(map(type, leaves))
-        except (TypeError, ValueError):  # ragged or too shallow: asarray or the shape check names it
-            types = ()
-        found.update(t.__name__ for t in types if not issubclass(t, takes) or issubclass(t, refuses))
-    if found:
-        raise ValueError(f"{name} must hold {noun}, got {', '.join(sorted(found))}")
-    try:
-        a = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:  # ragged nesting
-        raise ValueError(f"{name} must be an array of {noun} of shape {_shape_text(shape)}") from exc
-    want = a.shape[: max(a.ndim - len(shape) + 1, 0)] + shape[1:] if free else shape
-    if a.shape != want and (
-        a.ndim != len(want) or any(n < 1 if isinstance(s, str) else n != s for s, n in zip(want, a.shape))
-    ):
-        raise ValueError(f"{name} must have shape {_shape_text(shape)}, got {a.shape}")
-    if a.dtype.kind == "f" and not np.isfinite(a).all():  # ints and bools are finite
-        raise ValueError(f"{name} must be finite")
-    out = a.copy() if copy else a.view()
-    out.setflags(write=False)
-    return out
-
-
-def _shape_text(shape):
-    free = ", ".join(s for s in shape if isinstance(s, str))
-    return str(shape).replace("'", "").replace("Ellipsis", "...") + (f", {free} >= 1" if free else "")
 
 
 class RotationDelta:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._files import _number
-from .geometry import error_quaternion, exp_rotations, frozen_array, rotation_matrices, se3_compose
+from ._files import _number, frozen_array
+from .geometry import error_quaternion, exp_rotations, rotation_matrices, se3_compose
 from .skeleton import CLIP_LEN
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "box_centers",
     "bbox_trajectory",
     "integrate_ego_motion",
-    "ego_offsets",
     "trajectory_l1_loss",
 ]
 
@@ -84,21 +83,12 @@ def integrate_ego_motion(t_init, deltas) -> np.ndarray:
     return xy - xy[0]
 
 
-def ego_offsets(deltas) -> np.ndarray:
-    """(..., 8, 3) positions of the chained increments in the start frame.
-
-    deltas holds (..., 7, 2, 3) (rotation vector, translation) rows. Row k is
-    the translation of D_1...D_k (row 0 is exactly zero), so the track
-    integrate_ego_motion gives from a start rotation R is the x-y part of
-    R u_k: the increments are integrated once for any number of starts.
-    The step rotations come from one array pass; the chain is a loop of
-    batched 3x3 products, and each leading index gets the bits it gets alone.
-    """
-    return _ego_offsets(frozen_array(deltas, "deltas", (..., CLIP_LEN - 1, 2, 3), copy=False))
-
-
 def _ego_offsets(deltas):
-    # ego_offsets of a checked (..., 7, 2, 3) array, over its leading dimensions flattened into one
+    # (..., 8, 3) start-frame positions of the chained increments of a checked (..., 7, 2, 3) array of
+    # (rotation vector, translation) rows. Row k is the translation of D_1...D_k (row 0 is exactly zero), so
+    # integrate_ego_motion's track from a start rotation R is the x-y part of R u_k: one integration serves
+    # every start. One array pass gives the step rotations of the leading dimensions flattened into one; the
+    # chain is a loop of batched 3x3 products, and each leading index gets the bits it gets alone.
     flat = deltas.reshape(-1, CLIP_LEN - 1, 2, 3)
     rotations = rotation_matrices(exp_rotations(flat[:, :, 0].reshape(-1, 3))).reshape(-1, CLIP_LEN - 1, 3, 3)
     frames = np.empty(rotations.shape)

@@ -45,10 +45,12 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ._files import (
+    _checked_fields, _known_keys, _list, _number, _object, _required, _schema_version, frozen_array, read_json
+)
 # se3_compose and body_frame are not called here; perfbench/tracer.py wraps
 # them under these names to count calls, which now read 0
-from ._files import _checked_fields, _known_keys, _list, _number, _object, _required, _schema_version, read_json
-from .geometry import frozen_array, relative_motions, se3_compose  # noqa: F401
+from .geometry import relative_motions, se3_compose  # noqa: F401
 from .motion import BoundingBox
 from .skeleton import CLIP_LEN, N_JOINTS, body_frame, body_poses  # noqa: F401
 from .verification import CandidateObservation, EgoObservation, Scene

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import cross3, frozen_array, norms, quaternions_from_matrices
+from ._files import frozen_array
+from .geometry import cross3, norms, quaternions_from_matrices
 
 __all__ = [
     "JOINT_NAMES",

@@ -29,9 +29,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._files import _checked_fields, _number
+from ._files import _checked_fields, _number, frozen_array
 from .action_codebook import DEFAULT_TAU, ActionCodebook, _cross_entropies, action_agreement, label_scores
-from .geometry import frozen_array
 from .motion import (
     BoundingBox,
     bbox_trajectory,

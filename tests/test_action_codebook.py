@@ -17,11 +17,11 @@ from crossview.action_codebook import (
     DEFAULT_TAU,
     ActionCodebook,
     action_agreement,
-    cross_entropies,
     fit_codebook,
     label_scores,
     load_codebook,
     save_codebook,
+    _cross_entropies,
     _draw,
     _row_scores,
 )
@@ -300,7 +300,7 @@ class TestNormCacheEquivalence:
         labels = scores.argmax(axis=1)
         want_ego = -np.log(np.maximum(scores[np.arange(n), labels[n:]], 1e-12))
         want_third = -np.log(np.maximum(scores[n + np.arange(n), labels[:n]], 1e-12))
-        ego_ce, third_ce = cross_entropies(cb, rows[:n], rows[n:])
+        ego_ce, third_ce = _cross_entropies(cb, rows, DEFAULT_TAU)  # the n ego rows first
         assert np.array_equal(ego_ce, want_ego)
         assert np.array_equal(third_ce, want_third)
         for i, row in enumerate(rows):
@@ -314,15 +314,15 @@ class TestNormCacheEquivalence:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_stacked_pairs_get_the_bits_of_separate_calls(self, n):
-        # each (n, CLIP_DIM) array of a stack gets a distance product of its
+        # each (2n, CLIP_DIM) array of a stack gets a distance product of its
         # own shape, so the bits do not depend on the stack
         rng = np.random.default_rng(43)
         cb = ActionCodebook(rng.normal(size=(64, CLIP_DIM)))
         ego, third = rng.normal(size=(2, 5, n, CLIP_DIM))
-        ego_ce, third_ce = cross_entropies(cb, ego, third)
+        ego_ce, third_ce = _cross_entropies(cb, np.concatenate([ego, third], axis=-2), DEFAULT_TAU)
         assert ego_ce.shape == third_ce.shape == (5, n)
         for i in range(5):
-            want_ego, want_third = cross_entropies(cb, ego[i], third[i])
+            want_ego, want_third = _cross_entropies(cb, np.concatenate([ego[i], third[i]]), DEFAULT_TAU)
             assert np.array_equal(ego_ce[i], want_ego)
             assert np.array_equal(third_ce[i], want_third)
 
@@ -645,18 +645,6 @@ class TestScores:
         with pytest.raises(ValueError, match=text):
             label_scores(cb, random_clip(RNG), tau=tau)
 
-
-class TestCrossEntropiesArguments:
-    """cross_entropies checks tau by the scalar rule and both arrays by the array rule, naming each."""
-
-    @pytest.fixture(scope="class")
-    def codebook(self):
-        return ActionCodebook(np.random.default_rng(47).normal(size=(16, CLIP_DIM)))
-
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return np.random.default_rng(53).normal(size=(2, 3, CLIP_DIM))
-
     @pytest.mark.parametrize(
         "tau, text",
         [
@@ -669,49 +657,11 @@ class TestCrossEntropiesArguments:
         ],
         ids=["negative", "zero", "nan", "inf", "true", "string"],
     )
-    def test_tau_rejected_as_label_scores_rejects_it(self, codebook, rows, tau, text):
+    def test_tau_rejected_by_the_scalar_rule(self, tau, text):
+        codebook = ActionCodebook(np.random.default_rng(47).normal(size=(16, CLIP_DIM)))
+        clip = clip_from_vector(np.random.default_rng(53).normal(size=(2, 3, CLIP_DIM))[0, 0])
         with pytest.raises(ValueError, match=text):
-            cross_entropies(codebook, rows[0], rows[1], tau=tau)
-        with pytest.raises(ValueError, match=text):
-            label_scores(codebook, clip_from_vector(rows[0, 0]), tau=tau)
-
-    def test_row_counts_must_match(self, codebook, rows):
-        # 3 ego rows against 2 third-view rows raised "cannot reshape array of size 5"
-        with pytest.raises(ValueError, match=r"third_vectors must have shape \(3, 456\), got \(2, 456\)"):
-            cross_entropies(codebook, rows[0], rows[1, :2])
-
-    @pytest.mark.parametrize("name", ["ego_vectors", "third_vectors"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_row_rejected_naming_its_array(self, codebook, rows, name, bad):
-        ego, third = rows.copy()
-        (ego if name == "ego_vectors" else third)[1, 7] = bad
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            cross_entropies(codebook, ego, third)
-
-    @pytest.mark.parametrize(
-        "ego, text",
-        [
-            (np.zeros(CLIP_DIM), r"ego_vectors must have shape \(\.\.\., n, 456\)"),
-            (np.zeros((3, CLIP_DIM - 1)), r"ego_vectors must have shape \(\.\.\., n, 456\)"),
-            ([["0.5"] * CLIP_DIM] * 3, "ego_vectors must hold numbers, got str"),
-        ],
-        ids=["one_row", "short_rows", "strings"],
-    )
-    def test_misread_ego_vectors_rejected_naming_them(self, codebook, rows, ego, text):
-        with pytest.raises(ValueError, match=text):
-            cross_entropies(codebook, ego, rows[1])
-
-    def test_lists_give_the_bits_of_arrays(self, codebook, rows):
-        # lists raised AttributeError on .shape
-        want = cross_entropies(codebook, rows[0], rows[1])
-        got = cross_entropies(codebook, rows[0].tolist(), rows[1].tolist())
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-
-    def test_inputs_are_not_written(self, codebook, rows):
-        ego, third = rows.copy()
-        cross_entropies(codebook, ego, third)
-        assert ego.tobytes() == rows[0].tobytes() and third.tobytes() == rows[1].tobytes()
+            label_scores(codebook, clip, tau=tau)
 
 
 class TestAgreement:

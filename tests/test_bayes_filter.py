@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -131,6 +132,14 @@ class TestUpdate:
         # 2 * 1e-200**2 is 0: the kernel of a candidate that did not move was 0 / -0.0, a NaN likelihood
         with pytest.raises(ValueError, match=r"sigma_p must be at least .*, got 1e-200"):
             update(make_state([0.5, 0.5]), [0.5, 0.5], np.zeros((2, 2)), sigma_p=1e-200)
+
+    def test_kernel_that_overflows_to_zero_warns_nothing(self):
+        # gap2 / (-2 sigma_p^2) overflows to -inf at sigma_p = 1e-160; its exp, 0, is the kernel
+        state = predict(init_filter([0, 1], np.zeros((2, 2))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = update(state, [0.5, 0.5], [[0.5, 0.0], [1.0, 0.0]], sigma_p=1e-160)
+        assert out.last_likelihood.tolist() == [0.0, 0.0] and out.low_confidence
 
     @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
     def test_non_finite_dt_rejected(self, dt):

@@ -9,9 +9,9 @@ from scipy.spatial.transform import Rotation
 from crossview.geometry import error_quaternion, rotation_matrices, se3_compose, unit_quaternions
 from crossview.motion import (
     BoundingBox,
+    _ego_offsets,
     bbox_trajectory,
     box_centers,
-    ego_offsets,
     integrate_ego_motion,
     trajectory_l1_loss,
 )
@@ -223,7 +223,7 @@ class TestEgoOffsets:
         # one integration of the increments serves every start transform
         rng = np.random.default_rng(19)
         deltas = random_deltas(rng, 0.2)
-        offsets = ego_offsets(deltas)
+        offsets = _ego_offsets(deltas)
         assert offsets.shape == (8, 3)
         assert not offsets[0].any()
         for _ in range(5):
@@ -253,7 +253,7 @@ class TestEgoOffsets:
             deltas[2, 0] = 0.0
             deltas[4, 0] *= 1e-9
             deltas[5, 0] = (math.pi, 0.0, -0.0)
-            got = ego_offsets(deltas)
+            got = _ego_offsets(deltas)
             assert got.tobytes() == self.chained_offsets(deltas).tobytes()
 
     @pytest.mark.parametrize("case", ["signed_zeros", "unit_components", "near_1e150", "near_1e-150"])
@@ -268,38 +268,9 @@ class TestEgoOffsets:
             deltas = rng.choice([1.0, -1.0, 0.0, -0.0], size=deltas.shape)
         else:
             deltas *= (1e150 if case == "near_1e150" else 1e-150) * rng.uniform(0.5, 2.0, size=deltas.shape)
-        got = ego_offsets(deltas)
+        got = _ego_offsets(deltas)
         for clip, offsets in zip(deltas, got):
             assert offsets.tobytes() == self.chained_offsets(clip).tobytes()
-
-    def test_lists_give_the_offsets_of_the_array(self):
-        deltas = np.stack([random_deltas(np.random.default_rng(i), 0.2) for i in range(3)])
-        want = ego_offsets(deltas)
-        assert ego_offsets(list(deltas)).tobytes() == want.tobytes()
-        assert ego_offsets(deltas.tolist()).tobytes() == want.tobytes()
-        assert ego_offsets(deltas[0].tolist()).tobytes() == want[0].tobytes()
-
-    @pytest.mark.parametrize(
-        "change, text",
-        [
-            (lambda d: [*d[:-1].tolist(), [[0.0, "0.1", 0.0], [0.0] * 3]], "deltas must hold numbers, got str"),
-            (lambda d: [*d[:-1], d[-1] > 0.0], "deltas must hold numbers, got bool"),
-            (lambda d: d[:6], r"deltas must have shape \(\.\.\., 7, 2, 3\), got \(6, 2, 3\)"),
-            (lambda d: np.where(True, np.nan, d)[..., 1, :], "deltas must have shape"),
-        ],
-        ids=["string_leaf", "bool_step", "six_steps", "no_translations"],
-    )
-    def test_misread_deltas_rejected_naming_them(self, change, text):
-        deltas = random_deltas(np.random.default_rng(31), 0.2)
-        with pytest.raises(ValueError, match=text):
-            ego_offsets(change(deltas))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_rotation_rejected(self, bad):
-        deltas = random_deltas(np.random.default_rng(29), 0.2)
-        deltas[3, 0, 1] = bad
-        with pytest.raises(ValueError, match="deltas must be finite"):
-            ego_offsets(deltas)
 
 
 class TestZeroNoiseConsistency:

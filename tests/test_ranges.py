@@ -14,7 +14,7 @@ import pytest
 
 import crossview as cv
 from crossview import bayes_filter
-from crossview.action_codebook import CLIP_DIM, ActionCodebook, cross_entropies, fit_codebook, label_scores
+from crossview.action_codebook import CLIP_DIM, ActionCodebook, fit_codebook, label_scores
 from crossview.cli import RunConfig, run_sweep
 from crossview.simulator import GaitParams, NoiseParams, PersonSpec, save_scenario
 from crossview.skeleton import CLIP_LEN, N_JOINTS
@@ -28,7 +28,6 @@ BELOW_MIN_SIGMA_P = math.nextafter(MIN_SIGMA_P, 0.0)  # 2.0**-538, whose 2 sigma
 CLIPS = np.random.default_rng(5).normal(size=(2, CLIP_LEN, N_JOINTS, 3))
 # one centroid: every distance minus the least is 0, so a tau as small as TINY gives no overflow
 ONE_CENTROID = ActionCodebook(np.random.default_rng(6).normal(size=(1, CLIP_DIM)))
-VECTORS = np.random.default_rng(7).normal(size=(2, 3, CLIP_DIM))
 # the candidates sit where they are observed, so a sigma_p or dt this small gives no overflow either
 STATE = bayes_filter.init_filter((0, 1), np.zeros((2, 2)))
 SCENARIO = cv.two_person_scenario(duration=24)
@@ -56,11 +55,7 @@ BOUNDS = [
         "max_iters", 0, 1, id="fit_codebook-max_iters",
     ),
     pytest.param(lambda v: label_scores(ONE_CENTROID, CLIPS[0], tau=v), "tau", 0.0, TINY, id="label_scores-tau"),
-    pytest.param(
-        lambda v: cross_entropies(ONE_CENTROID, VECTORS[0], VECTORS[1], tau=v),
-        "tau", 0.0, TINY, id="cross_entropies-tau",
-    ),
-    pytest.param(lambda v: bayes_filter.predict(STATE, dt=v), "dt", -TINY, 0.0, id="predict-dt"),
+    pytest.param(lambda v: bayes_filter.predict(STATE, dt=v), "dt", 0.0, TINY, id="predict-dt"),
     pytest.param(lambda v: bayes_filter.predict(STATE, alpha=v), "alpha", -TINY, 0.0, id="predict-alpha-low"),
     pytest.param(lambda v: bayes_filter.predict(STATE, alpha=v), "alpha", ABOVE_ONE, 1.0, id="predict-alpha-high"),
     pytest.param(lambda v: update(beta=v), "beta", -TINY, 0.0, id="update-beta-low"),

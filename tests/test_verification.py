@@ -10,7 +10,7 @@ import pytest
 
 import crossview as cv
 from crossview.action_codebook import fit_codebook
-from crossview.motion import BoundingBox, ego_offsets
+from crossview.motion import BoundingBox, _ego_offsets
 from crossview.skeleton import (
     LEFT_SHOULDER,
     NECK,
@@ -532,11 +532,11 @@ class TestScoreScene:
 
     def test_batched_ego_offsets_match_one_clip_calls(self, crossing3):
         deltas = crossing3[0].motion_deltas
-        batched = ego_offsets(deltas)
+        batched = _ego_offsets(deltas)
         assert batched.shape == (len(deltas), 8, 3)
         for got, one in zip(batched, deltas):
-            assert np.array_equal(got, ego_offsets(one))
-        assert np.array_equal(ego_offsets(deltas.reshape(4, 50, 7, 2, 3)).reshape(-1, 8, 3), batched)
+            assert np.array_equal(got, _ego_offsets(one))
+        assert np.array_equal(_ego_offsets(deltas.reshape(4, 50, 7, 2, 3)).reshape(-1, 8, 3), batched)
 
     @pytest.mark.parametrize(
         "faults",
