@@ -326,6 +326,14 @@ class TestNormCacheEquivalence:
             assert np.array_equal(ego_ce[i], want_ego)
             assert np.array_equal(third_ce[i], want_third)
 
+    def test_rows_are_not_written(self):
+        rng = np.random.default_rng(53)
+        cb = ActionCodebook(rng.normal(size=(16, CLIP_DIM)))
+        rows = rng.normal(size=(2, 6, CLIP_DIM))
+        kept = rows.copy()
+        _cross_entropies(cb, rows, DEFAULT_TAU)
+        assert rows.tobytes() == kept.tobytes()
+
     def test_scores_through_the_underflow_cut_match_oracle(self):
         # centroids on one axis put the softmax arguments -(d - d_min) / tau
         # over [-2000, 0], densely through the band where exp is subnormal

@@ -325,6 +325,7 @@ class TestFrozenArray:
             ([np.zeros(2), np.arange(2), [0.5, 1]], (3, 2), float),
             ([np.arange(2, dtype=np.uint8), [3, 4]], (2, 2), int),
             ([np.ones(2, bool), [True, False]], (2, 2), bool),
+            ([np.zeros((7, 2, 3)), np.ones((7, 2, 3))], ("M", 7, 2, 3), float),
         ],
     )
     def test_lists_of_arrays_of_a_taken_kind_read_like_one_array(self, value, shape, dtype):

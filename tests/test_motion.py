@@ -272,6 +272,12 @@ class TestEgoOffsets:
         for clip, offsets in zip(deltas, got):
             assert offsets.tobytes() == self.chained_offsets(clip).tobytes()
 
+    def test_deltas_are_not_written(self):
+        deltas = np.stack([random_deltas(np.random.default_rng(i), 0.2) for i in range(3)])
+        kept = deltas.copy()
+        _ego_offsets(deltas)
+        assert deltas.tobytes() == kept.tobytes()
+
 
 class TestZeroNoiseConsistency:
     def test_ego_track_equals_box_track_on_simulated_clips(self):

@@ -560,6 +560,82 @@ class TestScoreScene:
         assert str(scene_error.value) == str(per_clip_error.value)
 
 
+def with_leaf(array, value):
+    """An array's nested lists with value as the first leaf."""
+    nested = array.tolist()
+    row = nested
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = value
+    return nested
+
+
+class TestSceneKernelInputs:
+    """The batched kernels _ego_offsets and _cross_entropies check nothing: Scene checks their arrays, naming each."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        return cv.scene_arrays(cv.two_person_scenario(duration=16, noise=NOISE))  # 9 clips of 2
+
+    def rejected(self, scene, field, value, text):
+        fields = dict(scene.__dict__)
+        fields[field] = value
+        with pytest.raises(ValueError, match=text):
+            cv.Scene(**fields)
+
+    @pytest.mark.parametrize(
+        "change, text",
+        [
+            (lambda d: with_leaf(d, "0.1"), "motion_deltas must hold numbers, got str"),
+            (lambda d: [*d[:-1], d[-1] > 0.0], "motion_deltas must hold numbers, got bool"),
+            (lambda d: d[:, :6], r"motion_deltas must have shape \(9, 7, 2, 3\), got \(9, 6, 2, 3\)"),
+            (lambda d: d[..., 0, :], r"motion_deltas must have shape \(9, 7, 2, 3\), got \(9, 7, 3\)"),
+        ],
+        ids=["string_leaf", "bool_step", "six_steps", "no_translations"],
+    )
+    def test_misread_motion_deltas_rejected_naming_them(self, scene, change, text):
+        self.rejected(scene, "motion_deltas", change(scene.motion_deltas), text)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rotation_rejected(self, scene, bad):
+        deltas = scene.motion_deltas.copy()
+        deltas[4, 3, 0, 1] = bad
+        self.rejected(scene, "motion_deltas", deltas, "motion_deltas must be finite")
+
+    @pytest.mark.parametrize("field", ["pose_deltas", "poses"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pose_row_rejected_naming_its_array(self, scene, field, bad):
+        # pose_deltas give the ego rows of the action product, poses the candidates' rows
+        value = getattr(scene, field).copy()
+        value[1, 0, 7] = bad
+        self.rejected(scene, field, value, f"{field} must be finite")
+
+    @pytest.mark.parametrize(
+        "field, change, text",
+        [
+            ("pose_deltas", lambda a: a[0], r"pose_deltas must have shape \(9, 7, 19, 3\), got \(7, 19, 3\)"),
+            ("poses", lambda a: a[..., :18, :], r"poses must have shape \(9, 2, 8, 19, 3\), got \(9, 2, 8, 18, 3\)"),
+            ("poses", lambda a: with_leaf(a, "0.5"), "poses must hold numbers, got str"),
+            ("poses", lambda a: a[:, :1], r"poses must have shape \(9, 2, 8, 19, 3\), got \(9, 1, 8, 19, 3\)"),
+        ],
+        ids=["one_clip", "short_rows", "strings", "one_candidate_of_two"],
+    )
+    def test_misread_pose_rows_rejected_naming_them(self, scene, field, change, text):
+        self.rejected(scene, field, change(getattr(scene, field)), text)
+
+    def test_lists_give_the_bits_of_arrays(self, scene):
+        codebook = fit_codebook(scene.poses.reshape(-1, 8, 19, 3), k=8, seed=0)
+        listed = cv.Scene(**{name: getattr(value, "tolist", lambda: value)() for name, value in scene.__dict__.items()})
+        assert_same_bits(score_scene(listed, codebook), score_scene(scene, codebook))
+
+    def test_inputs_are_not_written(self, scene):
+        arrays = {name: value.copy() for name, value in scene.__dict__.items() if isinstance(value, np.ndarray)}
+        codebook = fit_codebook(arrays["poses"].reshape(-1, 8, 19, 3), k=8, seed=0)
+        score_scene(cv.Scene(**arrays, wearer=scene.wearer), codebook)
+        for name, value in arrays.items():
+            assert value.flags.writeable and value.tobytes() == getattr(scene, name).tobytes(), name
+
+
 class TestStreamLoop:
     """The online path: one localize call and one filter step per clip."""
 
