@@ -67,9 +67,11 @@ def frozen_array(value, name, shape, dtype=float, copy=True):
     if isinstance(value, np.ndarray):
         found = set() if value.dtype.kind in kinds else {value.dtype.type.__name__}
     else:
-        found, leaves = set(), [value]
+        # a one-level list's leaves are its items, an array among them: the walk below would find just these
+        one_level = len(shape) == 1 and type(value) is list
+        found, leaves = set(), value if one_level else [value]
         try:  # the leaves, level by level by C-level iteration
-            for _ in range(len(shape)):
+            for _ in range(0 if one_level else len(shape)):
                 leaves = list(leaves)
                 if any(issubclass(t, np.ndarray) for t in set(map(type, leaves))):  # by dtype kind, not walked
                     arrays = [a for a in leaves if isinstance(a, np.ndarray)]
@@ -90,7 +92,7 @@ def frozen_array(value, name, shape, dtype=float, copy=True):
         a.ndim != len(shape) or any(n < 1 if isinstance(s, str) else n != s for s, n in zip(shape, a.shape))
     ):
         raise ValueError(f"{name} must have shape {_shape_text(shape)}, got {a.shape}")
-    if a.dtype.kind == "f" and not np.isfinite(a).all():  # ints and bools are finite
+    if a.dtype.kind == "f" and not np.logical_and.reduce(np.isfinite(a), axis=None):  # ints and bools are finite
         raise ValueError(f"{name} must be finite")
     out = a.copy() if copy else a.view()
     out.setflags(write=False)

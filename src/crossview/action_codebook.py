@@ -97,7 +97,7 @@ def _distinct_count(x, stop=None):
 
 
 def _sq_norms(x):
-    return (x * x).sum(axis=-1)
+    return np.add.reduce(x * x, axis=-1)
 
 
 def _pairwise_sq_distances(a, a_sq, b, b_sq, out=None, sums=None):
@@ -389,7 +389,7 @@ def _row_scores(codebook, vectors, tau):
     # from the same rows in the full product and no 4- or 6-row block did; at
     # some k (300, 404, 500) larger products differ with m too.
     w = np.sqrt(codebook._sq_distances(vectors))
-    w -= w.min(axis=-1, keepdims=True)
+    w -= np.minimum.reduce(w, axis=-1, keepdims=True)
     w /= -tau  # the bits of -(d - d_min) / tau: IEEE rounding is symmetric in sign
     # exp is +0.0 below _EXP_CUT, where numpy's SIMD exp takes a slow path:
     # those entries get exp(0.0) and are then set to +0.0, so that exp runs
@@ -398,7 +398,7 @@ def _row_scores(codebook, vectors, tau):
     np.putmask(w, below, 0.0)
     np.exp(w, out=w)
     np.putmask(w, below, 0.0)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
     return w
 
 

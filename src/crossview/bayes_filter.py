@@ -99,7 +99,7 @@ def predict(state: FilterState, dt=1.0, alpha=DEFAULT_ALPHA) -> FilterState:
     """Advance positions by velocity * dt and leak weights toward uniform."""
     dt, alpha = _number(dt, "dt", positive=True), _number(alpha, "alpha", low=0, high=1)
     weights = (1.0 - alpha) * state.weights + alpha / len(state.ids)
-    weights /= weights.sum()
+    weights /= np.add.reduce(weights, axis=None)
     return _next_state(state, weights=_freeze(weights), positions=_freeze(state.positions + state.velocities * dt))
 
 
@@ -122,20 +122,24 @@ def update(
     """
     n = len(state.ids)
     scores = frozen_array(clip_scores, "clip_scores", (n,), copy=False)
-    if (scores < 0.0).any():
+    if np.logical_or.reduce(scores < 0.0, axis=None):
         raise ValueError(f"clip_scores must be finite and non-negative, got {scores}")
     observed = frozen_array(observed_positions, "observed_positions", (n, 2))
     occluded = np.zeros(n, bool) if occluded is None else frozen_array(occluded, "occluded", (n,), bool, copy=False)
-    beta = _number(beta, "beta", low=0, high=1)
-    sigma_p, dt = _number(sigma_p, "sigma_p", low=_MIN_SIGMA_P), _number(dt, "dt", positive=True)
+    beta, sigma_p = _number(beta, "beta", low=0, high=1), _number(sigma_p, "sigma_p", low=_MIN_SIGMA_P)
+    return _update(state, scores, observed, occluded, beta, sigma_p, _number(dt, "dt", positive=True))
 
+
+def _update(state, scores, observed, occluded, beta, sigma_p, dt):
+    # update's step on what it checked: (n,) scores and occluded, a read-only (n, 2) observed, the new positions
     gap = observed - state.positions  # from the predicted positions
     with np.errstate(over="ignore"):  # a tiny sigma_p sends the quotient to -inf, whose exp, 0, is the kernel
-        kernel = np.exp((gap**2).sum(axis=1) / (-2.0 * sigma_p * sigma_p))  # the bits of exp(-gap2 / (2 sigma_p^2))
+        gap2 = np.add.reduce(gap**2, axis=1)
+        kernel = np.exp(gap2 / (-2.0 * sigma_p * sigma_p))  # the bits of exp(-gap2 / (2 sigma_p^2))
     likelihood = np.where(occluded, kernel, scores * kernel)
 
     unnormalized = state.weights * likelihood
-    mass = float(unnormalized.sum())
+    mass = float(np.add.reduce(unnormalized, axis=None))
     if mass == math.inf:  # overflow: every weight below would be 0
         raise ValueError("weights must be a probability distribution")
     low_confidence = not mass > 0.0  # nothing to learn from: keep the prior
@@ -144,7 +148,7 @@ def update(
     # Finite difference against the pre-predict position: observed - predicted
     # differs from it by exactly velocity * dt, so recover it in place.
     velocities = beta * state.velocities + (1.0 - beta) * (gap / dt + state.velocities)
-    if not np.isfinite(velocities).all():  # overflow
+    if not np.logical_and.reduce(np.isfinite(velocities), axis=None):  # overflow
         raise ValueError("velocities must be finite")
 
     return _next_state(

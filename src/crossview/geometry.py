@@ -96,7 +96,7 @@ def norms(v):
 
     A finite vector whose dot product overflows is scaled by its largest component first.
     """
-    if np.abs(v).max(initial=0.0) <= 1e150:  # no dot product can overflow; a NaN anywhere fails this too
+    if np.maximum.reduce(np.abs(v), axis=None, initial=0.0) <= 1e150:  # no dot can overflow; a NaN fails this too
         return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
     with np.errstate(over="ignore"):
         n = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
@@ -204,15 +204,15 @@ def exp_rotations(v):
     """
     theta = norms(v)[:, 0]
     finite = np.isfinite(theta)
-    if not finite.all():
+    if not np.logical_and.reduce(finite, axis=None):
         raise ValueError(f"rotation vector must be finite, got {v[~finite][0]}")
     half = (0.5 * theta).tolist()
     small = theta < _SMALL_ANGLE
-    scale = np.array([math.sin(h) for h in half]) / np.where(small, 1.0, theta)
-    if small.any():
+    scale = np.array(list(map(math.sin, half))) / np.where(small, 1.0, theta)
+    if np.logical_or.reduce(small, axis=None):
         scale[small] = 0.5 - np.square(theta[small]) / 48.0
     q = np.zeros((len(half), 4))
-    q[:, 0] = [math.cos(h) for h in half]
+    q[:, 0] = list(map(math.cos, half))
     np.multiply(scale[:, None], v, out=q[:, 1:], where=theta[:, None] != 0.0)  # a zero vector keeps (1, 0, 0, 0)
     q /= norms(q)  # finite and of norm about 1: what unit_quaternions checks holds
     return q

@@ -23,6 +23,8 @@ __all__ = [
     "trajectory_l1_loss",
 ]
 
+_IDENTITY = np.eye(3)  # the start frame of every ego chain
+
 
 class BoundingBox:
     """Axis-aligned box in third-view plane coordinates: four finite numbers, not bools, with lx <= rx and ly <= ry."""
@@ -92,9 +94,9 @@ def _ego_offsets(deltas):
     flat = deltas.reshape(-1, CLIP_LEN - 1, 2, 3)
     rotations = rotation_matrices(exp_rotations(flat[:, :, 0].reshape(-1, 3))).reshape(-1, CLIP_LEN - 1, 3, 3)
     frames = np.empty(rotations.shape)
-    frames[:, 0] = np.eye(3)
+    frames[:, 0] = _IDENTITY
     for k in range(CLIP_LEN - 2):
-        frames[:, k + 1] = frames[:, k] @ rotations[:, k]
+        np.matmul(frames[:, k], rotations[:, k], out=frames[:, k + 1])
     offsets = np.zeros((len(flat), CLIP_LEN, 3))
     offsets[:, 1:] = (frames @ flat[:, :, 1, :, None])[..., 0]  # row k + 1 is frame k's step; cumsum adds in order
     return offsets.cumsum(axis=1, out=offsets).reshape(deltas.shape[:-3] + (CLIP_LEN, 3))

@@ -63,6 +63,7 @@ CLIP_LEN = 8
 RIGHT_SHOULDER = 8
 LEFT_SHOULDER = 9
 NECK = 12
+_EDGE_JOINTS = np.array([RIGHT_SHOULDER, NECK])  # with the left shoulder, the torso triangle
 
 
 class DegeneratePoseError(ValueError):
@@ -98,7 +99,7 @@ def body_axes(joints):
     arbitrary but deterministic.
     """
     # the shoulder edge and the cross product, normalized together: norms() gives each the bits it gets alone
-    edges = joints[..., [RIGHT_SHOULDER, NECK], :] - joints[..., LEFT_SHOULDER, None, :]
+    edges = joints[..., _EDGE_JOINTS, :] - joints[..., LEFT_SHOULDER, None, :]
     edges[..., 1, :] = cross3(edges[..., 0, :], edges[..., 1, :])
     lengths = norms(edges)
     with np.errstate(divide="ignore", invalid="ignore"):

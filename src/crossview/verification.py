@@ -22,7 +22,6 @@ the per-pair reference the batched pass is tested against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from itertools import chain
 from operator import attrgetter
@@ -177,6 +176,7 @@ def _require_valid_frame(person_id, valid):
 BLOCK_PAIRS = 256  # pairs per score_scene block; one block for the scene costs memory, not time
 SCORE_FIELDS = tuple(f.name for f in fields(VerificationScore))
 _CORNERS = attrgetter(*BoundingBox.__slots__)  # a box's (lx, ly, rx, ry), as BoundingBox.corners gives them
+_PERSON_ID, _POSES, _BOXES, _VALID = map(attrgetter, ("person_id", "poses", "boxes", "valid"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,16 +226,17 @@ def localize(ego, candidates, codebook, config: ScoringConfig = ScoringConfig())
     first candidate, in input order, that cannot be scored.
     """
     candidates = list(candidates)
-    if not candidates:
+    n = len(candidates)
+    if not n:
         raise ValueError("localize requires at least one candidate")
-    boxes = chain.from_iterable(candidate.boxes for candidate in candidates)
+    corners = chain.from_iterable(map(_CORNERS, chain.from_iterable(map(_BOXES, candidates))))
     (person_id,), table = _score_block(
         ego.pose_deltas[None],
         ego.motion_deltas[None],
-        np.array([[candidate.poses for candidate in candidates]]),
-        np.array(list(chain.from_iterable(map(_CORNERS, boxes)))).reshape(1, -1, CLIP_LEN, 4),
-        np.fromiter(chain.from_iterable(candidate.valid for candidate in candidates), bool).reshape(1, -1, CLIP_LEN),
-        np.array([candidate.person_id for candidate in candidates]),
+        np.array([list(map(_POSES, candidates))]),
+        np.fromiter(corners, float, n * CLIP_LEN * 4).reshape(1, n, CLIP_LEN, 4),
+        np.fromiter(chain.from_iterable(map(_VALID, candidates)), bool, n * CLIP_LEN).reshape(1, n, CLIP_LEN),
+        np.array(list(map(_PERSON_ID, candidates))),
         codebook,
         config,
     )
@@ -270,30 +271,31 @@ def _score_block(pose_deltas, motion_deltas, poses, corners, valid, ids, codeboo
     c, n = valid.shape[:2]
     observed = poses.reshape(c * n, CLIP_LEN, N_JOINTS, 3)
     axes, defined = body_axes(observed[:, 0])
-    scorable = valid.any(axis=-1).reshape(-1) & defined
-    if not scorable.all():
+    scorable = np.logical_or.reduce(valid, axis=-1).reshape(-1) & defined
+    if not np.logical_and.reduce(scorable, axis=None):
         first = int(np.argmin(scorable))
-        person_id = int(ids[first % n])
-        _require_valid_frame(person_id, valid.reshape(-1, CLIP_LEN)[first])
-        raise DegeneratePoseError(
-            f"candidate {person_id}: shoulder and neck joints are collinear; body frame undefined"
-        )
+        pid = int(ids[first % n])
+        _require_valid_frame(pid, valid.reshape(-1, CLIP_LEN)[first])
+        raise DegeneratePoseError(f"candidate {pid}: shoulder and neck joints are collinear; body frame undefined")
 
-    offsets = np.concatenate([np.zeros((c, 1, N_JOINTS, 3)), pose_deltas.cumsum(axis=1)], axis=1)
-    # each clip's ego, then observed clips: one distance product per clip, of the shape localize gives
-    rows = np.concatenate([poses[:, :, :1] + offsets[:, None], poses], axis=1).reshape(c, 2 * n, -1)
-    ego_ce, third_ce = (ce.reshape(-1) for ce in _cross_entropies(codebook, rows, config.tau))
+    offsets = np.zeros((c, 1, CLIP_LEN, N_JOINTS, 3))  # frame 0's stays zero
+    pose_deltas.cumsum(axis=1, out=offsets[:, 0, 1:])
+    # each clip's ego, then observed clips, in one buffer: one distance product per clip, of localize's shape
+    rows = np.empty((c, 2 * n, CLIP_LEN, N_JOINTS, 3))
+    np.add(poses[:, :, :1], offsets, out=rows[:, :n])
+    rows[:, n:] = poses
+    ego_ce, third_ce = _cross_entropies(codebook, rows.reshape(c, 2 * n, -1), config.tau)
 
     centres = box_centers(corners)
-    box_track = (centres - centres[:, :, :1]).reshape(c * n, CLIP_LEN, 2)
+    box_track = (centres - centres[:, :, :1]).reshape(c * n, -1)
     # row 0 of the offsets is zero, so each rotated track starts at (0, 0)
     ego_track = _ego_offsets(motion_deltas).repeat(n, axis=0) @ axes[:, :2, :].transpose(0, 2, 1)
     pose_centres = body_centers(observed[..., :2])
     tracks = np.concatenate([ego_track, pose_centres - pose_centres[:, :1]]).reshape(2, c * n, -1)
-    l1 = np.abs(tracks - box_track.reshape(c * n, -1)).sum(axis=2)  # the ego, then the pose track's
+    l1 = np.add.reduce(np.abs(tracks - box_track), axis=2).reshape(2, c, n)  # the ego, then the pose track's
 
     total = config.action_weight * (ego_ce + third_ce) + config.motion_weight * (l1[0] + l1[1])
     probability = np.exp(total / -config.sigma)  # the bits of exp(-total / sigma)
     # each clip's least (-probability, person id): ties go to the lowest id
-    decisions = [min(zip(row, ids.tolist()))[1] for row in (-probability).reshape(c, n).tolist()]
-    return decisions, np.concatenate([total, ego_ce, third_ce, l1.reshape(-1), probability]).reshape(6, -1)
+    decisions = [min(zip(row, ids.tolist()))[1] for row in (-probability).tolist()]
+    return decisions, np.concatenate((total, ego_ce, third_ce, l1, probability), axis=None).reshape(6, -1)

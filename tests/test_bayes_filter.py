@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from crossview.bayes_filter import (
+    DEFAULT_SIGMA_P,
     FilterState,
+    _update,
     init_filter,
     map_identity,
     predict,
@@ -351,6 +353,23 @@ class TestStatesBuiltOnce:
             seen_low += state.low_confidence
             seen_occluded += occluded.any()
         assert seen_low == 1 and seen_occluded > 10
+
+    def test_update_is_its_checks_then_the_core_the_evaluate_loop_calls(self):
+        # run_evaluation hands the core rows of arrays it already checked; the stream hands update lists
+        rng = np.random.default_rng(78)
+        n = 4
+        public = core = init_filter(range(n), rng.normal(size=(n, 2)))
+        for step in range(20):
+            scores = rng.random(n) * (step != 7)
+            observed = public.positions + rng.normal(scale=0.3, size=(n, 2))
+            observed.setflags(write=False)
+            occluded = rng.random(n) < 0.3
+            public = update(predict(public), scores.tolist(), observed.tolist(), occluded=occluded.tolist(), beta=0.6)
+            core = _update(predict(core), scores, observed, occluded, 0.6, DEFAULT_SIGMA_P, dt=1.0)
+            self.assert_checked_state_equal(core)
+            for f in fields(FilterState):
+                got, want = getattr(core, f.name), getattr(public, f.name)
+                assert (got.tobytes() == want.tobytes()) if isinstance(want, np.ndarray) else got == want, f.name
 
     def test_update_does_not_alias_its_inputs(self):
         observed = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -333,6 +333,30 @@ class TestFrozenArray:
         got = frozen_array(value, "x", shape, dtype)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype, good", [(float, 0.5), (int, 1), (bool, True)], ids=["float", "int", "bool"])
+    @pytest.mark.parametrize(
+        "leaf",
+        [0.5, 1, np.float64(0.5), np.int64(1), True, np.bool_(True)]
+        + ["0.5", None, [1.0], np.array(0.5), np.array([0.5])],
+        ids=lambda leaf: repr(leaf).replace(" ", ""),
+    )
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_one_level_list_reads_like_the_walk(self, dtype, good, leaf, container):
+        # a list subclass is not the one-level path's exact list type, so it takes the level-by-level walk
+        class Walked(list):
+            pass
+
+        for items, shape in (([good, leaf], (2,)), ([leaf], ("n",)), ([], (2,)), ([], ("n",))):
+            assert self.verdict(container(items), shape, dtype) == self.verdict(Walked(items), shape, dtype)
+
+    @staticmethod
+    def verdict(value, shape, dtype):
+        try:
+            got = frozen_array(value, "x", shape, dtype)
+        except ValueError as exc:
+            return str(exc)
+        return got.dtype, got.shape, got.tobytes(), got.flags.writeable
+
 
 # The one-rotation code as it was before the array kernels, kept here as the
 # reference the kernels must reproduce bit for bit.

@@ -663,6 +663,18 @@ class TestStreamLoop:
             for name, column in zip(SCORE_FIELDS, want[1]):
                 assert np.array([getattr(s, name) for s in scores]).tobytes() == column.tobytes(), name
 
+    def test_localize_takes_any_iterable_of_candidates(self, group8):
+        # the prelude sizes its arrays from the candidates' count, which a generator does not give up front
+        clips, codebook = group8
+        for clip in clips[:3]:
+            want_id, want = localize(clip.ego, list(clip.candidates), codebook)
+            for candidates in (tuple(clip.candidates), (c for c in clip.candidates), iter(clip.candidates)):
+                person_id, scores = localize(clip.ego, candidates, codebook)
+                assert person_id == want_id and len(scores) == len(want)
+                for name in SCORE_FIELDS:
+                    got = np.array([getattr(s, name) for s in scores])
+                    assert got.tobytes() == np.array([getattr(s, name) for s in want]).tobytes(), name
+
     def test_scores_and_weights_match_golden(self, group8):
         # each clip's six score columns, then the filter weights after its
         # update, in one digest. The bytes come from the BLAS distance
