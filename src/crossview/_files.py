@@ -67,11 +67,9 @@ def frozen_array(value, name, shape, dtype=float, copy=True):
     if isinstance(value, np.ndarray):
         found = set() if value.dtype.kind in kinds else {value.dtype.type.__name__}
     else:
-        # a one-level list's leaves are its items, an array among them: the walk below would find just these
-        one_level = len(shape) == 1 and type(value) is list
-        found, leaves = set(), value if one_level else [value]
+        found, leaves = set(), value  # not an array: its items are the first level
         try:  # the leaves, level by level by C-level iteration
-            for _ in range(0 if one_level else len(shape)):
+            for _ in range(len(shape) - 1):
                 leaves = list(leaves)
                 if any(issubclass(t, np.ndarray) for t in set(map(type, leaves))):  # by dtype kind, not walked
                     arrays = [a for a in leaves if isinstance(a, np.ndarray)]

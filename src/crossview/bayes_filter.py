@@ -126,12 +126,9 @@ def update(
         raise ValueError(f"clip_scores must be finite and non-negative, got {scores}")
     observed = frozen_array(observed_positions, "observed_positions", (n, 2))
     occluded = np.zeros(n, bool) if occluded is None else frozen_array(occluded, "occluded", (n,), bool, copy=False)
-    beta, sigma_p = _number(beta, "beta", low=0, high=1), _number(sigma_p, "sigma_p", low=_MIN_SIGMA_P)
-    return _update(state, scores, observed, occluded, beta, sigma_p, _number(dt, "dt", positive=True))
+    beta = _number(beta, "beta", low=0, high=1)
+    sigma_p, dt = _number(sigma_p, "sigma_p", low=_MIN_SIGMA_P), _number(dt, "dt", positive=True)
 
-
-def _update(state, scores, observed, occluded, beta, sigma_p, dt):
-    # update's step on what it checked: (n,) scores and occluded, a read-only (n, 2) observed, the new positions
     gap = observed - state.positions  # from the predicted positions
     with np.errstate(over="ignore"):  # a tiny sigma_p sends the quotient to -inf, whose exp, 0, is the kernel
         gap2 = np.add.reduce(gap**2, axis=1)

@@ -162,7 +162,7 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
 
     # tolist gives Python numbers, which csv and json write as their repr
     clip_ids, person_ids = scene.clip_ids.tolist(), scene.person_ids.tolist()
-    probabilities = scores["match_probability"].reshape(len(clip_ids), -1)
+    probabilities = scores["match_probability"].reshape(len(clip_ids), -1).tolist()
     score_rows = [
         dict(zip(scores, values), clip_id=clip_id, person_id=pid, is_wearer=int(pid == scene.wearer))
         for (clip_id, pid), values in zip(product(clip_ids, person_ids), zip(*(c.tolist() for c in scores.values())))
@@ -175,7 +175,7 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
             "filtered": None,
             "probabilities": [[person, p] for person, p in zip(person_ids, clip_probabilities)],
         }
-        for clip_id, pid, clip_probabilities in zip(clip_ids, raw, probabilities.tolist())
+        for clip_id, pid, clip_probabilities in zip(clip_ids, raw, probabilities)
     ]
     ap, ar = _ranking_metrics([r["is_wearer"] for r in score_rows], scores["match_probability"])
     marks.append(time.perf_counter())
@@ -183,13 +183,13 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
     if config.enable_filter:
         # the filter observes each candidate's last box centre, and whether any of its frames was occluded
         centres = box_centers(scene.corners[:, :, -1])
-        centres.setflags(write=False)  # its rows become the states' positions
         occluded = ~scene.valid.all(axis=-1)
         state = bayes_filter.init_filter(person_ids, centres[0])
-        # Scene, score_scene and config.validate checked what each step takes, so it is update's core
-        for decision, clip_scores, observed, hidden in zip(decisions, probabilities, centres, occluded):
+        for i, decision in enumerate(decisions):
             prior = bayes_filter.predict(state, dt=1.0, alpha=config.alpha)
-            state = bayes_filter._update(prior, clip_scores, observed, hidden, config.beta, config.sigma_p, 1.0)
+            state = bayes_filter.update(
+                prior, probabilities[i], centres[i], occluded=occluded[i], beta=config.beta, sigma_p=config.sigma_p
+            )
             decision["filtered"] = bayes_filter.map_identity(state)
             columns = (prior.weights, state.last_likelihood, state.weights, *prior.positions.T, *state.positions.T)
             for cid, *values in zip(state.ids, *(column.tolist() for column in columns)):

@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from crossview.bayes_filter import (
-    DEFAULT_SIGMA_P,
     FilterState,
-    _update,
     init_filter,
     map_identity,
     predict,
@@ -354,21 +352,20 @@ class TestStatesBuiltOnce:
             seen_occluded += occluded.any()
         assert seen_low == 1 and seen_occluded > 10
 
-    def test_update_is_its_checks_then_the_core_the_evaluate_loop_calls(self):
-        # run_evaluation hands the core rows of arrays it already checked; the stream hands update lists
+    def test_update_reads_arrays_and_lists_alike(self):
+        # run_evaluation hands update rows of arrays; the stream hands it lists
         rng = np.random.default_rng(78)
         n = 4
-        public = core = init_filter(range(n), rng.normal(size=(n, 2)))
+        lists = arrays = init_filter(range(n), rng.normal(size=(n, 2)))
         for step in range(20):
             scores = rng.random(n) * (step != 7)
-            observed = public.positions + rng.normal(scale=0.3, size=(n, 2))
-            observed.setflags(write=False)
+            observed = lists.positions + rng.normal(scale=0.3, size=(n, 2))
             occluded = rng.random(n) < 0.3
-            public = update(predict(public), scores.tolist(), observed.tolist(), occluded=occluded.tolist(), beta=0.6)
-            core = _update(predict(core), scores, observed, occluded, 0.6, DEFAULT_SIGMA_P, dt=1.0)
-            self.assert_checked_state_equal(core)
+            lists = update(predict(lists), scores.tolist(), observed.tolist(), occluded=occluded.tolist(), beta=0.6)
+            arrays = update(predict(arrays), scores, observed, occluded=occluded, beta=0.6)
+            self.assert_checked_state_equal(arrays)
             for f in fields(FilterState):
-                got, want = getattr(core, f.name), getattr(public, f.name)
+                got, want = getattr(arrays, f.name), getattr(lists, f.name)
                 assert (got.tobytes() == want.tobytes()) if isinstance(want, np.ndarray) else got == want, f.name
 
     def test_update_does_not_alias_its_inputs(self):

@@ -1,6 +1,7 @@
 """Geometry tests: quaternion/SE(3) algebra against independent matrix oracles."""
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from crossview import geometry
-from crossview._files import frozen_array
+from crossview._files import _LEAVES, frozen_array
 from crossview.geometry import RotationDelta, error_quaternion, se3_compose
 
 RNG = np.random.default_rng(12345)
@@ -340,14 +341,19 @@ class TestFrozenArray:
         + ["0.5", None, [1.0], np.array(0.5), np.array([0.5])],
         ids=lambda leaf: repr(leaf).replace(" ", ""),
     )
-    @pytest.mark.parametrize("container", [list, tuple])
+    @pytest.mark.parametrize("container", [list, tuple, type("ListSubclass", (list,), {})])
     def test_one_level_list_reads_like_the_walk(self, dtype, good, leaf, container):
-        # a list subclass is not the one-level path's exact list type, so it takes the level-by-level walk
-        class Walked(list):
-            pass
+        # the walk starts at the value's items; the messages are those of the walk that started at [value]
+        cases = [([good, leaf], (2,)), ([leaf], ("n",)), ([], (2,)), ([], ("n",)), ([[good, leaf]] * 2, ("n", 2))]
+        for items, shape in cases:
+            got = self.verdict(container(items), shape, dtype)
+            want = _walked_leaf_message(container(items), shape, dtype)
+            assert got == want if want else not (isinstance(got, str) and " must hold " in got), (items, got)
 
-        for items, shape in (([good, leaf], (2,)), ([leaf], ("n",)), ([], (2,)), ([], ("n",))):
-            assert self.verdict(container(items), shape, dtype) == self.verdict(Walked(items), shape, dtype)
+    @pytest.mark.parametrize("value", [0.5, True, None, "ab", range(2), {0.5: 1}], ids=repr)
+    def test_a_value_that_is_no_list_reads_like_the_walk(self, value):
+        got, want = self.verdict(value, (2,), float), _walked_leaf_message(value, (2,), float)
+        assert got == want if want else not (isinstance(got, str) and " must hold " in got), got
 
     @staticmethod
     def verdict(value, shape, dtype):
@@ -356,6 +362,26 @@ class TestFrozenArray:
         except ValueError as exc:
             return str(exc)
         return got.dtype, got.shape, got.tobytes(), got.flags.writeable
+
+
+# frozen_array's leaf-type check as it was when its walk started at [value],
+# kept as the reference of its messages: the message it raised, or None.
+def _walked_leaf_message(value, shape, dtype):
+    kinds, takes, refuses, noun = _LEAVES[dtype]
+    found, leaves = set(), [value]
+    try:
+        for _ in range(len(shape)):
+            leaves = list(leaves)
+            if any(issubclass(t, np.ndarray) for t in set(map(type, leaves))):
+                arrays = [a for a in leaves if isinstance(a, np.ndarray)]
+                found.update(a.dtype.type.__name__ for a in arrays if a.dtype.kind not in kinds)
+                leaves = [x for x in leaves if not isinstance(x, np.ndarray)]
+            leaves = chain.from_iterable(leaves)
+        types = set(map(type, leaves))
+    except (TypeError, ValueError):
+        types = ()
+    found.update(t.__name__ for t in types if not issubclass(t, takes) or issubclass(t, refuses))
+    return f"x must hold {noun}, got {', '.join(sorted(found))}" if found else None
 
 
 # The one-rotation code as it was before the array kernels, kept here as the
