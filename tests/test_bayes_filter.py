@@ -352,22 +352,6 @@ class TestStatesBuiltOnce:
             seen_occluded += occluded.any()
         assert seen_low == 1 and seen_occluded > 10
 
-    def test_update_reads_arrays_and_lists_alike(self):
-        # run_evaluation hands update rows of arrays; the stream hands it lists
-        rng = np.random.default_rng(78)
-        n = 4
-        lists = arrays = init_filter(range(n), rng.normal(size=(n, 2)))
-        for step in range(20):
-            scores = rng.random(n) * (step != 7)
-            observed = lists.positions + rng.normal(scale=0.3, size=(n, 2))
-            occluded = rng.random(n) < 0.3
-            lists = update(predict(lists), scores.tolist(), observed.tolist(), occluded=occluded.tolist(), beta=0.6)
-            arrays = update(predict(arrays), scores, observed, occluded=occluded, beta=0.6)
-            self.assert_checked_state_equal(arrays)
-            for f in fields(FilterState):
-                got, want = getattr(arrays, f.name), getattr(lists, f.name)
-                assert (got.tobytes() == want.tobytes()) if isinstance(want, np.ndarray) else got == want, f.name
-
     def test_update_does_not_alias_its_inputs(self):
         observed = np.array([[1.0, 2.0], [3.0, 4.0]])
         state = update(predict(init_filter([0, 1], np.zeros((2, 2)))), [0.0, 0.0], observed)

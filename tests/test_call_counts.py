@@ -17,7 +17,7 @@ def group8():
 
 
 # crossview frames each call makes below its own, on one group8 clip of 8 candidates
-BOUNDS = {"localize": 20, "predict": 5, "update": 13, "map_identity": 2}
+BOUNDS = {"localize": 20, "predict": 5, "update": 12, "map_identity": 2}
 
 
 def test_each_step_of_a_decision_stays_within_its_crossview_frames(group8):
