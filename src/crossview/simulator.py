@@ -51,7 +51,6 @@ from ._files import (
 # se3_compose and body_frame are not called here; perfbench/tracer.py wraps
 # them under these names to count calls, which now read 0
 from .geometry import relative_motions, se3_compose  # noqa: F401
-from .motion import BoundingBox
 from .skeleton import CLIP_LEN, N_JOINTS, body_frame, body_poses  # noqa: F401
 from .verification import CandidateObservation, EgoObservation, Scene
 
@@ -394,20 +393,18 @@ def _clip_draws(scenario: Scenario):
 
 
 def generate_scene(scenario: Scenario):
-    """Materialize every sliding-window clip of a scenario, noise included, as ClipObservation objects."""
-    ids, wearer, clip_ids, draws = _clip_draws(scenario)
-    clips = (clip for block in draws for clip in zip(*block))
+    """Every clip of a scenario as ClipObservation objects, read-only views of its Scene, checked once there."""
+    scene = scene_arrays(scenario)
+    ids = scene.person_ids.tolist()
+    arrays = (scene.poses, scene.corners, scene.valid, scene.pose_deltas, scene.motion_deltas)
     return [
         ClipObservation(
             t0,
-            EgoObservation(pose_deltas, motion_deltas),
-            tuple(
-                CandidateObservation(pid, poses[row], map(BoundingBox._unchecked, corners[row].tolist()), valid[row])
-                for row, pid in enumerate(ids)
-            ),
-            wearer,
+            EgoObservation._unchecked(pose_deltas, motion_deltas),
+            tuple(map(CandidateObservation._unchecked, ids, poses, corners.tolist(), valid.tolist())),
+            scene.wearer,
         )
-        for t0, (poses, corners, valid, pose_deltas, motion_deltas) in zip(clip_ids, clips)
+        for t0, poses, corners, valid, pose_deltas, motion_deltas in zip(scene.clip_ids.tolist(), *arrays)
     ]
 
 

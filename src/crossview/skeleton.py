@@ -90,13 +90,12 @@ def body_centers(joints) -> np.ndarray:
 def body_axes(joints):
     """Body-frame axes of each pose in a (..., 19, 3) joint array.
 
-    Returns (axes, defined): axes is (..., 3, 3) with columns x, y, z, and
-    defined is False where the torso triangle collapses (those axes are not
-    finite). x runs from left shoulder to right shoulder, z is the unit cross
-    product of (right - left shoulder) with (neck - left shoulder), flipped if
-    needed so its world-z component is non-negative, and y completes the
-    right-handed triad. For a person lying flat the z sign choice is
-    arbitrary but deterministic.
+    Returns (axes, defined): axes is (..., 3, 3) with columns x, y, z, and defined is False where
+    the torso triangle collapses, its cross product's norm below 1e-9. Callers must read defined:
+    such axes are NaN, or finite for a norm in (0, 1e-9), as for a neck 1e-11 off the shoulder line.
+    x runs from left to right shoulder, z is the unit cross product of (right - left shoulder) with
+    (neck - left shoulder), flipped to a non-negative world z, and y completes the right-handed
+    triad. For a person lying flat the z sign choice is arbitrary but deterministic.
     """
     # the shoulder edge and the cross product, normalized together: norms() gives each the bits it gets alone
     edges = joints[..., _EDGE_JOINTS, :] - joints[..., LEFT_SHOULDER, None, :]

@@ -93,6 +93,12 @@ class EgoObservation:
         self.pose_deltas = frozen_array(pose_deltas, "pose_deltas", (CLIP_LEN - 1, N_JOINTS, 3))
         self.motion_deltas = frozen_array(motion_deltas, "motion_deltas", (CLIP_LEN - 1, 2, 3))
 
+    @classmethod
+    def _unchecked(cls, pose_deltas, motion_deltas):  # read-only views of a checked Scene, not checked again
+        ego = object.__new__(cls)
+        ego.pose_deltas, ego.motion_deltas = pose_deltas, motion_deltas
+        return ego
+
 
 class CandidateObservation:
     """One tracked person in the third view over a clip window.
@@ -114,6 +120,13 @@ class CandidateObservation:
         self.valid = (True,) * CLIP_LEN
         if valid is not None:
             self.valid = tuple(frozen_array(valid, "valid", (CLIP_LEN,), bool, copy=False).tolist())
+
+    @classmethod
+    def _unchecked(cls, person_id, poses, corners, valid):  # a checked Scene's id, pose view, corner and flag rows
+        candidate = object.__new__(cls)
+        candidate.person_id, candidate.poses, candidate.valid = person_id, poses, tuple(valid)
+        candidate.boxes = tuple(map(BoundingBox._unchecked, corners))
+        return candidate
 
     def fully_valid(self):
         return all(self.valid)

@@ -1,7 +1,9 @@
-"""Count the calls one online decision makes, by sys.setprofile.
+"""Count the calls one online decision, and the set-up per clip, make, by sys.setprofile.
 
 A decision is the stream's per-clip step: localize over the clip's
 candidates, predict, the lists update is handed, update and map_identity.
+The set-up is generate_scene, which builds the clip objects the stream
+reads; its calls are counted per clip of the scene it builds.
 Every "call" event of a Python frame (a function call or a generator
 resumption) is counted under its file and function, as a crossview frame
 when its code lives in the crossview package and as another Python frame
@@ -10,8 +12,8 @@ no event, so ufunc dispatches are not counted.
 
 The counts are exact and do not depend on the machine's load, only on the
 Python and numpy versions: Python 3.12 inlines comprehensions, which only
-lowers them. Run as a script to print the per-function table of the
-decisions over a group8 scene:
+lowers them. Run as a script to print the per-function tables of the
+decisions over a group8 scene and of the generate_scene call that built it:
 
     PYTHONPATH=src python tests/callcount.py [--clips N] [--k K] [--seed S]
 """
@@ -87,6 +89,17 @@ def decide(clip, state, codebook, scoring):
     return person_id, bayes_filter.map_identity(state), state
 
 
+def setup_counts(n_persons=8, duration=24, seed=7):
+    """(clips, the Counter of the calls of generate_scene) on a group scene with the benchmark's noise.
+
+    A first, uncounted call leaves out what runs once per process, such as
+    numpy's lazy imports.
+    """
+    scenario = group_scenario(n_persons, duration=duration, seed=seed, noise=NOISE)
+    generate_scene(scenario)
+    return count_calls(generate_scene, scenario)
+
+
 def stream_setup(n_persons=8, duration=24, k=16, seed=7):
     """(clips, codebook, initial state) of a group scene with the benchmark's noise."""
     clips = generate_scene(group_scenario(n_persons, duration=duration, seed=seed, noise=NOISE))
@@ -113,10 +126,17 @@ def main(argv=None):
     parser.add_argument("--k", type=int, default=400, help="codebook size (default 400)")
     parser.add_argument("--seed", type=int, default=7, help="scene and codebook seed (default 7)")
     args = parser.parse_args(argv)
-    clips, codebook, state = stream_setup(duration=max(args.clips + 7, 64), k=args.k, seed=args.seed)
-    counts = stream_counts(clips[: args.clips], codebook, state)
+    duration = max(args.clips + 7, 64)
+    clips, codebook, state = stream_setup(duration=duration, k=args.k, seed=args.seed)
     n = min(args.clips, len(clips))
-    print(f"Python {sys.version.split()[0]}, numpy {np.__version__}; per decision over {n} group8 clips")
+    print(f"Python {sys.version.split()[0]}, numpy {np.__version__}")
+    print(f"per decision over {n} group8 clips")
+    _print_table(stream_counts(clips[: args.clips], codebook, state), n)
+    print(f"set-up (generate_scene) per clip of the {len(clips)}-clip group8 scene")
+    _print_table(setup_counts(duration=duration, seed=args.seed)[1], len(clips))
+
+
+def _print_table(counts, n):
     for (kind, where, name), calls in sorted(counts.items(), key=lambda item: (KINDS.index(item[0][0]), -item[1])):
         print(f"{calls / n:8.2f}  {kind:9}  {where}:{name}")
     for kind, calls in totals(counts).items():

@@ -1,4 +1,4 @@
-"""The calls one online decision makes, counted by sys.setprofile (see callcount.py).
+"""The calls one online decision, and the set-up per clip, make, counted by sys.setprofile (see callcount.py).
 
 The bounds are upper bounds: a later Python, such as 3.12 with its inlined
 comprehensions, makes fewer frames for the same code, never more.
@@ -7,7 +7,7 @@ comprehensions, makes fewer frames for the same code, never more.
 import numpy as np
 import pytest
 
-from callcount import count_calls, decide, stream_setup, totals
+from callcount import count_calls, decide, setup_counts, stream_setup, totals
 from crossview import bayes_filter, verification
 
 
@@ -46,3 +46,16 @@ def test_counts_repeat_and_split_by_kind(group8):
     assert first["crossview", "verification.py", "_score_block"] == 1
     assert first["c", "ufunc", "ufunc.reduce"] > 0
     assert all(n > 0 for n in totals(first).values())
+
+
+# generate_scene's calls per clip of the 24-frame group8 scene; each clip's objects were checked again at 115.7
+# crossview frames and 339.5 C calls; of the 80.7 frames left, 64 are the boxes' BoundingBox._unchecked calls
+SETUP_BOUNDS = {"crossview": 85, "c": 160}
+
+
+def test_the_set_up_stays_within_its_calls_per_clip():
+    clips, counts = setup_counts()
+    assert len(clips) == 17 and setup_counts()[1] == counts
+    per_clip = {kind: n / len(clips) for kind, n in totals(counts).items()}
+    assert all(per_clip[kind] <= bound for kind, bound in SETUP_BOUNDS.items()), per_clip
+    assert counts["crossview", "motion.py", "_unchecked"] == len(clips) * 8 * 8

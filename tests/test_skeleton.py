@@ -180,6 +180,22 @@ class TestBodyFrame:
                 assert alone.tobytes() == axes[i].tobytes() and one_defined == defined[i]
         assert not defined[:16].any()
 
+    def test_a_torso_a_hair_off_collinear_is_undefined_with_finite_axes(self):
+        # a cross product of norm 2e-12, inside (0, 1e-9): the axes are finite, so only defined tells
+        joints = np.zeros((19, 3))
+        joints[RIGHT_SHOULDER] = [0.2, 0.0, 1.5]
+        joints[LEFT_SHOULDER] = [-0.2, 0.0, 1.5]
+        joints[NECK] = [0.0, 1e-11, 1.5]
+        axes, defined = body_axes(joints)
+        assert not defined and np.isfinite(axes).all()
+        np.testing.assert_allclose(axes, np.eye(3), atol=1e-12)
+        with pytest.raises(DegeneratePoseError):  # body_frame reads defined
+            body_frame(joints)
+        joints[NECK, 1] = 0.0  # on the line: the cross product is 0, and its axes are NaN
+        with np.errstate(invalid="ignore"):
+            axes, defined = body_axes(joints)
+        assert not defined and np.isnan(axes[:, 1:]).all()
+
     def test_center_is_torso_centroid(self):
         j = upright_pose()
         expected = (j[RIGHT_SHOULDER] + j[LEFT_SHOULDER] + j[NECK]) / 3.0

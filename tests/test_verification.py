@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -194,6 +195,51 @@ class TestCandidateObservation:
     def test_boxes_that_are_not_bounding_boxes_rejected(self):
         with pytest.raises(ValueError, match="boxes entries must be BoundingBox"):
             CandidateObservation(0, np.zeros((8, 19, 3)), [(0.0, 0.0, 1.0, 1.0)] * 8)
+
+
+class TestPublicConstructorsAfterGenerateScene:
+    """generate_scene builds its objects without the checks its Scene already ran; the public constructors keep them."""
+
+    @pytest.fixture(scope="class")
+    def clip(self):
+        noise = cv.NoiseParams(sigma_pose=0.02, sigma_odo_trans=0.01, sigma_odo_rot=0.01, sigma_bbox=0.01)
+        return cv.generate_scene(cv.three_person_scenario(crossing=True, duration=16, seed=7, noise=noise))[3]
+
+    def test_a_generated_clip_rebuilt_publicly_keeps_its_bits(self, clip):
+        ego = EgoObservation(clip.ego.pose_deltas, clip.ego.motion_deltas)
+        assert ego.pose_deltas.tobytes() == clip.ego.pose_deltas.tobytes()
+        assert ego.motion_deltas.tobytes() == clip.ego.motion_deltas.tobytes()
+        for c in clip.candidates:
+            rebuilt = CandidateObservation(c.person_id, c.poses, c.boxes, c.valid)
+            assert (rebuilt.person_id, rebuilt.boxes, rebuilt.valid) == (c.person_id, c.boxes, c.valid)
+            assert rebuilt.poses.tobytes() == c.poses.tobytes()
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("poses", "poses must be finite"),
+            ("valid", "valid must hold true or false, got int"),
+            ("boxes", "boxes entries must be BoundingBox"),
+            ("motion_deltas", "motion_deltas must have shape (7, 2, 3), got (6, 2, 3)"),
+        ],
+        ids=["nan_pose", "int_valid", "tuple_box", "six_motion_deltas"],
+    )
+    def test_a_bad_field_of_a_generated_clip_is_rejected(self, clip, field, message):
+        candidate = clip.candidates[1]
+        fields = {"poses": candidate.poses, "boxes": list(candidate.boxes), "valid": list(candidate.valid)}
+        deltas = {"pose_deltas": clip.ego.pose_deltas, "motion_deltas": clip.ego.motion_deltas}
+        if field == "poses":
+            fields["poses"] = np.array(candidate.poses)
+            fields["poses"][5, 12, 1] = np.nan
+        elif field == "valid":
+            fields["valid"][2] = 1
+        elif field == "boxes":
+            fields["boxes"][7] = candidate.boxes[7].corners()
+        else:
+            deltas["motion_deltas"] = clip.ego.motion_deltas[1:]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EgoObservation(**deltas)
+            CandidateObservation(candidate.person_id, **fields)
 
 
 class TestVerifyPair:
