@@ -422,7 +422,7 @@ def _filled(count, blocks):
 
 
 def scene_arrays(scenario: Scenario) -> Scene:
-    """generate_scene's clips, bit for bit, as one Scene filled block by block: no per-candidate object."""
+    """Every clip of a scenario as one Scene filled block by block, no per-candidate object; generate_scene wraps it."""
     ids, wearer, clip_ids, draws = _clip_draws(scenario)
     return Scene(*_filled(len(clip_ids), draws), ids, clip_ids, wearer)
 

@@ -400,8 +400,11 @@ class TestSceneArrays:
             cv.group_scenario(8, duration=120, noise=NOISE),
             cv.three_person_scenario(crossing=True, duration=60, seed=11, noise=NOISE, time_offset=-3),
             cv.three_person_scenario(crossing=True, duration=60, seed=11),
+            cv.two_person_scenario(noise=NOISE),
+            cv.three_person_scenario(crossing=True, noise=NOISE),
+            cv.group_scenario(8, duration=400, seed=7, noise=NOISE),
         ],
-        ids=["crossing3_seed7", "group8", "time_offset", "zero_noise"],
+        ids=["crossing3_seed7", "group8", "time_offset", "zero_noise", "two_person", "crossing3", "group8_bench"],
     )
     def test_each_array_equals_the_stacked_object_fields(self, scenario):
         scene = scene_arrays(scenario)
@@ -425,39 +428,12 @@ class TestSceneArrays:
             assert not got.flags.writeable, name
         assert all(clip.ground_truth_wearer == scene.wearer for clip in clips)
         assert all([c.person_id for c in clip.candidates] == stacked["person_ids"] for clip in clips)
-
-    @pytest.mark.parametrize(
-        "scenario",
-        [
-            cv.two_person_scenario(noise=NOISE),
-            cv.three_person_scenario(crossing=True, noise=NOISE),
-            cv.group_scenario(8, duration=400, seed=7, noise=NOISE),
-        ],
-        ids=["two_person", "crossing3", "group8_bench"],
-    )
-    def test_objects_hold_read_only_views_of_the_scene_bits(self, scenario):
-        scene = scene_arrays(scenario)
-        clips = generate_scene(scenario)
-        assert [clip.clip_id for clip in clips] == scene.clip_ids.tolist()
-        ids = scene.person_ids.tolist()
+        # each object holds a read-only view of one scene-wide array, as the first clip's does, not a copy of its own
         ego, poses = clips[0].ego, clips[0].candidates[0].poses
-        for i, clip in enumerate(clips):
-            assert clip.ground_truth_wearer == scene.wearer
-            arrays = [
-                (clip.ego.pose_deltas, scene.pose_deltas[i], ego.pose_deltas),
-                (clip.ego.motion_deltas, scene.motion_deltas[i], ego.motion_deltas),
-            ]
-            arrays += [(c.poses, scene.poses[i, row], poses) for row, c in enumerate(clip.candidates)]
-            for got, want, first in arrays:
-                # equal bytes: -0.0 and 0.0 differ here
-                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-                assert not got.flags.writeable
-                # a view of one scene-wide array, as the first clip's is, not a copy per object
-                assert got.base is not None and got.base is first.base
-            assert [c.person_id for c in clip.candidates] == ids
-            corners = np.array([[b.corners() for b in c.boxes] for c in clip.candidates])
-            assert corners.tobytes() == scene.corners[i].tobytes()
-            assert [c.valid for c in clip.candidates] == list(map(tuple, scene.valid[i].tolist()))
+        for clip in clips:
+            held = [(clip.ego.pose_deltas, ego.pose_deltas), (clip.ego.motion_deltas, ego.motion_deltas)]
+            for array, first in held + [(c.poses, poses) for c in clip.candidates]:
+                assert not array.flags.writeable and array.base is not None and array.base is first.base
             assert all(type(b) is BoundingBox for c in clip.candidates for b in c.boxes)
 
     def test_lists_of_arrays_give_the_scene_of_the_arrays(self):
