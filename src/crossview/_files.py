@@ -24,11 +24,11 @@ _LEAVES = {
 }
 
 
-def read_json(path, what, parse):
-    """parse(value) of the JSON file at path; errors name the file as what (its kind) and path."""
+def read_json(path, what, parse, raw=False):
+    """parse(value) of the JSON file at path, or parse(its bytes) if raw; errors name the file as what and path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
+        with open(path, "rb" if raw else "r", encoding=None if raw else "utf-8") as fh:
+            return parse(fh.read() if raw else json.load(fh))  # no name here holds the bytes
     except OSError as exc:
         raise OSError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -12,6 +12,7 @@ import contextlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 
@@ -41,6 +42,10 @@ _EPS_LOG = 1e-12
 _EXP_CUT = -746.0
 
 _SCHEMA_VERSION = 1
+
+# The first "centroids" key given an array, its quote after "{", "," or a space; the bytes of a row of numbers
+_ROWS = re.compile(rb'"centroids"(?<=[{, \t\n\r]"centroids")[ \t\n\r]*:[ \t\n\r]*\[')
+_NUMBER_BYTES = b"0123456789+-.eE, \t\n\r"
 
 _EPS = np.finfo(float).eps
 
@@ -165,7 +170,7 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
         second = np.full(n, np.inf)
         reach = np.sqrt(d2 + 3.0 * bound) * (1.0 + 2.0 * _SLACK) + margin
         for j in range(1, k):
-            idx = _draw(rng, d2, float(err.sum()))
+            idx = _draw(rng, d2, float(np.add.reduce(err)))
             if idx is None:
                 break
             chosen[j] = idx
@@ -175,7 +180,7 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
             if prune:
                 apart = np.abs(norms - norms[idx])
                 # not apart < reach: a NaN skips no row
-                rows = np.flatnonzero(~(apart >= reach))
+                rows = (~(apart >= reach)).nonzero()[0]
                 if 2 * rows.size > j:
                     # how far at least each row's owner lies from the new seed
                     gap = _pairwise_sq_distances(centroids[:j], sq[chosen[:j]], row, row_sq)[:, 0]
@@ -188,12 +193,12 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
                 # the full product's values are d2's own, so err stays
                 new = _pairwise_sq_distances(vectors, sq, row, row_sq, column, sums)[:, 0]
                 np.minimum(second, np.maximum(new, d2), out=second)
-                near = np.flatnonzero(new < d2)
+                near = (new < d2).nonzero()[0]
                 value = new[near]
                 np.minimum(d2, new, out=d2)
             else:
                 block = spare[: rows.size * CLIP_DIM].reshape(rows.size, CLIP_DIM)
-                np.take(vectors, rows, axis=0, out=block, mode="clip")
+                vectors.take(rows, axis=0, out=block, mode="clip")
                 new = _pairwise_sq_distances(block, sq[rows], row, row_sq, column[: rows.size], sums[: rows.size])[:, 0]
                 old = d2[rows]
                 second[rows] = np.minimum(second[rows], np.maximum(new, old))
@@ -225,7 +230,7 @@ def _draw(rng, d2, slack):
         # every weight can still round to 0 on near-duplicate rows, though
         # fit_codebook has checked that k distinct rows exist
         return int(rng.choice(n, p=d2 / total)) if total > 0.0 else int(rng.integers(n))
-    cdf = np.cumsum(d2)
+    cdf = d2.cumsum()
     lowest = float(cdf[-1]) * (1.0 - _SLACK) - slack * (1.0 + _SLACK)
     if not lowest > 0.0:
         return None
@@ -473,18 +478,48 @@ def save_codebook(codebook: ActionCodebook, path) -> None:
 
 def load_codebook(path) -> ActionCodebook:
     """The codebook save_codebook wrote; a malformed file raises a ValueError naming the file and the field."""
-    return read_json(path, "codebook file", _codebook_from_obj)
+    return read_json(path, "codebook file", _codebook_from_bytes, raw=True)
 
 
-def _codebook_from_obj(payload) -> ActionCodebook:
+def _codebook_from_bytes(data) -> ActionCodebook:
+    # What json.load reads, with no tree of Python floats. From the first "centroids" array on, each "[" before the
+    # next "]" opens a row up to it, parsed alone into one array if it holds number, comma and space bytes only (no
+    # nested list, string, true, false or null). The envelope, the file with each row emptied to "[]", is parsed
+    # whole: its top-level "centroids" must be those "[]" and the file's one "centroids" key (_loads). Another file
+    # is parsed whole, for the checks' messages. The bytes are released before the codebook copies the centroids.
+    at, cuts = next((found.end() for found in _ROWS.finditer(data)), len(data)), [0]
+    while 0 <= (start := data.find(b"[", at)) < (at := data.find(b"]", at) + 1):
+        cuts += start, at  # a row's first byte and the one after its last
+    try:
+        centroids = np.empty((len(cuts) // 2, CLIP_DIM))
+        for i, (start, end) in enumerate(zip(cuts[1::2], cuts[2::2])):
+            row = data[start:end]
+            if row.translate(None, _NUMBER_BYTES) != b"[]" or row.count(b",") != CLIP_DIM - 1:
+                raise ValueError("not a row of numbers")
+            centroids[i] = json.loads(row.decode("utf-8"))
+        envelope = b"[]".join(data[a:b] for a, b in zip(cuts[::2], cuts[1::2] + [None])) if len(centroids) else b""
+        payload = _loads(envelope.decode("utf-8"))
+        if not (isinstance(payload, dict) and payload.get("centroids") == [[]] * len(centroids)):
+            raise ValueError("not the rows of the top-level 'centroids'")
+        payload["centroids"] = centroids
+    except ValueError:  # another layout, or a fault that the whole file's parse names
+        payload = _loads(data.decode("utf-8"))
+    del data
     if not isinstance(payload, dict) or payload.get("kind") != "action_codebook":
         raise ValueError("it is not an action codebook file: a JSON object with 'kind', 'dim' and 'centroids'")
     _schema_version(payload, _SCHEMA_VERSION)
     if _number(_required(payload, "dim", "a codebook"), "dim", integer=True) != CLIP_DIM:
         raise ValueError(f"codebook dimension {payload['dim']} does not match {CLIP_DIM}")
-    centroids = _required(payload, "centroids", "a codebook")
-    seed = None if payload.get("seed") is None else _number(payload["seed"], "seed", integer=True)
-    codebook = ActionCodebook(centroids, seed=seed)
+    centroids, seed = _required(payload, "centroids", "a codebook"), payload.get("seed")
+    codebook = ActionCodebook(centroids, seed=None if seed is None else _number(seed, "seed", integer=True))
     if _number(_required(payload, "k", "a codebook"), "k", integer=True) != codebook.k:
         raise ValueError(f"k is {payload['k']}, but the file holds {codebook.k} centroids")
     return codebook
+
+
+def _loads(text):
+    pairs = []
+    payload = json.loads(text, object_pairs_hook=lambda p: pairs.extend(p) or dict(p))
+    if [key for key, _ in pairs].count("centroids") > 1:
+        raise ValueError("the key 'centroids' is given more than once")
+    return payload

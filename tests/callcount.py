@@ -3,7 +3,8 @@
 A decision is the stream's per-clip step: localize over the clip's
 candidates, predict, the lists update is handed, update and map_identity.
 The set-up is generate_scene, which builds the clip objects the stream
-reads; its calls are counted per clip of the scene it builds.
+reads; its calls are counted per clip of the scene it builds. The fit's
+seeding is counted per draw, one draw per seed after the first.
 Every "call" event of a Python frame (a function call or a generator
 resumption) is counted under its file and function, as a crossview frame
 when its code lives in the crossview package and as another Python frame
@@ -13,7 +14,8 @@ no event, so ufunc dispatches are not counted.
 The counts are exact and do not depend on the machine's load, only on the
 Python and numpy versions: Python 3.12 inlines comprehensions, which only
 lowers them. Run as a script to print the per-function tables of the
-decisions over a group8 scene and of the generate_scene call that built it:
+decisions over a group8 scene, of the generate_scene call that built it and
+of the seeding of the k-centroid fit on its pose clips:
 
     PYTHONPATH=src python tests/callcount.py [--clips N] [--k K] [--seed S]
 """
@@ -28,9 +30,9 @@ from collections import Counter
 import numpy as np
 
 import crossview
-from crossview import bayes_filter, verification
-from crossview.action_codebook import fit_codebook
-from crossview.simulator import NoiseParams, generate_scene, group_scenario
+from crossview import action_codebook, bayes_filter, verification
+from crossview.action_codebook import CLIP_DIM, fit_codebook
+from crossview.simulator import NoiseParams, generate_scene, group_scenario, scene_arrays
 
 PACKAGE = os.path.dirname(os.path.abspath(crossview.__file__))
 KINDS = ("crossview", "python", "c")
@@ -100,6 +102,24 @@ def setup_counts(n_persons=8, duration=24, seed=7):
     return count_calls(generate_scene, scenario)
 
 
+def seeding_counts(n_persons=8, duration=24, k=16, seed=7):
+    """(draws, the Counter of the calls of the fit's seeding) on a group scene with the benchmark's noise.
+
+    The seeding runs on the scene's pose clips with the arguments
+    fit_codebook gives it; draws is the number of its _draw calls. A first,
+    uncounted call leaves out what runs once per process.
+    """
+    scene = scene_arrays(group_scenario(n_persons, duration=duration, seed=seed, noise=NOISE))
+    vectors = scene.poses.reshape(-1, CLIP_DIM)
+    sq = action_codebook._sq_norms(vectors)
+    bound = action_codebook._ROUNDING * 4.0 * float(sq.max())
+    spare = np.empty(len(vectors) * max(k, CLIP_DIM))
+    args = (vectors, sq, k, seed, bound, spare)
+    action_codebook._seed_centroids(*args)
+    _, counts = count_calls(action_codebook._seed_centroids, *args)
+    return counts["crossview", "action_codebook.py", "_draw"], counts
+
+
 def stream_setup(n_persons=8, duration=24, k=16, seed=7):
     """(clips, codebook, initial state) of a group scene with the benchmark's noise."""
     clips = generate_scene(group_scenario(n_persons, duration=duration, seed=seed, noise=NOISE))
@@ -134,6 +154,9 @@ def main(argv=None):
     _print_table(stream_counts(clips[: args.clips], codebook, state), n)
     print(f"set-up (generate_scene) per clip of the {len(clips)}-clip group8 scene")
     _print_table(setup_counts(duration=duration, seed=args.seed)[1], len(clips))
+    draws, counts = seeding_counts(duration=duration, k=args.k, seed=args.seed)
+    print(f"seeding per draw of the k={args.k} fit on the {len(clips) * 8} pose clips of that scene")
+    _print_table(counts, draws)
 
 
 def _print_table(counts, n):

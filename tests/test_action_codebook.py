@@ -818,6 +818,9 @@ class TestPersistence:
             ({"centroids": [[0.0] * 455 + ["1"], [1.0] * 456]}, "centroids must hold numbers, got str"),
             ({"centroids": [[0.0] * 456, [True] + [1.0] * 455]}, "centroids must hold numbers, got bool"),
             ({"centroids": [[0.0] * 456, [1.0] * 455 + [None]]}, "centroids must hold numbers, got NoneType"),
+            ({"centroids": [[0.0] * 455 + [[1.0]], [1.0] * 456]}, "centroids must hold numbers, got list"),
+            ({"centroids": [[0.0] * 455 + ["]"], [1.0] * 456]}, "centroids must hold numbers, got str"),
+            ({"meta": {"centroids": [[2.0] * 456]}}, "the key 'centroids' is given more than once"),
         ],
         ids=[
             "k_not_the_centroid_count",
@@ -831,6 +834,9 @@ class TestPersistence:
             "string_centroid",
             "true_centroid",
             "null_centroid",
+            "nested_list_in_a_row",
+            "string_holding_a_bracket_in_a_row",
+            "nested_centroids_key",
         ],
     )
     def test_misread_field_rejected_naming_file_and_field(self, tmp_path, change, text):
@@ -842,6 +848,75 @@ class TestPersistence:
         with pytest.raises(ValueError, match=text) as info:
             load_codebook(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "edit, text",
+        [
+            (lambda b: b.replace(b"0.0, ", b"0.0\xff, ", 1), "is not UTF-8 text"),
+            (lambda b: b[:-1] + b', "centroids": [' + b", ".join([b"[" + b", ".join([b"2.0"] * 456) + b"]"] * 2) + b"]}",
+             "the key 'centroids' is given more than once"),
+            (lambda b: b[:-1] + b', "centroids": [[], []]}', "the key 'centroids' is given more than once"),
+            (lambda b: b.replace(b'"centroids"', b'"meta": {"x": 1}, "other"'), "lacks the key 'centroids'"),
+            (lambda b: b.replace(b'"centroids": [', b'"meta": {"centroids": [').replace(b"]]}", b"]]}}"),
+             "lacks the key 'centroids'"),
+            (lambda b: b.replace(b"]]}", b"], ]}"), "Expecting value"),
+            (lambda b: b.replace(b"], [", b"] x [", 1), "Expecting ',' delimiter: line 1 column"),
+        ],
+        ids=[
+            "non_utf8_byte_in_a_row",
+            "second_top_level_key",
+            "second_top_level_key_of_empty_rows",
+            "no_centroids_key",
+            "centroids_key_only_in_a_nested_object",
+            "trailing_comma_after_the_rows",
+            "garbage_between_rows",
+        ],
+    )
+    def test_malformed_bytes_rejected_naming_the_file(self, tmp_path, edit, text):
+        path = tmp_path / "codebook.json"
+        save_codebook(ActionCodebook(np.stack([np.zeros(CLIP_DIM), np.ones(CLIP_DIM)]), seed=4), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=text) as info:
+            load_codebook(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("layout", ["indent_2", "centroids_first", "crlf", "int_and_exponent_forms"])
+    def test_other_layouts_load_the_bits_of_the_compact_file(self, tmp_path, layout):
+        rows = np.random.default_rng(6).normal(size=(3, CLIP_DIM))
+        rows[1, [0, 455]] = -0.0
+        rows[2, 1:4] = [5e-324, 2.0**53 + 2.0, 1e150]  # a subnormal, an integer beyond 2**53 and a large float
+        compact = tmp_path / "compact.json"
+        save_codebook(ActionCodebook(rows, seed=2), compact)
+        payload = json.loads(compact.read_bytes())
+        if layout == "indent_2":
+            text = json.dumps(payload, indent=2)
+        elif layout == "centroids_first":
+            text = json.dumps({"centroids": payload.pop("centroids"), **payload})
+        elif layout == "crlf":
+            text = json.dumps(payload, indent=2).replace("\n", "\r\n")
+        else:  # JSON numbers as int and exponent forms, each read as json.load reads it
+            text = compact.read_text().replace("9007199254740994.0", "9007199254740994").replace("1e+150", "1E150")
+            assert text != compact.read_text()
+        path = tmp_path / "codebook.json"
+        path.write_bytes(text.encode())
+        restored = load_codebook(path)
+        want = np.asarray(json.loads(text)["centroids"], dtype=float)
+        assert restored.centroids.tobytes() == want.tobytes() == load_codebook(compact).centroids.tobytes()
+        assert (restored.k, restored.seed) == (3, 2)
+
+    def test_load_peak_memory_is_the_file_and_two_copies_of_the_centroids(self, tmp_path):
+        # the rows are parsed one at a time into one array and the file's bytes are released before the codebook
+        # copies it; json.load's tree of 182,400 Python floats peaked at 9.08 MiB on a 3.49 MiB k=400 file
+        path = tmp_path / "codebook.json"
+        save_codebook(ActionCodebook(np.random.default_rng(7).normal(size=(400, CLIP_DIM))), path)
+        load_codebook(path)  # lazy imports are not the load's
+        tracemalloc.start()
+        try:
+            codebook = load_codebook(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size + 2 * codebook.centroids.nbytes
 
     @pytest.mark.parametrize("case", ["k1_null_seed", "fitted_k16", "negative_zero"])
     def test_file_is_json_dumps_of_the_payload(self, tmp_path, case):

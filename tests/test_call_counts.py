@@ -7,7 +7,7 @@ comprehensions, makes fewer frames for the same code, never more.
 import numpy as np
 import pytest
 
-from callcount import count_calls, decide, setup_counts, stream_setup, totals
+from callcount import count_calls, decide, seeding_counts, setup_counts, stream_setup, totals
 from crossview import bayes_filter, verification
 
 
@@ -59,3 +59,16 @@ def test_the_set_up_stays_within_its_calls_per_clip():
     per_clip = {kind: n / len(clips) for kind, n in totals(counts).items()}
     assert all(per_clip[kind] <= bound for kind, bound in SETUP_BOUNDS.items()), per_clip
     assert counts["crossview", "motion.py", "_unchecked"] == len(clips) * 8 * 8
+
+
+# the seeding's calls per draw of a k=64 fit on the 136 pose clips of the 24-frame group8 scene: with numpy's Python
+# wrappers (np.take, np.cumsum, np.flatnonzero and the sum method) a draw made 14.2 other Python frames and 14.3 C
+# calls; of the 0.21 other frames per draw left, most run once per seeding (np.full, rng.choice's argument checks)
+SEEDING_BOUNDS = {"python": 0.5, "c": 8}
+
+
+def test_the_seeding_stays_within_its_calls_per_draw():
+    draws, counts = seeding_counts(k=64)
+    assert draws == 63 and seeding_counts(k=64) == (draws, counts)
+    per_draw = {kind: n / draws for kind, n in totals(counts).items()}
+    assert all(per_draw[kind] <= bound for kind, bound in SEEDING_BOUNDS.items()), per_draw

@@ -612,8 +612,9 @@ class TestCommandLine:
             [[0.0] * 456],
             {"kind": "action_codebook", "dim": 456},
             {"kind": "action_codebook", "dim": 456, "centroids": [[0.0] * 456, [1.0] * 455]},
+            {"kind": "action_codebook", "dim": 456, "meta": {"centroids": [[0.0] * 456]}},
         ],
-        ids=["json_list", "no_centroids", "ragged_centroids"],
+        ids=["json_list", "no_centroids", "ragged_centroids", "nested_centroids"],
     )
     def test_malformed_codebook_file_exit_two_naming_file_and_centroids(self, tmp_path, capsys, payload):
         path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))
