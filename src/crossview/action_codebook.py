@@ -43,9 +43,9 @@ _EXP_CUT = -746.0
 
 _SCHEMA_VERSION = 1
 
-# The first "centroids" key given an array, its quote after "{", "," or a space; the bytes of a row of numbers
+# The first "centroids" key given an array, after "{", "," or a space; a byte of each string, object, true, false, null
 _ROWS = re.compile(rb'"centroids"(?<=[{, \t\n\r]"centroids")[ \t\n\r]*:[ \t\n\r]*\[')
-_NUMBER_BYTES = b"0123456789+-.eE, \t\n\r"
+_NOT_NUMBERS = b'"{tfn'
 
 _EPS = np.finfo(float).eps
 
@@ -483,20 +483,20 @@ def load_codebook(path) -> ActionCodebook:
 
 def _codebook_from_bytes(data) -> ActionCodebook:
     # What json.load reads, with no tree of Python floats. From the first "centroids" array on, each "[" before the
-    # next "]" opens a row up to it, parsed alone into one array if it holds number, comma and space bytes only (no
-    # nested list, string, true, false or null). The envelope, the file with each row emptied to "[]", is parsed
-    # whole: its top-level "centroids" must be those "[]" and the file's one "centroids" key (_loads). Another file
-    # is parsed whole, for the checks' messages. The bytes are released before the codebook copies the centroids.
-    at, cuts = next((found.end() for found in _ROWS.finditer(data)), len(data)), [0]
+    # next "]" opens a row up to it, which nests no list: with no string, object, true, false or null (no byte of
+    # _NOT_NUMBERS) it holds numbers only, parsed alone into one array. The envelope, the file with each row emptied
+    # to "[]", is parsed whole: its top-level "centroids" must be those "[]" and the file's one "centroids" key
+    # (_loads). Another file is parsed whole, for its messages. The bytes go before the codebook copies the array.
+    at, cuts = next((found.end() for found in _ROWS.finditer(data)), len(data)), [0]  # no match holds data on
     while 0 <= (start := data.find(b"[", at)) < (at := data.find(b"]", at) + 1):
         cuts += start, at  # a row's first byte and the one after its last
     try:
         centroids = np.empty((len(cuts) // 2, CLIP_DIM))
         for i, (start, end) in enumerate(zip(cuts[1::2], cuts[2::2])):
             row = data[start:end]
-            if row.translate(None, _NUMBER_BYTES) != b"[]" or row.count(b",") != CLIP_DIM - 1:
+            if any(byte in row for byte in _NOT_NUMBERS) or len(values := json.loads(row.decode("utf-8"))) != CLIP_DIM:
                 raise ValueError("not a row of numbers")
-            centroids[i] = json.loads(row.decode("utf-8"))
+            centroids[i] = values
         envelope = b"[]".join(data[a:b] for a, b in zip(cuts[::2], cuts[1::2] + [None])) if len(centroids) else b""
         payload = _loads(envelope.decode("utf-8"))
         if not (isinstance(payload, dict) and payload.get("centroids") == [[]] * len(centroids)):

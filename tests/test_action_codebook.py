@@ -820,6 +820,8 @@ class TestPersistence:
             ({"centroids": [[0.0] * 456, [1.0] * 455 + [None]]}, "centroids must hold numbers, got NoneType"),
             ({"centroids": [[0.0] * 455 + [[1.0]], [1.0] * 456]}, "centroids must hold numbers, got list"),
             ({"centroids": [[0.0] * 455 + ["]"], [1.0] * 456]}, "centroids must hold numbers, got str"),
+            ({"centroids": [[0.0] * 456, [False] + [1.0] * 455]}, "centroids must hold numbers, got bool"),
+            ({"centroids": [[0.0] * 455 + [{}], [1.0] * 456]}, "centroids must hold numbers, got dict"),
             ({"meta": {"centroids": [[2.0] * 456]}}, "the key 'centroids' is given more than once"),
         ],
         ids=[
@@ -836,6 +838,8 @@ class TestPersistence:
             "null_centroid",
             "nested_list_in_a_row",
             "string_holding_a_bracket_in_a_row",
+            "false_centroid",
+            "empty_object_in_a_row",
             "nested_centroids_key",
         ],
     )
@@ -853,10 +857,9 @@ class TestPersistence:
         "edit, text",
         [
             (lambda b: b.replace(b"0.0, ", b"0.0\xff, ", 1), "is not UTF-8 text"),
-            (lambda b: b[:-1] + b', "centroids": [' + b", ".join([b"[" + b", ".join([b"2.0"] * 456) + b"]"] * 2) + b"]}",
+            (lambda b: b[:-1] + b', "centroids": ' + json.dumps([[2.0] * 456] * 2).encode() + b"}",
              "the key 'centroids' is given more than once"),
             (lambda b: b[:-1] + b', "centroids": [[], []]}', "the key 'centroids' is given more than once"),
-            (lambda b: b.replace(b'"centroids"', b'"meta": {"x": 1}, "other"'), "lacks the key 'centroids'"),
             (lambda b: b.replace(b'"centroids": [', b'"meta": {"centroids": [').replace(b"]]}", b"]]}}"),
              "lacks the key 'centroids'"),
             (lambda b: b.replace(b"]]}", b"], ]}"), "Expecting value"),
@@ -866,7 +869,6 @@ class TestPersistence:
             "non_utf8_byte_in_a_row",
             "second_top_level_key",
             "second_top_level_key_of_empty_rows",
-            "no_centroids_key",
             "centroids_key_only_in_a_nested_object",
             "trailing_comma_after_the_rows",
             "garbage_between_rows",
@@ -905,8 +907,8 @@ class TestPersistence:
         assert (restored.k, restored.seed) == (3, 2)
 
     def test_load_peak_memory_is_the_file_and_two_copies_of_the_centroids(self, tmp_path):
-        # the rows are parsed one at a time into one array and the file's bytes are released before the codebook
-        # copies it; json.load's tree of 182,400 Python floats peaked at 9.08 MiB on a 3.49 MiB k=400 file
+        # the rows are parsed one at a time into one array, and the file's bytes are released before the codebook
+        # copies the centroids; a tree of 182,400 Python floats, as json.load builds, would take about twice this
         path = tmp_path / "codebook.json"
         save_codebook(ActionCodebook(np.random.default_rng(7).normal(size=(400, CLIP_DIM))), path)
         load_codebook(path)  # lazy imports are not the load's
