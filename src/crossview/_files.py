@@ -86,6 +86,8 @@ def frozen_array(value, name, shape, dtype=float, copy=True):
         a = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError) as exc:  # ragged nesting
         raise ValueError(f"{name} must be an array of {noun} of shape {_shape_text(shape)}") from exc
+    except OverflowError as exc:  # an int beyond the dtype's range
+        raise ValueError(f"{name} must hold {noun} within the range of {np.dtype(dtype).name}") from exc
     if a.shape != shape and (
         a.ndim != len(shape) or any(n < 1 if isinstance(s, str) else n != s for s, n in zip(shape, a.shape))
     ):

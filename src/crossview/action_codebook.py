@@ -49,6 +49,11 @@ _NOT_NUMBERS = b'"{tfn'
 
 _EPS = np.finfo(float).eps
 
+# The most elements of a leaf of the SSE's summation tree (_tree_sum), and the rows of the fit's block scratch,
+# which holds any leaf's rows: a leaf starting anywhere in a row spans at most _LEAF // CLIP_DIM + 2 rows
+_LEAF = 1 << 15
+_BLOCK_ROWS = _LEAF // CLIP_DIM + 2
+
 # Two evaluations of |a|^2 + |b|^2 - 2 a.b for rows of norms r and s, in
 # products of any shape, summation order or thread count, differ by at most
 # _ROUNDING * (r + s)**2, and so does either one from the real value: a
@@ -111,21 +116,58 @@ def _pairwise_sq_distances(a, a_sq, b, b_sq, out=None, sums=None):
     # clipped against tiny negatives from cancellation. Fitted codebooks and
     # decisions depend on these bits: keep the expression, its operand order
     # and the a @ b.T product shape. a may be a stack of (m, d) arrays, each
-    # multiplied on its own. The result is written to out and the norm sums
-    # to sums, two arrays of the result's shape that are allocated when not
-    # given; out must be C-contiguous, so that the product is written in
-    # place with the bits of a fresh one.
+    # multiplied on its own. The result is written to out, which must be
+    # C-contiguous, so that the product is written in place with the bits of
+    # a fresh one; both are allocated at the result's shape when not given.
+    # The norm sums go to sums: a sums with fewer rows than out is a scratch,
+    # and the elementwise steps run over out in row blocks of its length.
     shape = a.shape[:-1] + b.shape[:1]
     out = np.empty(shape) if out is None else out
     sums = np.empty(shape) if sums is None else sums
-    np.add(a_sq[..., None], b_sq[None, :], out=sums)
+    step = sums.shape[0]
     np.matmul(a, b.T, out=out)
-    out *= 2.0
-    np.subtract(sums, out, out=out)
-    return np.maximum(out, 0.0, out=out)
+    for start in range(0, shape[0], step):
+        rows = out[start : start + step]
+        block = sums[: rows.shape[0]]
+        np.add(a_sq[start : start + step, ..., None], b_sq[None, :], out=block)
+        rows *= 2.0
+        np.subtract(block, rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+    return out
 
 
-def _seed_centroids(vectors, sq, k, seed, bound, spare):
+def _scratch_rows(scratch, m):
+    # the flat scratch as a C-contiguous (rows, m) array of as many rows as it holds
+    return scratch[: scratch.size // m * m].reshape(-1, m)
+
+
+def _tree_sum(leaf, size, start=0, most=_LEAF):
+    # np.add.reduce over a contiguous float64 array of size elements from leaf(begin, end), the reduce of its
+    # elements begin to end, for ranges of at most most >= 128 elements. numpy sums such an array as a pairwise
+    # tree: a range of more than 128 elements is split at the largest multiple of 8 up to its half and its two
+    # sums added, so adding the leaves' sums in the tree's order gives the same bits.
+    if size <= most:
+        return leaf(start, start + size)
+    half = size // 2 - size // 2 % 8
+    return _tree_sum(leaf, half, start, most) + _tree_sum(leaf, size - half, start + half, most)
+
+
+def _sse(vectors, centroids, labels, scratch):
+    # float(np.add.reduce(diff)) of diff = (vectors - centroids[labels])**2 as one (n, CLIP_DIM) array, whose
+    # differences are written only a leaf's rows at a time, into the scratch of at least _BLOCK_ROWS rows
+    def leaf(start, end):
+        first, last = start // CLIP_DIM, -(-end // CLIP_DIM)
+        rows = scratch[: (last - first) * CLIP_DIM].reshape(-1, CLIP_DIM)
+        # take's default mode="raise" would buffer out; labels are in range, so "clip" gathers straight into rows
+        np.take(centroids, labels[first:last], axis=0, mode="clip", out=rows)
+        np.subtract(vectors[first:last], rows, out=rows)
+        np.square(rows, out=rows)
+        return np.add.reduce(scratch[start - first * CLIP_DIM : end - first * CLIP_DIM])
+
+    return float(_tree_sum(leaf, vectors.size))
+
+
+def _seed_centroids(vectors, sq, k, seed, bound, gather):
     # Distance-weighted seeding: each new seed is drawn with probability
     # proportional to squared distance from the already chosen set, as
     # rng.choice(n, p=d2 / total) with rng = np.random.default_rng(seed)
@@ -141,10 +183,11 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
     # are seeds, one (j, 1) product over the seeds also skips each row left
     # once the new seed's distance to the seed that set the row's d2 (owner)
     # reaches twice reach, as the row itself lies within reach of its owner.
-    # The other rows are gathered into the spare and multiplied there, or all
-    # rows are when more than half are needed. When a draw cannot be
-    # certified, the seeding restarts from the seed with every row on the
-    # full product, which keeps err at 0: that is the plain computation.
+    # The other rows are gathered into gather, an (n // 2, CLIP_DIM) buffer,
+    # and multiplied there, or all rows are when more than half are needed.
+    # When a draw cannot be certified, the seeding restarts from the seed
+    # with every row on the full product, which keeps err at 0: that is the
+    # plain computation.
     # Also returns pass 1's labels, owner, when they are certified to be the
     # argmin of the full (n, k) product over the seeds, else None. reach
     # widens a row's value by three bounds, so a skipped seed lies, in any
@@ -197,7 +240,7 @@ def _seed_centroids(vectors, sq, k, seed, bound, spare):
                 value = new[near]
                 np.minimum(d2, new, out=d2)
             else:
-                block = spare[: rows.size * CLIP_DIM].reshape(rows.size, CLIP_DIM)
+                block = gather[: rows.size]
                 vectors.take(rows, axis=0, out=block, mode="clip")
                 new = _pairwise_sq_distances(block, sq[rows], row, row_sq, column[: rows.size], sums[: rows.size])[:, 0]
                 old = d2[rows]
@@ -270,40 +313,43 @@ def fit_codebook(clips, k, seed, max_iters=300) -> ActionCodebook:
     # the longest row: any product's distance lies within bound of the full
     # product's and of the real one
     bound = _ROUNDING * 4.0 * float(sq.max())
-    # the fit's two buffers, allocated once: d2 for the (n, k) distances, and
-    # a spare of n * max(k, CLIP_DIM) floats for the seeding's gathered rows
-    # and the Lloyd passes' norm sums, partial products and SSE differences
-    d2 = np.empty((len(vectors), k))
-    spare = np.empty(len(vectors) * max(k, CLIP_DIM))
-    centroids, labels = _seed_centroids(vectors, sq, k, seed, bound, spare)
-    history = _lloyd(vectors, sq, centroids, labels, max_iters, bound, d2, spare)
+    # the fit's buffers, each allocated once: the seeding's gathered rows,
+    # freed before d2 holds the Lloyd passes' (n, k) distances, and a block
+    # scratch of _BLOCK_ROWS rows of max(k, CLIP_DIM) floats for their norm
+    # sums and SSE differences
+    n = len(vectors)
+    gather = np.empty((n // 2, CLIP_DIM))
+    centroids, labels = _seed_centroids(vectors, sq, k, seed, bound, gather)
+    del gather
+    d2 = np.empty((n, k))
+    scratch = np.empty(min(n, _BLOCK_ROWS) * max(k, CLIP_DIM))
+    history = _lloyd(vectors, sq, centroids, labels, max_iters, bound, d2, scratch)
     # freed before the codebook copies the centroids
-    del d2, spare
+    del d2, scratch
     return ActionCodebook(centroids, seed=seed, sse_history=history)
 
 
-def _lloyd(vectors, sq, centroids, labels, max_iters, bound, d2, spare):
+def _lloyd(vectors, sq, centroids, labels, max_iters, bound, d2, scratch):
     # Lloyd passes from the seeded centroids, which are updated in place;
     # returns the SSE history. Pass 1 takes the labels the seeding certified,
     # if any, when they leave no cluster empty, and runs no product: pass 2
     # recomputes every centroid, so it reads no column of d2 from pass 1.
-    # The spare holds the norm sums and then the SSE
-    # differences, each as a C-contiguous view of its start, so that the SSE
-    # sums with the bits of a fresh array. After the first pass, a pass that
-    # moved at most half of the centroids recomputes only their columns of
-    # d2 (_certified_labels): those columns and their norm sums fit in the
-    # spare, and more would cost about the full product. A pass whose labels
-    # cannot be certified, or that empties a cluster, whose reseed reads d2,
-    # runs the full expansion.
+    # The flat scratch holds a row block of the norm sums of the full
+    # expansion, and then a leaf's rows of the SSE differences (_sse), whose
+    # sum keeps the bits of one over a fresh (n, CLIP_DIM) array. After the
+    # first pass, a pass that moved at most half of the centroids recomputes
+    # only their columns of d2 (_certified_labels); more would cost about the
+    # full product. A pass whose labels cannot be certified, or that empties
+    # a cluster, whose reseed reads d2, runs the full expansion.
     n, k = d2.shape
-    sums = spare[: n * k].reshape(n, k)
-    diff = spare[: n * CLIP_DIM].reshape(n, CLIP_DIM)
+    sums = _scratch_rows(scratch, k)
     history = []
     previous = stale = None
     reseeded = False
     for _ in range(max_iters):
         if stale is not None:
-            labels = _certified_labels(vectors, sq, centroids, stale, bound, d2, spare) if 2 * stale.size <= k else None
+            certify = 2 * stale.size <= k
+            labels = _certified_labels(vectors, sq, centroids, stale, bound, d2, scratch) if certify else None
         if labels is not None and np.bincount(labels, minlength=k).min() == 0:
             labels = None
         if labels is None:
@@ -311,13 +357,8 @@ def _lloyd(vectors, sq, centroids, labels, max_iters, bound, d2, spare):
             _pairwise_sq_distances(vectors, sq, centroids, _sq_norms(centroids), d2, sums)
             labels = np.argmin(d2, axis=1)
         # SSE from explicit differences; the norm-expansion shortcut used for
-        # the argmin loses absolute accuracy through cancellation. take's
-        # default mode="raise" would buffer out; labels are in range, so
-        # "clip" gathers the same rows straight into diff.
-        np.take(centroids, labels, axis=0, mode="clip", out=diff)
-        np.subtract(vectors, diff, out=diff)
-        np.square(diff, out=diff)
-        history.append(float(diff.sum()))
+        # the argmin loses absolute accuracy through cancellation
+        history.append(_sse(vectors, centroids, labels, scratch))
         if previous is not None and np.array_equal(labels, previous):
             break
         # a cluster that kept its members would get the same rows in the same
@@ -358,18 +399,19 @@ def _lloyd(vectors, sq, centroids, labels, max_iters, bound, d2, spare):
     return history
 
 
-def _certified_labels(vectors, sq, centroids, stale, bound, d2, spare):
+def _certified_labels(vectors, sq, centroids, stale, bound, d2, scratch):
     # Writes the columns of d2 of the centroids in stale, from one product
-    # over those centroids, and returns argmin(d2, axis=1) when it is
-    # certified to be the full product's argmin, else None. Every value in
-    # d2, from this product or from an earlier one of a centroid that has
-    # kept its bits, lies within bound of the full product's, whatever the
-    # bits of either: a row's label is certified when its lowest value is
-    # lower than every other by more than twice the bound.
+    # over those centroids into a C-contiguous (n, stale.size) block, and
+    # returns argmin(d2, axis=1) when it is certified to be the full
+    # product's argmin, else None. The norm sums take the flat scratch in row
+    # blocks. Every value in d2, from this product or from an earlier one of
+    # a centroid that has kept its bits, lies within bound of the full
+    # product's, whatever the bits of either: a row's label is certified when
+    # its lowest value is lower than every other by more than twice the bound.
     n, k = d2.shape
-    block, sums = spare[: 2 * n * stale.size].reshape(2, n, stale.size)
     moved = centroids[stale]
-    _pairwise_sq_distances(vectors, sq, moved, _sq_norms(moved), block, sums)
+    block = np.empty((n, stale.size))
+    _pairwise_sq_distances(vectors, sq, moved, _sq_norms(moved), block, _scratch_rows(scratch, stale.size))
     d2[:, stale] = block
     labels = np.argmin(d2, axis=1)
     rows = np.arange(n)
@@ -502,7 +544,7 @@ def _codebook_from_bytes(data) -> ActionCodebook:
         if not (isinstance(payload, dict) and payload.get("centroids") == [[]] * len(centroids)):
             raise ValueError("not the rows of the top-level 'centroids'")
         payload["centroids"] = centroids
-    except ValueError:  # another layout, or a fault that the whole file's parse names
+    except (ValueError, OverflowError):  # another layout, or a fault that the whole file's parse names
         payload = _loads(data.decode("utf-8"))
     del data
     if not isinstance(payload, dict) or payload.get("kind") != "action_codebook":

@@ -136,10 +136,10 @@ def _scenario(path, seed):
     return scenario if seed is None else replace(scenario, seed=seed)
 
 
-def _fit(scene, k, seed, option):
-    """Fit the action codebook on the pose clip of every (clip, candidate) pair; errors name the k option."""
+def _fit(poses, k, seed, option):
+    """Fit the action codebook on a Scene's poses, one clip per (clip, candidate) pair; errors name the k option."""
     try:
-        return fit_codebook(scene.poses.reshape(-1, *scene.poses.shape[2:]), k=k, seed=seed)
+        return fit_codebook(poses.reshape(-1, *poses.shape[2:]), k=k, seed=seed)
     except ValueError as exc:  # k < 1, or fewer clips or distinct clips than k
         raise ValueError(f"{option} {k}: {exc}") from exc
 
@@ -156,7 +156,7 @@ def run_evaluation(config: RunConfig) -> MetricsReport:
     if config.codebook is not None:
         codebook = load_codebook(config.codebook)
     else:
-        codebook = _fit(scene, config.codebook_k, scenario.seed, "--codebook-k")
+        codebook = _fit(scene.poses, config.codebook_k, scenario.seed, "--codebook-k")
     marks.append(time.perf_counter())
     raw, scores = score_scene(scene, codebook, scoring)
 
@@ -338,10 +338,10 @@ def _cmd_simulate(args):
 
 def _cmd_fit_codebook(args):
     scenario = _scenario(args.scenario, args.seed)
-    scene = scene_arrays(scenario)
-    codebook = _fit(scene, args.k, scenario.seed, "--k")
+    poses = scene_arrays(scenario).poses  # the rest of the scene is freed before the fit
+    codebook = _fit(poses, args.k, scenario.seed, "--k")
     save_codebook(codebook, args.out)
-    print(f"fitted k={codebook.k} codebook on {scene.clip_ids.size * scene.person_ids.size} clips -> {args.out}")
+    print(f"fitted k={codebook.k} codebook on {poses.shape[0] * poses.shape[1]} clips -> {args.out}")
     return 0
 
 

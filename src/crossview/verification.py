@@ -186,7 +186,7 @@ def _require_valid_frame(person_id, valid):
         raise InsufficientObservationError(f"candidate {person_id} has no valid frame in this clip")
 
 
-BLOCK_PAIRS = 256  # pairs per score_scene block; one block for the scene costs memory, not time
+BLOCK_PAIRS = 128  # pairs per score_scene block: larger ones cost memory, not time (at 256, evaluate peaks here)
 SCORE_FIELDS = tuple(f.name for f in fields(VerificationScore))
 _CORNERS = attrgetter(*BoundingBox.__slots__)  # a box's (lx, ly, rx, ry), as BoundingBox.corners gives them
 _PERSON_ID, _POSES, _BOXES, _VALID = map(attrgetter, ("person_id", "poses", "boxes", "valid"))

@@ -4,7 +4,8 @@ A decision is the stream's per-clip step: localize over the clip's
 candidates, predict, the lists update is handed, update and map_identity.
 The set-up is generate_scene, which builds the clip objects the stream
 reads; its calls are counted per clip of the scene it builds. The fit's
-seeding is counted per draw, one draw per seed after the first.
+seeding is counted per draw, one draw per seed after the first, and the
+whole fit's traced memory peak is printed next to the tables.
 Every "call" event of a Python frame (a function call or a generator
 resumption) is counted under its file and function, as a crossview frame
 when its code lives in the crossview package and as another Python frame
@@ -15,7 +16,8 @@ The counts are exact and do not depend on the machine's load, only on the
 Python and numpy versions: Python 3.12 inlines comprehensions, which only
 lowers them. Run as a script to print the per-function tables of the
 decisions over a group8 scene, of the generate_scene call that built it and
-of the seeding of the k-centroid fit on its pose clips:
+of the seeding of the k-centroid fit on its pose clips, and the tracemalloc
+peak of a k=64 fit on the pose clips of the 24-frame group8 scene:
 
     PYTHONPATH=src python tests/callcount.py [--clips N] [--k K] [--seed S]
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -113,11 +116,25 @@ def seeding_counts(n_persons=8, duration=24, k=16, seed=7):
     vectors = scene.poses.reshape(-1, CLIP_DIM)
     sq = action_codebook._sq_norms(vectors)
     bound = action_codebook._ROUNDING * 4.0 * float(sq.max())
-    spare = np.empty(len(vectors) * max(k, CLIP_DIM))
-    args = (vectors, sq, k, seed, bound, spare)
+    gather = np.empty((len(vectors) // 2, CLIP_DIM))
+    args = (vectors, sq, k, seed, bound, gather)
     action_codebook._seed_centroids(*args)
     _, counts = count_calls(action_codebook._seed_centroids, *args)
     return counts["crossview", "action_codebook.py", "_draw"], counts
+
+
+def fit_peak(n_persons=8, duration=24, k=64, seed=7):
+    """(clips, tracemalloc's peak in bytes of fit_codebook) on the pose clips of a group scene with the benchmark's
+    noise. A first, untraced fit leaves out what runs once per process, such as numpy's lazy imports."""
+    poses = scene_arrays(group_scenario(n_persons, duration=duration, seed=seed, noise=NOISE)).poses
+    clips = poses.reshape(-1, *poses.shape[2:])
+    fit_codebook(clips, k=k, seed=seed)
+    tracemalloc.start()
+    try:
+        fit_codebook(clips, k=k, seed=seed)
+        return len(clips), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def stream_setup(n_persons=8, duration=24, k=16, seed=7):
@@ -157,6 +174,8 @@ def main(argv=None):
     draws, counts = seeding_counts(duration=duration, k=args.k, seed=args.seed)
     print(f"seeding per draw of the k={args.k} fit on the {len(clips) * 8} pose clips of that scene")
     _print_table(counts, draws)
+    n, peak = fit_peak(seed=args.seed)
+    print(f"{peak / 2**10:8.1f}  KiB traced peak of the k=64 fit on the {n} pose clips of the 24-frame group8 scene")
 
 
 def _print_table(counts, n):

@@ -277,11 +277,13 @@ class TestNormCacheEquivalence:
         assert np.array_equal(cb.centroids, centroids)
         assert cb.sse_history == tuple(history)
 
-    def test_fit_working_memory_is_two_buffers(self):
-        # the traced peak of a fit is its (n, k) distance buffer and its
-        # n * max(k, 456) spare, plus a slack for the centroids and one
-        # temporary of their size (their norms) and 1 MiB for index arrays
-        # and interpreter objects; fresh per-pass temporaries would exceed it
+    def test_fit_working_memory_is_distances_and_the_larger_scratch(self):
+        # the traced peak of a fit is its (n, k) distance buffer plus the
+        # larger of the seeding's gather of n // 2 rows and the Lloyd passes'
+        # block scratch, plus a slack for the centroids and one temporary of
+        # their size (their norms) and 1 MiB for index arrays and interpreter
+        # objects; a corpus-sized temporary in a Lloyd pass, or a spare of
+        # n * max(k, 456) floats, would exceed it
         n, k = 1000, 100
         clips = np.random.default_rng(5).normal(size=(n, 8, 19, 3))
         fit_codebook(clips, k=k, seed=1, max_iters=3)  # lazy imports are not the fit's
@@ -291,8 +293,9 @@ class TestNormCacheEquivalence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        buffers = (n * k + n * max(k, CLIP_DIM)) * 8
-        assert peak <= buffers + 2 * k * CLIP_DIM * 8 + 2**20
+        gather = n // 2 * CLIP_DIM
+        scratch = min(n, action_codebook._BLOCK_ROWS) * max(k, CLIP_DIM)
+        assert peak <= (n * k + max(gather, scratch)) * 8 + 2 * k * CLIP_DIM * 8 + 2**20
 
     def assert_scores_match_oracle(self, cb, rows):
         n = len(rows) // 2
@@ -365,6 +368,50 @@ class TestNormCacheEquivalence:
         save_codebook(cb, path)
         restored = load_codebook(path)
         self.assert_scores_match_oracle(restored, rng.normal(size=(10, CLIP_DIM)))
+
+
+class TestBlockedSse:
+    """The SSE summed leaf by leaf as numpy's pairwise tree, against np.add.reduce over one contiguous buffer."""
+
+    LEAF = action_codebook._LEAF
+
+    @staticmethod
+    def tree_sum(x, most):
+        return action_codebook._tree_sum(lambda start, end: np.add.reduce(x[start:end]), x.size, most=most)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            range(1, 301),
+            [m + d for m in (8 * 17, 128, 256, 1024, 4096, 128 * 129) for d in range(-9, 10)],
+            [m + d for m in (LEAF, 2 * LEAF, 3 * LEAF) for d in (-9, -8, -1, 0, 1, 7, 8, 9)],
+        ],
+        ids=["flat_1_to_300", "around_multiples_of_8_and_128", "around_the_leaf"],
+    )
+    def test_tree_of_leaves_is_the_full_reduce(self, sizes):
+        # leaves of 128 elements, the smallest numpy does not split, also
+        # split the small sizes; values over 16 binary orders of magnitude
+        # make the sum depend on its order
+        rng = np.random.default_rng(len(sizes))
+        for size in sizes:
+            x = rng.random(size) ** 2 * 2.0 ** rng.integers(-8, 8, size)
+            want = float(np.add.reduce(x))
+            for most in (128, 136, self.LEAF):
+                assert float(self.tree_sum(x, most)) == want, (size, most)
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 71, 72, 73, 74, 145, 146, 3144])
+    def test_sse_is_the_reduce_of_the_full_difference_buffer(self, n):
+        # n x 456 rows with random labels, over 16 binary orders of magnitude;
+        # 3144 is group8's pose clip count
+        rng = np.random.default_rng(n)
+        k = 400 if n == 3144 else max(1, n // 3)
+        vectors = rng.normal(size=(n, CLIP_DIM)) * 2.0 ** rng.integers(-8, 8, size=(n, CLIP_DIM))
+        centroids = rng.normal(size=(k, CLIP_DIM))
+        labels = rng.integers(k, size=n)
+        diff = (vectors - centroids[labels]) ** 2
+        scratch = np.empty(min(n, action_codebook._BLOCK_ROWS) * max(k, CLIP_DIM))
+        got = action_codebook._sse(vectors, centroids, labels, scratch)
+        assert got == float(np.add.reduce(diff, axis=None)) == float(diff.sum())
 
 
 class TestCertifiedFit:

@@ -634,6 +634,20 @@ class TestCommandLine:
         assert code == 2
         assert str(cb_path) in err and "Traceback" not in err
 
+    def test_codebook_integer_beyond_the_floats_exit_two_naming_file_and_centroids(self, tmp_path, capsys):
+        # a centroid value of 1 followed by 400 zeros: json reads it as an int, which numpy cannot store as a float
+        path = write_scenario(tmp_path, cv.two_person_scenario(duration=24, seed=0))
+        cb_path = tmp_path / "cb.json"
+        assert main(["fit-codebook", "--scenario", str(path), "--k", "8", "--out", str(cb_path)]) == 0
+        payload = json.loads(cb_path.read_text())
+        payload["centroids"][3][100] = 10**400
+        cb_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["evaluate", "--scenario", str(path), "--codebook", str(cb_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(cb_path) in err and "centroids" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("option", ["--scenario", "--codebook"])
     def test_non_utf8_file_exit_two_naming_it(self, tmp_path, capsys, option):
         # a UTF-16 byte-order mark is not UTF-8

@@ -334,6 +334,15 @@ class TestFrozenArray:
         got = frozen_array(value, "x", shape, dtype)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "dtype, text",
+        [(float, "x must hold numbers within the range of float64"), (int, "x must hold integers within the range")],
+    )
+    def test_int_beyond_the_dtype_rejected_naming_the_field(self, dtype, text):
+        # numpy raises OverflowError for it, which no other input gives
+        with pytest.raises(ValueError, match=text):
+            frozen_array([[1, 10**400]], "x", (1, 2), dtype)
+
     @pytest.mark.parametrize("dtype, good", [(float, 0.5), (int, 1), (bool, True)], ids=["float", "int", "bool"])
     @pytest.mark.parametrize(
         "leaf",
