@@ -154,7 +154,7 @@ def _tree_sum(leaf, size, start=0, most=_LEAF):
 
 def _sse(vectors, centroids, labels, scratch):
     # float(np.add.reduce(diff)) of diff = (vectors - centroids[labels])**2 as one (n, CLIP_DIM) array, whose
-    # differences are written only a leaf's rows at a time, into the scratch of at least _BLOCK_ROWS rows
+    # differences are written only a leaf's rows at a time, into the scratch of min(n, _BLOCK_ROWS) rows or more
     def leaf(start, end):
         first, last = start // CLIP_DIM, -(-end // CLIP_DIM)
         rows = scratch[: (last - first) * CLIP_DIM].reshape(-1, CLIP_DIM)
